@@ -12,21 +12,24 @@ weight is the product over child tables of the summed weights of matching
 child rows, and the result cardinality is the sum of root weights.  This runs
 in time linear in the table sizes rather than in the size of the join result.
 
+Each join edge is counted over a dense key domain: a child's weights are
+scatter-added into one float64 total per key (the keys are their own codes,
+since every generator emits keys ``1..N``) and each parent row gathers its
+factor from those totals by key — linear time, no sort and no search.  An
+edge with negative keys, or keys spread far wider than its rows (huge ids,
+row-sampled tables), first codes its keys by rank in the sorted union of
+both columns' distinct values; that union is built once per executor.
+
 The executor is block-chunked: with ``block_rows`` set, predicate scans walk
 :meth:`~repro.db.table.Table.iter_blocks` views and the weight propagation
-streams its group-by through :class:`_StreamingKeyWeights`, so per-operator
-intermediates are bounded by the block size instead of the table size.  Both
-paths produce bit-identical counts — all weights are integer-valued floats,
-so block-order summation is exact below 2**53 — and ``block_rows=None``
-degrades to the single-block (whole-array) evaluation.
-
-With ``max_workers`` set, the block walk itself is **parallel**: contiguous
-runs of blocks are assigned deterministically to threads of a shared
-:class:`~repro.utils.parallel.WorkerPool`, per-worker scan results are merged
-in block order and per-worker :class:`_StreamingKeyWeights` partials are
-folded into one group-by.  Because all merged quantities are either
-position-ordered index arrays or exact integer-valued sums, parallel counts
-stay bit-identical to serial at every worker count and block size.
+folds and gathers block by block, so per-operator intermediates are bounded
+by the block size (plus one key-domain array per worker).  With
+``max_workers`` set, contiguous runs of blocks go deterministically to
+threads of a shared :class:`~repro.utils.parallel.WorkerPool`; scan results
+merge in block order and the per-worker domain totals are summed in span
+order.  All weights are integer-valued float64, so every sum is exact below
+2**53 and counts are bit-identical at every block size and worker count;
+``block_rows=None`` degrades to the single-block (whole-array) evaluation.
 
 ``scan_cache_capacity`` additionally memoizes per-(table, predicate-set)
 qualifying-row results: the DPsize optimizer's sub-plan fan-out executes
@@ -55,62 +58,47 @@ from repro.utils.parallel import WorkerPool
 __all__ = ["CardinalityExecutor", "execute_cardinality", "nested_loop_cardinality"]
 
 
-def _sum_weights_by_key(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``weights`` grouped by join-key value (vectorized group-by).
-
-    Returns the sorted unique keys and the per-key weight totals.
-    """
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    totals = np.bincount(inverse, weights=weights, minlength=len(unique_keys))
-    return unique_keys, totals
+# Keys are their own domain codes when all are non-negative and the largest
+# stays below this multiple of the edge's longer column; otherwise they are
+# coded by rank in the edge's sorted distinct-value union.
+_DENSE_SPAN_FACTOR = 4
 
 
-class _StreamingKeyWeights:
-    """Streaming accumulator for :func:`_sum_weights_by_key`.
+class _JoinKeyDomain:
+    """Codes both key columns of one join edge into ``[0, size)``.
 
-    Feed ``(keys, weights)`` blocks via :meth:`add`; :meth:`result` returns
-    the same ``(sorted unique keys, per-key totals)`` the one-shot group-by
-    produces over the concatenation of all blocks.  Because the weights are
-    integer-valued (counts and products of counts) represented in float64,
-    per-block partial sums merge exactly as long as every total stays below
-    2**53 — which is what makes block-chunked counting bit-identical to the
-    whole-array path.
+    Every key of either column has a code, so neither the fold nor the apply
+    needs a membership test: a parent key no child row carries reads total 0.
     """
 
-    def __init__(self) -> None:
-        self._keys = np.empty(0, dtype=np.int64)
-        self._totals = np.empty(0, dtype=np.float64)
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        low = min(left.min(initial=0), right.min(initial=0))
+        high = max(left.max(initial=-1), right.max(initial=-1))
+        if low >= 0 and high < _DENSE_SPAN_FACTOR * max(len(left), len(right)):
+            self.union = None
+            self.size = int(high) + 1
+        else:
+            self.union = np.union1d(left, right)
+            self.size = len(self.union)
 
-    def add(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        if len(keys) == 0:
-            return
-        unique_keys, totals = _sum_weights_by_key(keys, weights)
-        if self._keys.size == 0:
-            self._keys, self._totals = unique_keys, totals
-            return
-        merged_keys = np.concatenate([self._keys, unique_keys])
-        merged_totals = np.concatenate([self._totals, totals])
-        self._keys, self._totals = _sum_weights_by_key(merged_keys, merged_totals)
+    def codes(self, keys: np.ndarray) -> np.ndarray:
+        return keys if self.union is None else np.searchsorted(self.union, keys)
 
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._keys, self._totals
+    def fold(self, totals: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> None:
+        # The sums of np.bincount(codes, weights, minlength=size), scattered
+        # in place so a block costs time in its own length, not the domain's.
+        np.add.at(totals, self.codes(keys), weights)
 
-
-def _lookup_totals(unique_keys: np.ndarray, totals: np.ndarray, probe_keys: np.ndarray) -> np.ndarray:
-    """Per-probe-key totals; keys absent from ``unique_keys`` yield zero."""
-    if len(unique_keys) == 0:
-        # Without the early return the clip below would produce position -1
-        # and index totals from the end.
-        return np.zeros(len(probe_keys), dtype=np.float64)
-    positions = np.searchsorted(unique_keys, probe_keys)
-    positions = np.clip(positions, 0, len(unique_keys) - 1)
-    found = unique_keys[positions] == probe_keys
-    result = np.where(found, totals[positions], 0.0)
-    return result.astype(np.float64)
+    def apply(self, weights: np.ndarray, totals: np.ndarray, keys: np.ndarray) -> None:
+        weights *= totals[self.codes(keys)]
 
 
 class CardinalityExecutor:
     """Computes exact COUNT(*) results for queries against a database.
+
+    Each join edge is counted by a linear key-domain fold (child weights
+    scatter-added per key) and gather (parent factors read per key); the
+    edge's domain is derived once per executor and shared across threads.
 
     ``block_rows`` selects block-chunked evaluation: predicate scans and the
     Yannakakis weight propagation then process contiguous row blocks of that
@@ -172,6 +160,8 @@ class CardinalityExecutor:
         self._scan_lock = threading.Lock()
         self.scan_reuse_hits = 0
         self.scan_reuse_misses = 0
+        self._key_domains: dict[tuple, _JoinKeyDomain] = {}
+        self._key_domain_lock = threading.Lock()
 
     @property
     def max_workers(self) -> int:
@@ -288,6 +278,18 @@ class CardinalityExecutor:
         for start in range(0, total, max(step, 1)):
             yield start, min(start + step, total)
 
+    def _key_domain(self, join) -> _JoinKeyDomain:
+        """The join edge's key domain, built once per executor for both orientations."""
+        key = tuple(
+            sorted([(join.left_table, join.left_column), (join.right_table, join.right_column)])
+        )
+        with self._key_domain_lock:
+            domain = self._key_domains.get(key)
+            if domain is None:
+                columns = (self.database.table(table).column(column) for table, column in key)
+                domain = self._key_domains[key] = _JoinKeyDomain(*columns)
+        return domain
+
     def _connected_components(self, query: Query):
         """Split the query into connected components of its join graph."""
         remaining = set(query.tables)
@@ -353,56 +355,52 @@ class CardinalityExecutor:
                     parent_join[child] = join
                     order.append(child)
 
-        # Bottom-up weight propagation, streamed block-by-block: the child
-        # group-by accumulates per-block partials and the parent factors are
-        # looked up and applied per block, so the per-step intermediates (key
-        # gathers, factor arrays) are bounded by the block size.  With
-        # ``block_rows=None`` every loop below runs exactly once over the
-        # whole arrays, reproducing the original single-shot evaluation.
-        #
-        # Both phases distribute contiguous runs of blocks across the worker
-        # pool.  The group-by merges per-worker ``_StreamingKeyWeights``
-        # partials — exact integer-valued sums, so the fold is independent of
-        # block grouping — and the parent phase writes each block's factors
-        # into the block's own disjoint weight slice, so parallel results are
-        # bit-identical to the serial walk.
+        # Bottom-up weight propagation over each edge's key domain, block by
+        # block: per-block intermediates (keys, codes, factors) are bounded by
+        # the block size, and with ``block_rows=None`` each loop below runs
+        # once over the whole arrays.  Worker spans fold into their own domain
+        # arrays, summed in span order — exact integer-valued sums — and the
+        # parent phase writes each block's disjoint weight slice, so parallel
+        # counts are bit-identical to the serial walk.
         weights = {
             table: np.ones(len(qualifying_rows[table]), dtype=np.float64) for table in tables
         }
         for table in reversed(order[1:]):
             join = parent_join[table]
             parent = join.other_table(table)
+            domain = self._key_domain(join)
             child_rows = qualifying_rows[table]
-            child_column = self.database.table(table).column(join.column_of(table))
+            child_keys = self._block_keys(table, join.column_of(table), child_rows)
             child_weights = weights[table]
             child_spans = list(self._index_spans(len(child_rows)))
 
-            def fold_blocks(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-                partial = _StreamingKeyWeights()
+            def fold_blocks(lo: int, hi: int) -> np.ndarray:
+                span_totals = np.zeros(domain.size, dtype=np.float64)
                 for start, stop in child_spans[lo:hi]:
-                    partial.add(
-                        child_column[child_rows[start:stop]], child_weights[start:stop]
-                    )
-                return partial.result()
+                    domain.fold(span_totals, child_keys(start, stop), child_weights[start:stop])
+                return span_totals
 
-            accumulator = _StreamingKeyWeights()
-            for keys, totals in self._pool.run_spans(len(child_spans), fold_blocks):
-                accumulator.add(keys, totals)
-            unique_keys, totals = accumulator.result()
+            totals, *others = self._pool.run_spans(len(child_spans), fold_blocks)
+            for span_totals in others:
+                totals += span_totals
             parent_rows = qualifying_rows[parent]
-            parent_column = self.database.table(parent).column(join.column_of(parent))
+            parent_keys = self._block_keys(parent, join.column_of(parent), parent_rows)
             parent_weights = weights[parent]
             parent_spans = list(self._index_spans(len(parent_rows)))
 
             def apply_factors(lo: int, hi: int) -> None:
                 for start, stop in parent_spans[lo:hi]:
-                    parent_factor = _lookup_totals(
-                        unique_keys, totals, parent_column[parent_rows[start:stop]]
-                    )
-                    parent_weights[start:stop] = parent_weights[start:stop] * parent_factor
+                    domain.apply(parent_weights[start:stop], totals, parent_keys(start, stop))
 
             self._pool.run_spans(len(parent_spans), apply_factors)
         return int(round(weights[root].sum()))
+
+    def _block_keys(self, table: str, column: str, rows: np.ndarray):
+        """``keys(start, stop)``: the ``column`` values of ``rows[start:stop]``."""
+        values = self.database.table(table).column(column)
+        if len(rows) == len(values):  # an unfiltered scan: rows are 0..n-1
+            return lambda start, stop: values[start:stop]
+        return lambda start, stop: values[rows[start:stop]]
 
     def _count_by_expansion(self, tables, joins, qualifying_rows) -> int:
         """Iterative hash-join expansion for cyclic join graphs.

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.executor import CardinalityExecutor, execute_cardinality, nested_loop_cardinality
+from repro.db.executor import (
+    CardinalityExecutor,
+    _JoinKeyDomain,
+    execute_cardinality,
+    nested_loop_cardinality,
+)
 from repro.db.predicates import Operator
 from repro.db.query import JoinCondition, Predicate, Query
 from repro.db.schema import ColumnSchema, ForeignKey, Schema, TableSchema
@@ -210,36 +215,63 @@ class TestCyclicFallback:
             executor.execute(Query(tables=("missing",)))
 
 
-class TestLookupTotals:
-    def test_empty_unique_keys_yield_all_zeros(self):
-        """Regression: with no unique keys, clip(positions, 0, -1) used to
-        index ``totals`` from the end instead of returning zeros."""
-        from repro.db.executor import _lookup_totals
+class TestJoinKeyDomain:
+    """The per-edge fold (child weights per key) and apply (parent factors)."""
 
-        result = _lookup_totals(
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.float64),
-            np.array([1, 2, 3], dtype=np.int64),
-        )
-        assert result.dtype == np.float64
-        np.testing.assert_array_equal(result, np.zeros(3))
+    @staticmethod
+    def _factors(child_keys, parent_keys, child_weights=None):
+        child_keys = np.asarray(child_keys, dtype=np.int64)
+        parent_keys = np.asarray(parent_keys, dtype=np.int64)
+        if child_weights is None:
+            child_weights = np.ones(len(child_keys))
+        domain = _JoinKeyDomain(child_keys, parent_keys)
+        totals = np.zeros(domain.size)
+        domain.fold(totals, child_keys, np.asarray(child_weights, dtype=np.float64))
+        factors = np.ones(len(parent_keys))
+        domain.apply(factors, totals, parent_keys)
+        return domain, factors
 
-    def test_empty_probe_keys(self):
-        from repro.db.executor import _lookup_totals
+    def test_absent_keys_give_factor_zero(self):
+        domain, factors = self._factors([2, 5, 5], [1, 2, 5, 9], child_weights=[3, 4, 6])
+        assert domain.union is None
+        np.testing.assert_array_equal(factors, [0.0, 3.0, 10.0, 0.0])
 
-        result = _lookup_totals(
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.float64),
-            np.array([], dtype=np.int64),
-        )
-        assert result.shape == (0,)
+    def test_empty_child_side(self):
+        domain, factors = self._factors([], [1, 2, 3])
+        assert domain.union is None and domain.size == 4
+        np.testing.assert_array_equal(factors, np.zeros(3))
 
-    def test_present_and_absent_keys(self):
-        from repro.db.executor import _lookup_totals
+    def test_empty_parent_side(self):
+        _, factors = self._factors([1, 2], [])
+        assert factors.shape == (0,)
 
-        result = _lookup_totals(
-            np.array([2, 5], dtype=np.int64),
-            np.array([3.0, 7.0]),
-            np.array([1, 2, 5, 9], dtype=np.int64),
-        )
-        np.testing.assert_array_equal(result, [0.0, 3.0, 7.0, 0.0])
+    def test_keys_at_zero_and_domain_maximum(self):
+        domain, factors = self._factors([0, 0, 7], [7, 0, 3])
+        assert domain.union is None and domain.size == 8
+        np.testing.assert_array_equal(factors, [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "shift",
+        [lambda k: k - 50, lambda k: k + 2**40, lambda k: k * 2**40 - 5 * 2**40],
+        ids=["negative", "huge", "negative_and_huge"],
+    )
+    def test_rank_codes_match_dense_answer(self, shift):
+        rng = np.random.default_rng(0)
+        child = rng.integers(0, 20, 30)
+        parent = rng.integers(0, 25, 10)
+        weights = rng.integers(1, 5, 30)
+        dense_domain, dense = self._factors(child, parent, weights)
+        sparse_domain, sparse = self._factors(shift(child), shift(parent), weights)
+        assert dense_domain.union is None and sparse_domain.union is not None
+        np.testing.assert_array_equal(sparse, dense)
+
+    def test_keys_spread_wider_than_rows_use_rank_codes(self):
+        domain, factors = self._factors([10**6, 3], [3, 10**6, 4])
+        assert domain.union is not None and domain.size == 3
+        np.testing.assert_array_equal(factors, [1.0, 1.0, 0.0])
+
+    def test_executor_builds_one_domain_per_edge(self, two_table_database):
+        executor = CardinalityExecutor(two_table_database)
+        forward = JoinCondition("fact", "dim_id", "dim", "id")
+        backward = JoinCondition("dim", "id", "fact", "dim_id")
+        assert executor._key_domain(forward) is executor._key_domain(backward)
