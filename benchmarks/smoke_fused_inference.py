@@ -4,7 +4,7 @@ Runs the full serving pipeline at a miniature scale in a few seconds: build a
 tiny synthetic database, train an MSCN for a couple of epochs in the default
 float32 serving configuration, answer queries through the fused
 :class:`~repro.core.inference.InferenceEngine`, and cross-check the float64
-ragged path against the padded autograd path bit for bit.
+fused engine against the ragged autograd forward pass bit for bit.
 
 Invoked as a plain script (``PYTHONPATH=src python
 benchmarks/smoke_fused_inference.py``) from CI so the serving hot path is
@@ -29,6 +29,7 @@ from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.estimator import MSCNEstimator
 from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
 from repro.db.sampling import MaterializedSamples
+from repro.nn.tensor import no_grad
 from repro.utils.bench import write_bench_json
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 
@@ -50,7 +51,7 @@ def main() -> int:
     base = MSCNConfig(
         hidden_units=24, epochs=4, batch_size=32, num_samples=50, seed=13
     )
-    assert base.dtype == "float32" and base.fused_inference, "serving defaults changed"
+    assert base.dtype == "float32", "serving defaults changed"
 
     # Default float32 fused serving path.
     estimator = MSCNEstimator(database, base, samples=samples)
@@ -61,16 +62,18 @@ def main() -> int:
     assert estimates.shape == (len(queries),)
     assert np.isfinite(estimates).all() and (estimates >= 1.0).all()
 
-    # Float64 cross-check: fused ragged == legacy padded, bit for bit.
+    # Float64 cross-check: fused engine == autograd forward_ragged, bit for bit.
     estimator64 = MSCNEstimator(
         database, base.replace(dtype="float64"), samples=samples
     )
     estimator64.fit(workload)
     fused = estimator64.estimate_many(queries)
-    padded = estimator64._trainer.predict(
-        estimator64.featurizer.featurize_dataset(queries), fused=False
-    )
-    np.testing.assert_array_equal(fused, padded)
+    with no_grad():
+        normalized = estimator64._model.forward_ragged(
+            estimator64.featurizer.featurize_ragged(queries)
+        )
+    reference = estimator64._normalizer.denormalize(normalized.numpy().reshape(-1))
+    np.testing.assert_array_equal(fused, reference)
 
     write_bench_json(
         RESULTS_DIRECTORY,
@@ -87,7 +90,7 @@ def main() -> int:
     )
     print(
         f"fused inference smoke OK: {len(queries)} queries, "
-        f"{elapsed_ms:.3f} ms/query (float32 fused), float64 ragged == padded"
+        f"{elapsed_ms:.3f} ms/query (float32 fused), float64 fused == forward_ragged"
     )
     return 0
 

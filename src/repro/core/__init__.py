@@ -9,8 +9,8 @@ The sub-modules follow the pipeline of Section 3:
 * :mod:`repro.core.featurization` — query → (table set, join set, predicate
   set) feature vectors, optionally enriched with materialized-sample counts
   or bitmaps (Section 3.4),
-* :mod:`repro.core.batching` — zero-padding and masking of variable-sized
-  sets into fixed-shape mini-batches (Section 3.2),
+* :mod:`repro.core.batching` — the ragged (CSR) layout of variable-sized
+  sets and its mini-batches (Section 3.2, without padding),
 * :mod:`repro.core.model` — the MSCN architecture,
 * :mod:`repro.core.trainer` — training / validation loop with the paper's
   loss functions,
@@ -18,7 +18,6 @@ The sub-modules follow the pipeline of Section 3:
 """
 
 from repro.core.arena import ScratchArena
-from repro.core.batching import Batch, FeaturizedDataset
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
@@ -38,8 +37,6 @@ __all__ = [
     "FeaturizedQuery",
     "FeatureBuffers",
     "ScratchArena",
-    "Batch",
-    "FeaturizedDataset",
     "MSCN",
     "MSCNTrainer",
     "TrainingResult",

@@ -1,25 +1,14 @@
-"""Mini-batch construction: padded batches and ragged (CSR-style) datasets.
+"""Mini-batch construction over the ragged (CSR-style) layout.
 
-Section 3.2 of the paper: "we pad all samples with zero-valued feature
-vectors that act as dummy set elements so that all samples within a
-mini-batch have the same number of set elements.  We mask out dummy set
-elements in the averaging operation."  :class:`Batch` holds the padded
-feature tensors and the corresponding binary masks; :func:`collate` builds a
-batch from featurized queries.
-
-Two whole-workload containers avoid per-epoch collation work:
-
-* :class:`FeaturizedDataset` — the *padded* layout: six dense arrays covering
-  every query, mini-batches are plain index slicing.  The per-set reciprocal
-  real-element counts are precomputed once here (and carried on every sliced
-  :class:`Batch`), so the model's masked mean pooling skips the per-forward
-  count reduction; masks reach the pooling primitives as zero-copy
-  ``(batch, set, 1)`` views that hit their pre-validated fast path.
-* :class:`RaggedDataset` — the *ragged* layout: per set, only the real
-  elements, flattened to ``(total_elements, width)`` with per-query CSR
-  offsets.  No padding exists at all, so the per-element MLPs touch exactly
-  the FLOPs the workload requires; pooling is a segment reduction over the
-  offsets.  This is the layout of the fast training and serving paths.
+Section 3.2 of the paper pads every query's sets to the largest set in the
+mini-batch and masks the dummy elements out of the average.  This
+reproduction stores the same sets without any padding:
+:class:`RaggedDataset` keeps, per set, only the real elements, flattened to
+``(total_elements, width)`` with per-query CSR offsets.  The per-element MLPs
+then touch exactly the FLOPs the workload requires, and the masked average
+becomes a segment mean over the offsets — the same values summed in the same
+order, so nothing about the model changes.  Empty sets (a query without
+joins or predicates) are zero-length segments that pool to a zero vector.
 
 :func:`iterate_ragged_minibatches` optionally orders queries into
 length-homogeneous buckets before batching, so gathered training batches have
@@ -37,49 +26,12 @@ import numpy as np
 from repro.core.featurization import FeaturizedQuery
 
 __all__ = [
-    "Batch",
-    "FeaturizedDataset",
     "RaggedSet",
     "RaggedDataset",
-    "as_dataset",
     "as_ragged_dataset",
-    "collate",
-    "iterate_minibatches",
     "iterate_ragged_minibatches",
     "offsets_from_lengths",
 ]
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A padded mini-batch of featurized queries.
-
-    Feature arrays have shape ``(batch, max set size, feature width)``; mask
-    arrays have shape ``(batch, max set size)`` with ones marking real
-    elements.  ``labels`` (normalized cardinalities) and ``cardinalities``
-    (true result sizes) are optional and only present for training batches.
-
-    The three ``*_inv_counts`` columns are optional precomputed reciprocal
-    real-element counts (``1 / max(#real elements, 1)``, shape ``(batch, 1)``)
-    that let the model skip the per-forward mask reduction; they are filled in
-    when the batch is sliced out of a :class:`FeaturizedDataset`.
-    """
-
-    table_features: np.ndarray
-    table_mask: np.ndarray
-    join_features: np.ndarray
-    join_mask: np.ndarray
-    predicate_features: np.ndarray
-    predicate_mask: np.ndarray
-    labels: np.ndarray | None = None
-    cardinalities: np.ndarray | None = None
-    table_inv_counts: np.ndarray | None = None
-    join_inv_counts: np.ndarray | None = None
-    predicate_inv_counts: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.table_features.shape[0]
 
 
 def _column_vector(values: np.ndarray, expected: int, name: str) -> np.ndarray:
@@ -90,56 +42,6 @@ def _column_vector(values: np.ndarray, expected: int, name: str) -> np.ndarray:
     return values
 
 
-def _pad_set(
-    feature_sets: Sequence[np.ndarray], feature_width: int, min_size: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a list of (set size, width) arrays into a dense tensor plus mask."""
-    batch_size = len(feature_sets)
-    max_size = max([fs.shape[0] for fs in feature_sets] + [min_size])
-    # The padded arrays inherit the featurizer's compute dtype.
-    dtype = np.result_type(*feature_sets) if feature_sets else np.float64
-    features = np.zeros((batch_size, max_size, feature_width), dtype=dtype)
-    mask = np.zeros((batch_size, max_size), dtype=dtype)
-    for position, feature_set in enumerate(feature_sets):
-        count = feature_set.shape[0]
-        if count:
-            features[position, :count, :] = feature_set
-            mask[position, :count] = 1.0
-    return features, mask
-
-
-def collate(
-    featurized: Sequence[FeaturizedQuery],
-    labels: np.ndarray | None = None,
-    cardinalities: np.ndarray | None = None,
-) -> Batch:
-    """Assemble featurized queries (and optional labels) into a :class:`Batch`."""
-    if not featurized:
-        raise ValueError("cannot collate an empty batch")
-    table_width = featurized[0].table_features.shape[1]
-    join_width = featurized[0].join_features.shape[1]
-    predicate_width = featurized[0].predicate_features.shape[1]
-    table_features, table_mask = _pad_set([f.table_features for f in featurized], table_width)
-    join_features, join_mask = _pad_set([f.join_features for f in featurized], join_width)
-    predicate_features, predicate_mask = _pad_set(
-        [f.predicate_features for f in featurized], predicate_width
-    )
-    if labels is not None:
-        labels = _column_vector(labels, len(featurized), "labels")
-    if cardinalities is not None:
-        cardinalities = _column_vector(cardinalities, len(featurized), "cardinalities")
-    return Batch(
-        table_features=table_features,
-        table_mask=table_mask,
-        join_features=join_features,
-        join_mask=join_mask,
-        predicate_features=predicate_features,
-        predicate_mask=predicate_mask,
-        labels=labels,
-        cardinalities=cardinalities,
-    )
-
-
 def offsets_from_lengths(lengths) -> np.ndarray:
     """CSR row boundaries (``n + 1`` int64 offsets) from per-segment lengths."""
     lengths = np.asarray(lengths)
@@ -148,9 +50,6 @@ def offsets_from_lengths(lengths) -> np.ndarray:
     return offsets
 
 
-# ----------------------------------------------------------------------
-# Ragged (CSR-style) layout
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RaggedSet:
     """One variable-sized set over a workload, stored without padding.
@@ -320,220 +219,14 @@ class RaggedDataset:
         """Per-query total set elements (used for length bucketing)."""
         return self.tables.lengths + self.joins.lengths + self.predicates.lengths
 
-    def to_padded(self) -> "FeaturizedDataset":
-        """Re-pad into a :class:`FeaturizedDataset` (inverse of ``to_ragged``).
-
-        Used by the legacy padded inference fallback; each set is scattered
-        into ``(n, max length, width)`` with a matching mask.
-        """
-
-        def pad(ragged: RaggedSet) -> tuple[np.ndarray, np.ndarray]:
-            n = ragged.num_segments
-            max_length = max(int(ragged.lengths.max()) if n else 0, 1)
-            dtype = ragged.features.dtype
-            features = np.zeros((n, max_length, ragged.width), dtype=dtype)
-            mask = np.zeros((n, max_length), dtype=dtype)
-            rows = np.repeat(np.arange(n), ragged.lengths)
-            slots = np.arange(ragged.features.shape[0]) - np.repeat(
-                ragged.offsets[:-1], ragged.lengths
-            )
-            features[rows, slots] = ragged.features
-            mask[rows, slots] = 1.0
-            return features, mask
-
-        table_features, table_mask = pad(self.tables)
-        join_features, join_mask = pad(self.joins)
-        predicate_features, predicate_mask = pad(self.predicates)
-        return FeaturizedDataset(
-            table_features=table_features,
-            table_mask=table_mask,
-            join_features=join_features,
-            join_mask=join_mask,
-            predicate_features=predicate_features,
-            predicate_mask=predicate_mask,
-            labels=self.labels,
-            cardinalities=self.cardinalities,
-        )
-
-
-@dataclass(frozen=True)
-class FeaturizedDataset:
-    """Pre-collated feature tensors of a whole workload (padded layout).
-
-    Holds the same six padded arrays a :class:`Batch` carries, covering every
-    query of the workload, plus optional per-query ``labels`` and
-    ``cardinalities`` stored as ``(n, 1)`` columns.  Mini-batches are produced
-    by :meth:`batch` — pure array slicing with no padding work.
-
-    The ``(n, 1)`` reciprocal real-element counts of every set are computed
-    once here and carried on each sliced :class:`Batch`, so every downstream
-    forward pass skips the per-forward mask count reduction.
-    """
-
-    table_features: np.ndarray
-    table_mask: np.ndarray
-    join_features: np.ndarray
-    join_mask: np.ndarray
-    predicate_features: np.ndarray
-    predicate_mask: np.ndarray
-    labels: np.ndarray | None = None
-    cardinalities: np.ndarray | None = None
-    table_inv_counts: np.ndarray = field(init=False, repr=False)
-    join_inv_counts: np.ndarray = field(init=False, repr=False)
-    predicate_inv_counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for name in ("table", "join", "predicate"):
-            mask = getattr(self, f"{name}_mask")
-            counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-            object.__setattr__(self, f"{name}_inv_counts", 1.0 / counts)
-
-    @property
-    def size(self) -> int:
-        return self.table_features.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
-
-    @classmethod
-    def from_featurized(
-        cls,
-        featurized: Sequence[FeaturizedQuery],
-        labels: np.ndarray | None = None,
-        cardinalities: np.ndarray | None = None,
-    ) -> "FeaturizedDataset":
-        """Collate per-query featurizations once into a dataset (compat path)."""
-        batch = collate(featurized, labels=labels, cardinalities=cardinalities)
-        return cls.from_batch(batch)
-
-    @classmethod
-    def from_batch(cls, batch: Batch) -> "FeaturizedDataset":
-        """Adopt the padded tensors of an already-collated :class:`Batch`."""
-        return cls(
-            table_features=batch.table_features,
-            table_mask=batch.table_mask,
-            join_features=batch.join_features,
-            join_mask=batch.join_mask,
-            predicate_features=batch.predicate_features,
-            predicate_mask=batch.predicate_mask,
-            labels=batch.labels,
-            cardinalities=batch.cardinalities,
-        )
-
-    def batch(
-        self,
-        indices: np.ndarray | slice | None = None,
-        labels: np.ndarray | None = None,
-        cardinalities: np.ndarray | None = None,
-    ) -> Batch:
-        """A :class:`Batch` of the selected queries (all of them by default).
-
-        ``labels``/``cardinalities`` override the stored columns; they must
-        already be aligned with ``indices`` and are reshaped to ``(n, 1)``
-        columns exactly like :func:`collate` does.
-        """
-        if indices is None:
-            indices = slice(None)
-        table_features = self.table_features[indices]
-        size = table_features.shape[0]
-        if labels is not None:
-            labels = _column_vector(labels, size, "labels")
-        elif self.labels is not None:
-            labels = self.labels[indices]
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, size, "cardinalities")
-        elif self.cardinalities is not None:
-            cardinalities = self.cardinalities[indices]
-        return Batch(
-            table_features=table_features,
-            table_mask=self.table_mask[indices],
-            join_features=self.join_features[indices],
-            join_mask=self.join_mask[indices],
-            predicate_features=self.predicate_features[indices],
-            predicate_mask=self.predicate_mask[indices],
-            labels=labels,
-            cardinalities=cardinalities,
-            table_inv_counts=self.table_inv_counts[indices],
-            join_inv_counts=self.join_inv_counts[indices],
-            predicate_inv_counts=self.predicate_inv_counts[indices],
-        )
-
-    def to_ragged(self) -> RaggedDataset:
-        """Strip the padding: gather real elements into a :class:`RaggedDataset`.
-
-        Real elements always occupy the leading slots of each padded row, so
-        a boolean-mask gather preserves both query order and slot order.
-        """
-
-        def strip(features: np.ndarray, mask: np.ndarray) -> RaggedSet:
-            real = mask > 0
-            offsets = offsets_from_lengths(real.sum(axis=1))
-            return RaggedSet(features=features[real], offsets=offsets)
-
-        return RaggedDataset(
-            tables=strip(self.table_features, self.table_mask),
-            joins=strip(self.join_features, self.join_mask),
-            predicates=strip(self.predicate_features, self.predicate_mask),
-            labels=self.labels,
-            cardinalities=self.cardinalities,
-        )
-
-
-def as_dataset(
-    features: "FeaturizedDataset | Sequence[FeaturizedQuery]",
-) -> FeaturizedDataset:
-    """Coerce either input style of the training/prediction APIs to a dataset."""
-    if isinstance(features, FeaturizedDataset):
-        return features
-    return FeaturizedDataset.from_featurized(list(features))
-
 
 def as_ragged_dataset(
-    features: "RaggedDataset | FeaturizedDataset | Sequence[FeaturizedQuery]",
+    features: "RaggedDataset | Sequence[FeaturizedQuery]",
 ) -> RaggedDataset:
-    """Coerce any supported feature container to the ragged layout."""
+    """Coerce either supported feature container to the ragged layout."""
     if isinstance(features, RaggedDataset):
         return features
-    if isinstance(features, FeaturizedDataset):
-        return features.to_ragged()
     return RaggedDataset.from_featurized(list(features))
-
-
-def iterate_minibatches(
-    featurized: FeaturizedDataset | Sequence[FeaturizedQuery],
-    labels: np.ndarray,
-    cardinalities: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-) -> Iterator[Batch]:
-    """Yield shuffled mini-batches for one training epoch (padded layout).
-
-    A :class:`FeaturizedDataset` is sliced directly (the fast path); a
-    sequence of :class:`FeaturizedQuery` falls back to per-batch collation.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    is_dataset = isinstance(featurized, FeaturizedDataset)
-    count = featurized.size if is_dataset else len(featurized)
-    order = np.arange(count)
-    if rng is not None:
-        rng.shuffle(order)
-    labels = np.asarray(labels, dtype=np.float64)
-    cardinalities = np.asarray(cardinalities, dtype=np.float64)
-    for start in range(0, count, batch_size):
-        indices = order[start : start + batch_size]
-        if is_dataset:
-            yield featurized.batch(
-                indices,
-                labels=labels[indices],
-                cardinalities=cardinalities[indices],
-            )
-        else:
-            yield collate(
-                [featurized[i] for i in indices],
-                labels=labels[indices],
-                cardinalities=cardinalities[indices],
-            )
 
 
 def iterate_ragged_minibatches(

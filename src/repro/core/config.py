@@ -9,8 +9,8 @@ per table and bitmap features.
 lookup tables, datasets, model weights, optimizer state and the fused
 inference engine.  The default is ``float32``: serving accuracy is unaffected
 (the model's own approximation error dwarfs single precision) while matmuls
-move half the memory.  Use ``float64`` for bit-exact comparisons against the
-legacy double-precision path.
+move half the memory.  Use ``float64`` for bit-exact comparisons (e.g. of the
+fused inference engine against the autograd forward pass).
 
 Four knobs configure the serving-side inference tier on top of the training
 dtype: ``inference_precision`` selects the engine's weight tier (``None``
@@ -21,13 +21,6 @@ cores, ``inference_chunk_size`` fixes the queries-per-chunk of
 ``estimate_many`` (``None`` falls back to ``batch_size``), and
 ``scratch_rows_cap`` bounds the engines' grow-only scratch buffers so one
 huge batch cannot permanently pin peak memory in a long-lived service.
-
-``featurize_workers`` budgets the process-level featurization tier (see
-:mod:`repro.core.featurization`): ``None``/``0`` keep featurization
-in-process (compiled-plan path, the default), ``"auto"`` uses the CPU count,
-and a positive integer spawns that many featurization worker processes for
-large workloads — training-corpus featurization in
-:meth:`~repro.core.estimator.MSCNEstimator.fit` above all.
 """
 
 from __future__ import annotations
@@ -82,13 +75,11 @@ class MSCNConfig:
     seed: int = 42
     shuffle: bool = True
     dtype: str = "float32"
-    fused_inference: bool = True
     bucket_by_length: bool = True
     inference_precision: str | None = None
     engine_replicas: int = 1
     inference_chunk_size: int | None = None
     scratch_rows_cap: int | None = None
-    featurize_workers: "int | str | None" = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -134,12 +125,6 @@ class MSCNConfig:
             )
         if self.scratch_rows_cap is not None and self.scratch_rows_cap < 1:
             raise ValueError("scratch_rows_cap must be >= 1 (or None for unbounded)")
-        # Validate the featurization worker budget eagerly (None/0 → serial,
-        # "auto" → CPU count, positive int → literal); the import is local
-        # because this module must stay importable before numpy-heavy code.
-        from repro.core.featurization import _resolve_featurize_workers
-
-        _resolve_featurize_workers(self.featurize_workers)
         # Accept plain strings for convenience.
         if not isinstance(self.loss, LossKind):
             object.__setattr__(self, "loss", LossKind(self.loss))

@@ -94,7 +94,6 @@ class MSCNEstimator:
             samples=self.samples,
             variant=self.config.variant,
             dtype=self.config.np_dtype,
-            featurize_workers=self.config.featurize_workers,
         )
         self._model: MSCN | None = None
         self._trainer: MSCNTrainer | None = None
@@ -150,9 +149,9 @@ class MSCNEstimator:
         )
         self._trainer = MSCNTrainer(self._model, self._normalizer, self.config)
 
-        # Training and validation are featurized straight into the ragged
-        # layout: the trainer's minibatch gathers and the fused validation
-        # predictions never touch padded tensors.
+        # Training and validation are featurized once, into the ragged
+        # layout the trainer's minibatch gathers and the fused validation
+        # predictions both read.
         if train_dataset is None:
             train_dataset = self.featurizer.featurize_ragged(
                 [q.query for q in training_queries], cardinalities=train_cardinalities
@@ -205,7 +204,7 @@ class MSCNEstimator:
         return float(self.estimate_many([query])[0])
 
     def serving_dataset(self, queries: Sequence[Query], buffers=None):
-        """Featurize serving traffic in the layout the inference path wants.
+        """Featurize serving traffic into the ragged layout the engine reads.
 
         Public so ensembles (and other fan-out consumers) can featurize a
         workload once and share the dataset across models; pair with
@@ -213,23 +212,18 @@ class MSCNEstimator:
 
         ``buffers`` optionally supplies a
         :class:`~repro.core.featurization.FeatureBuffers` set to featurize
-        into (zero-copy, fused path only): the returned dataset then aliases
-        the buffers and is valid until the next featurize-into call against
-        them — the estimation service's micro-batch lifecycle.
+        into (zero-copy): the returned dataset then aliases the buffers and
+        is valid until the next featurization into them — the estimation
+        service's micro-batch lifecycle.
         """
-        if self.config.fused_inference:
-            if buffers is not None:
-                return self.featurizer.featurize_into(queries, buffers)
-            return self.featurizer.featurize_ragged(queries)
-        return self.featurizer.featurize_dataset(queries)
+        return self.featurizer.featurize_ragged(queries, buffers=buffers)
 
     def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
         """Estimated cardinalities for a sequence of queries.
 
-        Featurizes directly into the ragged layout (no padded tensors are
-        materialized), reuses the shared bitmap cache, and runs the fused
-        float-``config.dtype`` inference engine — the paper's sub-millisecond
-        serving path.
+        Featurizes into the ragged layout, reuses the shared bitmap cache,
+        and runs the fused float-``config.dtype`` inference engine — the
+        paper's sub-millisecond serving path.
         """
         trainer = self._require_trained()
         if not queries:
@@ -266,9 +260,9 @@ class MSCNEstimator:
     def estimate_featurized(self, features) -> np.ndarray:
         """Estimated cardinalities for already-featurized queries.
 
-        Accepts any feature container (:class:`RaggedDataset`,
-        :class:`FeaturizedDataset` or per-query featurizations); ensembles use
-        this to featurize a workload once and fan it out to every member.
+        Accepts a :class:`~repro.core.batching.RaggedDataset` or per-query
+        featurizations; ensembles use this to featurize a workload once and
+        fan it out to every member.
         """
         return self._require_trained().predict(features)
 
@@ -296,8 +290,9 @@ class MSCNEstimator:
     def predict_normalized(self, queries: Sequence[Query]) -> np.ndarray:
         """Raw sigmoid outputs in [0, 1] (mostly useful for tests).
 
-        Inference runs in ``config.batch_size`` chunks, so arbitrarily long
-        query lists never form one unbounded batch.
+        Inference runs in chunks of ``config.inference_chunk_size`` queries
+        (``config.batch_size`` when unset), so arbitrarily long query lists
+        never form one unbounded batch.
         """
         trainer = self._require_trained()
         if not queries:
@@ -364,13 +359,11 @@ class MSCNEstimator:
                 "seed": self.config.seed,
                 "shuffle": self.config.shuffle,
                 "dtype": self.config.dtype,
-                "fused_inference": self.config.fused_inference,
                 "bucket_by_length": self.config.bucket_by_length,
                 "inference_precision": self.config.inference_precision,
                 "engine_replicas": self.config.engine_replicas,
                 "inference_chunk_size": self.config.inference_chunk_size,
                 "scratch_rows_cap": self.config.scratch_rows_cap,
-                "featurize_workers": self.config.featurize_workers,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -384,7 +377,11 @@ class MSCNEstimator:
 
     @classmethod
     def load(cls, directory: str | os.PathLike, database: Database) -> "MSCNEstimator":
-        """Load an estimator saved by :meth:`save` against the same database."""
+        """Load an estimator saved by :meth:`save` against the same database.
+
+        Keys of options retired since an older ``metadata.json`` was written
+        are ignored, so saved registry versions keep loading.
+        """
         with open(os.path.join(directory, "metadata.json"), "r", encoding="utf-8") as handle:
             metadata = json.load(handle)
         config_data = metadata["config"]
@@ -399,17 +396,14 @@ class MSCNEstimator:
             validation_fraction=config_data["validation_fraction"],
             seed=config_data["seed"],
             shuffle=config_data["shuffle"],
-            # Models saved before these knobs existed were float64 with the
-            # padded layout's behaviour.
+            # Models saved before these knobs existed were float64.
             dtype=config_data.get("dtype", "float64"),
-            fused_inference=config_data.get("fused_inference", True),
             bucket_by_length=config_data.get("bucket_by_length", True),
             # Serving-tier knobs (absent in models saved before the pool).
             inference_precision=config_data.get("inference_precision"),
             engine_replicas=config_data.get("engine_replicas", 1),
             inference_chunk_size=config_data.get("inference_chunk_size"),
             scratch_rows_cap=config_data.get("scratch_rows_cap"),
-            featurize_workers=config_data.get("featurize_workers"),
         )
         samples = None
         if metadata.get("has_samples"):

@@ -11,53 +11,30 @@ becomes three sets of fixed-width vectors:
   literal normalized to [0, 1] with the column's min/max.
 
 Queries without joins or without predicates simply have empty join/predicate
-sets; the batching layer pads them and the model's masked average ignores the
-padding.
+sets; the ragged layout stores no element for them and the model's segment
+mean pools them to a zero vector.
 
-Three featurization paths share one id-gathering pass and produce consistent
-tensors:
+There is one workload path, :meth:`QueryFeaturizer.featurize_ragged`: a
+:class:`CompiledFeaturizerPlan` resolves each distinct query's vocabulary ids
+and sample probes once, and the batch is assembled with a few fancy-indexed
+writes into flattened ``(total_elements, width)`` arrays plus CSR offsets —
+the layout of training and of the fused inference engine.  With ``buffers=``
+the arrays are views into caller-owned reusable :class:`FeatureBuffers`
+instead of fresh allocations (the estimation service's batcher reuses one
+buffer set across micro-batches).
 
-* the legacy per-query path (:meth:`QueryFeaturizer.featurize` +
-  ``batching.collate``), which concatenates one-hot vectors element by
-  element,
-* the vectorized *padded* path (:meth:`QueryFeaturizer.featurize_batch` /
-  :meth:`QueryFeaturizer.featurize_dataset`), which writes the padded
-  ``(batch, max set size, width)`` tensors in a handful of fancy-indexed
-  assignments against precomputed one-hot lookup tables, and
-* the vectorized *ragged* path (:meth:`QueryFeaturizer.featurize_ragged`),
-  which skips padding entirely and emits flattened ``(total_elements, width)``
-  arrays plus CSR offsets — the layout of the fused inference engine, and
-* the zero-copy serving path (:meth:`QueryFeaturizer.featurize_into`), which
-  writes the same ragged arrays directly into caller-owned reusable
-  :class:`FeatureBuffers` instead of allocating fresh ones per call — the
-  estimation service's batcher reuses one buffer set across micro-batches,
-  and the engine consumes the views without copying (they are contiguous and
-  already in the engine dtype).
+The per-query :meth:`QueryFeaturizer.featurize`, which concatenates one-hot
+vectors element by element, is the reference the workload path is tested
+against bit for bit.
 
 All paths compute in the featurizer's configurable ``dtype`` (float32 by
 default in serving configurations; see ``MSCNConfig.dtype``).  Literal
 normalization is always performed in float64 and rounded once on store, so
 the float32 and float64 paths agree to the last representable bit.
-
-Two acceleration tiers sit underneath all of the vectorized paths, both
-bit-identical to the uncompiled gather:
-
-* the **compiled plan** (:class:`CompiledFeaturizerPlan`, on by default) —
-  per-query vocabulary lookups are resolved once, memoized by the query's
-  order-independent signature, and sample probes are registered once in a
-  dense bitmap matrix, so featurizing repeated serving traffic is pure
-  array assembly with no per-element Python dict lookups, and
-* the **process tier** (``featurize_workers=``) — spans of a large workload
-  are gathered in spawned worker processes (each initialized once with the
-  pickled encoding and a reduced sampled-rows database, BLAS pinned to one
-  thread before numpy loads), shipped back as compact id arrays and merged
-  in span order.  The GIL bounds the gather loop, so this is the only tier
-  that scales featurization across cores.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -67,13 +44,11 @@ from repro.core.arena import ScratchArena
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
 from repro.core.normalization import ValueNormalizer
-from repro.db.query import Predicate, Query
+from repro.db.query import Query
 from repro.db.sampling import MaterializedSamples
-from repro.db.table import Database, Table
-from repro.utils.parallel import ProcessPool, chunk_spans, resolve_worker_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
-    from repro.core.batching import Batch, FeaturizedDataset, RaggedDataset
+    from repro.core.batching import RaggedDataset
 
 __all__ = [
     "CompiledFeaturizerPlan",
@@ -84,7 +59,7 @@ __all__ = [
 
 
 class FeatureBuffers(ScratchArena):
-    """Reusable backing storage for :meth:`QueryFeaturizer.featurize_into`.
+    """Reusable backing storage for ``featurize_ragged(..., buffers=)``.
 
     A :class:`~repro.core.arena.ScratchArena` holding one grow-only array
     per feature set, sized to the largest batch seen so far.  Requesting a
@@ -96,8 +71,8 @@ class FeatureBuffers(ScratchArena):
     per-micro-batch lease/reuse accounting.
 
     The views handed out alias this storage: a dataset featurized into a
-    buffer set is only valid until the next ``featurize_into`` call against
-    the same buffers.  That is exactly the serving batcher's lifecycle (one
+    buffer set is only valid until the next featurization into the same
+    buffers.  That is exactly the serving batcher's lifecycle (one
     micro-batch is fully answered before the next is featurized); do not
     share one ``FeatureBuffers`` across concurrent featurizing threads.
     """
@@ -107,7 +82,7 @@ class FeatureBuffers(ScratchArena):
 
 
 class _FeatureLookups:
-    """Precomputed lookup tables for the vectorized featurization paths.
+    """Precomputed lookup tables of the workload featurization path.
 
     One row per vocabulary entry, stored in the featurizer's compute dtype;
     featurizing a workload then reduces to gathering integer ids and
@@ -124,8 +99,6 @@ class _FeatureLookups:
             (encoding.num_joins, featurizer.join_feature_width), dtype=dtype
         )
         self.join_rows[:, : encoding.num_joins] = np.eye(encoding.num_joins)
-        self.column_eye = np.eye(encoding.num_columns, dtype=dtype)
-        self.operator_eye = np.eye(encoding.num_operators, dtype=dtype)
         # Per-column bounds, indexed by column id, for vectorized literal
         # normalization; kept in float64 so normalization math is identical
         # across compute dtypes.  Degenerate columns (max <= min) normalize
@@ -172,53 +145,37 @@ class FeaturizedQuery:
 
 @dataclass
 class _GatheredWorkload:
-    """Flat integer ids of a workload, collected in one pass over the queries.
+    """Flat ids of a batch in query order, plus each query's set sizes.
 
-    Everything downstream — padded or ragged — is dense array work against
-    these ids.  ``*_query_ids`` and ``*_slots`` give each element's owning
-    query and its position within that query's set.
-
-    ``probe_bitmaps`` is the accelerated tiers' alternative to
-    ``sample_probes``: the already-gathered qualifying-sample bitmap rows,
-    one per table element.  When present, the downstream writers consume it
-    directly instead of probing :class:`~repro.db.sampling.MaterializedSamples`
-    per element (the compiled plan gathers rows from its probe matrix; the
-    process tier ships rows back from the workers).
+    Everything downstream is dense array work against these ids;
+    ``probe_bitmaps`` holds the qualifying-sample bitmap row of every table
+    element (``None`` for the ``no_samples`` variant).
     """
 
-    num_queries: int
-    table_query_ids: np.ndarray
-    table_slots: np.ndarray
+    table_counts: np.ndarray
+    join_counts: np.ndarray
+    predicate_counts: np.ndarray
     table_ids: np.ndarray
-    sample_probes: list
-    join_query_ids: np.ndarray
-    join_slots: np.ndarray
     join_ids: np.ndarray
-    predicate_query_ids: np.ndarray
-    predicate_slots: np.ndarray
     column_ids: np.ndarray
     operator_ids: np.ndarray
     literal_values: np.ndarray
-    max_tables: int
-    max_joins: int
-    max_predicates: int
-    probe_bitmaps: "np.ndarray | None" = None
-
-    def lengths(self, query_ids: np.ndarray) -> np.ndarray:
-        """Per-query element counts of one set."""
-        return np.bincount(query_ids, minlength=self.num_queries).astype(np.int64)
+    probe_bitmaps: "np.ndarray | None"
 
 
 class _CompiledQuery:
     """Pre-resolved flat ids of one query, cached by its signature.
 
-    Everything the gather pass would look up per element — table / join /
+    Everything featurization would look up per element — table / join /
     column / operator vocabulary ids, float64 literal values and the probe
     ids into the plan's bitmap matrix — resolved once and replayed as numpy
-    concatenation on every later appearance of the same query shape.
+    concatenation on every later appearance of the same query.  The ids
+    follow ``source``'s element order, so they only replay for a query that
+    lists its sets in that same order (:meth:`replays`).
     """
 
     __slots__ = (
+        "source",
         "table_ids",
         "probe_ids",
         "join_ids",
@@ -232,6 +189,7 @@ class _CompiledQuery:
 
     def __init__(
         self,
+        source: Query,
         table_ids: np.ndarray,
         probe_ids: np.ndarray,
         join_ids: np.ndarray,
@@ -239,6 +197,7 @@ class _CompiledQuery:
         operator_ids: np.ndarray,
         literal_values: np.ndarray,
     ):
+        self.source = source
         self.table_ids = table_ids
         self.probe_ids = probe_ids
         self.join_ids = join_ids
@@ -249,31 +208,43 @@ class _CompiledQuery:
         self.num_joins = join_ids.shape[0]
         self.num_predicates = column_ids.shape[0]
 
+    def replays(self, query: Query) -> bool:
+        """Whether ``query`` lists its tables, joins and predicates in the
+        compiled order (the signature alone is order independent)."""
+        source = self.source
+        return source is query or (
+            source.tables == query.tables
+            and source.joins == query.joins
+            and source.predicates == query.predicates
+        )
+
 
 class CompiledFeaturizerPlan:
     """Precompiled featurization against one (schema, encoding) pair.
 
-    The uncompiled gather (:meth:`QueryFeaturizer._gather`) pays per-element
-    Python dict lookups on every call — ``table_index[table]``,
-    ``join_index[join.canonical]``, ``column_index[f"{t}.{c}"]`` plus a
-    sample-probe key per table — which dominates serving-path featurization
-    once inference itself is fused.  The plan compiles each *distinct* query
-    once, memoized by :meth:`~repro.db.query.Query.signature` (order
-    independent, so re-built query objects with the same content hit), into
-    flat int64 id arrays, and registers each distinct sample probe once in a
-    dense row of its bitmap matrix.  Gathering a batch of previously seen
-    queries is then pure array assembly: ``np.repeat`` for query-id / slot
-    layout, concatenation of the per-query id arrays, and one fancy-indexed
-    gather of bitmap rows.  The output is bit-identical to the uncompiled
-    gather (same ids, same float64 literals, same bitmap rows — the probe
-    rows come from the very same :class:`~repro.db.sampling.MaterializedSamples`
-    cache), including the error messages for unknown tables/joins/columns.
+    Resolving a query element by element costs Python dict lookups —
+    ``table_index[table]``, ``join_index[join.canonical]``,
+    ``column_index[f"{t}.{c}"]`` plus a sample-probe key per table — which
+    would dominate serving-path featurization once inference itself is
+    fused.  The plan compiles each *distinct* query once, memoized by
+    :meth:`~repro.db.query.Query.signature` (so re-built query objects with
+    the same content hit; one listing the same sets in another order is
+    recompiled, because its features follow its own order), into flat int64
+    id arrays, and registers each distinct sample probe once in a dense row
+    of its bitmap matrix.  Gathering a batch of previously seen queries is
+    then pure array assembly: concatenation of the per-query id arrays and
+    one fancy-indexed gather of bitmap rows.  The probe rows come from the very same
+    :class:`~repro.db.sampling.MaterializedSamples` cache the per-query
+    :meth:`QueryFeaturizer.featurize` reads, so both produce identical
+    features.
 
     The query cache is LRU-bounded (dict-reinsertion order, like the bitmap
-    cache) by ``max_cached_queries``; the probe matrix is flushed wholesale
-    — together with the compiled queries that index into it — if a
-    long-tailed workload ever accumulates ``4 * max_cached_queries``
-    distinct probes.
+    cache) by ``max_cached_queries``.  Compiled queries hold indexes into the
+    probe matrix, so probes cannot be evicted one by one: once a long-tailed
+    workload has accumulated ``4 * max_cached_queries`` distinct probes, the
+    matrix is flushed wholesale — together with every compiled query — at
+    the start of the next :meth:`gather`, never while a batch is being
+    compiled (probe ids handed out earlier in the batch must stay valid).
     """
 
     DEFAULT_MAX_CACHED_QUERIES = 65536
@@ -308,7 +279,7 @@ class CompiledFeaturizerPlan:
         """The cached compiled form of ``query`` (compiling on first sight)."""
         signature = query.signature()
         compiled = self._compiled.get(signature)
-        if compiled is not None:
+        if compiled is not None and compiled.replays(query):
             self._hits += 1
             # Re-insert to mark most-recently used (dicts preserve insertion
             # order; the first key is always the eviction victim).
@@ -316,12 +287,14 @@ class CompiledFeaturizerPlan:
             self._compiled[signature] = compiled
             # The compiled entry's probe bitmaps are served from the probe
             # matrix without touching the samples' bitmap cache; credit the
-            # reuse so cache observability matches the legacy path.
+            # reuse so cache observability counts every probe answered.
             if self._needs_samples:
                 self._samples.record_bitmap_reuse(len(compiled.probe_ids))
             return compiled
         self._misses += 1
         compiled = self._compile(query)
+        # A reordered query of a cached signature replaces its entry.
+        self._compiled.pop(signature, None)
         if (
             self.max_cached_queries is not None
             and len(self._compiled) >= self.max_cached_queries
@@ -367,7 +340,7 @@ class CompiledFeaturizerPlan:
             operator_ids[slot] = self._operator_index[predicate.operator.value]
             literal_values[slot] = float(predicate.value)
         return _CompiledQuery(
-            table_ids, probe_ids, join_ids, column_ids, operator_ids, literal_values
+            query, table_ids, probe_ids, join_ids, column_ids, operator_ids, literal_values
         )
 
     def _probe_id(self, table: str, predicates: tuple) -> int:
@@ -378,18 +351,6 @@ class CompiledFeaturizerPlan:
             # probe matrix, credited as a bitmap-cache hit (see above).
             self._samples.record_bitmap_reuse(1)
             return probe_id
-        if (
-            self.max_cached_queries is not None
-            and self._num_probes >= 4 * self.max_cached_queries
-        ):
-            # Compiled queries hold indexes into the probe matrix, so probes
-            # cannot be evicted one by one; a wholesale flush (rare: it takes
-            # a quarter-million distinct predicate sets at the default cap)
-            # keeps every reference consistent.
-            self._compiled.clear()
-            self._probe_ids.clear()
-            self._num_probes = 0
-            self._flushes += 1
         bitmap = self._samples.bitmap(table, predicates)
         probe_id = self._num_probes
         if probe_id >= self._probe_matrix.shape[0]:
@@ -404,64 +365,44 @@ class CompiledFeaturizerPlan:
 
     # -- batch assembly -----------------------------------------------------
     def gather(self, queries: Sequence[Query]) -> _GatheredWorkload:
-        """A :class:`_GatheredWorkload` assembled from compiled queries.
-
-        Bit-identical to :meth:`QueryFeaturizer._gather` on the same queries;
-        ``probe_bitmaps`` is pre-gathered so downstream writers skip the
-        per-element sample probing entirely.
-        """
+        """The flat ids and probe bitmap rows of a batch, in query order."""
+        if (
+            self.max_cached_queries is not None
+            and self._num_probes >= 4 * self.max_cached_queries
+        ):
+            # Between batches, so no probe id handed out below goes stale
+            # (rare: it takes a quarter-million distinct predicate sets at the
+            # default cap).
+            self._compiled.clear()
+            self._probe_ids.clear()
+            self._num_probes = 0
+            self._flushes += 1
         compiled = [self.compile_query(query) for query in queries]
-        num_queries = len(queries)
-        query_indexes = np.arange(num_queries, dtype=np.int64)
 
         def counts_of(attribute: str) -> np.ndarray:
             return np.fromiter(
                 (getattr(entry, attribute) for entry in compiled),
                 dtype=np.int64,
-                count=num_queries,
+                count=len(compiled),
             )
-
-        def layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            query_ids = np.repeat(query_indexes, counts)
-            total = int(counts.sum())
-            starts = np.zeros(num_queries, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            slots = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            return query_ids, slots
 
         def concatenated(attribute: str, dtype) -> np.ndarray:
             if not compiled:
                 return np.empty(0, dtype=dtype)
             return np.concatenate([getattr(entry, attribute) for entry in compiled])
 
-        table_counts = counts_of("num_tables")
-        join_counts = counts_of("num_joins")
-        predicate_counts = counts_of("num_predicates")
-        table_query_ids, table_slots = layout(table_counts)
-        join_query_ids, join_slots = layout(join_counts)
-        predicate_query_ids, predicate_slots = layout(predicate_counts)
-
         probe_bitmaps = None
         if self._needs_samples:
             probe_bitmaps = self._probe_matrix[concatenated("probe_ids", np.int64)]
-
         return _GatheredWorkload(
-            num_queries=num_queries,
-            table_query_ids=table_query_ids,
-            table_slots=table_slots,
+            table_counts=counts_of("num_tables"),
+            join_counts=counts_of("num_joins"),
+            predicate_counts=counts_of("num_predicates"),
             table_ids=concatenated("table_ids", np.int64),
-            sample_probes=[],
-            join_query_ids=join_query_ids,
-            join_slots=join_slots,
             join_ids=concatenated("join_ids", np.int64),
-            predicate_query_ids=predicate_query_ids,
-            predicate_slots=predicate_slots,
             column_ids=concatenated("column_ids", np.int64),
             operator_ids=concatenated("operator_ids", np.int64),
             literal_values=concatenated("literal_values", np.float64),
-            max_tables=int(table_counts.max(initial=1)),
-            max_joins=int(join_counts.max(initial=1)),
-            max_predicates=int(predicate_counts.max(initial=1)),
             probe_bitmaps=probe_bitmaps,
         )
 
@@ -489,7 +430,7 @@ class CompiledFeaturizerPlan:
 
 
 class QueryFeaturizer:
-    """Turns queries into :class:`FeaturizedQuery` instances.
+    """Turns queries into feature-vector sets.
 
     Parameters
     ----------
@@ -505,21 +446,6 @@ class QueryFeaturizer:
     dtype:
         Compute dtype of all produced feature arrays (float64 by default for
         standalone use; estimators pass their configured serving dtype).
-    compiled:
-        Route the vectorized paths through the (lazily built)
-        :class:`CompiledFeaturizerPlan` — bit-identical output, no
-        per-element dict lookups for repeated queries.  On by default;
-        ``False`` keeps the uncompiled gather (the reference path).
-    featurize_workers:
-        Default process-level featurization budget: ``None`` or ``0`` — all
-        in-process (the default), ``"auto"`` — CPU count, a positive integer
-        — that many worker processes.  A budget of ``1`` is also in-process
-        (one worker process would add IPC for no parallelism).  Every
-        ``featurize_*`` method accepts a per-call override.
-    min_parallel_queries:
-        Workload size below which the process tier is skipped even when
-        workers are configured (process dispatch costs milliseconds; small
-        batches are cheaper gathered in place).
     """
 
     def __init__(
@@ -529,28 +455,17 @@ class QueryFeaturizer:
         samples: MaterializedSamples | None = None,
         variant: FeaturizationVariant = FeaturizationVariant.BITMAPS,
         dtype: np.dtype | str = np.float64,
-        compiled: bool = True,
-        featurize_workers: "int | str | None" = None,
-        min_parallel_queries: int = 256,
     ):
         variant = FeaturizationVariant(variant)
         if variant is not FeaturizationVariant.NO_SAMPLES and samples is None:
             raise ValueError(f"variant {variant.value!r} requires materialized samples")
-        if min_parallel_queries < 1:
-            raise ValueError("min_parallel_queries must be >= 1")
         self.encoding = encoding
         self.value_normalizer = value_normalizer
         self.samples = samples
         self.variant = variant
         self.dtype = np.dtype(dtype)
-        self.compiled = bool(compiled)
-        _resolve_featurize_workers(featurize_workers)  # fail fast on junk budgets
-        self.featurize_workers = featurize_workers
-        self.min_parallel_queries = int(min_parallel_queries)
         self._lookups: _FeatureLookups | None = None
         self._plan: CompiledFeaturizerPlan | None = None
-        self._featurize_pool: ProcessPool | None = None
-        self._worker_payload_bytes: "bytes | None" = None
 
     # -- feature widths --------------------------------------------------
     @property
@@ -575,7 +490,7 @@ class QueryFeaturizer:
     def predicate_feature_width(self) -> int:
         return self.encoding.num_columns + self.encoding.num_operators + 1
 
-    # -- featurization ---------------------------------------------------
+    # -- per-query reference featurization -------------------------------
     def featurize(self, query: Query) -> FeaturizedQuery:
         """Featurize one query (tables, joins, predicates)."""
         dtype = self.dtype
@@ -623,9 +538,9 @@ class QueryFeaturizer:
         )
         return np.concatenate((column_one_hot, operator_one_hot, [normalized_value]))
 
-    # -- vectorized workload featurization -------------------------------
+    # -- workload featurization ------------------------------------------
     def lookups(self) -> _FeatureLookups:
-        """The (lazily built) one-hot lookup tables of the vectorized path."""
+        """The (lazily built) one-hot lookup tables of the workload path."""
         if self._lookups is None:
             self._lookups = _FeatureLookups(self)
         return self._lookups
@@ -636,182 +551,64 @@ class QueryFeaturizer:
             self._plan = CompiledFeaturizerPlan(self)
         return self._plan
 
-    def featurize_batch(
-        self,
-        queries: Sequence[Query],
-        labels: np.ndarray | None = None,
-        cardinalities: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
-    ) -> "Batch":
-        """Featurize and pad a list of queries into one :class:`Batch`.
-
-        Bit-identical to ``collate(self.featurize_many(queries))`` but built
-        directly as dense tensors: one pass over the queries gathers integer
-        vocabulary ids, the one-hot blocks are written by fancy indexing into
-        the precomputed lookup tables, and sample bitmaps are probed through
-        the deduplicating cache in :class:`~repro.db.sampling.MaterializedSamples`.
-        """
-        from repro.core.batching import Batch, _column_vector
-
-        if not queries:
-            raise ValueError("cannot featurize an empty batch")
-        arrays = self._vectorized_arrays(queries, featurize_workers)
-        if labels is not None:
-            labels = _column_vector(labels, len(queries), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
-        return Batch(*arrays, labels=labels, cardinalities=cardinalities)
-
-    def featurize_dataset(
-        self,
-        queries: Sequence[Query],
-        cardinalities: np.ndarray | None = None,
-        labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
-    ) -> "FeaturizedDataset":
-        """Featurize a whole workload into a pre-collated :class:`FeaturizedDataset`.
-
-        ``featurize_workers`` overrides the featurizer's configured process
-        budget for this call (see the constructor).
-        """
-        from repro.core.batching import FeaturizedDataset, _column_vector
-
-        if not queries:
-            raise ValueError("cannot featurize an empty workload")
-        arrays = self._vectorized_arrays(queries, featurize_workers)
-        if labels is not None:
-            labels = _column_vector(labels, len(queries), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
-        return FeaturizedDataset(*arrays, labels=labels, cardinalities=cardinalities)
-
     def featurize_ragged(
         self,
         queries: Sequence[Query],
         cardinalities: np.ndarray | None = None,
         labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
+        buffers: FeatureBuffers | None = None,
     ) -> "RaggedDataset":
-        """Featurize a workload directly into the ragged (CSR) layout.
+        """Featurize a workload into the ragged (CSR) layout.
 
-        No padded tensors are materialized at all: per set, only the real
-        elements are written, flattened in query order, alongside per-query
-        offsets.  This is the serving path's featurization — the arrays feed
-        the fused inference engine without any intermediate reshaping.
+        Per set, only the real elements are written, flattened in query
+        order, alongside per-query offsets; the arrays feed training and the
+        fused inference engine without any reshaping.  Bit-identical to
+        ``RaggedDataset.from_featurized(self.featurize_many(queries))``.
 
-        ``featurize_workers`` overrides the featurizer's configured process
-        budget for this call (see the constructor).
-        """
-        from repro.core.batching import RaggedDataset, _column_vector
-
-        if not queries:
-            raise ValueError("cannot featurize an empty workload")
-
-        def allocate(name: str, rows: int, width: int) -> np.ndarray:
-            return np.zeros((rows, width), dtype=self.dtype)
-
-        tables, joins, predicates = self._ragged_sets(
-            self._gathered(queries, featurize_workers), allocate
-        )
-
-        if labels is not None:
-            labels = _column_vector(labels, len(queries), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
-        return RaggedDataset(
-            tables=tables,
-            joins=joins,
-            predicates=predicates,
-            labels=labels,
-            cardinalities=cardinalities,
-        )
-
-    def featurize_into(
-        self,
-        queries: Sequence[Query],
-        buffers: FeatureBuffers,
-        cardinalities: np.ndarray | None = None,
-        labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
-    ) -> "RaggedDataset":
-        """Featurize a workload into caller-owned reusable buffers (zero-copy).
-
-        Bit-identical to :meth:`featurize_ragged`, but the three flat feature
-        arrays are views into ``buffers`` instead of fresh allocations — in
+        With ``buffers``, the three flat feature arrays are views into the
+        caller's :class:`FeatureBuffers` instead of fresh allocations — in
         steady state a serving micro-batch performs no large feature
         allocations at all, and because the views are contiguous and already
         in the engine dtype, the fused engine consumes them without copying.
-
-        The returned dataset aliases ``buffers`` and is invalidated by the
-        next ``featurize_into`` call against the same buffer set (see
-        :class:`FeatureBuffers`); callers that need the features to outlive
-        the call must copy them or use :meth:`featurize_ragged`.
+        Such a dataset is invalidated by the next featurization into the same
+        buffers; callers that need the features to outlive it must copy them.
         """
-        from repro.core.batching import RaggedDataset, _column_vector
+        from repro.core.batching import (
+            RaggedDataset,
+            RaggedSet,
+            _column_vector,
+            offsets_from_lengths,
+        )
 
         if not queries:
             raise ValueError("cannot featurize an empty workload")
 
         def allocate(name: str, rows: int, width: int) -> np.ndarray:
+            if buffers is None:
+                return np.zeros((rows, width), dtype=self.dtype)
             return buffers.zeroed(name, rows, width, self.dtype)
 
-        tables, joins, predicates = self._ragged_sets(
-            self._gathered(queries, featurize_workers), allocate
-        )
-        if labels is not None:
-            labels = _column_vector(labels, len(queries), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
-        return RaggedDataset(
-            tables=tables,
-            joins=joins,
-            predicates=predicates,
-            labels=labels,
-            cardinalities=cardinalities,
-        )
-
-    def _ragged_sets(self, gathered: _GatheredWorkload, allocate):
-        """Build the three ragged feature sets against an array provider.
-
-        ``allocate(name, rows, width)`` must return a zero-filled
-        ``(rows, width)`` array in the featurizer dtype — a fresh allocation
-        for :meth:`featurize_ragged`, a recycled buffer view for
-        :meth:`featurize_into`.  Everything written into the arrays is
-        identical between the two paths.
-        """
-        from repro.core.batching import RaggedSet, offsets_from_lengths
-
+        gathered = self.plan().gather(queries)
         lookups = self.lookups()
         encoding = self.encoding
 
-        def offsets_of(query_ids: np.ndarray) -> np.ndarray:
-            return offsets_from_lengths(gathered.lengths(query_ids))
-
         # Tables.
-        total_tables = gathered.table_ids.shape[0]
-        table_features = allocate("tables", total_tables, self.table_feature_width)
-        table_features[:, : encoding.num_tables] = lookups.table_eye[gathered.table_ids]
-        if self.variant is not FeaturizationVariant.NO_SAMPLES:
-            bitmaps = gathered.probe_bitmaps
-            if bitmaps is None:
-                bitmaps = self.samples.bitmaps_many(gathered.sample_probes)
-            if self.variant is FeaturizationVariant.NUM_SAMPLES:
-                table_features[:, encoding.num_tables] = (
-                    bitmaps.sum(axis=1) / self.samples.sample_size
-                )
-            else:  # BITMAPS
-                table_features[:, encoding.num_tables :] = bitmaps
-        tables = RaggedSet(
-            features=table_features, offsets=offsets_of(gathered.table_query_ids)
+        table_features = allocate(
+            "tables", gathered.table_ids.shape[0], self.table_feature_width
         )
+        table_features[:, : encoding.num_tables] = lookups.table_eye[gathered.table_ids]
+        bitmaps = gathered.probe_bitmaps
+        if self.variant is FeaturizationVariant.NUM_SAMPLES:
+            table_features[:, encoding.num_tables] = (
+                bitmaps.sum(axis=1) / self.samples.sample_size
+            )
+        elif self.variant is FeaturizationVariant.BITMAPS:
+            table_features[:, encoding.num_tables :] = bitmaps
 
         # Joins (a plain gather: join rows are complete lookup-table rows).
         join_features = allocate("joins", gathered.join_ids.shape[0], self.join_feature_width)
         if gathered.join_ids.size:
             np.take(lookups.join_rows, gathered.join_ids, axis=0, out=join_features)
-        joins = RaggedSet(
-            features=join_features, offsets=offsets_of(gathered.join_query_ids)
-        )
 
         # Predicates.
         total_predicates = gathered.column_ids.shape[0]
@@ -825,173 +622,19 @@ class QueryFeaturizer:
             predicate_features[:, -1] = self._normalized_literals(
                 gathered.column_ids, gathered.literal_values
             )
-        predicates = RaggedSet(
-            features=predicate_features, offsets=offsets_of(gathered.predicate_query_ids)
-        )
-        return tables, joins, predicates
 
-    def _gathered(
-        self, queries: Sequence[Query], featurize_workers: "int | str | None" = None
-    ) -> _GatheredWorkload:
-        """Route one workload gather through the fastest applicable tier.
-
-        Large workloads with a multi-process budget go to the process tier;
-        everything else uses the compiled plan (default) or the reference
-        uncompiled gather (``compiled=False``).  All three produce
-        bit-identical downstream features.
-        """
-        budget = self.featurize_workers if featurize_workers is None else featurize_workers
-        workers = _resolve_featurize_workers(budget)
-        if workers > 1 and len(queries) >= max(self.min_parallel_queries, 2):
-            return self._gather_parallel(queries, workers)
-        if self.compiled:
-            return self.plan().gather(queries)
-        return self._gather(queries)
-
-    def _gather_parallel(self, queries: Sequence[Query], workers: int) -> _GatheredWorkload:
-        """Gather contiguous spans of the workload in worker processes."""
-        spans = chunk_spans(len(queries), min(workers, len(queries)))
-        if len(spans) <= 1:
-            return self.plan().gather(queries) if self.compiled else self._gather(queries)
-        pool = self._ensure_featurize_pool(workers)
-        payloads = [_encode_wire_queries(queries[start:stop]) for start, stop in spans]
-        parts = pool.map(_featurize_worker_gather, payloads)
-        return _merge_gathered_parts(parts, spans, len(queries))
-
-    def _ensure_featurize_pool(self, workers: int) -> ProcessPool:
-        if self._featurize_pool is not None and self._featurize_pool.max_workers != workers:
-            self._featurize_pool.close()
-            self._featurize_pool = None
-        if self._featurize_pool is None:
-            self._featurize_pool = ProcessPool(
-                workers,
-                min_parallel_items=2,
-                name="featurize",
-                initializer=_featurize_worker_configure,
-                initargs=(self._worker_payload(),),
-            )
-        return self._featurize_pool
-
-    def _worker_payload(self) -> bytes:
-        """One pickled blob of worker state: encoding + reduced sample database.
-
-        Workers never see the full database: per table, only the sampled
-        rows' column values cross the process boundary, rebuilt worker-side
-        into a reduced database whose row ``i`` is the parent's ``i``-th
-        sampled row — bitmap probes there evaluate exactly the column values
-        the parent's samples would touch, so worker bitmaps are bit-identical.
-        """
-        if self._worker_payload_bytes is None:
-            sample_state = None
-            if self.variant is not FeaturizationVariant.NO_SAMPLES:
-                samples = self.samples
-                database = samples.database
-                columns: dict[str, dict[str, np.ndarray]] = {}
-                for name in database.table_names:
-                    rows = samples.sample(name).row_indices
-                    table = database.table(name)
-                    columns[name] = {
-                        column: table.column_values(column, rows)
-                        for column in table.schema.column_names
-                    }
-                sample_state = {
-                    "schema": database.schema,
-                    "sample_size": samples.sample_size,
-                    "columns": columns,
-                }
-            state = {
-                "encoding": self.encoding,
-                "variant": self.variant.value,
-                "samples": sample_state,
-            }
-            self._worker_payload_bytes = pickle.dumps(
-                state, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._worker_payload_bytes
-
-    def close(self) -> None:
-        """Shut down the featurization worker processes (idempotent).
-
-        The featurizer stays fully usable; the pool respawns on the next
-        parallel gather.
-        """
-        if self._featurize_pool is not None:
-            self._featurize_pool.close()
-            self._featurize_pool = None
-
-    def _gather(self, queries: Sequence[Query]) -> _GatheredWorkload:
-        """One pass over the Python query objects, gathering flat integer ids."""
-        encoding = self.encoding
-        table_query_ids: list[int] = []
-        table_slots: list[int] = []
-        table_ids: list[int] = []
-        sample_probes: list[tuple[str, tuple]] = []
-        join_query_ids: list[int] = []
-        join_slots: list[int] = []
-        join_ids: list[int] = []
-        predicate_query_ids: list[int] = []
-        predicate_slots: list[int] = []
-        column_ids: list[int] = []
-        operator_ids: list[int] = []
-        literal_values: list[float] = []
-
-        needs_samples = self.variant is not FeaturizationVariant.NO_SAMPLES
-        max_tables = max_joins = max_predicates = 1
-        for query_id, query in enumerate(queries):
-            max_tables = max(max_tables, len(query.tables))
-            max_joins = max(max_joins, len(query.joins))
-            max_predicates = max(max_predicates, len(query.predicates))
-            for slot, table in enumerate(query.tables):
-                table_query_ids.append(query_id)
-                table_slots.append(slot)
-                try:
-                    table_ids.append(encoding.table_index[table])
-                except KeyError:
-                    raise KeyError(
-                        f"table {table!r} is not part of the encoded schema"
-                    ) from None
-                if needs_samples:
-                    sample_probes.append((table, query.predicates_on(table)))
-            for slot, join in enumerate(query.joins):
-                join_query_ids.append(query_id)
-                join_slots.append(slot)
-                try:
-                    join_ids.append(encoding.join_index[join.canonical])
-                except KeyError:
-                    raise KeyError(
-                        f"join {join.canonical!r} is not part of the encoded schema"
-                    ) from None
-            for slot, predicate in enumerate(query.predicates):
-                predicate_query_ids.append(query_id)
-                predicate_slots.append(slot)
-                key = f"{predicate.table}.{predicate.column}"
-                try:
-                    column_ids.append(encoding.column_index[key])
-                except KeyError:
-                    raise KeyError(
-                        f"column {key!r} is not a predicable (non-key) column"
-                    ) from None
-                operator_ids.append(encoding.operator_index[predicate.operator.value])
-                literal_values.append(float(predicate.value))
-
-        as_ids = lambda values: np.asarray(values, dtype=np.int64)  # noqa: E731
-        return _GatheredWorkload(
-            num_queries=len(queries),
-            table_query_ids=as_ids(table_query_ids),
-            table_slots=as_ids(table_slots),
-            table_ids=as_ids(table_ids),
-            sample_probes=sample_probes,
-            join_query_ids=as_ids(join_query_ids),
-            join_slots=as_ids(join_slots),
-            join_ids=as_ids(join_ids),
-            predicate_query_ids=as_ids(predicate_query_ids),
-            predicate_slots=as_ids(predicate_slots),
-            column_ids=as_ids(column_ids),
-            operator_ids=as_ids(operator_ids),
-            literal_values=np.asarray(literal_values, dtype=np.float64),
-            max_tables=max_tables,
-            max_joins=max_joins,
-            max_predicates=max_predicates,
+        if labels is not None:
+            labels = _column_vector(labels, len(queries), "labels")
+        if cardinalities is not None:
+            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
+        return RaggedDataset(
+            tables=RaggedSet(table_features, offsets_from_lengths(gathered.table_counts)),
+            joins=RaggedSet(join_features, offsets_from_lengths(gathered.join_counts)),
+            predicates=RaggedSet(
+                predicate_features, offsets_from_lengths(gathered.predicate_counts)
+            ),
+            labels=labels,
+            cardinalities=cardinalities,
         )
 
     def _normalized_literals(
@@ -1005,308 +648,3 @@ class QueryFeaturizer:
         normalized = np.clip(normalized, 0.0, 1.0)
         normalized[lookups.column_degenerate[column_ids]] = 0.0
         return normalized
-
-    def _vectorized_arrays(
-        self, queries: Sequence[Query], featurize_workers: "int | str | None" = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The six padded feature/mask arrays of a workload, built densely."""
-        lookups = self.lookups()
-        encoding = self.encoding
-        dtype = self.dtype
-        num_queries = len(queries)
-        gathered = self._gathered(queries, featurize_workers)
-
-        table_features = np.zeros(
-            (num_queries, gathered.max_tables, self.table_feature_width), dtype=dtype
-        )
-        table_mask = np.zeros((num_queries, gathered.max_tables), dtype=dtype)
-        if gathered.table_query_ids.size:
-            rows = gathered.table_query_ids
-            slots = gathered.table_slots
-            table_mask[rows, slots] = 1.0
-            table_features[rows, slots, : encoding.num_tables] = lookups.table_eye[
-                gathered.table_ids
-            ]
-            if self.variant is not FeaturizationVariant.NO_SAMPLES:
-                bitmaps = gathered.probe_bitmaps
-                if bitmaps is None:
-                    bitmaps = self.samples.bitmaps_many(gathered.sample_probes)
-                if self.variant is FeaturizationVariant.NUM_SAMPLES:
-                    fractions = bitmaps.sum(axis=1) / self.samples.sample_size
-                    table_features[rows, slots, encoding.num_tables] = fractions
-                else:  # BITMAPS
-                    table_features[rows, slots, encoding.num_tables :] = bitmaps
-        join_features = np.zeros(
-            (num_queries, gathered.max_joins, self.join_feature_width), dtype=dtype
-        )
-        join_mask = np.zeros((num_queries, gathered.max_joins), dtype=dtype)
-        if gathered.join_query_ids.size:
-            rows = gathered.join_query_ids
-            slots = gathered.join_slots
-            join_mask[rows, slots] = 1.0
-            join_features[rows, slots] = lookups.join_rows[gathered.join_ids]
-
-        predicate_features = np.zeros(
-            (num_queries, gathered.max_predicates, self.predicate_feature_width),
-            dtype=dtype,
-        )
-        predicate_mask = np.zeros((num_queries, gathered.max_predicates), dtype=dtype)
-        if gathered.predicate_query_ids.size:
-            rows = gathered.predicate_query_ids
-            slots = gathered.predicate_slots
-            columns = gathered.column_ids
-            predicate_mask[rows, slots] = 1.0
-            predicate_features[rows, slots, : encoding.num_columns] = lookups.column_eye[
-                columns
-            ]
-            operator_offset = encoding.num_columns
-            predicate_features[
-                rows, slots, operator_offset : operator_offset + encoding.num_operators
-            ] = lookups.operator_eye[gathered.operator_ids]
-            predicate_features[rows, slots, -1] = self._normalized_literals(
-                columns, gathered.literal_values
-            )
-
-        return (
-            table_features,
-            table_mask,
-            join_features,
-            join_mask,
-            predicate_features,
-            predicate_mask,
-        )
-
-
-def _resolve_featurize_workers(budget: "int | str | None") -> int:
-    """Featurization worker budget: ``resolve_worker_count`` plus ``0`` == serial.
-
-    ``featurize_workers=0`` reads naturally as "zero worker processes" in
-    configurations, so it is accepted as a synonym for ``None``.
-    """
-    if budget == 0 and isinstance(budget, int) and not isinstance(budget, bool):
-        return 1
-    return resolve_worker_count(budget)
-
-
-# ---------------------------------------------------------------------------
-# Process-tier plumbing.  The parent encodes query spans as primitive wire
-# tuples; each worker process holds a one-time `_WireGatherer` (set up by the
-# pool initializer after its BLAS pins) and returns compact id arrays that the
-# parent merges in span order.  Nothing here is part of the public API.
-# ---------------------------------------------------------------------------
-
-_WORKER_GATHERER: "_WireGatherer | None" = None
-
-
-def _encode_wire_queries(queries: Sequence[Query]) -> list[tuple]:
-    """Primitive wire form of a query span — no ``Query`` objects shipped."""
-    return [
-        (
-            query.tables,
-            tuple(join.canonical for join in query.joins),
-            tuple(
-                (p.table, p.column, p.operator.value, int(p.value))
-                for p in query.predicates
-            ),
-        )
-        for query in queries
-    ]
-
-
-class _WireGatherer:
-    """Worker-process gather state: encoding indexes plus reduced samples.
-
-    The sample state is a *reduced* database holding only the sampled rows
-    of every table, in sampled-row order; probing it with ``arange`` row
-    indices evaluates exactly the column values the parent's full-database
-    samples would gather, so worker bitmaps are bit-identical to parent
-    bitmaps (same predicate-evaluation code path, same values, same order).
-    """
-
-    def __init__(
-        self,
-        encoding: SchemaEncoding,
-        variant: FeaturizationVariant,
-        samples: "MaterializedSamples | None",
-    ):
-        self.encoding = encoding
-        self.variant = variant
-        self.samples = samples
-
-    @classmethod
-    def from_payload(cls, state: dict) -> "_WireGatherer":
-        encoding = state["encoding"]
-        variant = FeaturizationVariant(state["variant"])
-        samples = None
-        if state["samples"] is not None:
-            sample_state = state["samples"]
-            schema = sample_state["schema"]
-            tables = {
-                name: Table(schema.table(name), columns)
-                for name, columns in sample_state["columns"].items()
-            }
-            database = Database(schema, tables)
-            row_indices = {
-                name: np.arange(database.table(name).num_rows, dtype=np.int64)
-                for name in database.table_names
-            }
-            samples = MaterializedSamples.from_row_indices(
-                database, sample_state["sample_size"], row_indices
-            )
-        return cls(encoding, variant, samples)
-
-    def gather(self, wire_queries: "list[tuple]") -> dict:
-        """Flat id arrays of one wire-encoded span (query ids span-local)."""
-        encoding = self.encoding
-        needs_samples = self.variant is not FeaturizationVariant.NO_SAMPLES
-        table_query_ids: list[int] = []
-        table_slots: list[int] = []
-        table_ids: list[int] = []
-        table_probe_ids: list[int] = []
-        probe_ids: dict[tuple, int] = {}
-        probe_rows: list[np.ndarray] = []
-        join_query_ids: list[int] = []
-        join_slots: list[int] = []
-        join_ids: list[int] = []
-        predicate_query_ids: list[int] = []
-        predicate_slots: list[int] = []
-        column_ids: list[int] = []
-        operator_ids: list[int] = []
-        literal_values: list[float] = []
-
-        max_tables = max_joins = max_predicates = 1
-        for query_id, (tables, joins, predicates) in enumerate(wire_queries):
-            max_tables = max(max_tables, len(tables))
-            max_joins = max(max_joins, len(joins))
-            max_predicates = max(max_predicates, len(predicates))
-            predicates_by_table: dict[str, list[Predicate]] = {}
-            if needs_samples:
-                for table, column, operator, value in predicates:
-                    predicates_by_table.setdefault(table, []).append(
-                        Predicate(table, column, operator, value)
-                    )
-            for slot, table in enumerate(tables):
-                table_query_ids.append(query_id)
-                table_slots.append(slot)
-                try:
-                    table_ids.append(encoding.table_index[table])
-                except KeyError:
-                    raise KeyError(
-                        f"table {table!r} is not part of the encoded schema"
-                    ) from None
-                if needs_samples:
-                    probes = tuple(predicates_by_table.get(table, ()))
-                    key = MaterializedSamples.probe_signature(table, probes)
-                    probe_id = probe_ids.get(key)
-                    if probe_id is None:
-                        probe_id = len(probe_rows)
-                        probe_rows.append(self.samples.bitmap(table, probes))
-                        probe_ids[key] = probe_id
-                    table_probe_ids.append(probe_id)
-            for slot, join in enumerate(joins):
-                join_query_ids.append(query_id)
-                join_slots.append(slot)
-                try:
-                    join_ids.append(encoding.join_index[join])
-                except KeyError:
-                    raise KeyError(
-                        f"join {join!r} is not part of the encoded schema"
-                    ) from None
-            for slot, (table, column, operator, value) in enumerate(predicates):
-                predicate_query_ids.append(query_id)
-                predicate_slots.append(slot)
-                key = f"{table}.{column}"
-                try:
-                    column_ids.append(encoding.column_index[key])
-                except KeyError:
-                    raise KeyError(
-                        f"column {key!r} is not a predicable (non-key) column"
-                    ) from None
-                operator_ids.append(encoding.operator_index[operator])
-                literal_values.append(float(value))
-
-        as_ids = lambda values: np.asarray(values, dtype=np.int64)  # noqa: E731
-        sample_width = self.samples.sample_size if needs_samples else 0
-        return {
-            "num_queries": len(wire_queries),
-            "table_query_ids": as_ids(table_query_ids),
-            "table_slots": as_ids(table_slots),
-            "table_ids": as_ids(table_ids),
-            "table_probe_ids": as_ids(table_probe_ids) if needs_samples else None,
-            "probe_rows": (
-                np.stack(probe_rows)
-                if probe_rows
-                else np.zeros((0, sample_width), dtype=bool)
-            )
-            if needs_samples
-            else None,
-            "join_query_ids": as_ids(join_query_ids),
-            "join_slots": as_ids(join_slots),
-            "join_ids": as_ids(join_ids),
-            "predicate_query_ids": as_ids(predicate_query_ids),
-            "predicate_slots": as_ids(predicate_slots),
-            "column_ids": as_ids(column_ids),
-            "operator_ids": as_ids(operator_ids),
-            "literal_values": np.asarray(literal_values, dtype=np.float64),
-            "max_tables": max_tables,
-            "max_joins": max_joins,
-            "max_predicates": max_predicates,
-        }
-
-
-def _featurize_worker_configure(payload: bytes) -> None:
-    """Pool initializer: build this worker's gather state once (post-pinning)."""
-    global _WORKER_GATHERER
-    _WORKER_GATHERER = _WireGatherer.from_payload(pickle.loads(payload))
-
-
-def _featurize_worker_gather(wire_queries: "list[tuple]") -> dict:
-    """Pool task: gather one wire-encoded span against the worker state."""
-    if _WORKER_GATHERER is None:  # pragma: no cover - defensive
-        raise RuntimeError("featurization worker used before initialization")
-    return _WORKER_GATHERER.gather(wire_queries)
-
-
-def _merge_gathered_parts(
-    parts: Sequence[dict], spans: Sequence[tuple[int, int]], num_queries: int
-) -> _GatheredWorkload:
-    """Merge span-ordered worker parts into one :class:`_GatheredWorkload`.
-
-    Query ids are shifted by each span's start; every per-element array is a
-    straight concatenation in span (== input) order, so the merged workload
-    is bit-identical to a serial gather over the whole query list.
-    """
-
-    def concatenated(key: str) -> np.ndarray:
-        return np.concatenate([part[key] for part in parts])
-
-    def shifted(key: str) -> np.ndarray:
-        return np.concatenate(
-            [part[key] + start for part, (start, _) in zip(parts, spans)]
-        )
-
-    probe_bitmaps = None
-    if parts[0]["probe_rows"] is not None:
-        probe_bitmaps = np.concatenate(
-            [part["probe_rows"][part["table_probe_ids"]] for part in parts], axis=0
-        )
-
-    return _GatheredWorkload(
-        num_queries=num_queries,
-        table_query_ids=shifted("table_query_ids"),
-        table_slots=concatenated("table_slots"),
-        table_ids=concatenated("table_ids"),
-        sample_probes=[],
-        join_query_ids=shifted("join_query_ids"),
-        join_slots=concatenated("join_slots"),
-        join_ids=concatenated("join_ids"),
-        predicate_query_ids=shifted("predicate_query_ids"),
-        predicate_slots=concatenated("predicate_slots"),
-        column_ids=concatenated("column_ids"),
-        operator_ids=concatenated("operator_ids"),
-        literal_values=concatenated("literal_values"),
-        max_tables=max(part["max_tables"] for part in parts),
-        max_joins=max(part["max_joins"] for part in parts),
-        max_predicates=max(part["max_predicates"] for part in parts),
-        probe_bitmaps=probe_bitmaps,
-    )

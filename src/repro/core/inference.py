@@ -14,10 +14,10 @@ scratch buffers.  Compared to running the autograd tensor engine under
 * reuses grow-only scratch buffers across calls, so steady-state serving
   performs no large allocations at all.
 
-In float64 the engine is bit-identical to ``MSCN.forward_batch`` over the
-equivalent padded batch: the matmuls are row-wise identical, segment sums
-add the same values in the same order as the masked pooling, and the stable
-sigmoid replicates the tensor engine's clipped formulation exactly.
+In float64 the engine is bit-identical to ``MSCN.forward_ragged`` over the
+same dataset: the matmuls are row-wise identical, both pool through the same
+segment-sum kernel, and the stable sigmoid replicates the tensor engine's
+clipped formulation exactly.
 
 The weights an engine computes against live in an immutable
 :class:`WeightSnapshot` — a generation-stamped set of :class:`EngineLayer`

@@ -2,7 +2,7 @@
 
 The model has one two-layer MLP per set (tables, joins, predicates) applied to
 every set element with shared parameters; element outputs are averaged per
-set (ignoring padding), the three set representations are concatenated, and a
+set, the three set representations are concatenated, and a
 final two-layer output MLP with a sigmoid produces a scalar in [0, 1] — the
 normalized cardinality prediction::
 
@@ -16,22 +16,19 @@ representation does not depend on the set size, which eases generalization to
 unseen set sizes; sum pooling is available behind a flag for the ablation
 benchmark.
 
-Two equivalent forward passes are provided:
-
-* :meth:`MSCN.forward` / :meth:`MSCN.forward_batch` — the padded layout: the
-  per-element MLPs run over every padded slot and masked pooling discards the
-  dummy elements.
-* :meth:`MSCN.forward_ragged` — the ragged layout: the per-element MLPs run
-  over the real elements only and pooling is a segment reduction over CSR
-  offsets.  In float64 the two paths are bit-identical (same row-wise matmuls,
-  same summation order); the ragged one simply skips the padded FLOPs.
+The forward pass, :meth:`MSCN.forward_ragged`, runs over the ragged layout
+of :class:`~repro.core.batching.RaggedDataset`: the per-element MLPs see only
+the real set elements, and pooling is a segment reduction over the CSR
+offsets — the paper's masked average without any padded slots.  Inference
+runs the same computation graph-free in
+:class:`~repro.core.inference.InferenceEngine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import masked_mean, masked_sum, segment_mean, segment_sum
+from repro.nn.functional import segment_mean, segment_sum
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.tensor import Tensor, concatenate
 
@@ -87,75 +84,6 @@ class MSCN(Module):
                 parameter.data = parameter.data.astype(self.dtype)
 
     # ------------------------------------------------------------------
-    def _set_module(
-        self,
-        mlp: MLP,
-        features: np.ndarray,
-        mask: np.ndarray,
-        inv_counts: np.ndarray | None = None,
-    ) -> Tensor:
-        """Apply a per-element MLP and pool over the set axis (padded layout)."""
-        batch_size, max_set_size, width = features.shape
-        flat = Tensor(features.reshape(batch_size * max_set_size, width))
-        transformed = mlp(flat)
-        stacked = transformed.reshape(batch_size, max_set_size, self.hidden_units)
-        if isinstance(mask, np.ndarray) and mask.ndim == 2 and mask.dtype.kind == "f":
-            # Zero-copy expansion to (batch, set, 1): hits the pooling
-            # primitives' pre-validated fast path (no conversion, and float32
-            # masks stay float32 instead of promoting the pooling to float64).
-            mask = mask[:, :, None]
-        if self.pooling == "mean":
-            return masked_mean(stacked, mask, inv_counts=inv_counts)
-        return masked_sum(stacked, mask)
-
-    def forward(
-        self,
-        table_features: np.ndarray,
-        table_mask: np.ndarray,
-        join_features: np.ndarray,
-        join_mask: np.ndarray,
-        predicate_features: np.ndarray,
-        predicate_mask: np.ndarray,
-    ) -> Tensor:
-        """Predict normalized cardinalities in [0, 1]; output shape (batch, 1)."""
-        table_repr = self._set_module(self.table_mlp, table_features, table_mask)
-        join_repr = self._set_module(self.join_mlp, join_features, join_mask)
-        predicate_repr = self._set_module(self.predicate_mlp, predicate_features, predicate_mask)
-        return self._output(table_repr, join_repr, predicate_repr)
-
-    def _output(self, table_repr: Tensor, join_repr: Tensor, predicate_repr: Tensor) -> Tensor:
-        merged = concatenate((table_repr, join_repr, predicate_repr), axis=1)
-        hidden = self.output_hidden(merged).relu()
-        return self.output_final(hidden).sigmoid()
-
-    def forward_batch(self, batch) -> Tensor:
-        """Convenience wrapper accepting a :class:`repro.core.batching.Batch`.
-
-        Uses the batch's precomputed reciprocal set counts when present
-        (batches sliced from a :class:`FeaturizedDataset` carry them), so mean
-        pooling skips the per-forward mask reduction.
-        """
-        table_repr = self._set_module(
-            self.table_mlp,
-            batch.table_features,
-            batch.table_mask,
-            inv_counts=batch.table_inv_counts,
-        )
-        join_repr = self._set_module(
-            self.join_mlp,
-            batch.join_features,
-            batch.join_mask,
-            inv_counts=batch.join_inv_counts,
-        )
-        predicate_repr = self._set_module(
-            self.predicate_mlp,
-            batch.predicate_features,
-            batch.predicate_mask,
-            inv_counts=batch.predicate_inv_counts,
-        )
-        return self._output(table_repr, join_repr, predicate_repr)
-
-    # ------------------------------------------------------------------
     def _set_module_ragged(self, mlp: MLP, ragged_set) -> Tensor:
         """Apply a per-element MLP to real rows only and segment-pool."""
         transformed = mlp(Tensor(ragged_set.features))
@@ -168,10 +96,15 @@ class MSCN(Module):
 
         The per-element MLPs see only the ``total_elements`` real rows — no
         padded slots are ever transformed — and pooling is a segment
-        reduction over the CSR offsets.  Differentiable, like
-        :meth:`forward`; output shape (batch, 1).
+        reduction over the CSR offsets.  Differentiable; the output has
+        shape (batch, 1) and holds normalized cardinalities in [0, 1].
         """
         table_repr = self._set_module_ragged(self.table_mlp, dataset.tables)
         join_repr = self._set_module_ragged(self.join_mlp, dataset.joins)
         predicate_repr = self._set_module_ragged(self.predicate_mlp, dataset.predicates)
         return self._output(table_repr, join_repr, predicate_repr)
+
+    def _output(self, table_repr: Tensor, join_repr: Tensor, predicate_repr: Tensor) -> Tensor:
+        merged = concatenate((table_repr, join_repr, predicate_repr), axis=1)
+        hidden = self.output_hidden(merged).relu()
+        return self.output_final(hidden).sigmoid()

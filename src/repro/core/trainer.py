@@ -8,11 +8,10 @@ geometric-mean q-error are available as alternative objectives (Section 4.8).
 
 Both training and inference run over the ragged (CSR) layout: the per-element
 MLPs touch only real set elements and pooling is a segment reduction, so no
-FLOPs are spent on padding.  Training mini-batches are length-bucketed (see
-``iterate_ragged_minibatches``); inference goes through the graph-free fused
-:class:`~repro.core.inference.InferenceEngine` unless the configuration
-disables it (``fused_inference=False`` falls back to the padded autograd
-path under ``no_grad()``, kept for benchmarking the legacy behaviour).
+FLOPs are spent on padding.  Training runs ``MSCN.forward_ragged`` on
+length-bucketed mini-batches (see ``iterate_ragged_minibatches``); inference
+goes through the graph-free fused :class:`~repro.core.inference.InferenceEngine`,
+which is bit-identical to ``forward_ragged`` in float64.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.batching import (
-    Batch,
-    FeaturizedDataset,
     RaggedDataset,
-    as_dataset,
     as_ragged_dataset,
     iterate_ragged_minibatches,
 )
@@ -39,13 +35,13 @@ from repro.core.pool import EnginePool
 from repro.core.normalization import CardinalityNormalizer
 from repro.nn.loss import geometric_q_error_loss, mse_loss, q_error_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 __all__ = ["TrainingResult", "MSCNTrainer"]
 
 #: Any of the feature containers the training / prediction APIs accept.
-FeatureInput = "RaggedDataset | FeaturizedDataset | Sequence[FeaturizedQuery]"
+FeatureInput = "RaggedDataset | Sequence[FeaturizedQuery]"
 
 
 @dataclass
@@ -88,7 +84,7 @@ class MSCNTrainer:
     # ------------------------------------------------------------------
     # Loss
     # ------------------------------------------------------------------
-    def _loss(self, predictions: Tensor, batch: "Batch | RaggedDataset") -> Tensor:
+    def _loss(self, predictions: Tensor, batch: RaggedDataset) -> Tensor:
         """Training loss of a batch of normalized predictions.
 
         Labels and cardinalities are stored as float64 columns; casting them
@@ -122,11 +118,10 @@ class MSCNTrainer:
     ) -> TrainingResult:
         """Train for ``epochs`` passes over the training set.
 
-        Both feature arguments accept a :class:`RaggedDataset`, a padded
-        :class:`~repro.core.batching.FeaturizedDataset` or a sequence of
-        per-query featurizations; everything is converted to the ragged
-        layout once up front, so neither padding nor per-epoch collation
-        happens inside the epoch loop.
+        Both feature arguments accept a :class:`RaggedDataset` or a sequence
+        of per-query featurizations; everything is converted to the ragged
+        layout once up front, so no per-epoch collation happens inside the
+        epoch loop.
 
         Validation data is optional; when present, the mean validation q-error
         is recorded after every epoch.
@@ -199,36 +194,24 @@ class MSCNTrainer:
         return self.pool().primary
 
     def predict_normalized(
-        self,
-        features: FeatureInput,
-        batch_size: int | None = None,
-        fused: bool | None = None,
+        self, features: FeatureInput, batch_size: int | None = None
     ) -> np.ndarray:
-        """Raw sigmoid outputs in [0, 1], computed in ``batch_size`` chunks.
+        """Raw sigmoid outputs in [0, 1] from the fused engine, in chunks.
 
-        ``fused`` overrides ``config.fused_inference``: ``True`` runs the
-        graph-free engine over the ragged layout, ``False`` the legacy padded
-        autograd path under ``no_grad()``.
+        Chunks hold ``batch_size`` queries; by default
+        ``config.inference_chunk_size`` when set, else ``config.batch_size``.
 
         Predictions are always returned as float64, whatever the engine's
         compute dtype: downstream consumers (denormalization, q-error metrics,
         result caches) hold float64 cardinalities, and a float32 array leaking
-        out of the fused path would silently change their precision.
+        out of the engine would silently change their precision.
         """
-        use_fused = self.config.fused_inference if fused is None else fused
         if batch_size is None:
             batch_size = (
                 self.config.inference_chunk_size
                 if self.config.inference_chunk_size is not None
                 else self.config.batch_size
             )
-        if use_fused:
-            normalized = self._predict_normalized_fused(features, batch_size)
-        else:
-            normalized = self._predict_normalized_padded(features, batch_size)
-        return np.asarray(normalized, dtype=np.float64)
-
-    def _predict_normalized_fused(self, features: FeatureInput, batch_size: int) -> np.ndarray:
         if not isinstance(features, RaggedDataset) and not features:
             return np.empty(0, dtype=np.float64)
         dataset = as_ragged_dataset(features)
@@ -237,45 +220,14 @@ class MSCNTrainer:
         self.model.eval()
         pool = self.pool()
         pool.refresh()
-        return pool.run_many(dataset, chunk_size=batch_size)
+        return np.asarray(pool.run_many(dataset, chunk_size=batch_size), dtype=np.float64)
 
-    def _predict_normalized_padded(self, features: FeatureInput, batch_size: int) -> np.ndarray:
-        """The legacy padded inference path (benchmark baseline)."""
-        if isinstance(features, RaggedDataset):
-            features = features.to_padded() if features.size else []
-        dataset = self._prediction_dataset(features)
-        if dataset is None:
-            return np.empty(0, dtype=np.float64)
-        outputs: list[np.ndarray] = []
-        self.model.eval()
-        with no_grad():
-            for start in range(0, dataset.size, batch_size):
-                batch = dataset.batch(slice(start, start + batch_size))
-                predictions = self.model.forward_batch(batch)
-                outputs.append(predictions.numpy().reshape(-1))
-        return np.concatenate(outputs)
-
-    def predict(
-        self,
-        features: FeatureInput,
-        batch_size: int | None = None,
-        fused: bool | None = None,
-    ) -> np.ndarray:
+    def predict(self, features: FeatureInput, batch_size: int | None = None) -> np.ndarray:
         """Predict cardinalities for featurized queries (denormalized, >= 1)."""
-        normalized = self.predict_normalized(features, batch_size=batch_size, fused=fused)
+        normalized = self.predict_normalized(features, batch_size=batch_size)
         if normalized.size == 0:
             return np.empty(0, dtype=np.float64)
         return self.normalizer.denormalize(normalized)
-
-    @staticmethod
-    def _prediction_dataset(
-        features: "FeaturizedDataset | Sequence[FeaturizedQuery]",
-    ) -> FeaturizedDataset | None:
-        if isinstance(features, FeaturizedDataset):
-            return features if features.size else None
-        if not features:
-            return None
-        return as_dataset(features)
 
     def mean_q_error(
         self,

@@ -10,12 +10,12 @@ and reused for training, inference and the baselines — mirroring the paper,
 where MSCN and Random Sampling share the same random seed / sample set.
 
 Bitmap probes are memoized: the database snapshot is immutable, so the bitmap
-of a ``(table, predicate set)`` pair never changes.  Every probe — single
-(:meth:`MaterializedSamples.bitmap`) or batched
-(:meth:`MaterializedSamples.bitmaps_many`) — goes through one shared cache,
-keyed by an order-independent predicate signature, so repeated predicate sets
-across a training workload and across repeated serving calls are evaluated
-against the sample tuples exactly once.
+of a ``(table, predicate set)`` pair never changes.  Every probe goes through
+one shared cache, keyed by an order-independent predicate signature (the
+compiled featurizer plan keeps its own probe matrix on top and credits its
+reuse back to this cache's counters), so repeated predicate sets across a
+training workload and across repeated serving calls are evaluated against
+the sample tuples exactly once.
 """
 
 from __future__ import annotations
@@ -216,20 +216,6 @@ class MaterializedSamples:
         sampled positions set (every sampled tuple qualifies).
         """
         return self._cached_bitmap(table, predicates).copy()
-
-    def bitmaps_many(
-        self, probes: Sequence[tuple[str, Sequence[Predicate]]]
-    ) -> np.ndarray:
-        """Bitmaps of many ``(table, predicates)`` probes as one dense array.
-
-        Returns a boolean array of shape ``(len(probes), sample_size)``.
-        Probes sharing a signature — within the batch or with any earlier
-        call — are evaluated once; everything else is a cache hit.
-        """
-        out = np.zeros((len(probes), self.sample_size), dtype=bool)
-        for position, (table, predicates) in enumerate(probes):
-            out[position] = self._cached_bitmap(table, predicates)
-        return out
 
     # -- cache introspection ------------------------------------------------
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.batching import FeaturizedDataset
+from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.estimator import MSCNEstimator
 from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
@@ -136,7 +136,7 @@ class ExperimentContext:
     _training_workload: list[LabelledQuery] | None = None
     _synthetic_workload: list[LabelledQuery] | None = None
     _estimators: dict[str, MSCNEstimator] = field(default_factory=dict)
-    _featurized_workloads: dict[str, FeaturizedDataset] = field(default_factory=dict)
+    _featurized_workloads: dict[str, RaggedDataset] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -216,21 +216,15 @@ class ExperimentContext:
 
     def featurized_workload(
         self, variant: FeaturizationVariant = FeaturizationVariant.BITMAPS
-    ) -> FeaturizedDataset:
-        """The synthetic workload, pre-collated once through the trained
-        estimator's vectorized featurizer (cached per variant)."""
+    ) -> RaggedDataset:
+        """The synthetic workload, featurized once into the ragged layout
+        through the trained estimator's featurizer (cached per variant)."""
         key = variant.value
         if key not in self._featurized_workloads:
             estimator = self.trained_mscn(variant)
             labelled = self.synthetic_workload
-            # The workload config owns the featurization budget for its own
-            # queries (process tier for large corpora, serial by default).
-            workload_config = self._workload_config(
-                self.scale.num_synthetic_queries, self.scale.evaluation_seed
-            )
-            self._featurized_workloads[key] = estimator.featurizer.featurize_dataset(
+            self._featurized_workloads[key] = estimator.featurizer.featurize_ragged(
                 [q.query for q in labelled],
                 cardinalities=[q.cardinality for q in labelled],
-                featurize_workers=getattr(workload_config, "featurize_workers", None),
             )
         return self._featurized_workloads[key]

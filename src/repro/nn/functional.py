@@ -1,17 +1,12 @@
 """Functional helpers used by the MSCN model.
 
-Two families of set-pooling primitives implement the paper's Section 3.2
-averaging step (per-element MLP outputs pooled per set, ignoring dummy
-elements):
-
-* the *padded* primitives :func:`masked_mean` / :func:`masked_sum`, which
-  operate on ``(batch, set, dim)`` tensors with a binary mask, and
-* the *ragged* primitives :func:`segment_mean` / :func:`segment_sum`, which
-  operate on flattened ``(total_elements, dim)`` tensors with CSR-style
-  per-query offsets and never touch padding at all.
-
-Both families are differentiable; the ragged path is the fast one (see
-``repro.core.batching.RaggedDataset``).
+The set-pooling primitives :func:`segment_mean` / :func:`segment_sum`
+implement the paper's Section 3.2 averaging step (per-element MLP outputs
+pooled per set) over the ragged layout: flattened ``(total_elements, dim)``
+tensors with CSR-style per-query offsets, so no padding is ever stored or
+masked out (see ``repro.core.batching.RaggedDataset``).  Both are
+differentiable; :func:`segment_sum_array` is the plain-numpy kernel the
+graph-free inference engine shares with them.
 """
 
 from __future__ import annotations
@@ -21,8 +16,6 @@ import numpy as np
 from repro.nn.tensor import Tensor, concatenate, maximum
 
 __all__ = [
-    "masked_mean",
-    "masked_sum",
     "segment_mean",
     "segment_sum",
     "segment_sum_array",
@@ -43,61 +36,6 @@ def sigmoid(tensor: Tensor) -> Tensor:
     return tensor.sigmoid()
 
 
-def _validate_mask(values: Tensor, mask: np.ndarray) -> np.ndarray:
-    # Fast path: a pre-broadcast floating (batch, set, 1) mask (the model
-    # expands its 2-D masks to zero-copy views) passes through untouched,
-    # keeping float32 pooling in float32.
-    if (
-        isinstance(mask, np.ndarray)
-        and mask.ndim == 3
-        and mask.shape[2] == 1
-        and mask.dtype.kind == "f"
-        and mask.shape[:2] == values.shape[:2]
-    ):
-        return mask
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.ndim == 2:
-        mask = mask[:, :, None]
-    if mask.ndim != 3 or mask.shape[:2] != values.shape[:2]:
-        raise ValueError(
-            f"mask shape {mask.shape} is incompatible with values shape {values.shape}"
-        )
-    return mask
-
-
-def masked_sum(values: Tensor, mask: np.ndarray) -> Tensor:
-    """Sum ``values`` of shape (batch, set, dim) over the set axis.
-
-    ``mask`` has shape (batch, set) or (batch, set, 1) with ones marking real
-    set elements and zeros marking padding.
-    """
-    mask = _validate_mask(values, mask)
-    return (values * Tensor(mask)).sum(axis=1)
-
-
-def masked_mean(
-    values: Tensor, mask: np.ndarray, inv_counts: np.ndarray | None = None
-) -> Tensor:
-    """Average ``values`` of shape (batch, set, dim) over real set elements.
-
-    Padded (masked-out) elements do not contribute.  Rows whose mask is all
-    zero (an empty set, e.g. the join set of a single-table query) produce a
-    zero vector rather than NaN — matching the reference implementation, which
-    always keeps at least one zero-vector element for empty sets.
-
-    ``inv_counts`` optionally supplies the precomputed ``(batch, 1)``
-    reciprocal real-element counts (``1 / max(mask.sum(axis=1), 1)``), saving
-    the per-forward reduction; ``FeaturizedDataset`` caches them per workload.
-    """
-    mask = _validate_mask(values, mask)
-    summed = (values * Tensor(mask)).sum(axis=1)
-    if inv_counts is None:
-        counts = mask.sum(axis=1)
-        counts = np.maximum(counts, 1.0)
-        inv_counts = 1.0 / counts
-    return summed * Tensor(inv_counts)
-
-
 def _segment_offsets(offsets: np.ndarray) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.shape[0] < 1:
@@ -114,13 +52,12 @@ def segment_sum_array(
     """Plain-numpy segment sum over contiguous row segments.
 
     Accumulates slot-by-slot (segment element ``k`` of every segment is added
-    in round ``k``), which is *left-associative per segment* — exactly the
-    order ``(values * mask).sum(axis=1)`` uses on the padded layout, so the
-    ragged and padded pooling paths are bit-identical in float64.
-    (``np.add.reduceat`` would be a single call but accumulates in a
-    different association order, breaking bit-equality; the slot loop runs at
-    most ``max set size`` vectorized gather-adds, which is just as fast for
-    the small sets of this workload shape.)
+    in round ``k``), which is *left-associative per segment*: the autograd
+    forward and the fused inference engine both pool through this kernel,
+    so they are bit-identical in float64.  (``np.add.reduceat`` would be a
+    single call but accumulates in a different association order; the slot
+    loop runs at most ``max set size`` vectorized gather-adds, which is just
+    as fast for the small sets of this workload shape.)
     """
     num_segments = lengths.shape[0]
     if out is None:

@@ -1,4 +1,4 @@
-"""Shared thread- and process-parallel execution substrate.
+"""Shared thread-parallel execution substrate.
 
 Every thread-parallel hot path of the repository — block-chunked predicate
 scans, Yannakakis weight propagation, statistics building, workload truth
@@ -32,42 +32,16 @@ Error handling mirrors :meth:`EnginePool.run_many`: every span is awaited
 before any failure propagates, so no worker is still writing into shared
 output when the call returns, and secondary failures are attached to the
 first one's message instead of being silently dropped.
-
-:class:`ProcessPool` is the **process-level** sibling for hot paths the GIL
-does throttle — pure-Python featurization loops above all.  It keeps the
-exact same contract (``resolve_worker_count`` budgets, :func:`chunk_spans`
-assignment, span-ordered results, serial fallback below the work threshold,
-await-all error aggregation) but dispatches to spawned worker processes:
-
-* **Spawn, not fork.**  Spawned children start from a clean interpreter, so
-  they do **not** inherit the parent's BLAS thread pools (or its pinning —
-  the environment mutations :func:`repro.utils.bench.pin_blas_threads` makes
-  after child-relevant libraries load would be re-read from scratch anyway).
-  Each worker therefore re-pins BLAS to ``blas_threads`` (one by default)
-  *before* anything numpy-related is unpickled or imported, so N featurizing
-  processes never fan out into N×M BLAS threads.
-* **One-time worker state.**  ``initializer(*initargs)`` runs once per
-  worker after the pins are in place.  The initializer and its arguments are
-  shipped as a single pickled blob and only unpickled *inside* the child
-  after pinning — unpickling is what pulls in numpy-heavy modules, and the
-  pins must land first.  Callables crossing the process boundary (the
-  initializer, tasks, mapped functions) must be module-level (picklable).
-* **Serial fallback stays in-process.**  Below the work threshold (or with a
-  one-worker budget) nothing is spawned at all; the initializer runs lazily
-  once in the parent so task functions see the same one-time state either
-  way.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
 
-__all__ = ["ProcessPool", "WorkerPool", "chunk_spans", "resolve_worker_count"]
+__all__ = ["WorkerPool", "chunk_spans", "resolve_worker_count"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -220,191 +194,6 @@ class WorkerPool:
             executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _process_worker_bootstrap(blas_threads: int, payload: "bytes | None") -> None:
-    """Per-worker one-time setup; runs in the child before any task.
-
-    Order matters: the BLAS pins must be exported before numpy loads in this
-    process, and the user initializer (whose unpickling is typically what
-    first imports numpy) must therefore come second.  This module itself is
-    importable without numpy — keep it that way.
-    """
-    from repro.utils.bench import _BLAS_THREAD_VARIABLES, pin_blas_threads
-
-    if "numpy" in sys.modules:
-        # The spawn machinery re-imported a __main__ that loads numpy (the
-        # benchmark scripts); those scripts pin before their numpy import,
-        # so just make sure the variables exist instead of warning.
-        for variable in _BLAS_THREAD_VARIABLES:
-            os.environ.setdefault(variable, str(blas_threads))
-    else:
-        pin_blas_threads(blas_threads)
-    if payload is not None:
-        initializer, initargs = pickle.loads(payload)
-        initializer(*initargs)
-
-
-def _run_item_chunk(function: Callable, chunk: "list") -> "list":
-    """Apply ``function`` to one contiguous chunk of items (worker side)."""
-    return [function(item) for item in chunk]
-
-
-class ProcessPool:
-    """A bounded *process* pool with the :class:`WorkerPool` dispatch contract.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker budget: ``None`` (serial, the default), ``"auto"`` (CPU
-        count) or a positive integer — exactly :func:`resolve_worker_count`.
-    min_parallel_items:
-        Work threshold below which spans run inline in the parent (a process
-        hand-off costs milliseconds; small batches are cheaper in place).
-    name:
-        Diagnostic label for error messages.
-    initializer, initargs:
-        Optional one-time per-worker setup, run after the worker's BLAS pins
-        are in place.  Must be picklable module-level state; it is shipped
-        as one pickled blob and unpickled only inside the child.
-    blas_threads:
-        BLAS thread count pinned in every worker before numpy loads (1 by
-        default: the processes themselves are the parallelism).
-    """
-
-    def __init__(
-        self,
-        max_workers: "int | str | None" = None,
-        min_parallel_items: int = 2,
-        name: str = "repro-process",
-        initializer: "Callable[..., None] | None" = None,
-        initargs: Sequence[Any] = (),
-        blas_threads: int = 1,
-    ):
-        if min_parallel_items < 1:
-            raise ValueError("min_parallel_items must be >= 1")
-        if blas_threads < 1:
-            raise ValueError("blas_threads must be >= 1")
-        self.max_workers = resolve_worker_count(max_workers)
-        self.min_parallel_items = int(min_parallel_items)
-        self.blas_threads = int(blas_threads)
-        self._name = name
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._executor: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._parent_initialized = False
-
-    # ------------------------------------------------------------------
-    def effective_workers(self, total: int) -> int:
-        """Workers a task of ``total`` items will actually use (>= 1)."""
-        if total < max(self.min_parallel_items, 2):
-            return 1
-        return max(1, min(self.max_workers, total))
-
-    def run_spans(
-        self, total: int, task: Callable[[int, int], _ResultT]
-    ) -> list[_ResultT]:
-        """Run ``task(start, stop)`` over contiguous spans of ``[0, total)``.
-
-        Identical contract to :meth:`WorkerPool.run_spans` — span-ordered
-        results at any worker count — but ``task`` crosses a process
-        boundary and must be a picklable module-level callable whose inputs
-        are fully described by the span indices (worker-side state set up by
-        the pool's ``initializer``).
-        """
-        workers = self.effective_workers(total)
-        spans = chunk_spans(total, workers)
-        if workers == 1:
-            self._ensure_parent_initialized()
-            return [task(start, stop) for start, stop in spans]
-        futures = [self._submit(task, start, stop) for start, stop in spans]
-        return self._gather(futures)
-
-    def map(
-        self, function: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        """``[function(item) for item in items]`` with process-parallel chunks.
-
-        Items are shipped to workers in contiguous pickled chunks, one per
-        worker, and results come back in input order — identical to the
-        serial list comprehension for pure per-item functions.
-        """
-        workers = self.effective_workers(len(items))
-        if workers == 1:
-            self._ensure_parent_initialized()
-            return [function(item) for item in items]
-        spans = chunk_spans(len(items), workers)
-        futures = [
-            self._submit(_run_item_chunk, function, list(items[start:stop]))
-            for start, stop in spans
-        ]
-        chunked = self._gather(futures)
-        return [result for chunk in chunked for result in chunk]
-
-    # ------------------------------------------------------------------
-    def _gather(self, futures: "list") -> "list":
-        results: "list" = [None] * len(futures)
-        errors: list[tuple[int, BaseException]] = []
-        # Await every span before raising (the WorkerPool contract): span
-        # results stay deterministic and secondary diagnostics survive.
-        for position, future in enumerate(futures):
-            try:
-                results[position] = future.result()
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                errors.append((position, error))
-        if errors:
-            first_span, first_error = errors[0]
-            if len(errors) > 1:
-                others = ", ".join(f"span {span}: {error!r}" for span, error in errors[1:])
-                raise RuntimeError(
-                    f"{len(errors)}/{len(futures)} worker spans failed; first "
-                    f"failure on span {first_span}: {first_error!r}; also: {others}"
-                ) from first_error
-            raise first_error
-        return results
-
-    def _ensure_parent_initialized(self) -> None:
-        """Run the one-time initializer in-process for the serial fallback."""
-        if self._initializer is None or self._parent_initialized:
-            return
-        with self._lock:
-            if not self._parent_initialized:
-                self._initializer(*self._initargs)
-                self._parent_initialized = True
-
-    def _submit(self, task, *args):
-        if self._executor is None:
-            with self._lock:
-                if self._executor is None:
-                    import multiprocessing
-
-                    payload = None
-                    if self._initializer is not None:
-                        payload = pickle.dumps(
-                            (self._initializer, self._initargs),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        mp_context=multiprocessing.get_context("spawn"),
-                        initializer=_process_worker_bootstrap,
-                        initargs=(self.blas_threads, payload),
-                    )
-        return self._executor.submit(task, *args)
-
-    def close(self) -> None:
-        """Shut down worker processes (idempotent; the pool stays usable inline)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ProcessPool":
         return self
 
     def __exit__(self, *exc_info) -> None:

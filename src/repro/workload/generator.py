@@ -106,13 +106,6 @@ class WorkloadConfig:
     truth_confidence: float = 0.95
     block_rows: int | None = None
     label_workers: "int | str | None" = None
-    #: Process budget for featurizing the generated workload downstream
-    #: (``None``/``0`` = in-process compiled path, ``"auto"`` = CPU count,
-    #: positive int = that many featurization worker processes).  The
-    #: generator itself never featurizes; consumers (training, experiment
-    #: harnesses) read this knob so one workload config pins the whole
-    #: labeling-and-featurization pipeline.
-    featurize_workers: "int | str | None" = None
 
     def __post_init__(self) -> None:
         if self.num_queries <= 0:
@@ -130,11 +123,6 @@ class WorkloadConfig:
         if self.block_rows is not None and self.block_rows < 1:
             raise ValueError("block_rows must be at least 1 when given")
         resolve_worker_count(self.label_workers)  # validates; raises on junk
-        # Same validation contract as MSCNConfig.featurize_workers (0 is a
-        # valid "serial" budget there, so route through the shared resolver).
-        from repro.core.featurization import _resolve_featurize_workers
-
-        _resolve_featurize_workers(self.featurize_workers)
 
 
 class QueryGenerator:

@@ -1,11 +1,11 @@
-"""Tests of mini-batch padding and masking."""
+"""Tests of the ragged (CSR) containers built from per-query featurizations."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.batching import Batch, collate, iterate_minibatches
+from repro.core.batching import RaggedDataset, iterate_ragged_minibatches
 from repro.core.featurization import FeaturizedQuery
 
 
@@ -18,168 +18,95 @@ def make_featurized(num_tables, num_joins, num_predicates, table_width=3, join_w
     )
 
 
-class TestCollate:
-    def test_pads_to_largest_set_in_batch(self):
-        batch = collate([make_featurized(1, 0, 2), make_featurized(3, 2, 0)])
-        assert batch.table_features.shape == (2, 3, 3)
-        assert batch.join_features.shape == (2, 2, 2)
-        assert batch.predicate_features.shape == (2, 2, 4)
+class TestFromFeaturized:
+    def test_stacks_real_elements_with_offsets(self):
+        dataset = RaggedDataset.from_featurized(
+            [make_featurized(1, 0, 2), make_featurized(3, 2, 0)]
+        )
+        assert dataset.size == len(dataset) == 2
+        assert dataset.tables.features.shape == (4, 3)
+        np.testing.assert_array_equal(dataset.tables.offsets, [0, 1, 4])
+        np.testing.assert_array_equal(dataset.joins.offsets, [0, 0, 2])
+        np.testing.assert_array_equal(dataset.predicates.offsets, [0, 2, 2])
 
-    def test_masks_mark_real_elements(self):
-        batch = collate([make_featurized(1, 0, 2), make_featurized(3, 2, 0)])
-        np.testing.assert_array_equal(batch.table_mask, [[1, 0, 0], [1, 1, 1]])
-        np.testing.assert_array_equal(batch.join_mask, [[0, 0], [1, 1]])
-        np.testing.assert_array_equal(batch.predicate_mask, [[1, 1], [0, 0]])
-
-    def test_padding_rows_are_zero(self):
-        batch = collate([make_featurized(1, 0, 0, fill=7.0), make_featurized(2, 0, 0, fill=7.0)])
-        np.testing.assert_array_equal(batch.table_features[0, 1], np.zeros(3))
-
-    def test_empty_sets_keep_minimum_size_one(self):
-        batch = collate([make_featurized(1, 0, 0)])
-        assert batch.join_features.shape[1] == 1
-        assert batch.join_mask.sum() == 0
+    def test_empty_sets_are_zero_length_segments(self):
+        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0)])
+        assert dataset.joins.features.shape == (0, 2)
+        np.testing.assert_array_equal(dataset.joins.lengths, [0])
+        np.testing.assert_array_equal(dataset.joins.inv_counts, [[1.0]])
 
     def test_labels_and_cardinalities_are_column_vectors(self):
-        batch = collate(
+        dataset = RaggedDataset.from_featurized(
             [make_featurized(1, 0, 0), make_featurized(1, 0, 0)],
             labels=np.array([0.1, 0.2]),
             cardinalities=np.array([10.0, 20.0]),
         )
-        assert batch.labels.shape == (2, 1)
-        assert batch.cardinalities.shape == (2, 1)
-        assert batch.size == 2
+        assert dataset.labels.shape == (2, 1)
+        assert dataset.cardinalities.shape == (2, 1)
 
-    def test_rejects_empty_batch(self):
+    def test_rejects_empty_workload(self):
         with pytest.raises(ValueError):
-            collate([])
+            RaggedDataset.from_featurized([])
 
     def test_rejects_mismatched_label_length(self):
         with pytest.raises(ValueError):
-            collate([make_featurized(1, 0, 0)], labels=np.array([0.1, 0.2]))
+            RaggedDataset.from_featurized(
+                [make_featurized(1, 0, 0)], labels=np.array([0.1, 0.2])
+            )
 
     def test_rejects_mismatched_cardinality_length(self):
         with pytest.raises(ValueError):
-            collate([make_featurized(1, 0, 0)], cardinalities=np.array([1.0, 2.0]))
+            RaggedDataset.from_featurized(
+                [make_featurized(1, 0, 0)], cardinalities=np.array([1.0, 2.0])
+            )
+
+
+class TestTake:
+    def make_dataset(self):
+        featurized = [make_featurized(1, 0, 2, fill=1.0), make_featurized(3, 2, 0, fill=2.0),
+                      make_featurized(2, 1, 1, fill=3.0)]
+        return RaggedDataset.from_featurized(
+            featurized,
+            labels=np.array([0.1, 0.2, 0.3]),
+            cardinalities=np.array([10.0, 20.0, 30.0]),
+        )
+
+    def test_take_gathers_all_sets_and_columns(self):
+        batch = self.make_dataset().take(np.array([2, 0]))
+        assert batch.size == 2
+        np.testing.assert_array_equal(batch.tables.offsets, [0, 2, 3])
+        np.testing.assert_array_equal(batch.tables.features[:, 0], [3.0, 3.0, 1.0])
+        np.testing.assert_array_equal(batch.labels.reshape(-1), [0.3, 0.1])
+        np.testing.assert_array_equal(batch.cardinalities.reshape(-1), [30.0, 10.0])
+
+    def test_one_dimensional_overrides_are_reshaped_to_columns(self):
+        batch = self.make_dataset().take(
+            np.array([0, 1]), labels=np.array([0.5, 0.25]), cardinalities=np.array([5.0, 6.0])
+        )
+        assert batch.labels.shape == (2, 1)
+        assert batch.cardinalities.shape == (2, 1)
+
+    def test_mismatched_override_length_raises(self):
+        with pytest.raises(ValueError):
+            self.make_dataset().take(np.array([0, 1]), labels=np.array([9.0]))
 
 
 class TestMinibatchIteration:
-    def test_covers_all_samples_exactly_once(self):
-        featurized = [make_featurized(1, 0, 0) for _ in range(10)]
-        labels = np.arange(10, dtype=np.float64)
-        cardinalities = np.arange(10, dtype=np.float64) + 1
-        seen = []
-        for batch in iterate_minibatches(featurized, labels, cardinalities, batch_size=3):
-            assert isinstance(batch, Batch)
-            seen.extend(batch.labels.reshape(-1).tolist())
-        assert sorted(seen) == labels.tolist()
-
     def test_shuffles_with_rng(self):
-        featurized = [make_featurized(1, 0, 0) for _ in range(20)]
+        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0) for _ in range(20)])
         labels = np.arange(20, dtype=np.float64)
         cards = labels + 1
         ordered = [b.labels.reshape(-1).tolist() for b in
-                   iterate_minibatches(featurized, labels, cards, batch_size=20)]
+                   iterate_ragged_minibatches(dataset, labels, cards, batch_size=20)]
         shuffled = [b.labels.reshape(-1).tolist() for b in
-                    iterate_minibatches(featurized, labels, cards, batch_size=20,
-                                        rng=np.random.default_rng(1))]
+                    iterate_ragged_minibatches(dataset, labels, cards, batch_size=20,
+                                               rng=np.random.default_rng(1))]
         assert ordered[0] == labels.tolist()
         assert shuffled[0] != labels.tolist()
         assert sorted(shuffled[0]) == labels.tolist()
 
     def test_rejects_non_positive_batch_size(self):
+        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0)])
         with pytest.raises(ValueError):
-            list(iterate_minibatches([make_featurized(1, 0, 0)], np.array([1.0]),
-                                     np.array([1.0]), batch_size=0))
-
-
-class TestFeaturizedDataset:
-    def make_dataset(self):
-        from repro.core.batching import FeaturizedDataset
-
-        featurized = [make_featurized(1, 0, 2), make_featurized(3, 2, 0),
-                      make_featurized(2, 1, 1)]
-        return FeaturizedDataset.from_featurized(
-            featurized,
-            labels=np.array([0.1, 0.2, 0.3]),
-            cardinalities=np.array([10.0, 20.0, 30.0]),
-        ), featurized
-
-    def test_holds_padded_tensors_and_columns(self):
-        dataset, _ = self.make_dataset()
-        assert dataset.size == len(dataset) == 3
-        assert dataset.table_features.shape == (3, 3, 3)
-        assert dataset.labels.shape == (3, 1)
-        assert dataset.cardinalities.shape == (3, 1)
-
-    def test_batch_slices_all_arrays(self):
-        dataset, featurized = self.make_dataset()
-        batch = dataset.batch(np.array([2, 0]))
-        assert batch.size == 2
-        np.testing.assert_array_equal(batch.table_mask, dataset.table_mask[[2, 0]])
-        np.testing.assert_array_equal(batch.labels.reshape(-1), [0.3, 0.1])
-        np.testing.assert_array_equal(batch.cardinalities.reshape(-1), [30.0, 10.0])
-
-    def test_batch_without_indices_returns_everything(self):
-        dataset, _ = self.make_dataset()
-        batch = dataset.batch()
-        assert batch.size == 3
-
-    def test_explicit_labels_override_stored_columns(self):
-        dataset, _ = self.make_dataset()
-        batch = dataset.batch(slice(0, 2), labels=np.array([[9.0], [8.0]]))
-        np.testing.assert_array_equal(batch.labels.reshape(-1), [9.0, 8.0])
-
-    def test_mismatched_override_length_raises(self):
-        dataset, _ = self.make_dataset()
-        with pytest.raises(ValueError):
-            dataset.batch(slice(0, 2), labels=np.array([[9.0]]))
-
-    def test_minibatch_iteration_slices_without_collate(self, monkeypatch):
-        """The dataset fast path never re-pads: collate must not run."""
-        import repro.core.batching as batching
-
-        dataset, _ = self.make_dataset()
-
-        def fail(*args, **kwargs):  # pragma: no cover - assertion helper
-            raise AssertionError("collate() must not be called for a FeaturizedDataset")
-
-        monkeypatch.setattr(batching, "collate", fail)
-        batches = list(
-            batching.iterate_minibatches(
-                dataset,
-                labels=np.array([0.1, 0.2, 0.3]),
-                cardinalities=np.array([10.0, 20.0, 30.0]),
-                batch_size=2,
-            )
-        )
-        assert [b.size for b in batches] == [2, 1]
-        np.testing.assert_array_equal(batches[0].labels.reshape(-1), [0.1, 0.2])
-
-    def test_minibatch_iteration_matches_legacy_path(self):
-        from repro.core.batching import iterate_minibatches
-
-        dataset, featurized = self.make_dataset()
-        labels = np.array([0.1, 0.2, 0.3])
-        cards = np.array([10.0, 20.0, 30.0])
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        fast = list(iterate_minibatches(dataset, labels, cards, 2, rng=rng_a))
-        legacy = list(iterate_minibatches(featurized, labels, cards, 2, rng=rng_b))
-        assert len(fast) == len(legacy)
-        for fast_batch, legacy_batch in zip(fast, legacy):
-            np.testing.assert_array_equal(fast_batch.labels, legacy_batch.labels)
-            max_tables = legacy_batch.table_features.shape[1]
-            np.testing.assert_array_equal(
-                fast_batch.table_features[:, :max_tables], legacy_batch.table_features
-            )
-            assert fast_batch.table_mask[:, max_tables:].sum() == 0
-
-    def test_one_dimensional_overrides_are_reshaped_to_columns(self):
-        """Regression: 1-D overrides (the shape collate() accepts) must come
-        back as (n, 1) columns, not silently broadcast-hostile 1-D arrays."""
-        dataset, _ = self.make_dataset()
-        batch = dataset.batch(slice(0, 2), labels=np.array([0.5, 0.25]),
-                              cardinalities=np.array([5.0, 6.0]))
-        assert batch.labels.shape == (2, 1)
-        assert batch.cardinalities.shape == (2, 1)
+            list(iterate_ragged_minibatches(dataset, np.array([1.0]), np.array([1.0]),
+                                            batch_size=0))

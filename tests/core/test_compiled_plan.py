@@ -1,9 +1,10 @@
 """Tests of the precompiled featurizer plan.
 
-Contracts: the compiled-plan path is bit-identical to the interpreted
-gather for every variant and dtype, unknown vocabulary raises the exact
-legacy errors, the query cache is LRU-bounded, probe bitmaps are shared
-across queries, and plan cache hits keep bitmap-cache observability intact.
+Contracts: unknown vocabulary raises a descriptive ``KeyError``, the query
+cache is LRU-bounded, probe bitmaps are shared across queries, the probe
+matrix is only ever flushed between batches, and plan cache hits keep
+bitmap-cache observability intact.  Bit identity against the per-query
+featurizer is ``test_featurization_oracle.py``.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.db.query import JoinCondition, Operator, Predicate, Query
-
-ALL_VARIANTS = tuple(FeaturizationVariant)
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +27,10 @@ def parts(tiny_database, tiny_samples):
     return encoding, value_normalizer, tiny_samples
 
 
-def make_featurizer(parts, compiled, variant=FeaturizationVariant.BITMAPS,
-                    dtype=np.float64, **kwargs):
+def make_featurizer(parts, variant=FeaturizationVariant.BITMAPS, dtype=np.float64):
     encoding, value_normalizer, samples = parts
     return QueryFeaturizer(
-        encoding, value_normalizer, samples=samples, variant=variant,
-        dtype=dtype, compiled=compiled, **kwargs
+        encoding, value_normalizer, samples=samples, variant=variant, dtype=dtype
     )
 
 
@@ -44,48 +42,52 @@ def assert_ragged_equal(got, reference):
         assert a.offsets.tobytes() == b.offsets.tobytes(), name
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
-    def test_compiled_matches_interpreted(self, parts, tiny_workload, variant, dtype):
-        queries = [Query(tables=("title",))] + [
-            labelled.query for labelled in tiny_workload
-        ]
-        reference = make_featurizer(parts, False, variant, dtype).featurize_ragged(queries)
-        compiled = make_featurizer(parts, True, variant, dtype).featurize_ragged(queries)
-        assert_ragged_equal(compiled, reference)
+class TestProbeFlush:
+    @pytest.mark.parametrize("cap", (2, 8))
+    def test_flush_never_splits_a_batch(self, parts, tiny_workload, cap):
+        """Regression: the probe matrix used to be flushed in the middle of
+        compiling a batch, so probe ids already handed to earlier queries of
+        the batch indexed overwritten bitmap rows."""
+        queries = [labelled.query for labelled in tiny_workload[:60]]
+        featurizer = make_featurizer(parts)
+        featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=cap)
+        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
+        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
+        assert featurizer.plan().num_probes > 4 * cap
+        # The next batch starts with the flush and is just as exact.
+        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
+        assert featurizer.plan()._flushes == 1
 
-    def test_compiled_matches_interpreted_dataset_path(self, parts, tiny_workload):
-        queries = [labelled.query for labelled in tiny_workload]
-        cardinalities = [labelled.cardinality for labelled in tiny_workload]
-        reference = make_featurizer(parts, False).featurize_dataset(
-            queries, cardinalities=cardinalities
+
+class TestElementOrder:
+    def test_reordered_query_is_not_replayed_in_the_cached_order(self, parts):
+        """Regression: the cache is keyed by the order-independent signature,
+        and a query listing the same sets in another order used to replay
+        the first query's element order."""
+        featurizer = make_featurizer(parts)
+        forward = Query(
+            tables=("title", "movie_companies"),
+            joins=(JoinCondition("movie_companies", "movie_id", "title", "id"),),
+            predicates=(
+                Predicate("title", "production_year", Operator.GT, 1990),
+                Predicate("movie_companies", "company_id", Operator.LT, 50),
+            ),
         )
-        compiled = make_featurizer(parts, True).featurize_dataset(
-            queries, cardinalities=cardinalities
-        )
-        for name in (
-            "table_features",
-            "table_mask",
-            "join_features",
-            "join_mask",
-            "predicate_features",
-            "predicate_mask",
-        ):
-            got, want = getattr(compiled, name), getattr(reference, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes(), name
-        np.testing.assert_array_equal(compiled.labels, reference.labels)
+        backward = Query(forward.tables[::-1], forward.joins, forward.predicates[::-1])
+        assert forward.signature() == backward.signature()
+        queries = [forward, backward, forward]
+        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
+        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
 
 
 class TestErrorMessages:
     def test_unknown_table(self, parts):
-        featurizer = make_featurizer(parts, True)
+        featurizer = make_featurizer(parts)
         with pytest.raises(KeyError, match="not part of the encoded schema"):
             featurizer.featurize_ragged([Query(tables=("nonexistent",))])
 
     def test_unknown_column(self, parts, tiny_database):
-        featurizer = make_featurizer(parts, True)
+        featurizer = make_featurizer(parts)
         # Predicates on key columns are not predicable.
         query = Query(
             tables=("title",),
@@ -94,10 +96,38 @@ class TestErrorMessages:
         with pytest.raises(KeyError, match="not a predicable"):
             featurizer.featurize_ragged([query])
 
+    def test_unknown_join(self, parts):
+        featurizer = make_featurizer(parts)
+        query = Query(
+            tables=("title", "movie_companies"),
+            joins=(JoinCondition("movie_companies", "company_id", "title", "id"),),
+        )
+        with pytest.raises(KeyError, match="not part of the encoded schema"):
+            featurizer.featurize_ragged([query])
+
+    def test_empty_workload_raises(self, parts):
+        with pytest.raises(ValueError):
+            make_featurizer(parts).featurize_ragged([])
+
+
+class TestLabelColumns:
+    def test_labels_and_cardinalities_are_column_vectors(self, parts, tiny_workload):
+        featurizer = make_featurizer(parts, FeaturizationVariant.NO_SAMPLES)
+        queries = [labelled.query for labelled in tiny_workload[:4]]
+        dataset = featurizer.featurize_ragged(
+            queries,
+            labels=np.array([0.1, 0.2, 0.3, 0.4]),
+            cardinalities=np.array([1.0, 2.0, 3.0, 4.0]),
+        )
+        assert dataset.labels.shape == (4, 1)
+        assert dataset.cardinalities.shape == (4, 1)
+        with pytest.raises(ValueError):
+            featurizer.featurize_ragged(queries, labels=np.array([0.1]))
+
 
 class TestQueryCache:
     def test_repeat_queries_hit_the_compiled_cache(self, parts, tiny_workload):
-        featurizer = make_featurizer(parts, True)
+        featurizer = make_featurizer(parts)
         queries = [labelled.query for labelled in tiny_workload[:20]]
         featurizer.featurize_ragged(queries)
         plan = featurizer.plan()
@@ -108,9 +138,7 @@ class TestQueryCache:
 
     def test_cache_is_bounded_and_evicts_lru(self, parts, tiny_workload):
         encoding, value_normalizer, samples = parts
-        featurizer = QueryFeaturizer(
-            encoding, value_normalizer, samples=samples, compiled=True
-        )
+        featurizer = QueryFeaturizer(encoding, value_normalizer, samples=samples)
         plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=8)
         queries = [labelled.query for labelled in tiny_workload[:20]]
         for query in queries:
@@ -123,14 +151,14 @@ class TestQueryCache:
         assert plan.cache_hits == hits + 1
 
     def test_invalid_cache_cap_rejected(self, parts):
-        featurizer = make_featurizer(parts, True)
+        featurizer = make_featurizer(parts)
         with pytest.raises(ValueError):
             CompiledFeaturizerPlan(featurizer, max_cached_queries=0)
 
 
 class TestProbeSharing:
     def test_identical_probes_share_one_matrix_row(self, parts):
-        featurizer = make_featurizer(parts, True)
+        featurizer = make_featurizer(parts)
         plan = featurizer.plan()
         # Two distinct queries with the same (table, predicates) probe.
         first = Query(
@@ -150,9 +178,7 @@ class TestProbeSharing:
 
     def test_plan_cache_hits_credit_the_bitmap_cache(self, parts, tiny_workload):
         encoding, value_normalizer, samples = parts
-        featurizer = QueryFeaturizer(
-            encoding, value_normalizer, samples=samples, compiled=True
-        )
+        featurizer = QueryFeaturizer(encoding, value_normalizer, samples=samples)
         queries = [labelled.query for labelled in tiny_workload[:15]]
         featurizer.featurize_ragged(queries)
         hits_before = samples.bitmap_cache_hits

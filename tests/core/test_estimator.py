@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ class TestIntrospectionAndPersistence:
             rtol=1e-9,
         )
 
+    def test_load_ignores_retired_metadata_keys(self, trained_estimator, tiny_database,
+                                                tiny_workload, tmp_path):
+        """Models saved before the padded inference path and the process
+        featurization tier were retired still load, bit-identically."""
+        directory = tmp_path / "older"
+        trained_estimator.save(directory)
+        metadata_path = directory / "metadata.json"
+        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+        metadata["config"]["fused_inference"] = False
+        metadata["config"]["featurize_workers"] = 2
+        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
+        restored = MSCNEstimator.load(directory, tiny_database)
+        queries = [labelled.query for labelled in tiny_workload[:20]]
+        np.testing.assert_array_equal(
+            restored.estimate_many(queries), trained_estimator.estimate_many(queries)
+        )
+
     def test_save_before_fit_raises(self, tiny_database, small_config, tiny_samples, tmp_path):
         estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)
         with pytest.raises(RuntimeError):
@@ -131,14 +150,13 @@ class TestVectorizedServingPath:
     def test_predict_normalized_chunks_by_batch_size(self, trained_estimator, tiny_workload,
                                                      small_config):
         """More queries than config.batch_size must not form one giant batch
-        (regression: the whole list used to be collated unbounded)."""
+        (regression: the whole list used to form one unbounded batch)."""
         queries = [labelled.query for labelled in tiny_workload]
         assert len(queries) > small_config.batch_size
         outputs = trained_estimator.predict_normalized(queries)
         assert outputs.shape == (len(queries),)
         assert ((outputs >= 0.0) & (outputs <= 1.0)).all()
-        # Chunked and single-batch inference agree (masked pooling makes the
-        # padding width irrelevant).
+        # Chunked and single-batch inference agree.
         head = trained_estimator.predict_normalized(queries[: small_config.batch_size])
         np.testing.assert_allclose(outputs[: small_config.batch_size], head, rtol=1e-12)
 

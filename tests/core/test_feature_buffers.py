@@ -1,10 +1,11 @@
 """Tests of the zero-copy featurize-into-buffers serving path.
 
-Contracts: :meth:`QueryFeaturizer.featurize_into` is bit-identical to
-:meth:`featurize_ragged` for every variant, the produced arrays are views
-into the caller's :class:`FeatureBuffers` (no per-micro-batch allocation in
-steady state), buffers grow monotonically and regrow on width/dtype changes,
-and the fused engine consumes the views without copying.
+Contracts: with ``buffers=``, :meth:`QueryFeaturizer.featurize_ragged`
+hands out views into the caller's :class:`FeatureBuffers` (no
+per-micro-batch allocation in steady state), buffers grow monotonically and
+regrow on width/dtype changes, and the fused engine consumes the views
+without copying.  Bit identity against the per-query featurizer, with and
+without buffers, is ``test_featurization_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import FeatureBuffers, QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.db.query import Query
-
-ALL_VARIANTS = tuple(FeaturizationVariant)
-
 
 @pytest.fixture(scope="module")
 def buffer_parts(tiny_database, tiny_samples):
@@ -42,27 +40,11 @@ def workload_queries(tiny_workload):
     return [Query(tables=("title",))] + [labelled.query for labelled in tiny_workload]
 
 
-class TestFeaturizeInto:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_bit_identical_to_featurize_ragged(
-        self, buffer_parts, workload_queries, variant
-    ):
-        featurizer = make_featurizer(buffer_parts, variant)
-        reference = featurizer.featurize_ragged(workload_queries)
-        buffers = FeatureBuffers()
-        into = featurizer.featurize_into(workload_queries, buffers)
-        for name in ("tables", "joins", "predicates"):
-            np.testing.assert_array_equal(
-                getattr(into, name).features, getattr(reference, name).features, err_msg=name
-            )
-            np.testing.assert_array_equal(
-                getattr(into, name).offsets, getattr(reference, name).offsets, err_msg=name
-            )
-
+class TestFeaturizeIntoBuffers:
     def test_dataset_aliases_the_buffers(self, buffer_parts, workload_queries):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        dataset = featurizer.featurize_into(workload_queries, buffers)
+        dataset = featurizer.featurize_ragged(workload_queries, buffers=buffers)
         assert dataset.tables.features.base is buffers._arrays["tables"]
         assert dataset.joins.features.base is buffers._arrays["joins"]
         assert dataset.predicates.features.base is buffers._arrays["predicates"]
@@ -72,12 +54,12 @@ class TestFeaturizeInto:
     ):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        featurizer.featurize_into(workload_queries, buffers)
+        featurizer.featurize_ragged(workload_queries, buffers=buffers)
         backing = dict(buffers._arrays)
         grown_nbytes = buffers.nbytes
         # A smaller batch reuses the same backing arrays ...
         small = workload_queries[:7]
-        dataset = featurizer.featurize_into(small, buffers)
+        dataset = featurizer.featurize_ragged(small, buffers=buffers)
         assert all(buffers._arrays[name] is backing[name] for name in backing)
         assert buffers.nbytes == grown_nbytes
         # ... and its contents are exactly a fresh featurization (stale rows
@@ -91,17 +73,17 @@ class TestFeaturizeInto:
     def test_buffers_grow_monotonically(self, buffer_parts, workload_queries):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        featurizer.featurize_into(workload_queries[:4], buffers)
+        featurizer.featurize_ragged(workload_queries[:4], buffers=buffers)
         small_nbytes = buffers.nbytes
-        featurizer.featurize_into(workload_queries, buffers)
+        featurizer.featurize_ragged(workload_queries, buffers=buffers)
         assert buffers.nbytes > small_nbytes
 
     def test_width_or_dtype_change_reallocates(self, buffer_parts, workload_queries):
         buffers = FeatureBuffers()
         wide = make_featurizer(buffer_parts, FeaturizationVariant.BITMAPS)
         narrow = make_featurizer(buffer_parts, FeaturizationVariant.NO_SAMPLES)
-        wide.featurize_into(workload_queries, buffers)
-        dataset = narrow.featurize_into(workload_queries, buffers)
+        wide.featurize_ragged(workload_queries, buffers=buffers)
+        dataset = narrow.featurize_ragged(workload_queries, buffers=buffers)
         assert dataset.tables.features.shape[1] == narrow.table_feature_width
         reference = narrow.featurize_ragged(workload_queries)
         np.testing.assert_array_equal(dataset.tables.features, reference.tables.features)
@@ -109,24 +91,24 @@ class TestFeaturizeInto:
         float32 = make_featurizer(
             buffer_parts, FeaturizationVariant.NO_SAMPLES, dtype=np.float32
         )
-        dataset = float32.featurize_into(workload_queries, buffers)
+        dataset = float32.featurize_ragged(workload_queries, buffers=buffers)
         assert dataset.tables.features.dtype == np.float32
 
     def test_reset_releases_backing_storage(self, buffer_parts, workload_queries):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        featurizer.featurize_into(workload_queries, buffers)
+        featurizer.featurize_ragged(workload_queries, buffers=buffers)
         assert buffers.nbytes > 0
         buffers.reset()
         assert buffers.nbytes == 0
         # And the buffers keep working after a reset.
-        dataset = featurizer.featurize_into(workload_queries[:3], buffers)
+        dataset = featurizer.featurize_ragged(workload_queries[:3], buffers=buffers)
         assert dataset.size == 3
 
     def test_empty_workload_raises(self, buffer_parts):
         featurizer = make_featurizer(buffer_parts)
         with pytest.raises(ValueError):
-            featurizer.featurize_into([], FeatureBuffers())
+            featurizer.featurize_ragged([], buffers=FeatureBuffers())
 
 
 class TestGrowthPolicy:
@@ -140,9 +122,9 @@ class TestGrowthPolicy:
         buffers = FeatureBuffers()
         # Warm with a tiny batch, then grow to the full workload: the grown
         # featurization must be byte-identical to a fresh allocation.
-        featurizer.featurize_into(workload_queries[:warm_size], buffers)
-        grown = featurizer.featurize_into(workload_queries, buffers)
-        fresh = featurizer.featurize_into(workload_queries, FeatureBuffers())
+        featurizer.featurize_ragged(workload_queries[:warm_size], buffers=buffers)
+        grown = featurizer.featurize_ragged(workload_queries, buffers=buffers)
+        fresh = featurizer.featurize_ragged(workload_queries, buffers=FeatureBuffers())
         for name in ("tables", "joins", "predicates"):
             a, b = getattr(grown, name), getattr(fresh, name)
             assert a.features.tobytes() == b.features.tobytes(), name
@@ -157,12 +139,12 @@ class TestGrowthPolicy:
         batch = workload_queries[:9]
         if oversize_first:
             # Oversized: capacity left over from a much larger batch.
-            featurizer.featurize_into(workload_queries, buffers)
+            featurizer.featurize_ragged(workload_queries, buffers=buffers)
         else:
             # Exact: capacity matches the batch precisely.
-            featurizer.featurize_into(batch, buffers)
-        reused = featurizer.featurize_into(batch, buffers)
-        fresh = featurizer.featurize_into(batch, FeatureBuffers())
+            featurizer.featurize_ragged(batch, buffers=buffers)
+        reused = featurizer.featurize_ragged(batch, buffers=buffers)
+        fresh = featurizer.featurize_ragged(batch, buffers=FeatureBuffers())
         for name in ("tables", "joins", "predicates"):
             a, b = getattr(reused, name), getattr(fresh, name)
             assert a.features.tobytes() == b.features.tobytes(), name
@@ -172,25 +154,25 @@ class TestGrowthPolicy:
     ):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        featurizer.featurize_into(workload_queries, buffers)
+        featurizer.featurize_ragged(workload_queries, buffers=buffers)
         generation = buffers.generation
         peak = buffers.nbytes
         for size in (1, 7, 3):
-            featurizer.featurize_into(workload_queries[:size], buffers)
+            featurizer.featurize_ragged(workload_queries[:size], buffers=buffers)
             assert buffers.nbytes == peak
         assert buffers.generation == generation
 
     def test_generation_advance_resets_capacity(self, buffer_parts, workload_queries):
         featurizer = make_featurizer(buffer_parts)
         buffers = FeatureBuffers()
-        featurizer.featurize_into(workload_queries, buffers)
+        featurizer.featurize_ragged(workload_queries, buffers=buffers)
         peak = buffers.nbytes
         generation = buffers.generation
         buffers.advance_generation()
         assert buffers.generation == generation + 1
         assert buffers.nbytes == 0
         # Post-swap the buffers regrow to fit the new workload only.
-        featurizer.featurize_into(workload_queries[:3], buffers)
+        featurizer.featurize_ragged(workload_queries[:3], buffers=buffers)
         assert 0 < buffers.nbytes < peak
 
     def test_service_swap_advances_the_buffer_generation(

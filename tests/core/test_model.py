@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import collate
+from repro.core.batching import RaggedDataset
 from repro.core.featurization import FeaturizedQuery
 from repro.core.model import MSCN
 from repro.nn.tensor import no_grad
@@ -22,6 +22,10 @@ def make_model(table_width=4, join_width=3, predicate_width=5, hidden=16, poolin
     )
 
 
+def ragged(*featurized):
+    return RaggedDataset.from_featurized(list(featurized))
+
+
 def random_featurized(rng, num_tables, num_joins, num_predicates,
                       table_width=4, join_width=3, predicate_width=5):
     return FeaturizedQuery(
@@ -35,9 +39,9 @@ class TestForward:
     def test_output_shape_and_range(self):
         rng = np.random.default_rng(1)
         model = make_model()
-        batch = collate([random_featurized(rng, 2, 1, 3), random_featurized(rng, 1, 0, 0)])
+        batch = ragged(random_featurized(rng, 2, 1, 3), random_featurized(rng, 1, 0, 0))
         with no_grad():
-            out = model.forward_batch(batch)
+            out = model.forward_ragged(batch)
         assert out.shape == (2, 1)
         assert ((out.numpy() > 0) & (out.numpy() < 1)).all()
 
@@ -57,22 +61,21 @@ class TestForward:
             predicate_features=featurized.predicate_features[::-1].copy(),
         )
         with no_grad():
-            original = model.forward_batch(collate([featurized])).numpy()
-            swapped = model.forward_batch(collate([permuted])).numpy()
+            original = model.forward_ragged(ragged(featurized)).numpy()
+            swapped = model.forward_ragged(ragged(permuted)).numpy()
         np.testing.assert_allclose(original, swapped, atol=1e-12)
 
-    def test_padding_invariance(self):
-        """Adding zero-padded dummy elements (with mask 0) must not change the
-        prediction: a query batched alone and batched next to a larger query
-        must produce the same output."""
+    def test_batch_neighbours_do_not_change_a_prediction(self):
+        """A query batched alone and batched next to a larger query must
+        produce the same output (the paper's padding invariance)."""
         rng = np.random.default_rng(3)
         model = make_model()
         small = random_featurized(rng, 1, 0, 1)
         large = random_featurized(rng, 3, 2, 5)
         with no_grad():
-            alone = model.forward_batch(collate([small])).numpy()[0]
-            padded = model.forward_batch(collate([small, large])).numpy()[0]
-        np.testing.assert_allclose(alone, padded, atol=1e-12)
+            alone = model.forward_ragged(ragged(small)).numpy()[0]
+            batched = model.forward_ragged(ragged(small, large)).numpy()[0]
+        np.testing.assert_allclose(alone, batched, atol=1e-12)
 
     def test_mean_pooling_is_set_size_invariant_for_duplicates(self):
         """With average pooling, duplicating every set element leaves the
@@ -87,10 +90,10 @@ class TestForward:
             predicate_features=np.vstack([base.predicate_features, base.predicate_features]),
         )
         with no_grad():
-            mean_base = mean_model.forward_batch(collate([base])).numpy()
-            mean_doubled = mean_model.forward_batch(collate([doubled])).numpy()
-            sum_base = sum_model.forward_batch(collate([base])).numpy()
-            sum_doubled = sum_model.forward_batch(collate([doubled])).numpy()
+            mean_base = mean_model.forward_ragged(ragged(base)).numpy()
+            mean_doubled = mean_model.forward_ragged(ragged(doubled)).numpy()
+            sum_base = sum_model.forward_ragged(ragged(base)).numpy()
+            sum_doubled = sum_model.forward_ragged(ragged(doubled)).numpy()
         np.testing.assert_allclose(mean_base, mean_doubled, atol=1e-12)
         assert not np.allclose(sum_base, sum_doubled, atol=1e-6)
 
@@ -99,7 +102,7 @@ class TestForward:
         model = make_model()
         featurized = random_featurized(rng, 1, 0, 0)
         with no_grad():
-            out = model.forward_batch(collate([featurized])).numpy()
+            out = model.forward_ragged(ragged(featurized)).numpy()
         assert np.isfinite(out).all()
 
     def test_different_inputs_produce_different_outputs(self):
@@ -108,7 +111,7 @@ class TestForward:
         first = random_featurized(rng, 2, 1, 2)
         second = random_featurized(rng, 2, 1, 2)
         with no_grad():
-            outputs = model.forward_batch(collate([first, second])).numpy()
+            outputs = model.forward_ragged(ragged(first, second)).numpy()
         assert abs(outputs[0, 0] - outputs[1, 0]) > 1e-9
 
 
@@ -116,8 +119,8 @@ class TestTraining:
     def test_gradients_flow_to_every_parameter(self):
         rng = np.random.default_rng(7)
         model = make_model(hidden=8)
-        batch = collate([random_featurized(rng, 2, 1, 3), random_featurized(rng, 1, 0, 1)])
-        out = model.forward_batch(batch)
+        batch = ragged(random_featurized(rng, 2, 1, 3), random_featurized(rng, 1, 0, 1))
+        out = model.forward_ragged(batch)
         (out * out).sum().backward()
         for name, parameter in model.named_parameters():
             assert parameter.grad is not None, f"no gradient for {name}"
@@ -133,8 +136,8 @@ class TestTraining:
         source = make_model()
         target = MSCN(4, 3, 5, hidden_units=16, rng=np.random.default_rng(99))
         target.load_state_dict(source.state_dict())
-        batch = collate([random_featurized(rng, 2, 2, 2)])
+        batch = ragged(random_featurized(rng, 2, 2, 2))
         with no_grad():
-            np.testing.assert_allclose(
-                source.forward_batch(batch).numpy(), target.forward_batch(batch).numpy()
+            np.testing.assert_array_equal(
+                source.forward_ragged(batch).numpy(), target.forward_ragged(batch).numpy()
             )

@@ -2,10 +2,10 @@
 
 The contracts under test:
 
-* in float64, the ragged autograd path (``MSCN.forward_ragged``) and the
-  graph-free :class:`~repro.core.inference.InferenceEngine` are
-  **bit-identical** to the padded masked-pooling path, for all three
-  featurization variants, including empty join/predicate sets;
+* in float64, the graph-free :class:`~repro.core.inference.InferenceEngine`
+  is **bit-identical** to the ragged autograd forward (``MSCN.forward_ragged``)
+  for all three featurization variants and both poolings, including empty
+  join/predicate sets;
 * in float32, the fused path stays within single-precision tolerance of the
   float64 reference and preserves the q-error ranking of a seeded workload;
 * the ragged containers (gather, slice, minibatch iteration) are faithful
@@ -20,10 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.batching import (
-    FeaturizedDataset,
     RaggedDataset,
     as_ragged_dataset,
-    collate,
     iterate_ragged_minibatches,
 )
 from repro.core.config import FeaturizationVariant, MSCNConfig
@@ -75,38 +73,6 @@ def make_model(featurizer, dtype=np.float64, pooling="mean", hidden=24):
 
 
 class TestRaggedFeaturization:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_ragged_matches_padded_real_elements(
-        self, featurizer_parts, workload_queries, variant
-    ):
-        """featurize_ragged emits exactly the real rows of the padded layout,
-        in the same order, with identical offsets."""
-        featurizer = make_featurizer(featurizer_parts, variant)
-        padded = featurizer.featurize_dataset(workload_queries)
-        ragged = featurizer.featurize_ragged(workload_queries)
-        stripped = padded.to_ragged()
-        for name in ("tables", "joins", "predicates"):
-            np.testing.assert_array_equal(
-                getattr(ragged, name).features, getattr(stripped, name).features, err_msg=name
-            )
-            np.testing.assert_array_equal(
-                getattr(ragged, name).offsets, getattr(stripped, name).offsets, err_msg=name
-            )
-
-    def test_ragged_from_featurized_matches_vectorized(
-        self, featurizer_parts, workload_queries
-    ):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        vectorized = featurizer.featurize_ragged(workload_queries)
-        legacy = RaggedDataset.from_featurized(featurizer.featurize_many(workload_queries))
-        for name in ("tables", "joins", "predicates"):
-            np.testing.assert_array_equal(
-                getattr(vectorized, name).features, getattr(legacy, name).features
-            )
-            np.testing.assert_array_equal(
-                getattr(vectorized, name).offsets, getattr(legacy, name).offsets
-            )
-
     def test_empty_workload_raises(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         with pytest.raises(ValueError):
@@ -116,29 +82,15 @@ class TestRaggedFeaturization:
 class TestFloat64BitIdentity:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("pooling", ["mean", "sum"])
-    def test_ragged_forward_bit_identical_to_padded(
+    def test_fused_engine_bit_identical_to_forward_ragged(
         self, featurizer_parts, workload_queries, variant, pooling
     ):
         featurizer = make_featurizer(featurizer_parts, variant)
         model = make_model(featurizer, pooling=pooling)
-        padded = featurizer.featurize_dataset(workload_queries)
-        ragged = featurizer.featurize_ragged(workload_queries)
-        with no_grad():
-            reference = model.forward_batch(padded.batch()).numpy()
-            via_ragged = model.forward_ragged(ragged).numpy()
-        np.testing.assert_array_equal(reference, via_ragged)
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_fused_engine_bit_identical_to_padded(
-        self, featurizer_parts, workload_queries, variant
-    ):
-        featurizer = make_featurizer(featurizer_parts, variant)
-        model = make_model(featurizer)
-        padded = featurizer.featurize_dataset(workload_queries)
         ragged = featurizer.featurize_ragged(workload_queries)
         engine = InferenceEngine(model, dtype=np.float64)
         with no_grad():
-            reference = model.forward_batch(padded.batch()).numpy().reshape(-1)
+            reference = model.forward_ragged(ragged).numpy().reshape(-1)
         np.testing.assert_array_equal(reference, engine.run(ragged))
 
     def test_engine_handles_empty_sets_and_single_queries(
@@ -152,11 +104,7 @@ class TestFloat64BitIdentity:
         assert ragged.joins.features.shape[0] == 0
         assert ragged.predicates.features.shape[0] == 0
         with no_grad():
-            reference = (
-                model.forward_batch(collate(featurizer.featurize_many(queries)))
-                .numpy()
-                .reshape(-1)
-            )
+            reference = model.forward_ragged(ragged).numpy().reshape(-1)
         np.testing.assert_array_equal(reference, engine.run(ragged))
 
     def test_refresh_is_atomic_under_concurrent_runs(
@@ -298,8 +246,6 @@ class TestFloat32FusedPath:
         )
         ragged = featurizer.featurize_ragged(workload_queries)
         assert ragged.tables.features.dtype == np.float32
-        padded = featurizer.featurize_dataset(workload_queries)
-        assert padded.table_features.dtype == np.float32
         model = make_model(featurizer, dtype=np.float32)
         assert all(p.data.dtype == np.float32 for p in model.parameters())
         engine = InferenceEngine(model, dtype=np.float32)
@@ -332,33 +278,14 @@ class TestRaggedContainers:
         np.testing.assert_array_equal(chunk.tables.features, reference.tables.features)
         np.testing.assert_array_equal(chunk.predicates.offsets, reference.predicates.offsets)
 
-    def test_to_padded_roundtrip_is_bit_identical(
-        self, featurizer_parts, workload_queries
-    ):
-        """ragged -> padded re-padding reproduces the direct padded arrays
-        (the legacy inference fallback consumes ragged serving datasets)."""
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        direct = featurizer.featurize_dataset(workload_queries)
-        roundtrip = featurizer.featurize_ragged(workload_queries).to_padded()
-        for attribute in (
-            "table_features", "table_mask", "join_features",
-            "join_mask", "predicate_features", "predicate_mask",
-        ):
-            np.testing.assert_array_equal(
-                getattr(direct, attribute), getattr(roundtrip, attribute), err_msg=attribute
-            )
-
-    def test_as_ragged_dataset_roundtrip_through_padded(
+    def test_as_ragged_dataset_accepts_both_containers(
         self, featurizer_parts, workload_queries
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        padded = featurizer.featurize_dataset(workload_queries)
-        ragged = as_ragged_dataset(padded)
-        direct = featurizer.featurize_ragged(workload_queries)
-        np.testing.assert_array_equal(
-            ragged.predicates.features, direct.predicates.features
-        )
+        ragged = featurizer.featurize_ragged(workload_queries)
         assert as_ragged_dataset(ragged) is ragged
+        stacked = as_ragged_dataset(featurizer.featurize_many(workload_queries))
+        np.testing.assert_array_equal(stacked.predicates.features, ragged.predicates.features)
 
     def test_ragged_minibatches_cover_all_queries_once(
         self, featurizer_parts, workload_queries
@@ -437,36 +364,31 @@ class TestSegmentOps:
 
 
 class TestPrecomputedPoolingAux:
-    def test_dataset_batches_carry_inverse_counts(self, featurizer_parts, workload_queries):
+    def test_ragged_sets_carry_inverse_counts(self, featurizer_parts, workload_queries):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        dataset = featurizer.featurize_dataset(workload_queries)
-        batch = dataset.batch(np.arange(8))
-        assert batch.table_inv_counts is not None
-        counts = np.maximum(batch.table_mask.sum(axis=1, keepdims=True), 1.0)
-        np.testing.assert_array_equal(batch.table_inv_counts, 1.0 / counts)
+        ragged = featurizer.featurize_ragged(workload_queries)
+        for ragged_set in (ragged.tables, ragged.joins, ragged.predicates):
+            expected = 1.0 / np.maximum(np.diff(ragged_set.offsets), 1.0)
+            np.testing.assert_array_equal(ragged_set.inv_counts.reshape(-1), expected)
 
-    def test_precomputed_counts_do_not_change_predictions(
-        self, featurizer_parts, workload_queries
-    ):
-        """forward_batch over a dataset batch (with cached reciprocal counts)
-        is bit-identical to a freshly collated batch (without them)."""
+    def test_precomputed_counts_do_not_change_pooling(self, featurizer_parts, workload_queries):
+        """segment_mean with the cached reciprocal counts is bit-identical to
+        deriving them from the offsets on every call."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_dataset(workload_queries)
-        legacy_batch = collate(featurizer.featurize_many(workload_queries))
-        assert legacy_batch.table_inv_counts is None
-        with no_grad():
-            with_aux = model.forward_batch(dataset.batch()).numpy()
-            without_aux = model.forward_batch(legacy_batch).numpy()
-        np.testing.assert_array_equal(with_aux, without_aux)
+        predicates = featurizer.featurize_ragged(workload_queries).predicates
+        values = Tensor(predicates.features)
+        np.testing.assert_array_equal(
+            segment_mean(values, predicates.offsets, predicates.inv_counts).numpy(),
+            segment_mean(values, predicates.offsets).numpy(),
+        )
 
 
 class TestServingConsistency:
-    def test_fused_and_padded_paths_agree_in_float64(
+    def test_estimate_many_matches_forward_ragged_in_float64(
         self, tiny_database, tiny_samples, tiny_workload
     ):
-        """estimate_many through the fused ragged engine is bit-identical to
-        the legacy padded no_grad path when both run in float64."""
+        """estimate_many through the fused engine is bit-identical to the
+        autograd forward pass when both run in float64."""
         config = MSCNConfig(
             hidden_units=24, epochs=8, batch_size=32, num_samples=50, seed=17,
             dtype="float64",
@@ -475,17 +397,19 @@ class TestServingConsistency:
         estimator.fit(tiny_workload)
         queries = [labelled.query for labelled in tiny_workload]
         fused = estimator.estimate_many(queries)
-        padded_dataset = estimator.featurizer.featurize_dataset(queries)
-        legacy = estimator._trainer.predict(padded_dataset, fused=False)
-        np.testing.assert_array_equal(fused, legacy)
+        with no_grad():
+            normalized = estimator._model.forward_ragged(
+                estimator.featurizer.featurize_ragged(queries)
+            )
+        reference = estimator._normalizer.denormalize(normalized.numpy().reshape(-1))
+        np.testing.assert_array_equal(fused, reference)
 
     def test_predictions_are_float64_regardless_of_compute_dtype(
         self, tiny_database, tiny_samples, tiny_workload
     ):
         """The float32 engine computes in single precision internally, but
-        the prediction APIs hand callers float64 — the dtype the padded
-        serving path always returned (the regression was float32 arrays
-        leaking out of the fused path)."""
+        the prediction APIs hand callers float64 (the regression was float32
+        arrays leaking out of the fused path)."""
         config = MSCNConfig(
             hidden_units=16, epochs=2, batch_size=32, num_samples=50, seed=19,
             dtype="float32",
@@ -496,12 +420,10 @@ class TestServingConsistency:
         dataset = estimator.serving_dataset(queries)
         # The engine itself stays in its compute dtype ...
         assert estimator._trainer.engine().run(dataset).dtype == np.float32
-        # ... but every caller-facing boundary is float64, fused and padded.
+        # ... but every caller-facing boundary is float64.
         assert estimator.estimate_many(queries).dtype == np.float64
         assert estimator.predict_normalized(queries).dtype == np.float64
         assert estimator.estimate_featurized(dataset).dtype == np.float64
-        padded = estimator.featurizer.featurize_dataset(queries)
-        assert estimator._trainer.predict(padded, fused=False).dtype == np.float64
         estimates, timing = estimator.timed_estimate_many(queries)
         assert estimates.dtype == np.float64
         assert timing.num_queries == len(queries)

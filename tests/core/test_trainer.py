@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import collate
+from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import QueryFeaturizer
@@ -118,12 +118,12 @@ class TestLossVariants:
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=1, batch_size=4, seed=7, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        batch = collate(
+        batch = RaggedDataset.from_featurized(
             features[:4],
             labels=trainer.normalizer.normalize(cardinalities[:4]),
             cardinalities=cardinalities[:4],
         )
-        predictions = trainer.model.forward_batch(batch)
+        predictions = trainer.model.forward_ragged(batch)
         loss = trainer._loss(predictions, batch)
         expected = q_error_loss(
             trainer._denormalize_tensor(predictions), Tensor(batch.cardinalities)
@@ -163,20 +163,18 @@ class TestTrainingModeHandling:
 class TestDatasetTrainingPath:
     def test_training_from_dataset_matches_legacy_features(self, training_setup):
         featurizer, features, cardinalities = training_setup
-        from repro.core.batching import FeaturizedDataset
-
         config = MSCNConfig(hidden_units=16, epochs=5, batch_size=32, seed=9, num_samples=50)
         legacy_trainer = build_trainer(featurizer, cardinalities, config)
         legacy_result = legacy_trainer.train(features[:64], cardinalities[:64])
 
-        dataset = FeaturizedDataset.from_featurized(features[:64])
+        dataset = RaggedDataset.from_featurized(features[:64])
         dataset_trainer = build_trainer(featurizer, cardinalities, config)
         dataset_result = dataset_trainer.train(dataset, cardinalities[:64])
 
         np.testing.assert_allclose(
             legacy_result.train_loss_history, dataset_result.train_loss_history, rtol=1e-12
         )
-        subset = FeaturizedDataset.from_batch(dataset.batch(np.arange(10)))
+        subset = dataset.take(np.arange(10))
         np.testing.assert_allclose(
             legacy_trainer.predict(features[:10]),
             dataset_trainer.predict(subset),

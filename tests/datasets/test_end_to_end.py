@@ -15,6 +15,7 @@ from repro.core.config import MSCNConfig
 from repro.core.estimator import MSCNEstimator
 from repro.datasets import registered_datasets
 from repro.db.sampling import MaterializedSamples
+from repro.nn.tensor import no_grad
 from repro.serving import EstimationService, ServiceConfig
 from repro.workload.generator import generate_training_workload
 
@@ -34,23 +35,26 @@ def trained_scenario(request):
 
 
 class TestTrainServeRoundTrip:
-    def test_fused_inference_answers_the_workload(self, trained_scenario):
+    def test_fused_engine_answers_the_workload(self, trained_scenario):
         spec, estimator, workload = trained_scenario
-        assert estimator.config.fused_inference  # the serving default
         queries = [labelled.query for labelled in workload]
         estimates = estimator.estimate_many(queries)
         assert estimates.shape == (len(queries),)
         assert np.isfinite(estimates).all()
         assert (estimates >= 1.0).all()
 
-    def test_fused_matches_padded_inference(self, trained_scenario):
+    def test_fused_matches_autograd_forward(self, trained_scenario):
         spec, estimator, workload = trained_scenario
         queries = [labelled.query for labelled in workload[:40]]
         fused = estimator.estimate_many(queries)
-        padded = estimator._trainer.predict(
-            estimator.featurizer.featurize_dataset(queries), fused=False
+        with no_grad():
+            normalized = estimator._model.forward_ragged(
+                estimator.featurizer.featurize_ragged(queries)
+            )
+        reference = estimator._normalizer.denormalize(
+            normalized.numpy().reshape(-1).astype(np.float64)
         )
-        np.testing.assert_allclose(fused, padded, rtol=1e-4)
+        np.testing.assert_allclose(fused, reference, rtol=1e-4)
 
     def test_serving_round_trip_matches_estimator(self, trained_scenario):
         spec, estimator, workload = trained_scenario

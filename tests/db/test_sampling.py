@@ -128,21 +128,6 @@ class TestBitmapCache:
         bitmap[:] = False  # mutating the returned array must not poison the cache
         assert samples.bitmap("fact", []).sum() == 10
 
-    def test_bitmaps_many_matches_single_probes(self, two_table_database):
-        samples = MaterializedSamples(two_table_database, sample_size=30, seed=1)
-        probes = [
-            ("fact", (Predicate("fact", "value", Operator.GT, 6),)),
-            ("dim", (Predicate("dim", "category", Operator.EQ, 10),)),
-            ("fact", (Predicate("fact", "value", Operator.GT, 6),)),
-        ]
-        stacked = samples.bitmaps_many(probes)
-        assert stacked.shape == (3, 30)
-        assert stacked.dtype == bool
-        for row, (table, predicates) in zip(stacked, probes):
-            np.testing.assert_array_equal(row, samples.bitmap(table, predicates))
-        # The duplicate third probe was deduplicated within the batch.
-        assert samples.bitmap_cache_misses == 2
-
     def test_clear_resets_cache_and_counters(self, two_table_database):
         samples = MaterializedSamples(two_table_database, sample_size=30, seed=1)
         samples.bitmap("fact", [])

@@ -1,75 +1,31 @@
-"""Tests of the masked set-pooling primitives."""
+"""Tests of the set-pooling primitives and activation aliases."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.functional import masked_mean, masked_sum, relu, sigmoid
+from repro.nn.functional import relu, segment_mean, sigmoid
 from repro.nn.tensor import Tensor
 
 
-class TestMaskedMean:
-    def test_ignores_padded_elements(self):
-        values = np.zeros((1, 3, 2))
-        values[0, 0] = [2.0, 4.0]
-        values[0, 1] = [4.0, 8.0]
-        values[0, 2] = [100.0, 100.0]  # padding; must not contribute
-        mask = np.array([[1.0, 1.0, 0.0]])
-        result = masked_mean(Tensor(values), mask).numpy()
-        np.testing.assert_allclose(result, [[3.0, 6.0]])
-
-    def test_empty_set_produces_zero_vector(self):
-        values = np.ones((2, 3, 4))
-        mask = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        result = masked_mean(Tensor(values), mask).numpy()
-        np.testing.assert_allclose(result[0], np.ones(4))
-        np.testing.assert_allclose(result[1], np.zeros(4))
-
-    def test_accepts_three_dimensional_mask(self):
-        values = np.ones((1, 2, 3))
-        mask = np.ones((1, 2, 1))
-        result = masked_mean(Tensor(values), mask).numpy()
-        np.testing.assert_allclose(result, np.ones((1, 3)))
-
-    def test_rejects_mismatched_mask(self):
-        with pytest.raises(ValueError):
-            masked_mean(Tensor(np.ones((2, 3, 4))), np.ones((2, 5)))
-
-    def test_gradient_only_flows_through_real_elements(self):
-        values = Tensor(np.ones((1, 3, 2)), requires_grad=True)
-        mask = np.array([[1.0, 1.0, 0.0]])
-        masked_mean(values, mask).sum().backward()
-        assert values.grad is not None
-        np.testing.assert_allclose(values.grad[0, 2], [0.0, 0.0])
-        np.testing.assert_allclose(values.grad[0, 0], [0.5, 0.5])
-
+class TestSegmentMean:
     @given(
-        st.integers(1, 4),
-        st.integers(1, 5),
+        st.lists(st.integers(0, 5), min_size=1, max_size=4),
         st.integers(1, 3),
         st.integers(0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_manual_average(self, batch, set_size, width, seed):
+    def test_matches_manual_average(self, lengths, width, seed):
         rng = np.random.default_rng(seed)
-        values = rng.normal(size=(batch, set_size, width))
-        mask = (rng.random((batch, set_size)) < 0.7).astype(np.float64)
-        result = masked_mean(Tensor(values), mask).numpy()
-        for row in range(batch):
-            real = values[row][mask[row] > 0]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        values = rng.normal(size=(offsets[-1], width))
+        result = segment_mean(Tensor(values), offsets).numpy()
+        for segment in range(len(lengths)):
+            real = values[offsets[segment] : offsets[segment + 1]]
             expected = real.mean(axis=0) if len(real) else np.zeros(width)
-            np.testing.assert_allclose(result[row], expected, atol=1e-10)
-
-
-class TestMaskedSum:
-    def test_sums_only_real_elements(self):
-        values = np.arange(6, dtype=np.float64).reshape(1, 3, 2)
-        mask = np.array([[1.0, 0.0, 1.0]])
-        result = masked_sum(Tensor(values), mask).numpy()
-        np.testing.assert_allclose(result, [[0 + 4, 1 + 5]])
+            np.testing.assert_allclose(result[segment], expected, atol=1e-10)
 
 
 class TestActivationAliases:

@@ -8,58 +8,11 @@ on parallel == serial without consumer-specific reasoning.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
 
-from repro.utils.parallel import (
-    ProcessPool,
-    WorkerPool,
-    chunk_spans,
-    resolve_worker_count,
-)
-
-# ---------------------------------------------------------------------------
-# Module-level helpers: ProcessPool ships work to spawn children by qualified
-# name, so everything submitted must be importable (no lambdas/closures).
-# ---------------------------------------------------------------------------
-
-_WORKER_TAG = None
-
-
-def _square(x):
-    return x * x
-
-
-def _raise_on_low(item):
-    if item < 10:
-        raise ValueError(f"item {item} failed")
-    return item
-
-
-def _set_worker_tag(value):
-    global _WORKER_TAG
-    _WORKER_TAG = value
-
-
-def _read_worker_tag(_item):
-    return _WORKER_TAG
-
-
-def _read_blas_environment(_item):
-    from repro.utils.bench import _BLAS_THREAD_VARIABLES
-
-    return {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
-
-
-def _numpy_in_worker(_item):
-    # numpy was not imported before the bootstrap pinned the BLAS env, so
-    # the pin is effective for any numpy the worker loads afterwards.
-    import numpy as np
-
-    return float(np.ones(4).sum())
-
+from repro.utils.parallel import WorkerPool, chunk_spans, resolve_worker_count
 
 class TestResolveWorkerCount:
     def test_none_means_serial(self):
@@ -195,85 +148,3 @@ class TestWorkerPool:
                 len(items), lambda s, e: sum(items[s:e])
             )
         assert sum(chunked) == sum(items)
-
-
-class TestProcessPool:
-    """The process tier mirrors the WorkerPool contract across processes."""
-
-    def test_map_preserves_input_order(self):
-        items = list(range(50))
-        with ProcessPool(2, min_parallel_items=1) as pool:
-            assert pool.map(_square, items) == [x * x for x in items]
-
-    def test_serial_budget_runs_inline(self):
-        pool = ProcessPool(None)
-        assert pool.map(_square, list(range(20))) == [x * x for x in range(20)]
-        assert pool._executor is None, "no processes spawned for serial work"
-
-    def test_single_worker_runs_inline(self):
-        # One child would be pure IPC overhead for zero parallelism.
-        pool = ProcessPool(1, min_parallel_items=1)
-        assert pool.effective_workers(1000) == 1
-        assert pool.map(_square, list(range(20))) == [x * x for x in range(20)]
-        assert pool._executor is None
-
-    def test_small_work_runs_inline(self):
-        pool = ProcessPool(4, min_parallel_items=100)
-        assert pool.map(_square, list(range(5))) == [x * x for x in range(5)]
-        assert pool._executor is None
-
-    def test_run_spans_returns_in_span_order(self):
-        with ProcessPool(2, min_parallel_items=1) as pool:
-            spans = pool.run_spans(17, _span_identity)
-        assert spans == sorted(spans)
-        assert spans[0][0] == 0 and spans[-1][1] == 17
-
-    def test_errors_aggregate_with_span_context(self):
-        with ProcessPool(2, min_parallel_items=1) as pool:
-            with pytest.raises(RuntimeError, match=r"worker spans failed"):
-                pool.map(_raise_on_low, list(range(8)))
-
-    def test_initializer_runs_in_every_worker(self):
-        with ProcessPool(
-            2, min_parallel_items=1, initializer=_set_worker_tag, initargs=("ready",)
-        ) as pool:
-            tags = pool.map(_read_worker_tag, list(range(8)))
-        assert set(tags) == {"ready"}
-
-    def test_initializer_runs_in_parent_for_serial_fallback(self):
-        global _WORKER_TAG
-        _WORKER_TAG = None
-        pool = ProcessPool(
-            None, initializer=_set_worker_tag, initargs=("inline",)
-        )
-        assert pool.map(_read_worker_tag, [0]) == ["inline"]
-        assert _WORKER_TAG == "inline"
-        _WORKER_TAG = None
-
-    def test_close_is_idempotent_and_pool_stays_usable(self):
-        pool = ProcessPool(2, min_parallel_items=1)
-        assert pool.map(_square, list(range(8))) == [x * x for x in range(8)]
-        pool.close()
-        pool.close()
-        assert pool.map(_square, list(range(8))) == [x * x for x in range(8)]
-        pool.close()
-
-    @pytest.mark.parametrize("junk", [0, -1, 2.5, "fast", True, False])
-    def test_junk_worker_budget_rejected(self, junk):
-        with pytest.raises(ValueError):
-            ProcessPool(junk)
-
-    def test_workers_pin_blas_threads(self):
-        # Spawn children do not inherit the parent's lazy pinning; the
-        # bootstrap must pin before any numpy import in the child.
-        with ProcessPool(2, min_parallel_items=1) as pool:
-            environments = pool.map(_read_blas_environment, list(range(4)))
-            # numpy remains importable and functional under the pin.
-            sums = pool.map(_numpy_in_worker, list(range(4)))
-        for environment in environments:
-            assert all(value == "1" for value in environment.values()), environment
-        assert sums == [4.0] * 4
-
-
-def _span_identity(start, stop):
-    return (start, stop)
