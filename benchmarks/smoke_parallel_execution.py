@@ -1,16 +1,14 @@
-"""CI smoke test of the parallel execution tier (scans, labeling, reuse).
+"""CI smoke test of concurrent truth labeling and executor scan reuse.
 
 Exercises the :class:`~repro.utils.parallel.WorkerPool` substrate end to end
-through its three database-side consumers:
+through its one database-side consumer, plus the executor's scan memo:
 
-* **Bit-identity** — block-parallel COUNT(*) scans, sampled labels and table
-  statistics equal the serial whole-array path exactly, at several worker
-  counts and block sizes (holds on any core count).
-* **Labeling throughput floor** — on runners with >= 4 cores, concurrent
-  truth labeling (``WorkloadConfig.label_workers``) must sustain at least
-  ``MIN_LABELING_SPEEDUP`` the serial labeling throughput *with identical
-  output*.  On smaller hosts (including 1-core containers) the floor degrades
-  to "no pathological slowdown".
+* **Labeling identity and throughput floor** — concurrent truth labeling
+  (``WorkloadConfig.label_workers``) must generate exactly the serial
+  workload, and on runners with >= 4 cores sustain at least
+  ``MIN_LABELING_SPEEDUP`` the serial labeling throughput.  On smaller hosts
+  (including 1-core containers) the floor degrades to "no pathological
+  slowdown".
 * **Scan reuse** — plan-enumeration-style sub-plan fan-outs must serve most
   base-table scans from the per-predicate-set memo, and memoized counts must
   equal fresh executions.
@@ -43,7 +41,6 @@ from pathlib import Path
 
 from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
 from repro.db.executor import CardinalityExecutor
-from repro.db.statistics import TableStatistics
 from repro.utils.bench import write_bench_json
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 
@@ -88,34 +85,6 @@ def main() -> int:
         )
     )
 
-    # --- bit-identity: parallel scans == serial, everywhere ---------------
-    probe_generator = QueryGenerator(
-        database, WorkloadConfig(num_queries=30, max_joins=3, seed=23)
-    )
-    probe_queries = [probe_generator._draw_query() for _ in range(30)]
-    reference_executor = CardinalityExecutor(database)
-    reference_counts = [reference_executor.execute(q) for q in probe_queries]
-    for max_workers in (2, cores or 2):
-        for block_rows in (512, 4096):
-            executor = CardinalityExecutor(
-                database, block_rows=block_rows, max_workers=max_workers
-            )
-            counts = [executor.execute(q) for q in probe_queries]
-            assert counts == reference_counts, (
-                f"parallel scan diverged at workers={max_workers}, "
-                f"block_rows={block_rows}"
-            )
-    table = database.table("movie_companies")
-    serial_stats = TableStatistics.from_table(table)
-    parallel_stats = TableStatistics.from_table(
-        table, block_rows=512, max_workers=max(cores, 2)
-    )
-    for name in table.schema.column_names:
-        expected, got = serial_stats.column(name), parallel_stats.column(name)
-        assert (got.num_distinct, got.minimum, got.maximum) == (
-            expected.num_distinct, expected.minimum, expected.maximum,
-        ), f"parallel statistics diverged on column {name}"
-
     # --- labeling throughput: serial vs pooled, identical output ----------
     base_config = WorkloadConfig(num_queries=80, max_joins=2, seed=11)
     serial_rate, serial_workload = best_labeling_rate(database, base_config)
@@ -142,6 +111,10 @@ def main() -> int:
         )
 
     # --- scan reuse across sub-plan fan-outs ------------------------------
+    probe_generator = QueryGenerator(
+        database, WorkloadConfig(num_queries=30, max_joins=3, seed=23)
+    )
+    probe_queries = [probe_generator._draw_query() for _ in range(30)]
     reuse_executor = CardinalityExecutor(
         database, cache_capacity=4096, scan_cache_capacity=256
     )
@@ -161,12 +134,10 @@ def main() -> int:
     )
 
     report = "\n".join([
-        f"parallel execution smoke ({cores} cores, BLAS pinned to 1 thread):",
+        f"concurrent labeling + scan reuse smoke ({cores} cores, BLAS pinned to 1 thread):",
         f"  serial labeling             : {serial_rate:>8.1f} labels/s",
         f"  pooled labeling (x{workers})       : {parallel_rate:>8.1f} labels/s "
         f"({speedup:.2f}x, {floor_note})",
-        f"  block-parallel scans        : bit-identical over "
-        f"{len(probe_queries)} queries x {{512, 4096}} block rows",
         f"  sub-plan scan reuse         : {100 * reuse_rate:.0f}% of "
         f"{scan_lookups} scans memo-served over {subplans} sub-plans",
     ]) + "\n"
@@ -192,7 +163,7 @@ def main() -> int:
         },
     )
     print(report, end="")
-    print("parallel execution smoke OK")
+    print("concurrent labeling + scan reuse smoke OK")
     return 0
 
 

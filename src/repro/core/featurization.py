@@ -16,9 +16,10 @@ mean pools them to a zero vector.
 
 There is one workload path, :meth:`QueryFeaturizer.featurize_ragged`: a
 :class:`CompiledFeaturizerPlan` resolves each distinct query's vocabulary ids
-and sample probes once, and the batch is assembled with a few fancy-indexed
-writes into flattened ``(total_elements, width)`` arrays plus CSR offsets —
-the layout of training and of the fused inference engine.  With ``buffers=``
+and sample probes once (kept in an :class:`~repro.utils.lru.LRU` by query
+signature), and the batch is assembled with a few fancy-indexed writes into
+flattened ``(total_elements, width)`` arrays plus CSR offsets — the layout
+of training and of the fused inference engine.  With ``buffers=``
 the arrays are views into caller-owned reusable :class:`FeatureBuffers`
 instead of fresh allocations (the estimation service's batcher reuses one
 buffer set across micro-batches).
@@ -46,6 +47,7 @@ from repro.core.encoding import SchemaEncoding
 from repro.core.normalization import ValueNormalizer
 from repro.db.query import Query
 from repro.db.sampling import MaterializedSamples
+from repro.utils.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
     from repro.core.batching import RaggedDataset
@@ -238,8 +240,8 @@ class CompiledFeaturizerPlan:
     :meth:`QueryFeaturizer.featurize` reads, so both produce identical
     features.
 
-    The query cache is LRU-bounded (dict-reinsertion order, like the bitmap
-    cache) by ``max_cached_queries``.  Compiled queries hold indexes into the
+    The query cache is an :class:`~repro.utils.lru.LRU` of
+    ``max_cached_queries`` entries.  Compiled queries hold indexes into the
     probe matrix, so probes cannot be evicted one by one: once a long-tailed
     workload has accumulated ``4 * max_cached_queries`` distinct probes, the
     matrix is flushed wholesale — together with every compiled query — at
@@ -252,10 +254,8 @@ class CompiledFeaturizerPlan:
     def __init__(
         self,
         featurizer: "QueryFeaturizer",
-        max_cached_queries: "int | None" = DEFAULT_MAX_CACHED_QUERIES,
+        max_cached_queries: int = DEFAULT_MAX_CACHED_QUERIES,
     ):
-        if max_cached_queries is not None and max_cached_queries <= 0:
-            raise ValueError("max_cached_queries must be positive or None")
         encoding = featurizer.encoding
         self._table_index = encoding.table_index
         self._join_index = encoding.join_index
@@ -264,10 +264,9 @@ class CompiledFeaturizerPlan:
         self._samples = featurizer.samples
         self._needs_samples = featurizer.variant is not FeaturizationVariant.NO_SAMPLES
         self.max_cached_queries = max_cached_queries
-        self._compiled: dict[tuple, _CompiledQuery] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._compiled = LRU(max_cached_queries)
+        # Signature hits whose element order differs: recompiled, so misses.
+        self._reordered = 0
         self._flushes = 0
         self._probe_ids: dict[tuple, int] = {}
         self._num_probes = 0
@@ -279,29 +278,18 @@ class CompiledFeaturizerPlan:
         """The cached compiled form of ``query`` (compiling on first sight)."""
         signature = query.signature()
         compiled = self._compiled.get(signature)
-        if compiled is not None and compiled.replays(query):
-            self._hits += 1
-            # Re-insert to mark most-recently used (dicts preserve insertion
-            # order; the first key is always the eviction victim).
-            del self._compiled[signature]
-            self._compiled[signature] = compiled
-            # The compiled entry's probe bitmaps are served from the probe
-            # matrix without touching the samples' bitmap cache; credit the
-            # reuse so cache observability counts every probe answered.
-            if self._needs_samples:
-                self._samples.record_bitmap_reuse(len(compiled.probe_ids))
-            return compiled
-        self._misses += 1
+        if compiled is not None:
+            if compiled.replays(query):
+                # The compiled entry's probe bitmaps are served from the probe
+                # matrix without touching the samples' bitmap cache; credit
+                # the reuse so cache observability counts every probe answered.
+                if self._needs_samples:
+                    self._samples.record_bitmap_reuse(len(compiled.probe_ids))
+                return compiled
+            self._reordered += 1
         compiled = self._compile(query)
         # A reordered query of a cached signature replaces its entry.
-        self._compiled.pop(signature, None)
-        if (
-            self.max_cached_queries is not None
-            and len(self._compiled) >= self.max_cached_queries
-        ):
-            self._compiled.pop(next(iter(self._compiled)))
-            self._evictions += 1
-        self._compiled[signature] = compiled
+        self._compiled.put(signature, compiled)
         return compiled
 
     def _compile(self, query: Query) -> _CompiledQuery:
@@ -366,10 +354,7 @@ class CompiledFeaturizerPlan:
     # -- batch assembly -----------------------------------------------------
     def gather(self, queries: Sequence[Query]) -> _GatheredWorkload:
         """The flat ids and probe bitmap rows of a batch, in query order."""
-        if (
-            self.max_cached_queries is not None
-            and self._num_probes >= 4 * self.max_cached_queries
-        ):
+        if self._num_probes >= 4 * self.max_cached_queries:
             # Between batches, so no probe id handed out below goes stale
             # (rare: it takes a quarter-million distinct predicate sets at the
             # default cap).
@@ -409,15 +394,15 @@ class CompiledFeaturizerPlan:
     # -- introspection -------------------------------------------------------
     @property
     def cache_hits(self) -> int:
-        return self._hits
+        return self._compiled.hits - self._reordered
 
     @property
     def cache_misses(self) -> int:
-        return self._misses
+        return self._compiled.misses + self._reordered
 
     @property
     def cache_evictions(self) -> int:
-        return self._evictions
+        return self._compiled.evictions
 
     @property
     def num_cached_queries(self) -> int:

@@ -235,7 +235,8 @@ class EnginePool:
 
     def close(self) -> None:
         """Shut down the worker threads (idempotent; pool stays usable inline)."""
-        executor, self._executor = self._executor, None
+        with self._refresh_lock:
+            executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
 

@@ -9,7 +9,7 @@ Index-Based Join Sampling) and per-column statistics (needed by the
 PostgreSQL-style baseline).
 """
 
-from repro.db.executor import CardinalityExecutor, execute_cardinality
+from repro.db.executor import CardinalityExecutor
 from repro.db.index import HashIndex, IndexSet
 from repro.db.predicates import (
     Operator,
@@ -29,7 +29,7 @@ from repro.db.sql import (
     save_workload,
 )
 from repro.db.statistics import ColumnStatistics, DatabaseStatistics, TableStatistics
-from repro.db.table import ColumnBlock, Database, Table
+from repro.db.table import Database, Table
 
 __all__ = [
     "ColumnSchema",
@@ -37,7 +37,6 @@ __all__ = [
     "ForeignKey",
     "Schema",
     "Table",
-    "ColumnBlock",
     "Database",
     "Operator",
     "Predicate",
@@ -47,7 +46,6 @@ __all__ = [
     "evaluate_conjunction",
     "evaluate_conjunction_values",
     "CardinalityExecutor",
-    "execute_cardinality",
     "SampledCardinality",
     "SampledCardinalityExecutor",
     "MaterializedSamples",

@@ -21,21 +21,19 @@ row-sampled tables), first codes its keys by rank in the sorted union of
 both columns' distinct values; that union is built once per executor.
 
 The executor is block-chunked: with ``block_rows`` set, predicate scans walk
-:meth:`~repro.db.table.Table.iter_blocks` views and the weight propagation
-folds and gathers block by block, so per-operator intermediates are bounded
-by the block size (plus one key-domain array per worker).  With
-``max_workers`` set, contiguous runs of blocks go deterministically to
-threads of a shared :class:`~repro.utils.parallel.WorkerPool`; scan results
-merge in block order and the per-worker domain totals are summed in span
-order.  All weights are integer-valued float64, so every sum is exact below
-2**53 and counts are bit-identical at every block size and worker count;
-``block_rows=None`` degrades to the single-block (whole-array) evaluation.
+contiguous column slices and the weight propagation folds and gathers block
+by block, so per-operator intermediates are bounded by the block size (plus
+one key-domain array per edge).  All weights are integer-valued float64, so
+every sum is exact below 2**53 and counts are bit-identical at every block
+size; ``block_rows=None`` is the single-block (whole-array) evaluation.
 
-``scan_cache_capacity`` additionally memoizes per-(table, predicate-set)
-qualifying-row results: the DPsize optimizer's sub-plan fan-out executes
-every connected sub-plan of a query, and all of them filter the same base
-tables with the same predicate conjunctions — the memo lets one base scan
-serve the whole enumeration instead of being re-executed per sub-plan.
+Two :class:`~repro.utils.lru.LRU` memos sit in front of the counting:
+``cache_capacity`` memoizes whole results by query signature, and
+``scan_cache_capacity`` memoizes per-(table, predicate-set) qualifying rows.
+The DPsize optimizer's sub-plan fan-out executes every connected sub-plan of
+a query, and all of them filter the same base tables with the same predicate
+conjunctions — the scan memo lets one base scan serve the whole enumeration
+instead of being re-executed per sub-plan.
 
 Cyclic join graphs (not produced by the generators, but accepted by the API)
 fall back to iterative hash-join expansion.  A brute-force nested-loop
@@ -46,16 +44,16 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 
 import numpy as np
 
 from repro.db.predicates import evaluate_conjunction_values, selection_mask
 from repro.db.query import Query
 from repro.db.table import Database
-from repro.utils.parallel import WorkerPool
+from repro.utils.lru import LRU
 
-__all__ = ["CardinalityExecutor", "execute_cardinality", "nested_loop_cardinality"]
+__all__ = ["CardinalityExecutor", "nested_loop_cardinality"]
 
 
 # Keys are their own domain codes when all are non-negative and the largest
@@ -99,6 +97,7 @@ class CardinalityExecutor:
     Each join edge is counted by a linear key-domain fold (child weights
     scatter-added per key) and gather (parent factors read per key); the
     edge's domain is derived once per executor and shared across threads.
+    The executor is safe to share between threads (concurrent labeling).
 
     ``block_rows`` selects block-chunked evaluation: predicate scans and the
     Yannakakis weight propagation then process contiguous row blocks of that
@@ -111,8 +110,8 @@ class CardinalityExecutor:
     plan enumeration and repeated scenario runs execute the same connected
     sub-plans over and over (the executor is the by-far dominant cost of
     plan-quality evaluation), and a query's :meth:`~repro.db.query.Query.signature`
-    is a sound memo key because the database snapshot is immutable.  The
-    cache is thread-safe; ``cache_hits``/``cache_misses`` count lookups.
+    is a sound memo key because the database snapshot is immutable.
+    ``cache_hits``/``cache_misses`` count lookups.
 
     ``scan_cache_capacity`` enables a second, finer-grained LRU over
     per-(table, predicate-set) qualifying-row arrays.  Connected sub-plans of
@@ -121,12 +120,7 @@ class CardinalityExecutor:
     and shared across the whole sub-plan fan-out (and across sub-plans of
     *other* queries that filter a table identically).  Cached arrays are
     treated as read-only by every counting path.  ``scan_reuse_hits`` /
-    ``scan_reuse_misses`` count lookups; the cache is thread-safe.
-
-    ``max_workers`` (``None`` = serial, ``"auto"`` = CPU count, or a positive
-    integer) runs block-chunked scans and the Yannakakis weight propagation
-    across a worker pool — requires ``block_rows``, since the blocks are the
-    unit of work distribution.  Results are bit-identical to serial.
+    ``scan_reuse_misses`` count lookups.
     """
 
     def __init__(
@@ -134,39 +128,32 @@ class CardinalityExecutor:
         database: Database,
         cache_capacity: int | None = None,
         block_rows: int | None = None,
-        max_workers: "int | str | None" = None,
         scan_cache_capacity: int | None = None,
     ):
         self.database = database
-        if cache_capacity is not None and cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive (or None to disable)")
-        if scan_cache_capacity is not None and scan_cache_capacity <= 0:
-            raise ValueError("scan_cache_capacity must be positive (or None to disable)")
         if block_rows is not None and block_rows < 1:
             raise ValueError("block_rows must be a positive integer (or None)")
         self.block_rows = block_rows
-        self._pool = WorkerPool(max_workers, name="executor-scan")
-        self._cache_capacity = cache_capacity
-        self._cache: OrderedDict[tuple, int] | None = (
-            OrderedDict() if cache_capacity is not None else None
-        )
-        self._cache_lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._scan_cache_capacity = scan_cache_capacity
-        self._scan_cache: OrderedDict[tuple, np.ndarray] | None = (
-            OrderedDict() if scan_cache_capacity is not None else None
-        )
-        self._scan_lock = threading.Lock()
-        self.scan_reuse_hits = 0
-        self.scan_reuse_misses = 0
+        self._cache = LRU(cache_capacity) if cache_capacity is not None else None
+        self._scan_cache = LRU(scan_cache_capacity) if scan_cache_capacity is not None else None
         self._key_domains: dict[tuple, _JoinKeyDomain] = {}
         self._key_domain_lock = threading.Lock()
 
     @property
-    def max_workers(self) -> int:
-        """Resolved worker budget of the scan pool (1 = serial)."""
-        return self._pool.max_workers
+    def cache_hits(self) -> int:
+        return self._cache.hits if self._cache is not None else 0
+
+    @property
+    def cache_misses(self) -> int:
+        return self._cache.misses if self._cache is not None else 0
+
+    @property
+    def scan_reuse_hits(self) -> int:
+        return self._scan_cache.hits if self._scan_cache is not None else 0
+
+    @property
+    def scan_reuse_misses(self) -> int:
+        return self._scan_cache.misses if self._scan_cache is not None else 0
 
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> int:
@@ -179,19 +166,10 @@ class CardinalityExecutor:
         if self._cache is None:
             return self._execute_uncached(query)
         signature = query.signature()
-        with self._cache_lock:
-            cached = self._cache.get(signature)
-            if cached is not None:
-                self._cache.move_to_end(signature)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        result = self._execute_uncached(query)
-        with self._cache_lock:
-            self._cache[signature] = result
-            self._cache.move_to_end(signature)
-            while len(self._cache) > self._cache_capacity:
-                self._cache.popitem(last=False)
+        result = self._cache.get(signature)
+        if result is None:
+            result = self._execute_uncached(query)
+            self._cache.put(signature, result)
         return result
 
     def _execute_uncached(self, query: Query) -> int:
@@ -224,19 +202,10 @@ class CardinalityExecutor:
             table_name,
             tuple(sorted((p.column, p.operator.value, p.value) for p in predicates)),
         )
-        with self._scan_lock:
-            cached = self._scan_cache.get(key)
-            if cached is not None:
-                self._scan_cache.move_to_end(key)
-                self.scan_reuse_hits += 1
-                return cached
-            self.scan_reuse_misses += 1
-        rows = self._scan_qualifying_rows(table_name, predicates)
-        with self._scan_lock:
-            self._scan_cache[key] = rows
-            self._scan_cache.move_to_end(key)
-            while len(self._scan_cache) > self._scan_cache_capacity:
-                self._scan_cache.popitem(last=False)
+        rows = self._scan_cache.get(key)
+        if rows is None:
+            rows = self._scan_qualifying_rows(table_name, predicates)
+            self._scan_cache.put(key, rows)
         return rows
 
     def _scan_qualifying_rows(self, table_name: str, predicates) -> np.ndarray:
@@ -248,26 +217,15 @@ class CardinalityExecutor:
             return np.flatnonzero(mask).astype(np.int64)
         # Block-chunked scan: qualifying indices are collected per block, so
         # the boolean intermediates never exceed ``block_rows`` entries.
-        # Contiguous runs of blocks are deterministically assigned to pool
-        # workers; concatenating the per-worker parts in block order makes
-        # the result identical to the serial walk.
         triples = [(p.column, p.operator, p.value) for p in predicates]
         needed = tuple(dict.fromkeys(p.column for p in predicates))
         arrays = {name: table.column(name) for name in needed}
-        spans = list(self._index_spans(table.num_rows))
-
-        def scan_blocks(lo: int, hi: int) -> list[np.ndarray]:
-            parts: list[np.ndarray] = []
-            for start, stop in spans[lo:hi]:
-                values = {name: array[start:stop] for name, array in arrays.items()}
-                indices = np.flatnonzero(evaluate_conjunction_values(values, triples))
-                if indices.size:
-                    parts.append((indices + start).astype(np.int64))
-            return parts
-
-        parts = [
-            part for chunk in self._pool.run_spans(len(spans), scan_blocks) for part in chunk
-        ]
+        parts: list[np.ndarray] = []
+        for start, stop in self._index_spans(table.num_rows):
+            values = {name: array[start:stop] for name, array in arrays.items()}
+            indices = np.flatnonzero(evaluate_conjunction_values(values, triples))
+            if indices.size:
+                parts.append((indices + start).astype(np.int64))
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
@@ -358,10 +316,7 @@ class CardinalityExecutor:
         # Bottom-up weight propagation over each edge's key domain, block by
         # block: per-block intermediates (keys, codes, factors) are bounded by
         # the block size, and with ``block_rows=None`` each loop below runs
-        # once over the whole arrays.  Worker spans fold into their own domain
-        # arrays, summed in span order — exact integer-valued sums — and the
-        # parent phase writes each block's disjoint weight slice, so parallel
-        # counts are bit-identical to the serial walk.
+        # once over the whole arrays.
         weights = {
             table: np.ones(len(qualifying_rows[table]), dtype=np.float64) for table in tables
         }
@@ -372,27 +327,14 @@ class CardinalityExecutor:
             child_rows = qualifying_rows[table]
             child_keys = self._block_keys(table, join.column_of(table), child_rows)
             child_weights = weights[table]
-            child_spans = list(self._index_spans(len(child_rows)))
-
-            def fold_blocks(lo: int, hi: int) -> np.ndarray:
-                span_totals = np.zeros(domain.size, dtype=np.float64)
-                for start, stop in child_spans[lo:hi]:
-                    domain.fold(span_totals, child_keys(start, stop), child_weights[start:stop])
-                return span_totals
-
-            totals, *others = self._pool.run_spans(len(child_spans), fold_blocks)
-            for span_totals in others:
-                totals += span_totals
+            totals = np.zeros(domain.size, dtype=np.float64)
+            for start, stop in self._index_spans(len(child_rows)):
+                domain.fold(totals, child_keys(start, stop), child_weights[start:stop])
             parent_rows = qualifying_rows[parent]
             parent_keys = self._block_keys(parent, join.column_of(parent), parent_rows)
             parent_weights = weights[parent]
-            parent_spans = list(self._index_spans(len(parent_rows)))
-
-            def apply_factors(lo: int, hi: int) -> None:
-                for start, stop in parent_spans[lo:hi]:
-                    domain.apply(parent_weights[start:stop], totals, parent_keys(start, stop))
-
-            self._pool.run_spans(len(parent_spans), apply_factors)
+            for start, stop in self._index_spans(len(parent_rows)):
+                domain.apply(parent_weights[start:stop], totals, parent_keys(start, stop))
         return int(round(weights[root].sum()))
 
     def _block_keys(self, table: str, column: str, rows: np.ndarray):
@@ -464,13 +406,6 @@ class CardinalityExecutor:
             for combination in current
             if left_column[combination[left_index]] == right_column[combination[right_index]]
         ]
-
-
-def execute_cardinality(
-    database: Database, query: Query, block_rows: int | None = None
-) -> int:
-    """Convenience wrapper around :class:`CardinalityExecutor`."""
-    return CardinalityExecutor(database, block_rows=block_rows).execute(query)
 
 
 def nested_loop_cardinality(database: Database, query: Query) -> int:

@@ -91,9 +91,9 @@ def evaluate_conjunction_values(
     """Boolean mask of a conjunction over already-materialized column arrays.
 
     This is the block-wise twin of :func:`evaluate_conjunction`: the caller
-    supplies the (sliced) column values — typically the views of one
-    :class:`~repro.db.table.ColumnBlock` — and the mask refers to those
-    positions.  All supplied arrays must share one length.
+    supplies the (sliced) column values — typically one row block of the
+    executor's block-chunked scan — and the mask refers to those positions.
+    All supplied arrays must share one length.
     """
     predicates = list(predicates)
     if not predicates:
@@ -115,22 +115,10 @@ def evaluate_conjunction_values(
     return mask
 
 
-def selection_mask(
-    table: Table, predicates: Sequence, block_rows: int | None = None
-) -> np.ndarray:
+def selection_mask(table: Table, predicates: Sequence) -> np.ndarray:
     """Full-table qualification mask for a sequence of :class:`Predicate`-likes.
 
     Accepts any objects exposing ``column``, ``operator`` and ``value``
-    attributes (e.g. :class:`repro.db.query.Predicate`).  With ``block_rows``
-    the mask is computed block-by-block over contiguous column views, so the
-    per-operator intermediates (the comparison results) stay bounded by the
-    block size; the result is bit-identical to the whole-array evaluation.
+    attributes (e.g. :class:`repro.db.query.Predicate`).
     """
-    triples = [(p.column, p.operator, p.value) for p in predicates]
-    if block_rows is None or not triples:
-        return evaluate_conjunction(table, triples)
-    mask = np.zeros(table.num_rows, dtype=bool)
-    needed = tuple(dict.fromkeys(column for column, _, _ in triples))
-    for block in table.iter_blocks(columns=needed, block_rows=block_rows):
-        mask[block.start : block.stop] = evaluate_conjunction_values(block.columns, triples)
-    return mask
+    return evaluate_conjunction(table, [(p.column, p.operator, p.value) for p in predicates])

@@ -22,8 +22,9 @@ smaller than the budget are fully sampled (:math:`f_i = 1`) and contribute no
 uncertainty; when every table fits, the result is exact.
 
 The sampled database reuses :class:`~repro.db.executor.CardinalityExecutor`
-(including its block-chunked mode), so sampled labeling inherits the exact
-engine's counting paths rather than duplicating them.
+(including its block-chunked mode and its LRU result and scan memos), so
+sampled labeling inherits the exact engine's counting paths rather than
+duplicating them.
 """
 
 from __future__ import annotations
@@ -126,10 +127,6 @@ class SampledCardinalityExecutor:
     cache_capacity:
         Signature-keyed LRU memoization of sampled results, mirroring
         :class:`~repro.db.executor.CardinalityExecutor`.
-    max_workers:
-        Worker budget of the underlying exact executor's block-parallel
-        scans (``None`` = serial, ``"auto"`` = CPU count); sampled counts
-        stay bit-identical to serial at every worker count.
     scan_cache_capacity:
         Per-(table, predicate-set) qualifying-row memo of the underlying
         executor (scan reuse across sub-plan fan-outs).
@@ -143,7 +140,6 @@ class SampledCardinalityExecutor:
         confidence: float = 0.95,
         block_rows: int | None = None,
         cache_capacity: int | None = None,
-        max_workers: "int | str | None" = None,
         scan_cache_capacity: int | None = None,
     ):
         if sample_rows <= 0:
@@ -180,7 +176,6 @@ class SampledCardinalityExecutor:
             self._sampled_database,
             cache_capacity=cache_capacity,
             block_rows=block_rows,
-            max_workers=max_workers,
             scan_cache_capacity=scan_cache_capacity,
         )
 

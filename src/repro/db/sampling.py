@@ -11,11 +11,11 @@ where MSCN and Random Sampling share the same random seed / sample set.
 
 Bitmap probes are memoized: the database snapshot is immutable, so the bitmap
 of a ``(table, predicate set)`` pair never changes.  Every probe goes through
-one shared cache, keyed by an order-independent predicate signature (the
-compiled featurizer plan keeps its own probe matrix on top and credits its
-reuse back to this cache's counters), so repeated predicate sets across a
-training workload and across repeated serving calls are evaluated against
-the sample tuples exactly once.
+one shared :class:`~repro.utils.lru.LRU`, keyed by an order-independent
+predicate signature (the compiled featurizer plan keeps its own probe matrix
+on top and credits its reuse back to this cache's counters), so repeated
+predicate sets across a training workload and across repeated serving calls
+are evaluated against the sample tuples exactly once.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from repro.db.predicates import evaluate_conjunction
 from repro.db.query import Predicate, Query
 from repro.db.table import Database, Table
+from repro.utils.lru import LRU
 
 __all__ = ["TableSample", "MaterializedSamples"]
 
@@ -83,19 +84,16 @@ class MaterializedSamples:
         database: Database,
         sample_size: int = 1000,
         seed: int = 0,
-        max_cached_bitmaps: int | None = DEFAULT_MAX_CACHED_BITMAPS,
+        max_cached_bitmaps: int = DEFAULT_MAX_CACHED_BITMAPS,
     ):
         if sample_size <= 0:
             raise ValueError("sample_size must be positive")
-        if max_cached_bitmaps is not None and max_cached_bitmaps <= 0:
-            raise ValueError("max_cached_bitmaps must be positive or None")
         self.database = database
         self.sample_size = int(sample_size)
         self.seed = seed
         self.max_cached_bitmaps = max_cached_bitmaps
-        self._bitmap_cache: dict[tuple, np.ndarray] = {}
-        self._bitmap_cache_hits = 0
-        self._bitmap_cache_misses = 0
+        self._bitmap_cache = LRU(max_cached_bitmaps)
+        self._bitmap_reuse = 0
         rng = np.random.default_rng(seed)
         self._samples: dict[str, TableSample] = {}
         for name in database.table_names:
@@ -189,23 +187,11 @@ class MaterializedSamples:
         cannot grow it without limit.
         """
         key = self.probe_signature(table, predicates)
-        cached = self._bitmap_cache.get(key)
-        if cached is not None:
-            self._bitmap_cache_hits += 1
-            # Re-insert to mark the entry most-recently used (dicts preserve
-            # insertion order; the first key is always the eviction victim).
-            del self._bitmap_cache[key]
-            self._bitmap_cache[key] = cached
-            return cached
-        self._bitmap_cache_misses += 1
-        bitmap = self._compute_bitmap(table, predicates)
-        bitmap.setflags(write=False)
-        if (
-            self.max_cached_bitmaps is not None
-            and len(self._bitmap_cache) >= self.max_cached_bitmaps
-        ):
-            self._bitmap_cache.pop(next(iter(self._bitmap_cache)))
-        self._bitmap_cache[key] = bitmap
+        bitmap = self._bitmap_cache.get(key)
+        if bitmap is None:
+            bitmap = self._compute_bitmap(table, predicates)
+            bitmap.setflags(write=False)
+            self._bitmap_cache.put(key, bitmap)
         return bitmap
 
     def bitmap(self, table: str, predicates: Sequence[Predicate]) -> np.ndarray:
@@ -221,12 +207,12 @@ class MaterializedSamples:
     @property
     def bitmap_cache_hits(self) -> int:
         """Number of probes served from the bitmap cache so far."""
-        return self._bitmap_cache_hits
+        return self._bitmap_cache.hits + self._bitmap_reuse
 
     @property
     def bitmap_cache_misses(self) -> int:
         """Number of probes that had to evaluate predicates on the samples."""
-        return self._bitmap_cache_misses
+        return self._bitmap_cache.misses
 
     @property
     def bitmap_cache_size(self) -> int:
@@ -242,13 +228,12 @@ class MaterializedSamples:
         reuse here keeps ``bitmap_cache_hits`` meaning what it always meant:
         probes answered without re-evaluating predicates on the samples.
         """
-        self._bitmap_cache_hits += int(count)
+        self._bitmap_reuse += int(count)
 
     def clear_bitmap_cache(self) -> None:
         """Drop all memoized bitmaps and reset the hit/miss counters."""
-        self._bitmap_cache.clear()
-        self._bitmap_cache_hits = 0
-        self._bitmap_cache_misses = 0
+        self._bitmap_cache = LRU(self.max_cached_bitmaps)
+        self._bitmap_reuse = 0
 
     def qualifying_count(self, table: str, predicates: Sequence[Predicate]) -> int:
         """Number of qualifying sample tuples (the paper's ``#samples`` feature)."""

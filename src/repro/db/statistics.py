@@ -13,13 +13,6 @@ number of distinct values is *estimated* with the Duj1 (Haas & Stokes)
 estimator PostgreSQL uses.  The sampled mode is what the PostgreSQL baseline
 runs with, because mis-estimated distinct counts on skewed columns are one of
 the characteristic error sources of real systems.
-
-At the ``scale="large"`` tier, ``TableStatistics.from_table`` additionally
-accepts ``block_rows``: the table is scanned block-by-block (one pass shared
-by all columns), exact min/max are folded per block and the bounded ANALYZE
-sample is gathered from pre-drawn sorted row positions — so per-column
-intermediates stay proportional to ``max(block_rows, sample_rows)`` instead
-of the table.
 """
 
 from __future__ import annotations
@@ -31,7 +24,6 @@ import numpy as np
 from repro.db.predicates import Operator
 from repro.db.query import Predicate
 from repro.db.table import Database, Table
-from repro.utils.parallel import WorkerPool
 from repro.utils.rng import spawn_rng
 
 __all__ = ["ColumnStatistics", "TableStatistics", "DatabaseStatistics", "estimate_num_distinct"]
@@ -121,56 +113,19 @@ class ColumnStatistics:
         else:
             observed = values
             num_distinct = int(len(np.unique(observed)))
-        return cls.from_sample(
-            table,
-            column,
-            observed,
-            row_count=row_count,
-            num_distinct=num_distinct,
-            minimum=int(values.min()),
-            maximum=int(values.max()),
-            num_buckets=num_buckets,
-            num_mcvs=num_mcvs,
-        )
-
-    @classmethod
-    def from_sample(
-        cls,
-        table: str,
-        column: str,
-        sample_values: np.ndarray,
-        row_count: int,
-        num_distinct: int,
-        minimum: int,
-        maximum: int,
-        num_buckets: int = _DEFAULT_HISTOGRAM_BUCKETS,
-        num_mcvs: int = _DEFAULT_MCV_ENTRIES,
-    ) -> "ColumnStatistics":
-        """Build statistics from an already-gathered sample plus exact scalars.
-
-        This is the block-stream entry point: the caller streams the table
-        once, folding exact ``row_count``/``minimum``/``maximum`` and
-        gathering ``sample_values``, and MCVs/histogram bounds are derived
-        from the sample alone.
-        """
-        sample_values = np.asarray(sample_values)
-        unique_values, counts = np.unique(sample_values, return_counts=True)
-        order = np.argsort(counts)[::-1]
-        top = order[: min(num_mcvs, len(order))]
-        mcv_values = unique_values[top]
-        mcv_fractions = counts[top] / sample_values.size
+        unique_values, counts = np.unique(observed, return_counts=True)
+        top = np.argsort(counts)[::-1][:num_mcvs]
         quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        histogram_bounds = np.quantile(sample_values, quantiles)
         return cls(
             table=table,
             column=column,
             row_count=row_count,
             num_distinct=num_distinct,
-            minimum=minimum,
-            maximum=maximum,
-            mcv_values=mcv_values.astype(np.int64),
-            mcv_fractions=mcv_fractions.astype(np.float64),
-            histogram_bounds=histogram_bounds.astype(np.float64),
+            minimum=int(values.min()),
+            maximum=int(values.max()),
+            mcv_values=unique_values[top].astype(np.int64),
+            mcv_fractions=(counts[top] / observed.size).astype(np.float64),
+            histogram_bounds=np.quantile(observed, quantiles).astype(np.float64),
         )
 
     # ------------------------------------------------------------------
@@ -247,145 +202,20 @@ class TableStatistics:
         num_buckets: int = _DEFAULT_HISTOGRAM_BUCKETS,
         sample_rows: int | None = None,
         rng: np.random.Generator | None = None,
-        block_rows: int | None = None,
-        max_workers: "int | str | None" = None,
     ) -> "TableStatistics":
-        """Statistics for every column, whole-array or block-streamed.
-
-        With ``block_rows``, the table is scanned once in contiguous blocks:
-        min/max fold exactly per block and the ANALYZE sample (all columns
-        share one set of pre-drawn, sorted row positions) is gathered as the
-        scan passes each block.  Distinct counts still use Duj1 when the
-        sample is smaller than the table.
-
-        ``max_workers`` parallelizes the block stream: contiguous runs of
-        blocks go to worker threads, per-worker min/max partials fold
-        order-independently and sample gathers are concatenated in block
-        order, so the statistics are bit-identical to the serial scan.  (The
-        whole-array path stays serial: its sampled mode draws from ``rng``
-        column by column, an order that must not depend on threading.)
-        """
-        if block_rows is None:
-            columns = {
-                name: ColumnStatistics.from_values(
-                    table.name,
-                    name,
-                    table.column(name),
-                    num_buckets=num_buckets,
-                    sample_rows=sample_rows,
-                    rng=rng,
-                )
-                for name in table.schema.column_names
-            }
-            return cls(table=table.name, row_count=table.num_rows, columns=columns)
-        return cls._from_block_stream(
-            table,
-            num_buckets=num_buckets,
-            sample_rows=sample_rows,
-            rng=rng,
-            block_rows=block_rows,
-            max_workers=max_workers,
-        )
-
-    @classmethod
-    def _from_block_stream(
-        cls,
-        table: Table,
-        num_buckets: int,
-        sample_rows: int | None,
-        rng: np.random.Generator | None,
-        block_rows: int,
-        max_workers: "int | str | None" = None,
-    ) -> "TableStatistics":
-        names = table.schema.column_names
-        num_rows = table.num_rows
-        if num_rows == 0:
-            columns = {
-                name: ColumnStatistics.from_values(
-                    table.name, name, np.empty(0, dtype=np.int64), num_buckets=num_buckets
-                )
-                for name in names
-            }
-            return cls(table=table.name, row_count=0, columns=columns)
-        sampled = sample_rows is not None and sample_rows < num_rows
-        if sampled:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            picks = np.sort(rng.choice(num_rows, size=sample_rows, replace=False))
-        else:
-            picks = None
-        arrays = {name: table.column(name) for name in names}
-        spans = [
-            (start, min(start + block_rows, num_rows))
-            for start in range(0, num_rows, block_rows)
-        ]
-
-        def scan_blocks(span_lo: int, span_hi: int):
-            """Fold one contiguous run of blocks: min/max partials + gathers."""
-            minima = {name: None for name in names}
-            maxima = {name: None for name in names}
-            gathered: dict[str, list[np.ndarray]] = {name: [] for name in names}
-            for start, stop in spans[span_lo:span_hi]:
-                if picks is not None:
-                    lo = np.searchsorted(picks, start, side="left")
-                    hi = np.searchsorted(picks, stop, side="left")
-                    local = picks[lo:hi] - start
-                else:
-                    local = None
-                for name in names:
-                    values = arrays[name][start:stop]
-                    block_min = int(values.min())
-                    block_max = int(values.max())
-                    current_min = minima[name]
-                    if current_min is None or block_min < current_min:
-                        minima[name] = block_min
-                    current_max = maxima[name]
-                    if current_max is None or block_max > current_max:
-                        maxima[name] = block_max
-                    gathered[name].append(
-                        values[local] if local is not None else values.copy()
-                    )
-            return minima, maxima, gathered
-
-        # One shared scan, distributed as contiguous block runs: the min/max
-        # folds are order-independent and sample gathers are concatenated in
-        # block order, so any worker count reproduces the serial statistics
-        # bit for bit.
-        with WorkerPool(max_workers, name="statistics-scan") as pool:
-            partials = pool.run_spans(len(spans), scan_blocks)
-        minima = {name: None for name in names}
-        maxima = {name: None for name in names}
-        gathered = {name: [] for name in names}
-        for partial_minima, partial_maxima, partial_gathered in partials:
-            for name in names:
-                partial_min = partial_minima[name]
-                if partial_min is not None and (
-                    minima[name] is None or partial_min < minima[name]
-                ):
-                    minima[name] = partial_min
-                partial_max = partial_maxima[name]
-                if partial_max is not None and (
-                    maxima[name] is None or partial_max > maxima[name]
-                ):
-                    maxima[name] = partial_max
-                gathered[name].extend(partial_gathered[name])
-        columns = {}
-        for name in names:
-            sample_values = np.concatenate(gathered[name])
-            if sampled:
-                num_distinct = estimate_num_distinct(sample_values, num_rows)
-            else:
-                num_distinct = int(len(np.unique(sample_values)))
-            columns[name] = ColumnStatistics.from_sample(
+        """Statistics for every column (sampled ones draw from ``rng`` in column order)."""
+        columns = {
+            name: ColumnStatistics.from_values(
                 table.name,
                 name,
-                sample_values,
-                row_count=num_rows,
-                num_distinct=num_distinct,
-                minimum=minima[name],
-                maximum=maxima[name],
+                table.column(name),
                 num_buckets=num_buckets,
+                sample_rows=sample_rows,
+                rng=rng,
             )
-        return cls(table=table.name, row_count=num_rows, columns=columns)
+            for name in table.schema.column_names
+        }
+        return cls(table=table.name, row_count=table.num_rows, columns=columns)
 
     def column(self, name: str) -> ColumnStatistics:
         try:
@@ -408,12 +238,9 @@ class DatabaseStatistics:
         num_buckets: int = _DEFAULT_HISTOGRAM_BUCKETS,
         sample_rows: int | None = None,
         seed: int = 0,
-        block_rows: int | None = None,
-        max_workers: "int | str | None" = None,
     ):
         self.database = database
         self.sample_rows = sample_rows
-        self.block_rows = block_rows
         rng = spawn_rng(seed, "analyze") if sample_rows is not None else None
         self._tables = {
             name: TableStatistics.from_table(
@@ -421,8 +248,6 @@ class DatabaseStatistics:
                 num_buckets=num_buckets,
                 sample_rows=sample_rows,
                 rng=rng,
-                block_rows=block_rows,
-                max_workers=max_workers,
             )
             for name in database.table_names
         }

@@ -7,49 +7,21 @@ predicates and the training generator only draws numeric literals.
 
 For million-row snapshots, whole-array consumers are the scaling hazard, not
 storage: a selection mask or a gathered intermediate the size of the table
-doubles peak memory per operator.  :meth:`Table.iter_blocks` is the
-block-oriented access API the execution layer is built on — it yields
-contiguous, zero-copy column views of fixed-size row blocks, so scans,
-predicate evaluation and join-weight propagation can run block-by-block with
-bounded intermediates.  :attr:`Table.nbytes` / :meth:`Database.memory_bytes`
-make the resident-size claims of the large-scale tier measurable.
+doubles peak memory per operator.  The executor's ``block_rows`` mode
+therefore walks contiguous zero-copy slices of :meth:`Table.column`.
+:attr:`Table.nbytes` / :meth:`Database.memory_bytes` make the resident-size
+claims of the large-scale tier measurable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.db.schema import Schema, TableSchema
 
-__all__ = ["ColumnBlock", "Table", "Database"]
-
-
-@dataclass(frozen=True)
-class ColumnBlock:
-    """One contiguous row block of a table: ``[start, stop)`` column views.
-
-    ``columns`` maps column name to a zero-copy view of the underlying
-    storage; callers must treat the views as read-only.  ``start`` is the
-    global row index of the block's first row, so block-local positions
-    translate to table row indices by adding ``start``.
-    """
-
-    start: int
-    stop: int
-    columns: Mapping[str, np.ndarray]
-
-    @property
-    def num_rows(self) -> int:
-        return self.stop - self.start
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise KeyError(f"block carries no column {name!r}") from None
+__all__ = ["Table", "Database"]
 
 
 def _as_int64_column(table: str, name: str, values) -> np.ndarray:
@@ -142,33 +114,6 @@ class Table:
         if rows is None:
             return column
         return column[rows]
-
-    def iter_blocks(
-        self,
-        columns: Sequence[str] | None = None,
-        block_rows: int | None = None,
-    ) -> Iterator[ColumnBlock]:
-        """Iterate over the table in contiguous fixed-size row blocks.
-
-        Yields :class:`ColumnBlock` objects whose column arrays are zero-copy
-        views of the underlying storage (contiguous slices), restricted to
-        ``columns`` when given.  ``block_rows=None`` yields the whole table as
-        a single block, which makes block-wise consumers degrade exactly to
-        the whole-array code path.  Empty tables yield no blocks.
-        """
-        if block_rows is not None and block_rows < 1:
-            raise ValueError("block_rows must be a positive integer (or None)")
-        names = tuple(columns) if columns is not None else self.schema.column_names
-        # Resolve columns up front so an unknown name fails before iteration.
-        arrays = {name: self.column(name) for name in names}
-        step = self.num_rows if block_rows is None else int(block_rows)
-        for start in range(0, self.num_rows, max(step, 1)):
-            stop = min(start + step, self.num_rows)
-            yield ColumnBlock(
-                start=start,
-                stop=stop,
-                columns={name: array[start:stop] for name, array in arrays.items()},
-            )
 
     def __len__(self) -> int:
         return self.num_rows

@@ -1,4 +1,5 @@
-"""Oracle estimator returning exact cardinalities (for tests and debugging)."""
+"""Oracle estimator returning exact cardinalities: the truth side of
+plan-quality evaluation, executed serially with LRU result and scan memos."""
 
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ class TrueCardinalityEstimator(CardinalityEstimator):
     per-(table, predicate-set) scan memo (``scan_cache_capacity``).  Connected
     sub-plans of one query share base-table predicate sets, so even sub-plans
     whose *results* differ reuse each other's qualifying-row scans.
-    ``max_workers`` additionally fans each individual scan across threads
-    block-by-block (bit-identical counts at any worker count).
     """
 
     name = "True cardinality"
@@ -41,12 +40,10 @@ class TrueCardinalityEstimator(CardinalityEstimator):
         database: Database,
         cache_capacity: int | None = 65536,
         scan_cache_capacity: int | None = 256,
-        max_workers: "int | str | None" = None,
     ):
         self._executor = CardinalityExecutor(
             database,
             cache_capacity=cache_capacity,
-            max_workers=max_workers,
             scan_cache_capacity=scan_cache_capacity,
         )
 

@@ -6,15 +6,13 @@ package turns the fused inference engine of ``repro.core`` into a service:
 
 ``repro.serving.service``
     :class:`EstimationService` — a thread-safe front-end that canonicalizes
-    queries into an LRU result cache, coalesces concurrent callers into
+    queries into a :class:`~repro.utils.lru.LRU` result cache (importable here
+    as ``ResultCache``), coalesces concurrent callers into
     micro-batches feeding one fused pass, and routes low-confidence queries
     (high ensemble spread, out-of-range join counts) to a traditional
     fallback estimator.  Bounded admission, per-request deadlines, a
     circuit breaker over inference, and a batcher watchdog guarantee every
     request resolves to an estimate or a typed error — never a silent hang.
-``repro.serving.cache``
-    :class:`ResultCache` — the signature-keyed LRU with hit/miss/eviction
-    accounting.
 ``repro.serving.registry``
     :class:`ModelRegistry` — named, versioned, checksum-verified model
     persistence with atomically updated "current" pointers, retrying loads
@@ -32,7 +30,6 @@ package turns the fused inference engine of ``repro.core`` into a service:
 """
 
 from repro.serving.breaker import BreakerState, CircuitBreaker
-from repro.serving.cache import ResultCache
 from repro.serving.errors import (
     BatcherCrashedError,
     DeadlineExceededError,
@@ -47,6 +44,7 @@ from repro.serving.errors import (
 from repro.serving.registry import ModelRegistry, RetryPolicy
 from repro.serving.service import EstimationService, ServiceConfig
 from repro.serving.stats import ServiceStats
+from repro.utils.lru import LRU as ResultCache
 
 __all__ = [
     "EstimationService",

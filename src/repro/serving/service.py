@@ -76,7 +76,6 @@ from repro.core.featurization import FeatureBuffers
 from repro.db.query import Query
 from repro.estimators.base import CardinalityEstimator, subplan_map
 from repro.serving.breaker import BreakerState, CircuitBreaker
-from repro.serving.cache import ResultCache
 from repro.serving.errors import (
     DeadlineExceededError,
     ModelUnavailableError,
@@ -85,6 +84,7 @@ from repro.serving.errors import (
 )
 from repro.serving.stats import ServiceStats, StatsAccumulator
 from repro.utils.faults import fault_point
+from repro.utils.lru import LRU
 
 __all__ = ["EstimationService", "ServiceConfig"]
 
@@ -231,7 +231,7 @@ class EstimationService:
         # model (by signature, once — not by catching TypeErrors per batch).
         self._feature_buffers = FeatureBuffers()
         self._buffers_supported = self._supports_feature_buffers(model)
-        self._cache = ResultCache(self.config.cache_capacity)
+        self._cache = LRU(self.config.cache_capacity)
         self._stats = StatsAccumulator()
         self._breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
@@ -384,7 +384,7 @@ class EstimationService:
             return self._model
 
     @property
-    def cache(self) -> ResultCache:
+    def cache(self) -> LRU:
         return self._cache
 
     @property

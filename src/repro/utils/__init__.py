@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management, timing, benchmark
-records, thread-parallel execution, and seeded fault injection for the
-reliability test harness.
+records, thread-parallel execution, the one LRU cache, and seeded fault
+injection for the reliability test harness.
 
 Submodules are imported lazily (PEP 562): ``repro.utils.bench`` must be
 importable *without* pulling in numpy, because
@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers only
     from repro.utils.bench import latency_percentiles_ms, pin_blas_threads, write_bench_json
     from repro.utils.faults import FaultPlan, FaultSpec, InjectedFault, fault_point
+    from repro.utils.lru import LRU
     from repro.utils.parallel import WorkerPool, chunk_spans, resolve_worker_count
     from repro.utils.rng import spawn_rng
     from repro.utils.timer import Timer
@@ -24,6 +25,7 @@ __all__ = [
     "latency_percentiles_ms",
     "pin_blas_threads",
     "write_bench_json",
+    "LRU",
     "WorkerPool",
     "chunk_spans",
     "resolve_worker_count",
@@ -39,6 +41,7 @@ _EXPORTS = {
     "latency_percentiles_ms": "repro.utils.bench",
     "pin_blas_threads": "repro.utils.bench",
     "write_bench_json": "repro.utils.bench",
+    "LRU": "repro.utils.lru",
     "WorkerPool": "repro.utils.parallel",
     "chunk_spans": "repro.utils.parallel",
     "resolve_worker_count": "repro.utils.parallel",

@@ -12,9 +12,9 @@ simply ``None``; consumers must treat absent/null keys as "not measured".
 
 :func:`pin_blas_threads` is the shared benchmark-environment helper: every
 smoke benchmark measuring thread-level parallelism (engine replica pools,
-block-parallel scans, concurrent labeling) must pin the BLAS libraries to
-one thread so nested BLAS threading neither inflates serial baselines nor
-contends with the worker pools under test.  This module deliberately avoids
+concurrent labeling) must pin the BLAS libraries to one thread so nested
+BLAS threading neither inflates serial baselines nor contends with the
+worker pools under test.  This module deliberately avoids
 importing numpy at module level so the helper can run before numpy — and
 therefore before OpenBLAS/MKL read their thread-count environment variables
 — is loaded anywhere in the process.

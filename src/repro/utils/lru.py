@@ -1,44 +1,46 @@
-"""A thread-safe LRU cache of estimation results.
+"""One thread-safe, bounded LRU map with hit/miss/eviction counters.
 
-Serving traffic inside a query optimizer is heavily repetitive: the same
-(sub)queries are costed over and over across plan enumerations.  The cache
-keys on :meth:`repro.db.query.Query.signature` — the order-independent
-canonical identity — so semantically identical queries that list their
-tables, joins or predicates in different orders share one entry.
+Every memo in the repository is this class: the estimation service's
+signature-keyed result cache, the exact executor's result cache and
+per-(table, predicate-set) scan memo, the materialized samples' bitmap cache
+and the compiled featurizer plan's query cache.  All of them key on
+immutable snapshots (a database, a sample set, a model generation), so an
+entry never goes stale; the bound only caps memory.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable
+from typing import Any, Hashable
 
-__all__ = ["ResultCache"]
+__all__ = ["LRU"]
 
 _MISSING = object()
 
 
-class ResultCache:
-    """A bounded LRU mapping of query signatures to cardinality estimates.
+class LRU:
+    """A bounded least-recently-used mapping.
 
     All operations are guarded by one lock: lookups, inserts and the LRU
-    reordering are tiny next to a model forward pass, and a single lock keeps
+    reordering are tiny next to the work a hit saves, and a single lock keeps
     the hit/miss/eviction counters exactly consistent with the contents.
+    Stored values must not be ``None`` (a lookup returns ``None`` on a miss).
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, float] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: Hashable) -> float | None:
-        """The cached estimate for ``key``, recording a hit or a miss."""
+    def get(self, key: Hashable) -> Any:
+        """The cached value for ``key``, recording a hit or a miss."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
@@ -48,19 +50,19 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def peek(self, key: Hashable) -> float | None:
+    def peek(self, key: Hashable) -> Any:
         """Like :meth:`get` but without touching LRU order or counters.
 
-        Used by the batch worker to re-check freshly coalesced queries that a
-        concurrent batch may have just answered — those lookups are internal
-        plumbing, not request traffic, so they must not skew the hit rate.
+        For internal re-checks that are not request traffic (e.g. the service
+        batcher re-checking coalesced queries a concurrent batch may have just
+        answered), so they do not skew the hit rate.
         """
         with self._lock:
             value = self._entries.get(key, _MISSING)
             return None if value is _MISSING else value
 
-    def put(self, key: Hashable, value: float) -> None:
-        """Insert (or refresh) an estimate, evicting the LRU entry if full."""
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert (or refresh) an entry, evicting the LRU entry if full."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -72,7 +74,7 @@ class ResultCache:
                 self._evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (hot-swapping models invalidates all results)."""
+        """Drop every entry; the counters keep counting."""
         with self._lock:
             self._entries.clear()
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.db.executor import (
     CardinalityExecutor,
     _JoinKeyDomain,
-    execute_cardinality,
     nested_loop_cardinality,
 )
 from repro.db.predicates import Operator
@@ -23,15 +22,15 @@ from repro.db.table import Database, Table
 class TestSingleTable:
     def test_no_predicates_counts_all_rows(self, two_table_database):
         query = Query(tables=("fact",))
-        assert execute_cardinality(two_table_database, query) == 10
+        assert CardinalityExecutor(two_table_database).execute(query) == 10
 
     def test_predicate_filters(self, two_table_database):
         query = Query(tables=("fact",), predicates=(Predicate("fact", "value", "=", 5),))
-        assert execute_cardinality(two_table_database, query) == 4
+        assert CardinalityExecutor(two_table_database).execute(query) == 4
 
     def test_empty_result(self, two_table_database):
         query = Query(tables=("fact",), predicates=(Predicate("fact", "value", ">", 100),))
-        assert execute_cardinality(two_table_database, query) == 0
+        assert CardinalityExecutor(two_table_database).execute(query) == 0
 
 
 class TestJoins:
@@ -40,7 +39,7 @@ class TestJoins:
             tables=("dim", "fact"),
             joins=(JoinCondition("fact", "dim_id", "dim", "id"),),
         )
-        assert execute_cardinality(two_table_database, query) == 10
+        assert CardinalityExecutor(two_table_database).execute(query) == 10
 
     def test_filter_on_dimension_restricts_fanout(self, two_table_database):
         # category 20 selects dim rows 3 and 4, with fan-outs 3 and 4.
@@ -49,7 +48,7 @@ class TestJoins:
             joins=(JoinCondition("fact", "dim_id", "dim", "id"),),
             predicates=(Predicate("dim", "category", "=", 20),),
         )
-        assert execute_cardinality(two_table_database, query) == 7
+        assert CardinalityExecutor(two_table_database).execute(query) == 7
 
     def test_filters_on_both_sides(self, two_table_database):
         query = Query(
@@ -60,11 +59,11 @@ class TestJoins:
                 Predicate("fact", "value", "=", 5),
             ),
         )
-        assert execute_cardinality(two_table_database, query) == 2
+        assert CardinalityExecutor(two_table_database).execute(query) == 2
 
     def test_cross_product_of_disconnected_tables(self, two_table_database):
         query = Query(tables=("dim", "fact"))
-        assert execute_cardinality(two_table_database, query) == 40
+        assert CardinalityExecutor(two_table_database).execute(query) == 40
 
     def test_empty_base_table_short_circuits(self, two_table_database):
         query = Query(
@@ -72,7 +71,7 @@ class TestJoins:
             joins=(JoinCondition("fact", "dim_id", "dim", "id"),),
             predicates=(Predicate("dim", "category", "=", 999),),
         )
-        assert execute_cardinality(two_table_database, query) == 0
+        assert CardinalityExecutor(two_table_database).execute(query) == 0
 
     def test_matches_nested_loop_on_two_table_database(self, two_table_database):
         query = Query(
@@ -80,7 +79,7 @@ class TestJoins:
             joins=(JoinCondition("fact", "dim_id", "dim", "id"),),
             predicates=(Predicate("fact", "value", ">", 5),),
         )
-        assert execute_cardinality(two_table_database, query) == nested_loop_cardinality(
+        assert CardinalityExecutor(two_table_database).execute(query) == nested_loop_cardinality(
             two_table_database, query
         )
 
@@ -172,7 +171,7 @@ class TestAgainstNestedLoopReference:
             predicates.append(Predicate(table, column, operator, int(rng.integers(domain))))
         query = Query(tables=tuple(tables), joins=tuple(joins), predicates=tuple(predicates))
         expected = nested_loop_cardinality(database, query)
-        assert execute_cardinality(database, query) == expected
+        assert CardinalityExecutor(database).execute(query) == expected
 
 
 class TestCyclicFallback:
@@ -206,7 +205,7 @@ class TestCyclicFallback:
             ),
         )
         # Matching rows: left1-right1 (k1=1,k2=7), left2-right3 (k1=2,k2=8).
-        assert execute_cardinality(database, query) == 2
+        assert CardinalityExecutor(database).execute(query) == 2
         assert nested_loop_cardinality(database, query) == 2
 
     def test_executor_validates_schema(self, two_table_database):

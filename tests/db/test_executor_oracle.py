@@ -6,9 +6,17 @@ sparse (widely spaced ids), negative, and huge (at or above 2**40), the last
 three of which count through rank codes.  Foreign keys may dangle.  Every
 connected sub-plan of a query with random predicates must then count exactly
 what :func:`~repro.db.executor.nested_loop_cardinality` counts, on every
-combination of block size, worker budget and scan memo, and on a
+combination of block size, scan memo and result cache — twice, so the
+second pass is served by whatever the memos kept — and on a
 :class:`~repro.db.sampled.SampledCardinalityExecutor` whose budget covers
 every table (which makes its labels exact).
+
+Each configuration, as its own test case, must also agree on cyclic join
+graphs (the hash-join expansion path), on empty and singleton tables, and
+with the labels of a real generated workload; the default executor must
+agree on random chains.  The sub-plan consistency properties
+join enumeration relies on, and the memos' counters, LRU bounds and
+capacity checks, are pinned down by the short tests at the end.
 """
 
 from __future__ import annotations
@@ -16,14 +24,17 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.executor import CardinalityExecutor, nested_loop_cardinality
+from repro.db.predicates import selection_mask
 from repro.db.query import JoinCondition, Predicate, Query
 from repro.db.sampled import SampledCardinalityExecutor
 from repro.db.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.db.table import Database, Table
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 
 # Maps base ids 0..N+1 into each key domain; every map is injective, so the
 # join structure is the same in every domain.
@@ -35,8 +46,30 @@ KEY_DOMAINS = {
     "negative_and_huge": lambda keys: keys * 2**40 - 3 * 2**40,
 }
 
-# (block_rows, max_workers, scan_cache_capacity)
-CONFIGURATIONS = list(itertools.product((None, 1, 7), (None, 2, 7), (None, 64)))
+# (block_rows, scan_cache_capacity, cache_capacity)
+CONFIGURATIONS = list(itertools.product((None, 1, 7), (None, 64), (None, 64)))
+
+
+def configured_executor(database: Database, configuration: tuple) -> CardinalityExecutor:
+    block_rows, memo, cache = configuration
+    return CardinalityExecutor(
+        database, block_rows=block_rows, scan_cache_capacity=memo, cache_capacity=cache
+    )
+
+
+@pytest.fixture(
+    params=CONFIGURATIONS, ids=lambda c: "block={}-memo={}-cache={}".format(*c)
+)
+def configuration(request):
+    return request.param
+
+
+def assert_counts(database: Database, configuration: tuple, expected: dict) -> None:
+    """The configured executor counts each query as ``expected`` maps it, twice."""
+    executor = configured_executor(database, configuration)
+    for _ in range(2):
+        for query, count in expected.items():
+            assert executor.execute(query) == count, query
 
 
 @st.composite
@@ -89,23 +122,276 @@ def tree_databases(draw):
 @settings(max_examples=60, deadline=None)
 def test_every_configuration_matches_nested_loop(case):
     database, query = case
-    executors = [
-        CardinalityExecutor(
-            database, block_rows=block_rows, max_workers=workers, scan_cache_capacity=memo
-        )
-        for block_rows, workers, memo in CONFIGURATIONS
-    ]
+    # Sub-plans share base scans, so a memo-on executor also serves the later
+    # sub-plans from scans cached by the earlier ones.
+    expected = {
+        subquery: nested_loop_cardinality(database, subquery)
+        for subquery in query.connected_subqueries()
+    }
+    executors = [configured_executor(database, c) for c in CONFIGURATIONS]
+    for _ in range(2):
+        for subquery, count in expected.items():
+            for configuration, executor in zip(CONFIGURATIONS, executors):
+                assert executor.execute(subquery) == count, (configuration, subquery)
     largest = max(database.table(name).num_rows for name in database.table_names)
     sampled = SampledCardinalityExecutor(database, sample_rows=largest)
-    try:
-        # Sub-plans share base scans, so a memo-on executor also serves the
-        # later sub-plans from scans cached by the earlier ones.
+    for subquery, count in expected.items():
+        label = sampled.execute(subquery)
+        assert label.exact and label.observed == count
+
+
+# ---------------------------------------------------------------------------
+# Fixed inputs: cyclic graphs, degenerate tables, a real workload
+# ---------------------------------------------------------------------------
+def chain_database(rng: np.random.Generator, num_tables: int) -> Database:
+    """A random chain-joined database with tiny tables and dangling refs."""
+    table_schemas, foreign_keys, tables = [], [], {}
+    previous_rows = 0
+    for index in range(num_tables):
+        columns = [ColumnSchema("id", "primary_key"), ColumnSchema("val")]
+        num_rows = int(rng.integers(2, 7))
+        data = {
+            "id": np.arange(num_rows, dtype=np.int64),
+            "val": rng.integers(0, 4, size=num_rows).astype(np.int64),
+        }
+        if index > 0:
+            columns.append(ColumnSchema("ref", "foreign_key"))
+            foreign_keys.append(ForeignKey(f"t{index}", "ref", f"t{index - 1}", "id"))
+            data["ref"] = rng.integers(0, previous_rows + 1, size=num_rows).astype(np.int64)
+        previous_rows = num_rows
+        schema = TableSchema(name=f"t{index}", columns=tuple(columns))
+        table_schemas.append(schema)
+        tables[schema.name] = Table(schema, data)
+    return Database(Schema(tables=tuple(table_schemas), foreign_keys=tuple(foreign_keys)), tables)
+
+
+def chain_query(rng: np.random.Generator, database: Database) -> Query:
+    names = database.schema.table_names
+    num_tables = int(rng.integers(1, len(names) + 1))
+    start = int(rng.integers(0, len(names) - num_tables + 1))
+    chosen = names[start : start + num_tables]
+    joins = tuple(
+        JoinCondition(chosen[i + 1], "ref", chosen[i], "id") for i in range(num_tables - 1)
+    )
+    predicates = []
+    for table in chosen:
+        if rng.random() < 0.5:
+            operator = ("=", "<", ">")[int(rng.integers(3))]
+            predicates.append(Predicate(table, "val", operator, int(rng.integers(0, 4))))
+    return Query(tables=chosen, joins=joins, predicates=tuple(predicates))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_path_matches_nested_loop(seed):
+    """Chains of 2-4 tables with random sub-ranges and predicates."""
+    rng = np.random.default_rng(seed)
+    database = chain_database(rng, num_tables=int(rng.integers(2, 5)))
+    executor = CardinalityExecutor(database)
+    for _ in range(6):
+        query = chain_query(rng, database)
+        assert executor.execute(query) == nested_loop_cardinality(database, query)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cyclic_queries_take_the_expansion_path(seed, configuration):
+    """A parallel t1-t0 edge over the same pair forms a cycle."""
+    database = chain_database(np.random.default_rng(100 + seed), num_tables=3)
+    cyclic = Query(
+        tables=("t0", "t1", "t2"),
+        joins=(
+            JoinCondition("t1", "ref", "t0", "id"),
+            JoinCondition("t2", "ref", "t1", "id"),
+            JoinCondition("t0", "id", "t1", "ref"),
+        ),
+        predicates=(Predicate("t2", "val", "<", 3),) if seed % 2 else (),
+    )
+    assert not CardinalityExecutor._is_tree(cyclic.tables, cyclic.joins)
+    assert_counts(database, configuration, {cyclic: nested_loop_cardinality(database, cyclic)})
+
+
+def single_table_database(num_rows: int) -> Database:
+    schema = TableSchema("t", (ColumnSchema("id", "primary_key"), ColumnSchema("val")))
+    table = Table(
+        schema, {"id": np.arange(num_rows, dtype=np.int64), "val": np.arange(num_rows)}
+    )
+    return Database(Schema(tables=(schema,)), {"t": table})
+
+
+@pytest.mark.parametrize("num_rows", (0, 1))
+def test_empty_and_singleton_scans(num_rows, configuration):
+    # Row 0 matches the predicate when present.
+    filtered = Query(tables=("t",), predicates=(Predicate("t", "val", "=", 0),))
+    assert_counts(
+        single_table_database(num_rows),
+        configuration,
+        {Query(tables=("t",)): num_rows, filtered: num_rows},
+    )
+
+
+def test_join_against_empty_side(configuration):
+    dim_schema = TableSchema("dim", (ColumnSchema("id", "primary_key"),))
+    fact_schema = TableSchema(
+        "fact", (ColumnSchema("id", "primary_key"), ColumnSchema("dim_id", "foreign_key"))
+    )
+    schema = Schema(
+        tables=(dim_schema, fact_schema),
+        foreign_keys=(ForeignKey("fact", "dim_id", "dim", "id"),),
+    )
+    empty = np.array([], dtype=np.int64)
+    database = Database(
+        schema,
+        {
+            "dim": Table(dim_schema, {"id": np.array([1, 2])}),
+            "fact": Table(fact_schema, {"id": empty, "dim_id": empty}),
+        },
+    )
+    join = Query(tables=("dim", "fact"), joins=(JoinCondition("fact", "dim_id", "dim", "id"),))
+    assert_counts(database, configuration, {join: 0, Query(tables=("dim",)): 2})
+
+
+def test_two_table_exact_counts(two_table_database, configuration):
+    join = (JoinCondition("fact", "dim_id", "dim", "id"),)
+    filtered = Query(
+        tables=("dim", "fact"), joins=join, predicates=(Predicate("dim", "category", "=", 10),)
+    )
+    assert_counts(
+        two_table_database,
+        configuration,
+        {Query(tables=("dim", "fact"), joins=join): 10, filtered: 3, Query(tables=("fact",)): 10},
+    )
+
+
+def test_reproduces_workload_labels(tiny_database, tiny_workload, configuration):
+    # The workload was labelled by the default whole-array executor.
+    assert_counts(
+        tiny_database,
+        configuration,
+        {entry.query: entry.cardinality for entry in tiny_workload[:20]},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sub-plan consistency
+# ---------------------------------------------------------------------------
+def distinct_projections(database: Database, query: Query, subset: frozenset[str]) -> int:
+    """Distinct projections of the nested-loop result onto ``subset`` tables."""
+    tables = [database.table(name) for name in query.tables]
+    positions = {table.name: i for i, table in enumerate(tables)}
+    qualifying = [
+        np.flatnonzero(selection_mask(table, query.predicates_on(table.name)))
+        for table in tables
+    ]
+    kept = [positions[name] for name in query.tables if name in subset]
+    projections = set()
+    for combination in itertools.product(*qualifying):
+        if all(
+            database.table(j.left_table).column(j.left_column)[combination[positions[j.left_table]]]
+            == database.table(j.right_table).column(j.right_column)[
+                combination[positions[j.right_table]]
+            ]
+            for j in query.joins
+        ):
+            projections.add(tuple(combination[i] for i in kept))
+    return len(projections)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subplan_consistency(seed):
+    """A non-empty query has non-empty sub-plans, each at least as large as
+    the distinct projections of the query's result onto its tables (the raw
+    ``|sub| >= |super|`` does not hold: a PK/FK join can fan one row out)."""
+    rng = np.random.default_rng(200 + seed)
+    database = chain_database(rng, num_tables=3)
+    executor = CardinalityExecutor(database)
+    for _ in range(4):
+        query = chain_query(rng, database)
+        total = executor.execute(query)
+        for subset in query.connected_table_subsets():
+            sub_cardinality = executor.execute(query.subquery(subset))
+            if total > 0:
+                assert sub_cardinality > 0
+            assert sub_cardinality >= distinct_projections(database, query, subset)
+
+
+# ---------------------------------------------------------------------------
+# Memos: counters, LRU bounds, capacity checks
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def probe_queries(tiny_database):
+    """A mixed 0-3-join query set drawn (unlabelled) from the tiny database."""
+    generator = QueryGenerator(
+        tiny_database, WorkloadConfig(num_queries=40, max_joins=3, seed=23)
+    )
+    return [generator._draw_query() for _ in range(40)]
+
+
+class TestResultCache:
+    def test_hits_misses_and_reordered_queries(self, two_table_database):
+        executor = CardinalityExecutor(two_table_database, cache_capacity=8)
+        query = Query(tables=("dim", "fact"), joins=(JoinCondition("fact", "dim_id", "dim", "id"),))
+        assert executor.execute(query) == executor.execute(query) == 10
+        assert (executor.cache_hits, executor.cache_misses) == (1, 1)
+        # Semantically identical query with different ordering shares the entry.
+        reordered = Query(
+            tables=("fact", "dim"), joins=(JoinCondition("dim", "id", "fact", "dim_id"),)
+        )
+        assert executor.execute(reordered) == 10
+        assert executor.cache_hits == 2
+
+    def test_lru_eviction(self, two_table_database):
+        executor = CardinalityExecutor(two_table_database, cache_capacity=1)
+        dim_only, fact_only = Query(tables=("dim",)), Query(tables=("fact",))
+        executor.execute(dim_only)
+        executor.execute(fact_only)  # evicts dim_only
+        executor.execute(dim_only)
+        assert (executor.cache_hits, executor.cache_misses) == (0, 3)
+
+
+class TestScanMemo:
+    def test_subplan_fanout_scans_each_predicate_set_once(self, tiny_database, probe_queries):
+        executor = CardinalityExecutor(tiny_database, scan_cache_capacity=256)
+        query = max(probe_queries, key=lambda q: q.num_joins)
+        assert query.num_joins >= 2
         for subquery in query.connected_subqueries():
-            expected = nested_loop_cardinality(database, subquery)
-            for configuration, executor in zip(CONFIGURATIONS, executors):
-                assert executor.execute(subquery) == expected, (configuration, subquery)
-            label = sampled.execute(subquery)
-            assert label.exact and label.observed == expected
-    finally:
-        for executor in executors:
-            executor._pool.close()
+            executor.execute(subquery)
+        assert executor.scan_reuse_hits > 0
+        distinct_scans = {
+            (table, tuple(sorted((p.column, p.operator.value, p.value)
+                                 for p in subquery.predicates_on(table))))
+            for subquery in query.connected_subqueries()
+            for table in subquery.tables
+        }
+        assert executor.scan_reuse_misses == len(distinct_scans)
+
+    def test_lru_eviction_bounds_memo(self, tiny_database, probe_queries):
+        executor = CardinalityExecutor(tiny_database, scan_cache_capacity=2)
+        for query in probe_queries[:12]:
+            executor.execute(query)
+        assert len(executor._scan_cache) <= 2
+
+    def test_sampled_executor_forwards_counters(self, tiny_database, probe_queries):
+        executor = SampledCardinalityExecutor(
+            tiny_database, sample_rows=500, scan_cache_capacity=64
+        )
+        query = max(probe_queries, key=lambda q: q.num_joins)
+        for subquery in query.connected_subqueries():
+            executor.execute(subquery)
+        assert executor.scan_reuse_hits > 0
+        assert executor.scan_reuse_misses > 0
+
+
+def test_memos_off_by_default(two_table_database):
+    executor = CardinalityExecutor(two_table_database)
+    query = Query(tables=("dim", "fact"), joins=(JoinCondition("fact", "dim_id", "dim", "id"),))
+    executor.execute(query)
+    executor.execute(query)
+    assert executor.cache_hits == executor.cache_misses == 0
+    assert executor.scan_reuse_hits == executor.scan_reuse_misses == 0
+
+
+@pytest.mark.parametrize(
+    "option", ("cache_capacity", "scan_cache_capacity", "block_rows")
+)
+def test_non_positive_settings_rejected(two_table_database, option):
+    with pytest.raises(ValueError):
+        CardinalityExecutor(two_table_database, **{option: 0})

@@ -167,14 +167,6 @@ class TestBitmapCache:
         samples.bitmap("fact", fact_probe)  # was evicted -> recomputed
         assert samples.bitmap_cache_misses == misses + 1
 
-    def test_unbounded_cache_opt_in(self, two_table_database):
-        samples = MaterializedSamples(
-            two_table_database, sample_size=30, seed=1, max_cached_bitmaps=None
-        )
-        for value in range(20):
-            samples.bitmap("fact", [Predicate("fact", "value", Operator.GT, value)])
-        assert samples.bitmap_cache_size == 20
-
     def test_invalid_cache_bound_raises(self, two_table_database):
         with pytest.raises(ValueError):
             MaterializedSamples(two_table_database, sample_size=30, max_cached_bitmaps=0)

@@ -73,48 +73,8 @@ class TestTable:
     def test_nbytes_counts_column_storage(self):
         table = Table(make_schema(), {"id": np.arange(10), "value": np.arange(10)})
         assert table.nbytes == 2 * 10 * 8
-
-
-class TestIterBlocks:
-    def test_blocks_partition_rows_and_share_memory(self):
-        table = Table(make_schema(), {"id": np.arange(10), "value": np.arange(10) * 2})
-        blocks = list(table.iter_blocks(block_rows=3))
-        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        reassembled = np.concatenate([b.column("value") for b in blocks])
-        np.testing.assert_array_equal(reassembled, table.column("value"))
-        for block in blocks:
-            assert np.shares_memory(block.column("id"), table.column("id"))
-
-    def test_none_block_rows_yields_single_block(self):
-        table = Table(make_schema(), {"id": np.arange(5), "value": np.arange(5)})
-        blocks = list(table.iter_blocks())
-        assert len(blocks) == 1
-        assert blocks[0].num_rows == 5
-
-    def test_block_rows_larger_than_table(self):
-        table = Table(make_schema(), {"id": np.arange(5), "value": np.arange(5)})
-        blocks = list(table.iter_blocks(block_rows=10**9))
-        assert len(blocks) == 1 and blocks[0].stop == 5
-
-    def test_empty_table_yields_no_blocks(self):
-        table = Table(make_schema(), {"id": np.array([], dtype=np.int64),
-                                      "value": np.array([], dtype=np.int64)})
-        assert list(table.iter_blocks(block_rows=4)) == []
-        assert table.nbytes == 0
-
-    def test_column_restriction_and_unknown_column(self):
-        table = Table(make_schema(), {"id": np.arange(4), "value": np.arange(4)})
-        block = next(table.iter_blocks(columns=["value"], block_rows=2))
-        np.testing.assert_array_equal(block.column("value"), [0, 1])
-        with pytest.raises(KeyError):
-            block.column("id")
-        with pytest.raises(KeyError):
-            list(table.iter_blocks(columns=["missing"]))
-
-    def test_invalid_block_rows_rejected(self):
-        table = Table(make_schema(), {"id": np.arange(4), "value": np.arange(4)})
-        with pytest.raises(ValueError):
-            list(table.iter_blocks(block_rows=0))
+        empty = np.array([], dtype=np.int64)
+        assert Table(make_schema(), {"id": empty, "value": empty}).nbytes == 0
 
 
 class TestDatabase:

@@ -77,21 +77,21 @@ class TestWorkerPool:
             assert spans == sorted(spans)
             assert spans[0][0] == 0 and spans[-1][1] == 50
 
-    def test_small_work_runs_inline_on_calling_thread(self):
-        pool = WorkerPool(8, min_parallel_items=10)
+    def test_single_item_runs_inline_on_calling_thread(self):
+        pool = WorkerPool(8)
         caller = threading.current_thread().name
-        threads = pool.run_spans(5, lambda s, e: threading.current_thread().name)
+        threads = pool.run_spans(1, lambda s, e: threading.current_thread().name)
         assert threads == [caller]
         assert pool._executor is None, "no executor created for inline work"
 
     def test_effective_workers_thresholds(self):
-        pool = WorkerPool(4, min_parallel_items=8)
+        pool = WorkerPool(4)
         assert pool.effective_workers(0) == 1
-        assert pool.effective_workers(7) == 1
-        assert pool.effective_workers(8) == 4
+        assert pool.effective_workers(1) == 1
+        assert pool.effective_workers(2) == 2
         assert pool.effective_workers(3_000) == 4
         # Never more workers than items.
-        assert WorkerPool(16, min_parallel_items=2).effective_workers(3) == 3
+        assert WorkerPool(16).effective_workers(3) == 3
 
     def test_empty_work(self):
         with WorkerPool(4) as pool:
@@ -113,7 +113,7 @@ class TestWorkerPool:
             finished.append((start, stop))
             return stop - start
 
-        with WorkerPool(workers, min_parallel_items=1) as pool:
+        with WorkerPool(workers) as pool:
             with pytest.raises(ValueError, match="span zero failed"):
                 pool.run_spans(100, task)
         # Every non-failing span ran to completion before the raise.
@@ -123,12 +123,12 @@ class TestWorkerPool:
         def task(start, stop):
             raise RuntimeError(f"boom@{start}")
 
-        with WorkerPool(4, min_parallel_items=1) as pool:
+        with WorkerPool(4) as pool:
             with pytest.raises(RuntimeError, match=r"4/4 worker spans failed"):
                 pool.run_spans(40, task)
 
     def test_close_is_idempotent_and_pool_stays_usable(self):
-        pool = WorkerPool(3, min_parallel_items=1)
+        pool = WorkerPool(3)
         assert pool.map(lambda x: x + 1, list(range(30))) == list(range(1, 31))
         pool.close()
         pool.close()
@@ -136,14 +136,10 @@ class TestWorkerPool:
         assert pool.map(lambda x: x + 1, list(range(30))) == list(range(1, 31))
         pool.close()
 
-    def test_rejects_bad_min_parallel_items(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, min_parallel_items=0)
-
     def test_map_matches_serial_for_stateful_reduction_per_chunk(self):
         # A merge done in span order reproduces the serial left fold.
         items = list(range(1, 200))
-        with WorkerPool(7, min_parallel_items=1) as pool:
+        with WorkerPool(7) as pool:
             chunked = pool.run_spans(
                 len(items), lambda s, e: sum(items[s:e])
             )

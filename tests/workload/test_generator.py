@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.db.executor import execute_cardinality
+from repro.db.executor import CardinalityExecutor
 from repro.db.schema import ColumnSchema, ForeignKey, Schema, TableSchema
 from repro.db.table import Database, Table
 from repro.workload.generator import (
@@ -93,7 +93,7 @@ class TestGeneratedWorkload:
 
     def test_labels_match_the_executor(self, tiny_database, tiny_workload):
         for labelled in tiny_workload[:15]:
-            assert execute_cardinality(tiny_database, labelled.query) == labelled.cardinality
+            assert CardinalityExecutor(tiny_database).execute(labelled.query) == labelled.cardinality
 
     def test_queries_validate_against_schema(self, tiny_database, tiny_workload):
         for labelled in tiny_workload:
