@@ -123,7 +123,7 @@ def test_section47_inference_latency(context, write_result):
     fused = context.trained_mscn(FeaturizationVariant.BITMAPS)
     queries = [labelled.query for labelled in context.synthetic_workload]
 
-    # Warm the bitmap cache, the compiled plan and the scratch buffers.
+    # Warm the bitmap cache and the compiled plan.
     fused.estimate_many(queries)
 
     batch_seconds = _best_of(lambda: fused.estimate_many(queries), repeats=7)

@@ -1,11 +1,11 @@
 """CI smoke test of the parallel low-precision inference tier.
 
-Exercises the :class:`~repro.core.pool.EnginePool` and the quantized weight
-snapshots end to end at a miniature scale:
+Exercises the replica workers of :class:`~repro.core.inference.InferenceEngine`
+and the quantized weight snapshots end to end at a miniature scale:
 
 * **Bit-identity** — pooled ``estimate_many`` output equals the single-engine
-  serial path exactly, for several replica counts and chunk sizes (the pool's
-  determinism contract; holds on any core count).
+  serial path exactly, for several replica counts and chunk sizes (the
+  engine's determinism contract; holds on any core count).
 * **Throughput floor** — on runners with >= 4 cores, the pooled engine must
   sustain at least ``MIN_POOLED_SPEEDUP`` the single-engine fused-inference
   throughput.  On smaller hosts (including 1-core containers, where thread
@@ -110,7 +110,7 @@ def main() -> int:
         single, database, samples, engine_replicas=replicas, inference_chunk_size=16
     )
 
-    # Warm bitmap caches, feature buffers and engine scratch on both paths.
+    # Warm the bitmap caches and the compiled featurizer plan on both paths.
     single_reference = single._trainer.predict(
         single.serving_dataset(queries), batch_size=16
     )
@@ -119,12 +119,10 @@ def main() -> int:
     # --- determinism: pooled == serial single-engine, bit for bit ---------
     np.testing.assert_array_equal(pooled_estimates, single_reference)
     dataset = single.serving_dataset(queries)
-    engine_reference = single._trainer.pool().run_many(dataset, chunk_size=16)
     for chunk_size in (1, 7, 64):
-        expected = single._trainer.pool().run_many(dataset, chunk_size=chunk_size)
-        actual = pooled._trainer.pool().run_many(dataset, chunk_size=chunk_size)
+        expected = single._trainer.engine().run(dataset, chunk_size=chunk_size)
+        actual = pooled._trainer.engine().run(dataset, chunk_size=chunk_size)
         np.testing.assert_array_equal(actual, expected)
-    del engine_reference
 
     # --- throughput: pooled vs single-engine end to end -------------------
     single_qps = best_throughput(lambda: single.estimate_many(queries), len(queries))
@@ -177,10 +175,10 @@ def main() -> int:
         assert inversion < MAX_MEDIAN_Q_ERROR_DRIFT, (
             f"{precision} reordered non-tied estimates ({100 * inversion:.2f}%)"
         )
-        stored = quantized._trainer.pool().snapshot.stored_num_bytes
+        stored = quantized._trainer.engine().snapshot.stored_num_bytes
         precision_rows.append((precision, median, drift, inversion, stored))
 
-    fp32_stored = single._trainer.pool().snapshot.stored_num_bytes
+    fp32_stored = single._trainer.engine().snapshot.stored_num_bytes
 
     report_lines = [
         f"parallel inference smoke ({cores} cores, BLAS pinned to 1 thread):",

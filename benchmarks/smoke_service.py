@@ -66,7 +66,7 @@ def main() -> int:
     estimator.fit(workload)
 
     # Uncached baseline: every repeat featurizes and infers from scratch.
-    estimator.estimate_many(queries)  # warm the bitmap cache and buffers
+    estimator.estimate_many(queries)  # warm the bitmap cache and the compiled plan
     start = time.perf_counter()
     for _ in range(REPEATS):
         direct = estimator.estimate_many(queries)
@@ -135,8 +135,6 @@ def main() -> int:
             "uncached_qps": uncached_qps,
             "cached_speedup": speedup,
             "cache_hit_rate": stats.cache_hit_rate,
-            "feature_buffer_bytes": stats.feature_buffer_bytes,
-            "scratch_high_water_bytes": stats.scratch_high_water_bytes,
             "fallback_routed": routed_stats.fallback_queries,
             "num_queries": len(queries),
             "repeats": REPEATS,

@@ -17,14 +17,12 @@ The sub-modules follow the pipeline of Section 3:
 * :mod:`repro.core.estimator` — the public :class:`MSCNEstimator` façade.
 """
 
-from repro.core.arena import ScratchArena
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
-from repro.core.featurization import FeatureBuffers, FeaturizedQuery, QueryFeaturizer
+from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
 from repro.core.inference import InferenceEngine, WeightSnapshot
 from repro.core.model import MSCN
-from repro.core.pool import EnginePool
 from repro.core.trainer import MSCNTrainer, TrainingResult
 
 __all__ = [
@@ -35,12 +33,9 @@ __all__ = [
     "EnsembleEstimate",
     "QueryFeaturizer",
     "FeaturizedQuery",
-    "FeatureBuffers",
-    "ScratchArena",
     "MSCN",
     "MSCNTrainer",
     "TrainingResult",
     "InferenceEngine",
     "WeightSnapshot",
-    "EnginePool",
 ]

@@ -12,15 +12,13 @@ inference engine.  The default is ``float32``: serving accuracy is unaffected
 move half the memory.  Use ``float64`` for bit-exact comparisons (e.g. of the
 fused inference engine against the autograd forward pass).
 
-Four knobs configure the serving-side inference tier on top of the training
+Three knobs configure the serving-side inference tier on top of the training
 dtype: ``inference_precision`` selects the engine's weight tier (``None``
 inherits ``dtype``; ``float16``/``int8`` serve quantized weight snapshots
-with float32 compute), ``engine_replicas`` sizes the
-:class:`~repro.core.pool.EnginePool` that parallelizes large batches across
-cores, ``inference_chunk_size`` fixes the queries-per-chunk of
-``estimate_many`` (``None`` falls back to ``batch_size``), and
-``scratch_rows_cap`` bounds the engines' grow-only scratch buffers so one
-huge batch cannot permanently pin peak memory in a long-lived service.
+with float32 compute), ``engine_replicas`` is the number of worker threads
+the :class:`~repro.core.inference.InferenceEngine` spreads the chunks of a
+large batch over, and ``inference_chunk_size`` fixes the queries-per-chunk
+of ``estimate_many`` (``None`` falls back to ``batch_size``).
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ class MSCNConfig:
     inference_precision: str | None = None
     engine_replicas: int = 1
     inference_chunk_size: int | None = None
-    scratch_rows_cap: int | None = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -123,8 +120,6 @@ class MSCNConfig:
                 "inference_chunk_size must be >= 1 (the number of queries per "
                 "fused inference chunk), or None to fall back to batch_size"
             )
-        if self.scratch_rows_cap is not None and self.scratch_rows_cap < 1:
-            raise ValueError("scratch_rows_cap must be >= 1 (or None for unbounded)")
         # Accept plain strings for convenience.
         if not isinstance(self.loss, LossKind):
             object.__setattr__(self, "loss", LossKind(self.loss))

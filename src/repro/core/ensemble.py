@@ -93,16 +93,6 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
         """The sample set shared by every member (bitmap-cache accounting)."""
         return self.members[0].samples
 
-    @property
-    def scratch_high_water_bytes(self) -> int:
-        """Peak inference scratch summed over every member's engine pool."""
-        return sum(member.scratch_high_water_bytes for member in self.members)
-
-    def reset_inference_scratch(self) -> None:
-        """Release every member's cached inference scratch buffers."""
-        for member in self.members:
-            member.reset_inference_scratch()
-
     # ------------------------------------------------------------------
     def fit(self, training_queries: list[LabelledQuery]) -> list[TrainingResult]:
         """Train every member on the same labelled queries.
@@ -148,13 +138,9 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
     def estimate(self, query: Query) -> float:
         return self.estimate_with_uncertainty(query).cardinality
 
-    def serving_dataset(self, queries: Sequence[Query], buffers=None):
-        """Featurize serving traffic once for all members (shared layout).
-
-        ``buffers`` passes through to the lead member's zero-copy
-        featurize-into path; every member consumes the same aliased views.
-        """
-        return self.members[0].serving_dataset(queries, buffers=buffers)
+    def serving_dataset(self, queries: Sequence[Query]):
+        """Featurize serving traffic once for all members (shared layout)."""
+        return self.members[0].serving_dataset(queries)
 
     def estimate_featurized(self, features) -> np.ndarray:
         """Geometric-mean ensemble estimates for a pre-featurized workload."""

@@ -9,7 +9,7 @@
 5. train the MSCN model,
 6. answer :meth:`estimate` calls for unseen queries by featurizing them (which
    includes probing the materialized samples at estimation time) and running
-   the model forward.
+   the trainer's fused :class:`~repro.core.inference.InferenceEngine`.
 
 The estimator also reports its serialized model size (paper Section 4.7) and
 can be persisted to disk and reloaded against the same database snapshot.
@@ -203,20 +203,14 @@ class MSCNEstimator:
         """Estimated cardinality of a single query."""
         return float(self.estimate_many([query])[0])
 
-    def serving_dataset(self, queries: Sequence[Query], buffers=None):
+    def serving_dataset(self, queries: Sequence[Query]):
         """Featurize serving traffic into the ragged layout the engine reads.
 
         Public so ensembles (and other fan-out consumers) can featurize a
         workload once and share the dataset across models; pair with
         :meth:`estimate_featurized`.
-
-        ``buffers`` optionally supplies a
-        :class:`~repro.core.featurization.FeatureBuffers` set to featurize
-        into (zero-copy): the returned dataset then aliases the buffers and
-        is valid until the next featurization into them — the estimation
-        service's micro-batch lifecycle.
         """
-        return self.featurizer.featurize_ragged(queries, buffers=buffers)
+        return self.featurizer.featurize_ragged(queries)
 
     def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
         """Estimated cardinalities for a sequence of queries.
@@ -246,10 +240,9 @@ class MSCNEstimator:
         this path's latency; the whole-batch fused pass remains the serving
         default via :meth:`estimate_many`/:meth:`estimate_featurized`.)
 
-        The per-sub-plan chunks route through the trainer's
-        :class:`~repro.core.pool.EnginePool`, so on a pooled trainer the
-        fan-out runs replica-parallel; tiny fan-outs (fewer chunks than
-        replicas) fall back to the inline single-engine path automatically.
+        With ``engine_replicas > 1`` the per-sub-plan chunks are spread over
+        the engine's worker threads; tiny fan-outs (fewer chunks than
+        replicas) run inline automatically.
         """
         trainer = self._require_trained()
         subqueries = query.connected_subqueries()
@@ -302,29 +295,6 @@ class MSCNEstimator:
     # ------------------------------------------------------------------
     # Introspection and persistence
     # ------------------------------------------------------------------
-    @property
-    def scratch_high_water_bytes(self) -> int:
-        """Peak inference scratch held across engine replicas (0 if unused).
-
-        Reads whatever pool the trainer has already built — it never forces
-        engine construction just to report zero.
-        """
-        if self._trainer is None or self._trainer._pool is None:
-            return 0
-        return self._trainer._pool.scratch_high_water_bytes
-
-    @property
-    def scratch_reuse_rate(self) -> float:
-        """Fraction of inference runs served from recycled engine scratch."""
-        if self._trainer is None or self._trainer._pool is None:
-            return 0.0
-        return self._trainer._pool.scratch_reuse_rate
-
-    def reset_inference_scratch(self) -> None:
-        """Release cached inference scratch buffers (no-op before first use)."""
-        if self._trainer is not None and self._trainer._pool is not None:
-            self._trainer._pool.reset_scratch()
-
     def model_num_parameters(self) -> int:
         self._require_trained()
         return self._model.num_parameters()
@@ -363,7 +333,6 @@ class MSCNEstimator:
                 "inference_precision": self.config.inference_precision,
                 "engine_replicas": self.config.engine_replicas,
                 "inference_chunk_size": self.config.inference_chunk_size,
-                "scratch_rows_cap": self.config.scratch_rows_cap,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -399,11 +368,10 @@ class MSCNEstimator:
             # Models saved before these knobs existed were float64.
             dtype=config_data.get("dtype", "float64"),
             bucket_by_length=config_data.get("bucket_by_length", True),
-            # Serving-tier knobs (absent in models saved before the pool).
+            # Serving-tier knobs (absent in models saved before they existed).
             inference_precision=config_data.get("inference_precision"),
             engine_replicas=config_data.get("engine_replicas", 1),
             inference_chunk_size=config_data.get("inference_chunk_size"),
-            scratch_rows_cap=config_data.get("scratch_rows_cap"),
         )
         samples = None
         if metadata.get("has_samples"):

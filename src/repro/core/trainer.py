@@ -11,11 +11,15 @@ MLPs touch only real set elements and pooling is a segment reduction, so no
 FLOPs are spent on padding.  Training runs ``MSCN.forward_ragged`` on
 length-bucketed mini-batches (see ``iterate_ragged_minibatches``); inference
 goes through the graph-free fused :class:`~repro.core.inference.InferenceEngine`,
-which is bit-identical to ``forward_ragged`` in float64.
+which is bit-identical to ``forward_ragged`` in float64.  The engine's weight
+snapshot is refreshed only before the first prediction after training, so a
+quantized (``float16``/``int8``) tier is re-quantized once per weight change
+rather than once per prediction.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,7 +35,6 @@ from repro.core.config import LossKind, MSCNConfig
 from repro.core.featurization import FeaturizedQuery
 from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN
-from repro.core.pool import EnginePool
 from repro.core.normalization import CardinalityNormalizer
 from repro.nn.loss import geometric_q_error_loss, mse_loss, q_error_loss
 from repro.nn.optim import Adam
@@ -79,7 +82,11 @@ class MSCNTrainer:
         self.config = config
         self.optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
         self._shuffle_rng = spawn_rng(config.seed, "minibatch-shuffle")
-        self._pool: EnginePool | None = None
+        self._engine: InferenceEngine | None = None
+        self._engine_lock = threading.Lock()
+        # Set when training may have changed the weights the engine's
+        # snapshot was taken from; the next prediction refreshes it.
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Loss
@@ -139,6 +146,7 @@ class MSCNTrainer:
         start_time = time.perf_counter()
         self.model.train()
         for _ in range(epochs):
+            self._stale = True
             epoch_losses: list[float] = []
             shuffle_rng = self._shuffle_rng if self.config.shuffle else None
             for batch in iterate_ragged_minibatches(
@@ -171,27 +179,25 @@ class MSCNTrainer:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def pool(self) -> EnginePool:
-        """The cached engine replica pool (weights refreshed by callers).
+    def engine(self) -> InferenceEngine:
+        """The cached fused inference engine, built on first use.
 
         Sized and precision-configured by the estimator configuration; with
-        ``engine_replicas=1`` (the default) it behaves exactly like the
-        plain single-engine path — chunks run inline on one engine and no
-        worker threads are created.
+        ``engine_replicas=1`` (the default) every chunk runs inline on the
+        calling thread and no worker threads are created.  Predictions
+        refresh its snapshot after training; callers that change the weights
+        by other means call ``engine().refresh()`` themselves.
         """
-        if self._pool is None:
-            self._pool = EnginePool(
-                self.model,
-                num_replicas=self.config.engine_replicas,
-                dtype=self.config.np_dtype,
-                precision=self.config.inference_precision,
-                scratch_rows_cap=self.config.scratch_rows_cap,
-            )
-        return self._pool
-
-    def engine(self) -> InferenceEngine:
-        """The pool's primary fused inference engine (single-engine view)."""
-        return self.pool().primary
+        with self._engine_lock:
+            if self._engine is None:
+                self._engine = InferenceEngine(
+                    self.model,
+                    dtype=self.config.np_dtype,
+                    precision=self.config.inference_precision,
+                    replicas=self.config.engine_replicas,
+                )
+                self._stale = False  # a new engine captures the current weights
+            return self._engine
 
     def predict_normalized(
         self, features: FeatureInput, batch_size: int | None = None
@@ -218,9 +224,13 @@ class MSCNTrainer:
         if dataset.size == 0:
             return np.empty(0, dtype=np.float64)
         self.model.eval()
-        pool = self.pool()
-        pool.refresh()
-        return np.asarray(pool.run_many(dataset, chunk_size=batch_size), dtype=np.float64)
+        engine = self.engine()
+        if self._stale:
+            # Cleared only after the refresh, so a concurrent prediction
+            # cannot skip it and run on the pre-training snapshot.
+            engine.refresh()
+            self._stale = False
+        return np.asarray(engine.run(dataset, chunk_size=batch_size), dtype=np.float64)
 
     def predict(self, features: FeatureInput, batch_size: int | None = None) -> np.ndarray:
         """Predict cardinalities for featurized queries (denormalized, >= 1)."""

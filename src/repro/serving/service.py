@@ -9,9 +9,12 @@ the deployment recipe of the paper's Section 5 discussion:
   generates (the same subqueries costed across plan enumerations) is
   answered without touching the model at all.
 * **Micro-batch coalescing** — cache misses from concurrent callers are
-  queued and drained by a single batcher thread into one fused
+  queued and drained by a single batcher thread into one
+  ``model.serving_dataset`` featurization and one fused
   ``estimate_featurized`` pass per micro-batch: set-wise MLPs and pooling
   amortize across every in-flight request instead of running per caller.
+  Both steps allocate fresh arrays, so nothing stays pinned between
+  micro-batches.
 * **Uncertainty-routed fallback** — when the model is an
   :class:`~repro.core.ensemble.EnsembleMSCNEstimator`, queries whose member
   spread exceeds ``max_spread`` are out-of-distribution by the deep-ensembles
@@ -60,7 +63,6 @@ All public methods are safe to call from any number of threads.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 import traceback
@@ -72,7 +74,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.featurization import FeatureBuffers
 from repro.db.query import Query
 from repro.estimators.base import CardinalityEstimator, subplan_map
 from repro.serving.breaker import BreakerState, CircuitBreaker
@@ -224,13 +225,6 @@ class EstimationService:
         self._model = model
         self._generation = 0
         self._model_lock = threading.Lock()
-        # Reusable featurization buffers for the zero-copy serving path.
-        # Only the single batcher thread featurizes, and each micro-batch is
-        # fully answered before the next one is featurized, so one buffer set
-        # matches the aliasing lifecycle exactly.  Support is detected per
-        # model (by signature, once — not by catching TypeErrors per batch).
-        self._feature_buffers = FeatureBuffers()
-        self._buffers_supported = self._supports_feature_buffers(model)
         self._cache = LRU(self.config.cache_capacity)
         self._stats = StatsAccumulator()
         self._breaker = CircuitBreaker(
@@ -317,30 +311,10 @@ class EstimationService:
         subqueries = query.connected_subqueries()
         return subplan_map(subqueries, self.estimate_many(subqueries))
 
-    @staticmethod
-    def _supports_feature_buffers(model) -> bool:
-        """Whether ``model.serving_dataset`` accepts a ``buffers`` argument."""
-        serving_dataset = getattr(model, "serving_dataset", None)
-        if serving_dataset is None:
-            return False
-        try:
-            return "buffers" in inspect.signature(serving_dataset).parameters
-        except (TypeError, ValueError):  # builtins / C callables
-            return False
-
     def stats(self) -> ServiceStats:
         """An immutable snapshot of the service counters and latencies."""
-        with self._model_lock:
-            model = self._model
         return self._stats.snapshot(
             cache_evictions=self._cache.evictions,
-            scratch_high_water_bytes=int(
-                getattr(model, "scratch_high_water_bytes", 0)
-            ),
-            feature_buffer_bytes=self._feature_buffers.nbytes,
-            feature_arena_high_water_bytes=self._feature_buffers.high_water_bytes,
-            feature_arena_reuse_rate=self._feature_buffers.reuse_rate,
-            scratch_reuse_rate=float(getattr(model, "scratch_reuse_rate", 0.0)),
             breaker_state=self._breaker.state,
             breaker_opens=self._breaker.opens,
         )
@@ -401,18 +375,10 @@ class EstimationService:
         successful swap also closes the circuit breaker: the failure history
         of the retired model says nothing about the new one.
         """
-        buffers_supported = self._supports_feature_buffers(model)
         with self._model_lock:
             self._model = model
             self._generation += 1
-            self._buffers_supported = buffers_supported
             self._cache.clear()
-        # The new model may featurize to different widths/dtype; dropping the
-        # backing arrays here (instead of relying on width-mismatch regrowth)
-        # keeps a swap from pinning the old schema's buffers forever.  The
-        # generation bump also resets the grow-only guarantee: capacities
-        # are monotone within a model generation, not across swaps.
-        self._feature_buffers.advance_generation()
         self._breaker.record_success()
         self._stats.record_swap()
 
@@ -733,21 +699,10 @@ class EstimationService:
         with self._model_lock:
             model = self._model
             generation = self._generation
-            buffers_supported = self._buffers_supported
         samples = getattr(model, "samples", None)
         hits_before = samples.bitmap_cache_hits if samples is not None else 0
         start = time.perf_counter()
-        if buffers_supported:
-            # Zero-copy: the dataset views the service's reusable buffers.
-            # Safe because only this (single) batcher thread featurizes and
-            # the micro-batch is fully consumed before the next one starts.
-            # The lease scopes one micro-batch's scratch lifetime: if no
-            # array grew, the batch counts as served from recycled capacity
-            # (surfaced as ``feature_arena_reuse_rate``).
-            with self._feature_buffers.lease():
-                dataset = model.serving_dataset(queries, buffers=self._feature_buffers)
-        else:
-            dataset = model.serving_dataset(queries)
+        dataset = model.serving_dataset(queries)
         featurization_seconds = time.perf_counter() - start
         hits_after = samples.bitmap_cache_hits if samples is not None else 0
 

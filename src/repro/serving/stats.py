@@ -8,7 +8,9 @@ fallback routing volume, the micro-batch size histogram (how well concurrent
 callers coalesce) and the reliability-layer counters — shed / degraded /
 expired request volume, circuit-breaker state and open count, batcher
 watchdog restarts.  :class:`StatsAccumulator` is its mutable, lock-protected
-counterpart the service updates on the hot path.
+counterpart the service updates on the hot path.  There are no memory
+gauges: neither featurization nor inference keeps buffers between
+micro-batches.
 """
 
 from __future__ import annotations
@@ -51,21 +53,6 @@ class ServiceStats(PredictionTiming):
     coalesced_batches: int = 0
     model_swaps: int = 0
     batch_size_histogram: dict[int, int] = field(default_factory=dict)
-    #: Peak bytes pinned by the model's inference scratch buffers (summed
-    #: over engine replicas; 0 when the model does not expose the pool).
-    scratch_high_water_bytes: int = 0
-    #: Bytes pinned by the service's reusable featurization buffers (0 when
-    #: the model does not support the zero-copy featurize-into path).
-    feature_buffer_bytes: int = 0
-    #: Peak bytes the featurization arena has ever pinned (survives resets
-    #: and model swaps — the stable capacity-planning number).
-    feature_arena_high_water_bytes: int = 0
-    #: Fraction of featurization micro-batches served entirely from recycled
-    #: arena capacity (no allocation); approaches 1.0 once warm.
-    feature_arena_reuse_rate: float = 0.0
-    #: Fraction of inference runs served entirely from recycled engine
-    #: scratch (mean over replicas; 0 when the model hides the pool).
-    scratch_reuse_rate: float = 0.0
     #: Queries rejected by admission control (bounded queue, reject policy).
     shed_queries: int = 0
     #: Queries answered by the fallback because the model path was down.
@@ -214,21 +201,11 @@ class StatsAccumulator:
     def snapshot(
         self,
         cache_evictions: int = 0,
-        scratch_high_water_bytes: int = 0,
-        feature_buffer_bytes: int = 0,
-        feature_arena_high_water_bytes: int = 0,
-        feature_arena_reuse_rate: float = 0.0,
-        scratch_reuse_rate: float = 0.0,
         breaker_state: str = BreakerState.CLOSED,
         breaker_opens: int = 0,
     ) -> ServiceStats:
         with self._lock:
             return ServiceStats(
-                scratch_high_water_bytes=scratch_high_water_bytes,
-                feature_buffer_bytes=feature_buffer_bytes,
-                feature_arena_high_water_bytes=feature_arena_high_water_bytes,
-                feature_arena_reuse_rate=feature_arena_reuse_rate,
-                scratch_reuse_rate=scratch_reuse_rate,
                 num_queries=self.num_queries,
                 featurization_seconds=self.featurization_seconds,
                 inference_seconds=self.inference_seconds,

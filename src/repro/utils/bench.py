@@ -11,7 +11,7 @@ plus free-form benchmark-specific metrics.  Fields that do not apply are
 simply ``None``; consumers must treat absent/null keys as "not measured".
 
 :func:`pin_blas_threads` is the shared benchmark-environment helper: every
-smoke benchmark measuring thread-level parallelism (engine replica pools,
+smoke benchmark measuring thread-level parallelism (engine replicas,
 concurrent labeling) must pin the BLAS libraries to one thread so nested
 BLAS threading neither inflates serial baselines nor contends with the
 worker pools under test.  This module deliberately avoids

@@ -27,7 +27,7 @@ on 2 cores.
   taken literally.  The underlying ``ThreadPoolExecutor`` is created lazily
   on first parallel dispatch and reused across calls.
 
-Error handling mirrors :meth:`EnginePool.run_many`: every span is awaited
+Error handling mirrors :meth:`repro.core.inference.InferenceEngine.run`: every span is awaited
 before any failure propagates, so no worker is still writing into shared
 output when the call returns, and secondary failures are attached to the
 first one's message instead of being silently dropped.

@@ -1,21 +1,21 @@
-"""Tests of the parallel inference tier (:class:`EnginePool`).
+"""Tests of the engine's replica tier: ``InferenceEngine(replicas=)``.
 
 The contracts under test:
 
-* pooled ``run_many`` output is **bit-identical** to the serial single-engine
-  path at equal dtype, for every replica count and chunk size — chunk
-  boundaries are the serial path's own, so results do not depend on which
-  replica ran which chunk;
-* concurrent callers sharing one pool all receive bit-identical results
-  (replica scratch never leaks across chunks);
+* ``run`` output is **bit-identical** to the serial chunk-by-chunk path at
+  equal dtype, for every replica count and chunk size — chunk boundaries are
+  the serial path's own, so results do not depend on which worker ran which
+  chunk;
+* concurrent callers sharing one engine all receive bit-identical results,
+  with and without worker threads (the engine keeps no scratch, so no run
+  lock is needed);
 * a refresh racing in-flight batches never yields a mixed-generation output:
-  every batch corresponds wholly to one installed weight snapshot;
-* the scratch-buffer accounting (reset, high-water mark, row cap) bounds the
-  pool's steady-state memory.
+  every batch corresponds wholly to one weight snapshot.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.core.featurization import QueryFeaturizer
 from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN
 from repro.core.normalization import ValueNormalizer
-from repro.core.pool import EnginePool
+from repro.utils.faults import FaultPlan, FaultSpec, InjectedFault
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +60,9 @@ def make_model(featurizer, dtype=np.float64):
     )
 
 
-def serial_reference(model, dataset, chunk_size, dtype):
-    """The single-engine path at the pool's exact chunk boundaries."""
-    engine = InferenceEngine(model, dtype=dtype)
+def serial_reference(model, dataset, chunk_size, dtype, precision=None):
+    """One whole-chunk run per chunk boundary, concatenated."""
+    engine = InferenceEngine(model, dtype=dtype, precision=precision)
     outputs = [
         engine.run(dataset.slice(start, min(start + chunk_size, dataset.size)))
         for start in range(0, dataset.size, chunk_size)
@@ -70,23 +70,44 @@ def serial_reference(model, dataset, chunk_size, dtype):
     return np.concatenate(outputs)
 
 
-class TestPooledBitIdentity:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("num_replicas", [1, 2, 4])
+def run_in_threads(target, num_threads: int) -> None:
+    """Run ``target(i)`` on ``num_threads`` threads with frequent switches."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=(i,)) for i in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a caller never finished"
+
+
+class TestReplicaBitIdentity:
+    @pytest.mark.parametrize(
+        "dtype, precision",
+        [(np.float64, None), (np.float32, None), (np.float32, "float16"), (np.float32, "int8")],
+        ids=["float64", "float32", "float16", "int8"],
+    )
+    @pytest.mark.parametrize("replicas", [1, 2, 3])
     @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
-    def test_run_many_bit_identical_to_serial(
-        self, pool_parts, tiny_workload, dtype, num_replicas, chunk_size
+    def test_run_bit_identical_to_serial(
+        self, pool_parts, tiny_workload, dtype, precision, replicas, chunk_size
     ):
         featurizer = make_featurizer(pool_parts, dtype=dtype)
         model = make_model(featurizer, dtype=dtype)
         dataset = featurizer.featurize_ragged(
             [labelled.query for labelled in tiny_workload[:60]]
         )
-        reference = serial_reference(model, dataset, chunk_size, dtype)
-        with EnginePool(model, num_replicas=num_replicas, dtype=dtype) as pool:
-            pooled = pool.run_many(dataset, chunk_size=chunk_size)
-        assert pooled.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(pooled, reference)
+        reference = serial_reference(model, dataset, chunk_size, dtype, precision)
+        with InferenceEngine(
+            model, dtype=dtype, precision=precision, replicas=replicas
+        ) as engine:
+            output = engine.run(dataset, chunk_size=chunk_size)
+        assert output.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(output, reference)
 
     def test_default_chunk_is_one_whole_batch(self, pool_parts, tiny_workload):
         featurizer = make_featurizer(pool_parts)
@@ -94,21 +115,9 @@ class TestPooledBitIdentity:
         dataset = featurizer.featurize_ragged(
             [labelled.query for labelled in tiny_workload[:20]]
         )
-        with EnginePool(model, num_replicas=3) as pool:
+        with InferenceEngine(model, replicas=3) as engine:
             np.testing.assert_array_equal(
-                pool.run_many(dataset), InferenceEngine(model, dtype=np.float64).run(dataset)
-            )
-
-    def test_constructor_chunk_size_is_the_default(self, pool_parts, tiny_workload):
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_ragged(
-            [labelled.query for labelled in tiny_workload[:33]]
-        )
-        with EnginePool(model, num_replicas=2, chunk_size=8) as pool:
-            np.testing.assert_array_equal(
-                pool.run_many(dataset),
-                serial_reference(model, dataset, 8, np.float64),
+                engine.run(dataset), serial_reference(model, dataset, dataset.size, np.float64)
             )
 
     def test_empty_dataset_returns_empty(self, pool_parts, tiny_workload):
@@ -117,40 +126,73 @@ class TestPooledBitIdentity:
         dataset = featurizer.featurize_ragged(
             [labelled.query for labelled in tiny_workload[:4]]
         )
-        with EnginePool(model, num_replicas=2) as pool:
-            result = pool.run_many(dataset.slice(0, 0))
+        with InferenceEngine(model, replicas=2) as engine:
+            result = engine.run(dataset.slice(0, 0))
         assert result.shape == (0,)
 
-    def test_replicas_share_one_snapshot(self, pool_parts):
+    def test_refresh_bumps_the_generation(self, pool_parts):
         featurizer = make_featurizer(pool_parts)
         model = make_model(featurizer)
-        with EnginePool(model, num_replicas=3) as pool:
-            snapshots = {id(engine.snapshot) for engine in pool.engines}
-            assert snapshots == {id(pool.snapshot)}
-            pool.refresh()
-            snapshots = {id(engine.snapshot) for engine in pool.engines}
-            assert snapshots == {id(pool.snapshot)}
-            assert pool.generation == 1
+        engine = InferenceEngine(model, replicas=3)
+        first = engine.snapshot
+        assert engine.generation == 0
+        engine.refresh()
+        assert engine.generation == 1
+        assert engine.snapshot is not first
+
+    def test_close_is_idempotent_and_engine_stays_usable(self, pool_parts, tiny_workload):
+        featurizer = make_featurizer(pool_parts)
+        model = make_model(featurizer)
+        dataset = featurizer.featurize_ragged(
+            [labelled.query for labelled in tiny_workload[:24]]
+        )
+        engine = InferenceEngine(model, replicas=2)
+        reference = engine.run(dataset, chunk_size=4)
+        engine.close()
+        engine.close()
+        np.testing.assert_array_equal(engine.run(dataset, chunk_size=4), reference)
+        engine.close()
+
+    def test_worker_failures_surface_after_every_worker_finished(
+        self, pool_parts, tiny_workload
+    ):
+        featurizer = make_featurizer(pool_parts)
+        model = make_model(featurizer)
+        dataset = featurizer.featurize_ragged(
+            [labelled.query for labelled in tiny_workload[:24]]
+        )
+        with InferenceEngine(model, replicas=3) as engine:
+            # One failing chunk: its own exception propagates.
+            with FaultPlan([FaultSpec("engine.run", max_triggers=1)]).activate():
+                with pytest.raises(InjectedFault):
+                    engine.run(dataset, chunk_size=4)
+            # Every worker fails: one error names them all.
+            with FaultPlan([FaultSpec("engine.run")]).activate() as plan:
+                with pytest.raises(RuntimeError, match="3/3 engine replicas failed"):
+                    engine.run(dataset, chunk_size=4)
+            # Each worker stops at its first failing chunk.
+            assert plan.triggered("engine.run") == 3
 
     def test_validation(self, pool_parts, tiny_workload):
         featurizer = make_featurizer(pool_parts)
         model = make_model(featurizer)
         with pytest.raises(ValueError):
-            EnginePool(model, num_replicas=0)
-        with pytest.raises(ValueError):
-            EnginePool(model, chunk_size=0)
+            InferenceEngine(model, replicas=0)
         dataset = featurizer.featurize_ragged(
             [labelled.query for labelled in tiny_workload[:4]]
         )
-        with EnginePool(model) as pool:
+        with InferenceEngine(model) as engine:
             with pytest.raises(ValueError):
-                pool.run_many(dataset, chunk_size=0)
+                engine.run(dataset, chunk_size=0)
 
 
 class TestConcurrentCallers:
+    @pytest.mark.parametrize("replicas", [1, 3])
     def test_threaded_callers_all_get_bit_identical_results(
-        self, pool_parts, tiny_workload
+        self, pool_parts, tiny_workload, replicas
     ):
+        """Four threads share one engine; with ``replicas=1`` they all run
+        inline at once, which only works because a run keeps no state."""
         featurizer = make_featurizer(pool_parts, dtype=np.float32)
         model = make_model(featurizer, dtype=np.float32)
         dataset = featurizer.featurize_ragged(
@@ -158,29 +200,23 @@ class TestConcurrentCallers:
         )
         reference = serial_reference(model, dataset, 8, np.float32)
         mismatches: list[int] = []
-        with EnginePool(model, num_replicas=3, dtype=np.float32) as pool:
+        with InferenceEngine(model, dtype=np.float32, replicas=replicas) as engine:
 
             def caller(caller_id: int) -> None:
                 for _ in range(12):
-                    if not np.array_equal(
-                        pool.run_many(dataset, chunk_size=8), reference
-                    ):
+                    if not np.array_equal(engine.run(dataset, chunk_size=8), reference):
                         mismatches.append(caller_id)
                         return
 
-            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            run_in_threads(caller, 4)
         assert not mismatches, "a concurrent caller observed a non-identical result"
 
     def test_hot_swap_under_load_never_mixes_generations(
         self, pool_parts, tiny_workload
     ):
-        """Every pooled batch in flight during refreshes must equal one of the
-        two whole-generation references exactly — a mixed-generation batch
-        (some chunks old weights, some new) matches neither."""
+        """Every batch in flight during refreshes must equal one of the two
+        whole-generation references exactly — a mixed-generation batch (some
+        chunks old weights, some new) matches neither."""
         featurizer = make_featurizer(pool_parts)
         model = make_model(featurizer)
         dataset = featurizer.featurize_ragged(
@@ -189,25 +225,25 @@ class TestConcurrentCallers:
         state_a = {name: p.data.copy() for name, p in model.named_parameters()}
         state_b = {name: p.data + 0.25 for name, p in model.named_parameters()}
 
-        with EnginePool(model, num_replicas=3) as pool:
+        with InferenceEngine(model, replicas=3) as engine:
 
             def install(state):
                 for name, parameter in model.named_parameters():
                     parameter.data = state[name].copy()
-                pool.refresh()
+                engine.refresh()
 
             install(state_a)
-            reference_a = pool.run_many(dataset, chunk_size=4).copy()
+            reference_a = engine.run(dataset, chunk_size=4).copy()
             install(state_b)
-            reference_b = pool.run_many(dataset, chunk_size=4).copy()
+            reference_b = engine.run(dataset, chunk_size=4).copy()
             assert not np.array_equal(reference_a, reference_b)
 
             stop = threading.Event()
             torn_outputs: list[np.ndarray] = []
 
-            def reader():
+            def reader(_: int) -> None:
                 while not stop.is_set():
-                    output = pool.run_many(dataset, chunk_size=4)
+                    output = engine.run(dataset, chunk_size=4)
                     if not (
                         np.array_equal(output, reference_a)
                         or np.array_equal(output, reference_b)
@@ -215,7 +251,7 @@ class TestConcurrentCallers:
                         torn_outputs.append(output.copy())
                         return
 
-            threads = [threading.Thread(target=reader) for _ in range(3)]
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
             for thread in threads:
                 thread.start()
             for _ in range(100):
@@ -224,160 +260,37 @@ class TestConcurrentCallers:
             stop.set()
             for thread in threads:
                 thread.join()
-        assert not torn_outputs, "a pooled batch mixed weight generations"
-
-
-class TestScratchAccounting:
-    def test_reset_releases_buffers_but_keeps_high_water(
-        self, pool_parts, tiny_workload
-    ):
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_ragged(
-            [labelled.query for labelled in tiny_workload[:32]]
-        )
-        with EnginePool(model, num_replicas=2) as pool:
-            pool.run_many(dataset, chunk_size=8)
-            assert pool.scratch_bytes() > 0
-            high_water = pool.scratch_high_water_bytes
-            assert high_water >= pool.scratch_bytes()
-            pool.reset_scratch()
-            assert pool.scratch_bytes() == 0
-            assert pool.scratch_high_water_bytes == high_water
-
-    def test_scratch_rows_cap_bounds_retained_buffers(self, pool_parts, tiny_workload):
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_ragged(
-            [labelled.query for labelled in tiny_workload[:60]]
-        )
-        capped = InferenceEngine(model, dtype=np.float64, scratch_rows_cap=8)
-        uncapped = InferenceEngine(model, dtype=np.float64)
-        np.testing.assert_array_equal(capped.run(dataset), uncapped.run(dataset))
-        # After the run, the capped engine has dropped every oversized buffer.
-        assert all(buffer.shape[0] <= 8 for buffer in capped._buffers.values())
-        assert capped.scratch_bytes() < uncapped.scratch_bytes()
-        # The high-water mark still records the true peak of the run.
-        assert capped.scratch_high_water_bytes == uncapped.scratch_high_water_bytes
-
-    def test_scratch_rows_cap_validation(self, pool_parts):
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        with pytest.raises(ValueError):
-            InferenceEngine(model, dtype=np.float64, scratch_rows_cap=0)
-
-    def test_scratch_reuse_rate_warms_to_one(self, pool_parts, tiny_workload):
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_ragged(
-            [labelled.query for labelled in tiny_workload[:16]]
-        )
-        engine = InferenceEngine(model, dtype=np.float64)
-        engine.run(dataset)
-        first = engine.scratch_reuse_rate
-        for _ in range(4):
-            engine.run(dataset)
-        # The first run allocates; every later same-shape run recycles.
-        assert engine.scratch_reuse_rate > first
-        assert engine.scratch_reuse_rate == pytest.approx(4 / 5)
-
-    def test_scratch_accounting_races_refresh(self, pool_parts, tiny_workload):
-        """Regression: reset_scratch/scratch_bytes iterating the replica list
-        must snapshot it under the refresh lock, so a concurrent ``refresh``
-        (and concurrent accounting calls) can never interleave mid-walk."""
-        featurizer = make_featurizer(pool_parts)
-        model = make_model(featurizer)
-        dataset = featurizer.featurize_ragged(
-            [labelled.query for labelled in tiny_workload[:24]]
-        )
-        errors: list[BaseException] = []
-        stop = threading.Event()
-
-        with EnginePool(model, num_replicas=3) as pool:
-            pool.run_many(dataset, chunk_size=6)
-
-            def hammer(action):
-                try:
-                    while not stop.is_set():
-                        action()
-                except BaseException as error:  # pragma: no cover - regression
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=hammer, args=(pool.refresh,)),
-                threading.Thread(target=hammer, args=(pool.reset_scratch,)),
-                threading.Thread(target=hammer, args=(pool.scratch_bytes,)),
-                threading.Thread(
-                    target=hammer, args=(lambda: pool.scratch_high_water_bytes,)
-                ),
-                threading.Thread(
-                    target=hammer, args=(lambda: pool.run_many(dataset, chunk_size=6),)
-                ),
-            ]
-            for thread in threads:
-                thread.start()
-            import time
-
-            time.sleep(0.5)
-            stop.set()
-            for thread in threads:
-                thread.join()
-            assert not errors, errors
-            # Accounting still coherent after the storm.
-            pool.run_many(dataset, chunk_size=6)
-            assert pool.scratch_high_water_bytes >= pool.scratch_bytes() >= 0
+        assert not torn_outputs, "a batch mixed weight generations"
 
 
 class TestEstimatorIntegration:
-    def test_pooled_estimator_matches_single_engine_estimator(
+    def test_replicated_estimator_matches_single_engine_estimator(
         self, tiny_database, tiny_samples, tiny_workload
     ):
-        """estimate_many through a replica pool is bit-identical to the
-        default single-engine configuration (same weights, same chunking)."""
+        """estimate_many over engine replicas is bit-identical to the default
+        single-replica configuration (same weights, same chunking)."""
         base = MSCNConfig(
             hidden_units=24, epochs=6, batch_size=32, num_samples=50, seed=13
         )
         single = MSCNEstimator(tiny_database, base, samples=tiny_samples)
         single.fit(tiny_workload)
-        pooled = MSCNEstimator(
+        replicated = MSCNEstimator(
             tiny_database,
             base.replace(engine_replicas=3, inference_chunk_size=16),
             samples=tiny_samples,
         )
-        pooled.fit(tiny_workload)
-        pooled._model.load_state_dict(single._model.state_dict())
+        replicated.fit(tiny_workload)
+        replicated._model.load_state_dict(single._model.state_dict())
 
         queries = [labelled.query for labelled in tiny_workload]
         np.testing.assert_array_equal(
-            pooled.estimate_many(queries),
+            replicated.estimate_many(queries),
             single._trainer.predict(single.serving_dataset(queries), batch_size=16),
         )
-        # The optimizer fan-out path (chunk size 1) is pooled too and stays
-        # bit-identical to per-subquery estimates.
+        # The optimizer fan-out path (chunk size 1) runs on the replicas too
+        # and stays bit-identical to per-subquery estimates.
         query = max(queries, key=lambda q: len(q.tables))
-        assert pooled.estimate_subplans(query) == single.estimate_subplans(query)
-
-    def test_estimator_scratch_introspection(
-        self, tiny_database, tiny_samples, tiny_workload
-    ):
-        config = MSCNConfig(
-            hidden_units=24,
-            epochs=2,
-            batch_size=32,
-            num_samples=50,
-            seed=13,
-            engine_replicas=2,
-            scratch_rows_cap=512,
-        )
-        estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
-        assert estimator.scratch_high_water_bytes == 0  # no pool built yet
-        estimator.fit(tiny_workload)
-        estimator.estimate_many([labelled.query for labelled in tiny_workload[:16]])
-        assert estimator.scratch_high_water_bytes > 0
-        estimator.reset_inference_scratch()
-        assert estimator._trainer._pool.scratch_bytes() == 0
-        # The high-water mark survives the reset.
-        assert estimator.scratch_high_water_bytes > 0
+        assert replicated.estimate_subplans(query) == single.estimate_subplans(query)
 
 
 class TestConfigKnobs:
@@ -386,7 +299,6 @@ class TestConfigKnobs:
         [
             ("engine_replicas", 0),
             ("inference_chunk_size", 0),
-            ("scratch_rows_cap", 0),
             ("inference_precision", "int16"),
         ],
     )

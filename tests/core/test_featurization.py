@@ -134,3 +134,8 @@ class TestFeatureContents:
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
         featurized = featurizer.featurize_many([example_query(), Query(tables=("title",))])
         assert len(featurized) == 2
+
+    def test_featurize_ragged_rejects_empty_workload(self, featurizer_parts):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
+        with pytest.raises(ValueError):
+            featurizer.featurize_ragged([])

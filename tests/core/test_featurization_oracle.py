@@ -1,11 +1,12 @@
 """The featurization oracle: the workload path against the per-query reference.
 
-``QueryFeaturizer.featurize_ragged`` (compiled plan -> ragged arrays, with
-and without caller-owned ``FeatureBuffers``) must equal
-``RaggedDataset.from_featurized(featurizer.featurize_many(queries))`` bit for
-bit, on every registered dataset, featurization variant and compute dtype,
-and at every plan cache cap — small caps force query evictions and
-probe-matrix flushes, which must never change a single feature.
+``QueryFeaturizer.featurize_ragged`` (compiled plan -> ragged arrays) must
+equal ``RaggedDataset.from_featurized(featurizer.featurize_many(queries))``
+bit for bit, on every registered dataset, featurization variant and compute dtype,
+at every plan cache cap — small caps force query evictions and
+probe-matrix flushes, which must never change a single feature — and
+whether the workload is featurized as one batch or in serving-sized
+micro-batches that share one plan (flushes then fall between batches).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
-from repro.core.featurization import CompiledFeaturizerPlan, FeatureBuffers, QueryFeaturizer
+from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.datasets import registered_datasets
 from repro.db.query import Query
@@ -72,20 +73,29 @@ def assert_ragged_equal(got: RaggedDataset, want: RaggedDataset, context: str) -
         np.testing.assert_array_equal(a.offsets, b.offsets, err_msg=f"{context}:{name}")
 
 
-@pytest.mark.parametrize("into_buffers", (False, True), ids=("fresh", "buffers"))
+@pytest.mark.parametrize("batch_size", (None, 7, 1), ids=("whole", "batch7", "batch1"))
 @pytest.mark.parametrize("cap", PLAN_CAPS, ids=("default", "cap8", "cap2"))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("float32", "float64"))
 @pytest.mark.parametrize("variant", tuple(FeaturizationVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_featurize_ragged_matches_per_query_oracle(
-    dataset_parts, name, variant, dtype, cap, into_buffers
+    dataset_parts, name, variant, dtype, cap, batch_size
 ):
     database, samples, queries = dataset_parts[name]
     featurizer = make_featurizer(database, samples, variant, dtype, cap)
     oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
-    buffers = FeatureBuffers() if into_buffers else None
+    step = batch_size or len(queries)
     # The second pass replays the plan's caches (and, at small caps, the
-    # probe-matrix flush at the start of the batch).
+    # probe-matrix flush at the start of a batch).
     for attempt in range(2):
-        context = f"{name}:{variant.value}:{np.dtype(dtype).name}:cap={cap}:pass{attempt}"
-        assert_ragged_equal(featurizer.featurize_ragged(queries, buffers=buffers), oracle, context)
+        for start in range(0, len(queries), step):
+            stop = min(start + step, len(queries))
+            context = (
+                f"{name}:{variant.value}:{np.dtype(dtype).name}:cap={cap}"
+                f":pass{attempt}:queries[{start}:{stop}]"
+            )
+            assert_ragged_equal(
+                featurizer.featurize_ragged(queries[start:stop]),
+                oracle.slice(start, stop),
+                context,
+            )

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import RaggedDataset
+from repro.core.batching import RaggedDataset, as_ragged_dataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import QueryFeaturizer
+from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN
 from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
 from repro.core.trainer import MSCNTrainer
@@ -210,3 +211,47 @@ class TestDatasetTrainingPath:
         chunked = trainer.predict(features, batch_size=7)
         whole = trainer.predict(features, batch_size=len(features))
         np.testing.assert_allclose(chunked, whole, rtol=rtol)
+
+
+class TestSnapshotRefresh:
+    """Predictions re-snapshot the weights only after training changed them."""
+
+    def test_repeat_predictions_share_one_quantized_snapshot(self, training_setup):
+        featurizer, features, cardinalities = training_setup
+        config = MSCNConfig(
+            hidden_units=16, epochs=2, batch_size=32, seed=5, num_samples=50,
+            inference_precision="int8",
+        )
+        trainer = build_trainer(featurizer, cardinalities, config)
+        trainer.train(features, cardinalities)
+        first = trainer.predict(features[:10])
+        snapshot = trainer.engine().snapshot
+        second = trainer.predict(features[:10])
+        assert trainer.engine().snapshot is snapshot
+        assert trainer.engine().generation == snapshot.generation
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("precision", [None, "int8"])
+    def test_predictions_after_more_training_use_the_new_weights(
+        self, training_setup, precision
+    ):
+        featurizer, features, cardinalities = training_setup
+        config = MSCNConfig(
+            hidden_units=16, epochs=2, batch_size=32, seed=6, num_samples=50,
+            inference_precision=precision,
+        )
+        trainer = build_trainer(featurizer, cardinalities, config)
+        trainer.train(features, cardinalities)
+        before = trainer.predict(features[:10])
+        generation = trainer.engine().generation
+        trainer.train(features, cardinalities, epochs=1)
+        after = trainer.predict(features[:10])
+        assert trainer.engine().generation == generation + 1
+        assert not np.array_equal(before, after)
+        # The refreshed snapshot is the one a fresh engine would take.
+        fresh = InferenceEngine(
+            trainer.model, dtype=config.np_dtype, precision=precision
+        ).run(as_ragged_dataset(features[:10]))
+        np.testing.assert_array_equal(
+            after, trainer.normalizer.denormalize(np.asarray(fresh, dtype=np.float64))
+        )

@@ -57,7 +57,7 @@ class GatedModel:
         self.entered = threading.Event()
         self.dataset_calls = 0
 
-    def serving_dataset(self, queries, buffers=None):
+    def serving_dataset(self, queries):
         self.dataset_calls += 1
         self.entered.set()
         assert self.gate.wait(timeout=30.0), "test gate never opened"
@@ -75,7 +75,7 @@ class FlakyModel:
         self.failures_remaining = failures_remaining
         self.inference_calls = 0
 
-    def serving_dataset(self, queries, buffers=None):
+    def serving_dataset(self, queries):
         return self.inner.serving_dataset(queries)
 
     def estimate_featurized(self, dataset):

@@ -404,43 +404,10 @@ class TestSubplanFanout:
         assert hits_after > hits_before
 
 
-class TestZeroCopyAndPooledServing:
+class TestReplicatedServing:
     """The parallel low-precision tier behind the service front-end."""
 
-    def test_service_uses_the_zero_copy_featurization_path(
-        self, serving_estimator, serving_queries
-    ):
-        with EstimationService(serving_estimator) as service:
-            assert service._buffers_supported
-            served = service.estimate_many(serving_queries)
-            stats = service.stats()
-        np.testing.assert_array_equal(
-            served, serving_estimator.estimate_many(serving_queries)
-        )
-        # The batcher featurized into the service's reusable buffers and the
-        # model's engine pool recorded its scratch peak.
-        assert stats.feature_buffer_bytes > 0
-        assert stats.scratch_high_water_bytes > 0
-        # Arena observability: the high water covers the live footprint and
-        # the reuse rates are well-formed fractions.
-        assert stats.feature_arena_high_water_bytes >= stats.feature_buffer_bytes
-        assert 0.0 <= stats.feature_arena_reuse_rate <= 1.0
-        assert 0.0 <= stats.scratch_reuse_rate <= 1.0
-
-    def test_repeat_micro_batches_reuse_the_feature_arena(
-        self, serving_estimator, serving_queries
-    ):
-        with EstimationService(serving_estimator) as service:
-            # Distinct queries per round so every micro-batch misses the
-            # cache and actually featurizes; the first (largest) batch grows
-            # the arena, the smaller later batches recycle its capacity.
-            service.estimate_many(serving_queries[:80])
-            service.estimate_many(serving_queries[80:100])
-            service.estimate_many(serving_queries[100:])
-            stats = service.stats()
-        assert stats.feature_arena_reuse_rate > 0.0
-
-    def test_pooled_low_precision_model_serves_identically_to_direct(
+    def test_replicated_low_precision_model_serves_identically_to_direct(
         self, tiny_database, tiny_samples, tiny_workload, serving_queries
     ):
         config = MSCNConfig(
@@ -452,7 +419,6 @@ class TestZeroCopyAndPooledServing:
             engine_replicas=2,
             inference_chunk_size=16,
             inference_precision="float16",
-            scratch_rows_cap=2048,
         )
         estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
         estimator.fit(tiny_workload)
@@ -460,25 +426,31 @@ class TestZeroCopyAndPooledServing:
             served = service.estimate_many(serving_queries)
         np.testing.assert_array_equal(served, estimator.estimate_many(serving_queries))
 
-    def test_swap_resets_feature_buffers_and_redetects_support(
-        self, serving_estimator, serving_queries
+    def test_swap_to_model_with_other_feature_widths_serves_its_estimates(
+        self, tiny_database, tiny_samples, tiny_workload, serving_estimator, serving_queries
     ):
-        class LegacyModel:
-            """A model without the buffers parameter (pre-pool interface)."""
-
-            def serving_dataset(self, queries):
-                return serving_estimator.serving_dataset(queries)
-
-            def estimate_featurized(self, features):
-                return serving_estimator.estimate_featurized(features)
-
-        with EstimationService(serving_estimator) as service:
-            service.estimate_many(serving_queries[:16])
-            assert service._feature_buffers.nbytes > 0
-            service.swap_model(LegacyModel())
-            assert not service._buffers_supported
-            assert service._feature_buffers.nbytes == 0
-            served = service.estimate_many(serving_queries[:16])
-        np.testing.assert_array_equal(
-            served, serving_estimator.estimate_many(serving_queries[:16])
+        """After a swap, micro-batches featurize at the new model's widths
+        and dtype, so the served answers are the new model's own."""
+        config = MSCNConfig(
+            hidden_units=16,
+            epochs=4,
+            batch_size=32,
+            num_samples=50,
+            seed=7,
+            variant="num_samples",
+            dtype="float64",
         )
+        other = MSCNEstimator(tiny_database, config, samples=tiny_samples)
+        other.fit(tiny_workload)
+        assert (
+            other.featurizer.table_feature_width
+            != serving_estimator.featurizer.table_feature_width
+        )
+        queries = serving_queries[:16]
+        with EstimationService(serving_estimator) as service:
+            np.testing.assert_array_equal(
+                service.estimate_many(queries), serving_estimator.estimate_many(queries)
+            )
+            service.swap_model(other)
+            served = service.estimate_many(queries)
+        np.testing.assert_array_equal(served, other.estimate_many(queries))
