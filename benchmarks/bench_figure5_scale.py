@@ -2,9 +2,8 @@
 
 MSCN is trained on 0-2-join queries only; the *scale* workload contains 0-4
 joins.  The paper shows the error growing with the number of unseen joins and
-uses PostgreSQL as the reference point.  This benchmark also ablates the set
-pooling choice (mean vs sum), one of the design decisions DESIGN.md calls
-out.
+uses PostgreSQL as the reference point.  This benchmark reports the same
+per-join-count breakdown for MSCN and PostgreSQL.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
-from repro.nn.tensor import no_grad
+from repro.core.model import forward
 from repro.utils.bench import write_bench_json
 
 RESULTS_DIRECTORY = Path(__file__).parent / "results"
@@ -118,8 +118,8 @@ def test_section47_featurization_throughput(context, write_result):
 def test_section47_inference_latency(context, write_result):
     """End-to-end serving latency (featurize + infer, warm bitmap cache) of
     the float32 fused engine, as batch throughput and single-query latency
-    percentiles; in float64 the fused engine reproduces the autograd
-    ``forward_ragged`` bit for bit."""
+    percentiles; in float64 the chunked engine reproduces one model
+    ``forward`` pass over the same dataset bit for bit."""
     fused = context.trained_mscn(FeaturizationVariant.BITMAPS)
     queries = [labelled.query for labelled in context.synthetic_workload]
 
@@ -156,9 +156,8 @@ def test_section47_inference_latency(context, write_result):
 
     float64 = context.trained_mscn(FeaturizationVariant.BITMAPS, dtype="float64")
     fused_predictions = float64.estimate_many(queries)
-    with no_grad():
-        normalized = float64._model.forward_ragged(float64.featurizer.featurize_ragged(queries))
-    reference = float64._normalizer.denormalize(normalized.numpy().reshape(-1))
+    normalized = forward(float64.featurizer.featurize_ragged(queries), float64._model.layers)
+    reference = float64._normalizer.denormalize(normalized[:, 0])
     np.testing.assert_array_equal(fused_predictions, reference)
 
 

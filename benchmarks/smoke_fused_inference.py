@@ -4,7 +4,8 @@ Runs the full serving pipeline at a miniature scale in a few seconds: build a
 tiny synthetic database, train an MSCN for a couple of epochs in the default
 float32 serving configuration, answer queries through the fused
 :class:`~repro.core.inference.InferenceEngine`, and cross-check the float64
-fused engine against the ragged autograd forward pass bit for bit.
+engine's chunked serving path against the model's forward pass over the
+same dataset bit for bit.
 
 Invoked as a plain script (``PYTHONPATH=src python
 benchmarks/smoke_fused_inference.py``) from CI so the serving hot path is
@@ -27,9 +28,9 @@ import numpy as np
 
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.estimator import MSCNEstimator
+from repro.core.model import forward
 from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
 from repro.db.sampling import MaterializedSamples
-from repro.nn.tensor import no_grad
 from repro.utils.bench import write_bench_json
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 
@@ -62,17 +63,16 @@ def main() -> int:
     assert estimates.shape == (len(queries),)
     assert np.isfinite(estimates).all() and (estimates >= 1.0).all()
 
-    # Float64 cross-check: fused engine == autograd forward_ragged, bit for bit.
+    # Float64 cross-check: chunked engine == one forward pass, bit for bit.
     estimator64 = MSCNEstimator(
         database, base.replace(dtype="float64"), samples=samples
     )
     estimator64.fit(workload)
     fused = estimator64.estimate_many(queries)
-    with no_grad():
-        normalized = estimator64._model.forward_ragged(
-            estimator64.featurizer.featurize_ragged(queries)
-        )
-    reference = estimator64._normalizer.denormalize(normalized.numpy().reshape(-1))
+    normalized = forward(
+        estimator64.featurizer.featurize_ragged(queries), estimator64._model.layers
+    )
+    reference = estimator64._normalizer.denormalize(normalized[:, 0])
     np.testing.assert_array_equal(fused, reference)
 
     write_bench_json(
@@ -90,7 +90,7 @@ def main() -> int:
     )
     print(
         f"fused inference smoke OK: {len(queries)} queries, "
-        f"{elapsed_ms:.3f} ms/query (float32 fused), float64 fused == forward_ragged"
+        f"{elapsed_ms:.3f} ms/query (float32 fused), float64 fused == forward"
     )
     return 0
 

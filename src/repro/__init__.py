@@ -5,8 +5,9 @@ The package is organised as a set of substrates plus the paper's core
 contribution:
 
 ``repro.nn``
-    A small reverse-mode automatic-differentiation engine over numpy with the
-    layers, optimizers and loss functions MSCN needs.
+    The numpy pieces MSCN's hand-derived training kernel builds on: the
+    affine layer, the set-pooling kernel, Adam, and the loss functions with
+    their gradients.
 ``repro.db``
     An in-memory columnar relational engine: schema, predicates, joins, a
     COUNT(*) executor used to label queries with true cardinalities,
@@ -20,7 +21,7 @@ contribution:
     a JOB-light-style workload.
 ``repro.core``
     The multi-set convolutional network: featurization, normalization,
-    mini-batch padding/masking, the model itself, the trainer and the public
+    ragged mini-batches, the model itself, the trainer and the public
     :class:`~repro.core.estimator.MSCNEstimator`.
 ``repro.estimators``
     Baselines: a PostgreSQL-style histogram estimator, Random Sampling and

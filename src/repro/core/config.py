@@ -9,8 +9,8 @@ per table and bitmap features.
 lookup tables, datasets, model weights, optimizer state and the fused
 inference engine.  The default is ``float32``: serving accuracy is unaffected
 (the model's own approximation error dwarfs single precision) while matmuls
-move half the memory.  Use ``float64`` for bit-exact comparisons (e.g. of the
-fused inference engine against the autograd forward pass).
+move half the memory.  Use ``float64`` for comparisons against
+hand-computed references, such as the finite-difference gradient check.
 
 Three knobs configure the serving-side inference tier on top of the training
 dtype: ``inference_precision`` selects the engine's weight tier (``None``

@@ -1,16 +1,14 @@
-"""Graph-free fused inference over the ragged layout (Section 4.7 serving).
+"""Serving-side MSCN inference over the ragged layout (Section 4.7 serving).
 
-:class:`InferenceEngine` executes the MSCN forward pass as a handful of
-``np.dot`` calls and activations on plain numpy arrays.  Compared to running
-the autograd tensor engine under ``no_grad()`` it
+:class:`InferenceEngine` runs the model's one forward pass,
+:func:`repro.core.model.forward` — the same code training runs — against an
+immutable weight snapshot, and adds what serving needs on top:
 
-* allocates **zero** ``Tensor`` objects (no graph bookkeeping, no Python
-  object churn on the hot path),
-* transforms only the *real* set elements (the ragged layout carries no
-  padding), pooling them with a handful of vectorized segment adds per set,
-  and
-* computes in a configurable dtype — float32 by default in serving
-  configurations — against cached contiguous weight matrices.
+* chunking: a batch is split into fixed-size chunks, and ``replicas``
+  worker threads can split the chunks of one large batch;
+* precision tiers: the snapshot may hold float16 or int8 weights (see
+  below), computed in float32;
+* the ``engine.run`` fault point, for the fault-injection tests.
 
 The engine keeps no scratch between runs: every intermediate is a fresh
 array, which ran at 0.96-1.02x the time of reusing grow-only scratch buffers
@@ -19,10 +17,8 @@ the only state a run reads is the weight snapshot.
 That makes one engine safe to share across threads, and lets ``replicas``
 worker threads split one large batch without a copy of the engine each.
 
-In float64 the engine is bit-identical to ``MSCN.forward_ragged`` over the
-same dataset: the matmuls are row-wise identical, both pool through the same
-segment-sum kernel, and the stable sigmoid replicates the tensor engine's
-clipped formulation exactly.
+Over a native snapshot of the model's own dtype, the engine is
+bit-identical to ``forward(dataset, model.layers)`` on each chunk.
 
 The weights an engine computes against live in an immutable
 :class:`WeightSnapshot` — a generation-stamped set of :class:`EngineLayer`
@@ -55,8 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.model import MSCN
-from repro.nn.functional import segment_sum_array
+from repro.core.model import MSCN, forward
 from repro.utils.faults import fault_point
 
 __all__ = [
@@ -121,19 +116,19 @@ class EngineLayer:
 
     def __init__(self, linear, dtype: np.dtype, precision: "str | None" = None):
         if precision is None or precision in ("float32", "float64"):
-            self.weight = np.ascontiguousarray(linear.weight.data, dtype=dtype)
-            self.bias = np.ascontiguousarray(linear.bias.data, dtype=dtype)
+            self.weight = np.ascontiguousarray(linear.weight, dtype=dtype)
+            self.bias = np.ascontiguousarray(linear.bias, dtype=dtype)
             self.stored_weight = self.weight
             self.stored_bias = self.bias
             self.weight_scale = None
         elif precision == "float16":
-            self.stored_weight = np.ascontiguousarray(linear.weight.data, dtype=np.float16)
-            self.stored_bias = np.ascontiguousarray(linear.bias.data, dtype=np.float16)
+            self.stored_weight = np.ascontiguousarray(linear.weight, dtype=np.float16)
+            self.stored_bias = np.ascontiguousarray(linear.bias, dtype=np.float16)
             self.weight = self.stored_weight.astype(dtype)
             self.bias = self.stored_bias.astype(dtype)
             self.weight_scale = None
         elif precision == "int8":
-            weight = np.asarray(linear.weight.data, dtype=np.float64)
+            weight = np.asarray(linear.weight, dtype=np.float64)
             scale = float(np.abs(weight).max()) / 127.0
             if scale == 0.0:
                 scale = 1.0
@@ -141,7 +136,7 @@ class EngineLayer:
             self.stored_weight = np.ascontiguousarray(quantized, dtype=np.int8)
             self.weight_scale = scale
             self.weight = (self.stored_weight.astype(dtype)) * dtype.type(scale)
-            self.stored_bias = np.ascontiguousarray(linear.bias.data, dtype=np.float32)
+            self.stored_bias = np.ascontiguousarray(linear.bias, dtype=np.float32)
             self.bias = np.ascontiguousarray(self.stored_bias, dtype=dtype)
         else:  # pragma: no cover - resolve_precision rejects unknown tags
             raise ValueError(f"unsupported precision {precision!r}")
@@ -176,14 +171,8 @@ class WeightSnapshot:
         self.precision = precision if precision is not None else self.dtype.name
         self.generation = generation
         self.layers = {
-            "table1": EngineLayer(model.table_mlp.first, self.dtype, quantized),
-            "table2": EngineLayer(model.table_mlp.second, self.dtype, quantized),
-            "join1": EngineLayer(model.join_mlp.first, self.dtype, quantized),
-            "join2": EngineLayer(model.join_mlp.second, self.dtype, quantized),
-            "predicate1": EngineLayer(model.predicate_mlp.first, self.dtype, quantized),
-            "predicate2": EngineLayer(model.predicate_mlp.second, self.dtype, quantized),
-            "hidden": EngineLayer(model.output_hidden, self.dtype, quantized),
-            "final": EngineLayer(model.output_final, self.dtype, quantized),
+            name: EngineLayer(linear, self.dtype, quantized)
+            for name, linear in model.layers.items()
         }
 
     @property
@@ -193,10 +182,10 @@ class WeightSnapshot:
 
 
 class InferenceEngine:
-    """Fused pure-numpy forward pass of a trained :class:`MSCN` model.
+    """Chunked, snapshot-based forward pass of a trained :class:`MSCN` model.
 
     The engine holds no state between runs except its weight snapshot:
-    every intermediate is a fresh ``np.dot`` or ufunc result, so any number
+    every intermediate is a fresh matmul or ufunc result, so any number
     of threads may call :meth:`run` on one engine at once.  ``precision``
     selects the weight tier (see the module docstring).  ``replicas`` is the
     number of worker threads one :meth:`run` spreads its chunks over;
@@ -346,49 +335,5 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _forward(self, dataset, layers: dict) -> np.ndarray:
         """One chunk's forward pass against one snapshot's layers."""
-        size = dataset.size
-        fault_point("engine.run", batch_size=size)
-        hidden_units = self.model.hidden_units
-        merged = np.empty((size, 3 * hidden_units), dtype=self.dtype)
-        for index, (prefix, ragged_set) in enumerate(
-            (
-                ("table", dataset.tables),
-                ("join", dataset.joins),
-                ("predicate", dataset.predicates),
-            )
-        ):
-            features = np.ascontiguousarray(ragged_set.features, dtype=self.dtype)
-            transformed = _linear_relu(
-                _linear_relu(features, layers[prefix + "1"]), layers[prefix + "2"]
-            )
-            pooled = merged[:, index * hidden_units : (index + 1) * hidden_units]
-            segment_sum_array(transformed, ragged_set.offsets, ragged_set.lengths, out=pooled)
-            if self.model.pooling == "mean":
-                pooled *= ragged_set.inv_counts.astype(self.dtype, copy=False)
-
-        hidden = _linear_relu(merged, layers["hidden"])
-        final_layer = layers["final"]
-        output = np.dot(hidden, final_layer.weight)
-        output += final_layer.bias
-        return _stable_sigmoid(output[:, 0])
-
-
-def _linear_relu(features: np.ndarray, layer: EngineLayer) -> np.ndarray:
-    """One fused Linear+ReLU layer over ``(rows, width)`` features."""
-    out = np.dot(features, layer.weight)
-    out += layer.bias
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
-    """Numerically-stable sigmoid, matching ``Tensor.sigmoid``.
-
-    Replicates the tensor engine's clipped two-branch formulation (``exp``
-    is only ever evaluated on ``-min(|x|, 500)``) so float64 results are
-    bit-identical to the autograd path.
-    """
-    exponent = np.exp(-np.minimum(np.abs(values), 500.0))  # always in (0, 1]
-    denominator = exponent + 1.0
-    # x >= 0: 1 / (1 + e);  x < 0: e / (1 + e)
-    return np.where(values >= 0, 1.0 / denominator, exponent / denominator)
+        fault_point("engine.run", batch_size=dataset.size)
+        return forward(dataset, layers)[:, 0]

@@ -11,31 +11,37 @@ normalized cardinality prediction::
     w_P   = 1/|P_q| * sum_p MLP_P(v_p)
     w_out = MLP_out([w_T, w_J, w_P])
 
-Average pooling (rather than sum pooling) is used so the magnitude of the set
-representation does not depend on the set size, which eases generalization to
-unseen set sizes; sum pooling is available behind a flag for the ablation
-benchmark.
+Average pooling is used so the magnitude of the set representation does not
+depend on the set size, which eases generalization to unseen set sizes.
 
-The forward pass, :meth:`MSCN.forward_ragged`, runs over the ragged layout
-of :class:`~repro.core.batching.RaggedDataset`: the per-element MLPs see only
+MSCN is one fixed graph, so it is written once, as plain numpy.
+:func:`forward` runs it over the ragged layout of
+:class:`~repro.core.batching.RaggedDataset` — the per-element MLPs see only
 the real set elements, and pooling is a segment reduction over the CSR
-offsets — the paper's masked average without any padded slots.  Inference
-runs the same computation graph-free in
-:class:`~repro.core.inference.InferenceEngine`.
+offsets, the paper's masked average without any padded slots — against any
+mapping of layer names to ``(weight, bias)`` layers: the live
+:attr:`MSCN.layers` during training, an inference engine's weight snapshot
+when serving.  :func:`backward` is its hand-derived gradient, used by the
+trainer.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from typing import Iterator, Mapping
+
 import numpy as np
 
-from repro.nn.functional import segment_mean, segment_sum
-from repro.nn.layers import Linear, MLP, Module
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.functional import segment_sum_array
+from repro.nn.layers import Linear
 
-__all__ = ["MSCN"]
+__all__ = ["MSCN", "SET_MODULES", "forward", "backward"]
+
+#: The set modules, as ``(RaggedDataset attribute, layer-name prefix)``.
+SET_MODULES = (("tables", "table_mlp"), ("joins", "join_mlp"), ("predicates", "predicate_mlp"))
 
 
-class MSCN(Module):
+class MSCN:
     """Multi-set convolutional network for cardinality estimation.
 
     Parameters
@@ -46,11 +52,16 @@ class MSCN(Module):
         Width ``d`` of all hidden layers and set representations.
     rng:
         Generator used for weight initialization (reproducible training runs).
-    pooling:
-        ``"mean"`` (the paper's choice) or ``"sum"`` (ablation).
     dtype:
         Parameter (and therefore compute) dtype; float64 by default,
         estimators pass their configured ``MSCNConfig.dtype``.
+
+    :attr:`layers` maps each layer's name (``table_mlp.first``, ...,
+    ``output_final``) to its :class:`~repro.nn.layers.Linear`; parameter
+    names append ``.weight`` / ``.bias``, which are the ``state_dict`` keys.
+    Training and :meth:`load_state_dict` update the parameter arrays in
+    place; a trainer's optimizer keeps updating the arrays it was built
+    with, so code that rebinds a layer's arrays needs a new trainer.
     """
 
     def __init__(
@@ -60,51 +71,137 @@ class MSCN(Module):
         predicate_feature_width: int,
         hidden_units: int = 256,
         rng: np.random.Generator | None = None,
-        pooling: str = "mean",
         dtype: np.dtype | str = np.float64,
     ):
-        super().__init__()
-        if pooling not in {"mean", "sum"}:
-            raise ValueError("pooling must be 'mean' or 'sum'")
         rng = rng if rng is not None else np.random.default_rng()
         self.table_feature_width = table_feature_width
         self.join_feature_width = join_feature_width
         self.predicate_feature_width = predicate_feature_width
         self.hidden_units = hidden_units
-        self.pooling = pooling
         self.dtype = np.dtype(dtype)
+        self.layers: dict[str, Linear] = {}
+        widths = (table_feature_width, join_feature_width, predicate_feature_width)
+        for (_, prefix), width in zip(SET_MODULES, widths):
+            self.layers[prefix + ".first"] = Linear(width, hidden_units, rng)
+            self.layers[prefix + ".second"] = Linear(hidden_units, hidden_units, rng)
+        self.layers["output_hidden"] = Linear(3 * hidden_units, hidden_units, rng)
+        self.layers["output_final"] = Linear(hidden_units, 1, rng, initializer="xavier")
+        for layer in self.layers.values():
+            layer.weight = layer.weight.astype(self.dtype)
+            layer.bias = layer.bias.astype(self.dtype)
 
-        self.table_mlp = MLP(table_feature_width, hidden_units, rng=rng)
-        self.join_mlp = MLP(join_feature_width, hidden_units, rng=rng)
-        self.predicate_mlp = MLP(predicate_feature_width, hidden_units, rng=rng)
-        self.output_hidden = Linear(3 * hidden_units, hidden_units, rng=rng)
-        self.output_final = Linear(hidden_units, 1, rng=rng, initializer="xavier")
-        if self.dtype != np.float64:
-            for _, parameter in self.named_parameters():
-                parameter.data = parameter.data.astype(self.dtype)
+    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
+        """``(name, array)`` for every parameter, in layer order."""
+        for name, layer in self.layers.items():
+            yield name + ".weight", layer.weight
+            yield name + ".bias", layer.bias
 
-    # ------------------------------------------------------------------
-    def _set_module_ragged(self, mlp: MLP, ragged_set) -> Tensor:
-        """Apply a per-element MLP to real rows only and segment-pool."""
-        transformed = mlp(Tensor(ragged_set.features))
-        if self.pooling == "mean":
-            return segment_mean(transformed, ragged_set.offsets, ragged_set.inv_counts)
-        return segment_sum(transformed, ragged_set.offsets)
+    def num_parameters(self) -> int:
+        """Total number of trainable scalar parameters."""
+        return sum(parameter.size for _, parameter in self.named_parameters())
 
-    def forward_ragged(self, dataset) -> Tensor:
-        """Forward pass over a :class:`repro.core.batching.RaggedDataset`.
+    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
+        return OrderedDict((name, parameter.copy()) for name, parameter in self.named_parameters())
 
-        The per-element MLPs see only the ``total_elements`` real rows — no
-        padded slots are ever transformed — and pooling is a segment
-        reduction over the CSR offsets.  Differentiable; the output has
-        shape (batch, 1) and holds normalized cardinalities in [0, 1].
-        """
-        table_repr = self._set_module_ragged(self.table_mlp, dataset.tables)
-        join_repr = self._set_module_ragged(self.join_mlp, dataset.joins)
-        predicate_repr = self._set_module_ragged(self.predicate_mlp, dataset.predicates)
-        return self._output(table_repr, join_repr, predicate_repr)
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        own = dict(self.named_parameters())
+        missing = set(own) - set(state)
+        unexpected = set(state) - set(own)
+        if missing or unexpected:
+            raise ValueError(
+                f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}"
+            )
+        for name, parameter in own.items():
+            # Keep the parameter's compute dtype (the model may run float32).
+            value = np.asarray(state[name], dtype=parameter.dtype)
+            if value.shape != parameter.shape:
+                raise ValueError(
+                    f"parameter {name!r} has shape {parameter.shape}, "
+                    f"state provides {value.shape}"
+                )
+            # Copy into the existing buffer so references held by the
+            # optimizer and inference engines stay valid.
+            np.copyto(parameter, value)
 
-    def _output(self, table_repr: Tensor, join_repr: Tensor, predicate_repr: Tensor) -> Tensor:
-        merged = concatenate((table_repr, join_repr, predicate_repr), axis=1)
-        hidden = self.output_hidden(merged).relu()
-        return self.output_final(hidden).sigmoid()
+
+def forward(dataset, layers: Mapping, trace: dict | None = None) -> np.ndarray:
+    """MSCN forward pass over a ragged dataset; returns shape ``(n, 1)``.
+
+    ``layers`` maps the layer names of :attr:`MSCN.layers` to objects with
+    ``weight`` and ``bias`` arrays.  Computation runs in the weights' dtype;
+    the features are cast to it first.  When ``trace`` is a dict, the
+    activations :func:`backward` needs are stored in it.
+    """
+    final = layers["output_final"]
+    dtype = final.weight.dtype
+    hidden_units = final.weight.shape[0]
+    merged = np.empty((dataset.size, 3 * hidden_units), dtype=dtype)
+    for index, (attribute, prefix) in enumerate(SET_MODULES):
+        ragged_set = getattr(dataset, attribute)
+        features = np.ascontiguousarray(ragged_set.features, dtype=dtype)
+        first = _linear_relu(features, layers[prefix + ".first"])
+        second = _linear_relu(first, layers[prefix + ".second"])
+        pooled = merged[:, index * hidden_units : (index + 1) * hidden_units]
+        segment_sum_array(second, ragged_set.offsets, ragged_set.lengths, out=pooled)
+        inv_counts = ragged_set.inv_counts.astype(dtype, copy=False)
+        pooled *= inv_counts
+        if trace is not None:
+            trace[prefix] = (features, first, second, ragged_set.lengths, inv_counts)
+
+    hidden = _linear_relu(merged, layers["output_hidden"])
+    output = hidden @ final.weight
+    output += final.bias
+    prediction = _stable_sigmoid(output)
+    if trace is not None:
+        trace.update(merged=merged, hidden=hidden, prediction=prediction)
+    return prediction
+
+
+def backward(trace: dict, layers: Mapping, grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of every parameter, given ``grad`` = dloss/dprediction.
+
+    ``trace`` is the dict a :func:`forward` call over the same ``layers``
+    filled; the result is keyed by parameter name (``table_mlp.first.weight``,
+    ...).  ReLU masks are read off the stored activations (``relu(h) > 0``
+    exactly where ``h > 0``).
+    """
+    gradients: dict[str, np.ndarray] = {}
+    prediction = trace["prediction"]
+    grad = grad * prediction * (1.0 - prediction)  # through the sigmoid
+    _linear_gradients(gradients, "output_final", trace["hidden"], grad)
+    grad = (grad @ layers["output_final"].weight.T) * (trace["hidden"] > 0)
+    _linear_gradients(gradients, "output_hidden", trace["merged"], grad)
+    grad = grad @ layers["output_hidden"].weight.T
+    hidden_units = trace["hidden"].shape[1]
+    for index, (_, prefix) in enumerate(SET_MODULES):
+        features, first, second, lengths, inv_counts = trace[prefix]
+        pooled = grad[:, index * hidden_units : (index + 1) * hidden_units]
+        # Through the mean: every element of a set gets its set's gradient / |S|.
+        set_grad = np.repeat(pooled * inv_counts, lengths, axis=0) * (second > 0)
+        _linear_gradients(gradients, prefix + ".second", first, set_grad)
+        set_grad = (set_grad @ layers[prefix + ".second"].weight.T) * (first > 0)
+        # The features are inputs, not parameters: no gradient flows into them.
+        _linear_gradients(gradients, prefix + ".first", features, set_grad)
+    return gradients
+
+
+def _linear_relu(features: np.ndarray, layer) -> np.ndarray:
+    """One Linear+ReLU layer over ``(rows, width)`` features."""
+    out = features @ layer.weight
+    out += layer.bias
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _linear_gradients(gradients: dict, name: str, inputs: np.ndarray, grad: np.ndarray) -> None:
+    """Record the weight and bias gradients of the Linear layer ``name``."""
+    gradients[name + ".weight"] = inputs.T @ grad
+    gradients[name + ".bias"] = grad.sum(axis=0)
+
+
+def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
+    """Numerically-stable sigmoid; ``exp`` only ever sees ``-min(|x|, 500)``."""
+    exponent = np.exp(-np.minimum(np.abs(values), 500.0))  # always in (0, 1]
+    denominator = exponent + 1.0
+    # x >= 0: 1 / (1 + e);  x < 0: e / (1 + e)
+    return np.where(values >= 0, 1.0 / denominator, exponent / denominator)

@@ -8,13 +8,15 @@ geometric-mean q-error are available as alternative objectives (Section 4.8).
 
 Both training and inference run over the ragged (CSR) layout: the per-element
 MLPs touch only real set elements and pooling is a segment reduction, so no
-FLOPs are spent on padding.  Training runs ``MSCN.forward_ragged`` on
-length-bucketed mini-batches (see ``iterate_ragged_minibatches``); inference
-goes through the graph-free fused :class:`~repro.core.inference.InferenceEngine`,
-which is bit-identical to ``forward_ragged`` in float64.  The engine's weight
-snapshot is refreshed only before the first prediction after training, so a
-quantized (``float16``/``int8``) tier is re-quantized once per weight change
-rather than once per prediction.
+FLOPs are spent on padding.  Both also run the one MSCN forward pass,
+:func:`repro.core.model.forward`.  A training step runs it on a
+length-bucketed mini-batch (see ``iterate_ragged_minibatches``), chains the
+loss gradient through the label normalization, and hands the hand-derived
+:func:`repro.core.model.backward` gradients to Adam.  Inference goes through
+the :class:`~repro.core.inference.InferenceEngine`, whose weight snapshot is
+refreshed only before the first prediction after training, so a quantized
+(``float16``/``int8``) tier is re-quantized once per weight change rather
+than once per prediction.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from repro.core.batching import (
 from repro.core.config import LossKind, MSCNConfig
 from repro.core.featurization import FeaturizedQuery
 from repro.core.inference import InferenceEngine
-from repro.core.model import MSCN
+from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer
 from repro.nn.loss import geometric_q_error_loss, mse_loss, q_error_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 __all__ = ["TrainingResult", "MSCNTrainer"]
@@ -80,7 +81,7 @@ class MSCNTrainer:
         self.model = model
         self.normalizer = normalizer
         self.config = config
-        self.optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
+        self.optimizer = Adam(dict(model.named_parameters()), learning_rate=config.learning_rate)
         self._shuffle_rng = spawn_rng(config.seed, "minibatch-shuffle")
         self._engine: InferenceEngine | None = None
         self._engine_lock = threading.Lock()
@@ -91,26 +92,29 @@ class MSCNTrainer:
     # ------------------------------------------------------------------
     # Loss
     # ------------------------------------------------------------------
-    def _loss(self, predictions: Tensor, batch: RaggedDataset) -> Tensor:
-        """Training loss of a batch of normalized predictions.
+    def _loss(self, predictions: np.ndarray, batch: RaggedDataset) -> tuple[float, np.ndarray]:
+        """Training loss of a batch of normalized predictions, and its gradient.
 
-        Labels and cardinalities are stored as float64 columns; casting them
-        to the prediction dtype here keeps the whole backward pass in the
-        configured compute precision (a float64 operand would silently
-        promote every gradient of a float32 model).
+        The gradient is with respect to the normalized ``(n, 1)``
+        predictions.  Labels and cardinalities are stored as float64
+        columns; casting them to the prediction dtype keeps the whole
+        backward pass in the configured compute precision (a float64
+        operand would silently promote every gradient of a float32 model).
         """
-        dtype = predictions.data.dtype
+        dtype = predictions.dtype
         if self.config.loss is LossKind.MSE:
-            return mse_loss(predictions, Tensor(batch.labels, dtype=dtype))
-        predicted_cardinalities = self._denormalize_tensor(predictions)
-        true_cardinalities = Tensor(batch.cardinalities, dtype=dtype)
-        if self.config.loss is LossKind.GEOMETRIC_Q_ERROR:
-            return geometric_q_error_loss(predicted_cardinalities, true_cardinalities)
-        return q_error_loss(predicted_cardinalities, true_cardinalities)
-
-    def _denormalize_tensor(self, predictions: Tensor) -> Tensor:
-        """Invert the label normalization inside the autograd graph."""
-        return (predictions * self.normalizer.scale + self.normalizer.min_log).exp()
+            loss, grad = mse_loss(predictions, batch.labels.astype(dtype))
+            return float(loss), grad
+        # Invert the label normalization: cardinality = exp(label * scale + min_log).
+        scale = dtype.type(self.normalizer.scale)
+        predicted = np.exp(predictions * scale + dtype.type(self.normalizer.min_log))
+        loss_function = (
+            geometric_q_error_loss
+            if self.config.loss is LossKind.GEOMETRIC_Q_ERROR
+            else q_error_loss
+        )
+        loss, grad = loss_function(predicted, batch.cardinalities.astype(dtype))
+        return float(loss), grad * predicted * scale
 
     # ------------------------------------------------------------------
     # Training
@@ -144,7 +148,7 @@ class MSCNTrainer:
         train_labels = self.normalizer.normalize(train_cardinalities)
         result = TrainingResult(epochs_run=0, training_seconds=0.0)
         start_time = time.perf_counter()
-        self.model.train()
+        layers = self.model.layers
         for _ in range(epochs):
             self._stale = True
             epoch_losses: list[float] = []
@@ -157,23 +161,17 @@ class MSCNTrainer:
                 rng=shuffle_rng,
                 bucket_by_length=self.config.bucket_by_length,
             ):
-                self.optimizer.zero_grad()
-                predictions = self.model.forward_ragged(batch)
-                loss = self._loss(predictions, batch)
-                loss.backward()
-                self.optimizer.step()
-                epoch_losses.append(loss.item())
+                trace: dict = {}
+                loss, grad = self._loss(forward(batch, layers, trace), batch)
+                self.optimizer.step(backward(trace, layers, grad))
+                epoch_losses.append(loss)
             result.train_loss_history.append(float(np.mean(epoch_losses)))
             result.epochs_run += 1
             if validation_set is not None and validation_cardinalities is not None:
                 result.validation_q_error_history.append(
                     self.mean_q_error(validation_set, validation_cardinalities)
                 )
-                # mean_q_error() predicts in eval() mode; later epochs must
-                # train with training-mode behaviour (e.g. active dropout).
-                self.model.train()
         result.training_seconds = time.perf_counter() - start_time
-        self.model.eval()
         return result
 
     # ------------------------------------------------------------------
@@ -223,7 +221,6 @@ class MSCNTrainer:
         dataset = as_ragged_dataset(features)
         if dataset.size == 0:
             return np.empty(0, dtype=np.float64)
-        self.model.eval()
         engine = self.engine()
         if self._stale:
             # Cleared only after the refresh, so a concurrent prediction

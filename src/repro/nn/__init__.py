@@ -1,43 +1,33 @@
-"""A minimal neural-network training stack built on numpy.
+"""The numpy pieces MSCN's training needs.
 
 The paper trains MSCN with PyTorch on a GPU.  PyTorch is not available in
-this environment, so ``repro.nn`` provides the pieces MSCN actually needs:
+this environment, and MSCN is one fixed graph, so its forward pass and a
+hand-derived backward pass are written out in :mod:`repro.core.model`.
+``repro.nn`` holds what that kernel builds on:
 
-* :class:`~repro.nn.tensor.Tensor` — a reverse-mode autograd tensor with
-  broadcasting-aware gradients,
-* layers (:class:`~repro.nn.layers.Linear`, activations, ``Sequential`` and a
-  two-layer ``MLP`` used for every set module),
-* optimizers (:class:`~repro.nn.optim.Adam`, :class:`~repro.nn.optim.SGD`),
+* :class:`~repro.nn.layers.Linear` — an affine layer whose weight and bias
+  are plain numpy arrays (Kaiming or Xavier initialized),
+* :func:`~repro.nn.functional.segment_sum_array` — the set-pooling kernel,
+* :class:`~repro.nn.optim.Adam` — the paper's optimizer, updating the
+  parameter arrays in place,
 * the loss functions discussed in Section 4.8 of the paper (mean q-error,
-  mean squared error, geometric-mean q-error),
+  mean squared error, geometric-mean q-error), each returning the loss and
+  its gradient,
 * model (de)serialization helpers.
 
-All gradients are validated against central finite differences in the test
-suite.
+The kernel's gradients are checked against central finite differences in
+``tests/nn/test_gradients.py``.
 """
 
-from repro.nn import functional
-from repro.nn.layers import MLP, Dropout, Linear, Module, ReLU, Sequential, Sigmoid
+from repro.nn.functional import segment_sum_array
+from repro.nn.layers import Linear
 from repro.nn.loss import geometric_q_error_loss, mse_loss, q_error_loss
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dict_num_bytes
-from repro.nn.tensor import Tensor, concatenate, maximum, no_grad
 
 __all__ = [
-    "Tensor",
-    "concatenate",
-    "maximum",
-    "no_grad",
-    "functional",
-    "Module",
+    "segment_sum_array",
     "Linear",
-    "ReLU",
-    "Sigmoid",
-    "Dropout",
-    "Sequential",
-    "MLP",
-    "Optimizer",
-    "SGD",
     "Adam",
     "q_error_loss",
     "mse_loss",

@@ -1,216 +1,42 @@
-"""Neural-network layers built on :class:`repro.nn.tensor.Tensor`.
+"""The affine layer MSCN's MLPs are built from (paper Section 3.2).
 
-The paper uses two-layer fully-connected MLPs with ReLU activations for each
-set module and a final output MLP whose last layer is a sigmoid (Section 3.2).
-:class:`MLP` captures that two-layer building block; :class:`Sequential`
-composes layers for the output network.
+A :class:`Linear` layer holds its parameters as plain numpy arrays.  The
+MSCN kernel (:mod:`repro.core.model`) reads them in its forward pass, and
+:class:`~repro.nn.optim.Adam` updates them in place, so any reference to a
+parameter buffer stays valid across training steps.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable, Iterator
-
 import numpy as np
 
-from repro.nn import init
-from repro.nn.tensor import Tensor
-
-__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Dropout", "Sequential", "MLP"]
+__all__ = ["Linear"]
 
 
-class Module:
-    """Base class for layers and models.
+class Linear:
+    """The parameters of an affine map ``y = x W + b``; ``W`` is ``(in, out)``.
 
-    Provides parameter discovery (recursing into attributes that are modules
-    or lists of modules), ``train``/``eval`` mode switching, gradient zeroing
-    and a flat ``state_dict`` keyed by dotted attribute paths.
+    ``initializer`` is ``"kaiming"`` (He uniform, suited to ReLU hidden
+    layers) or ``"xavier"`` (Glorot uniform, suited to the sigmoid output).
+    The bias starts at zero.  Both arrays are created in float64.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
-    # -- forward ---------------------------------------------------------
-    def forward(self, *args, **kwargs) -> Tensor:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs) -> Tensor:
-        return self.forward(*args, **kwargs)
-
-    # -- discovery -------------------------------------------------------
-    def _children(self) -> Iterator[tuple[str, "Module"]]:
-        for attr_name, value in vars(self).items():
-            if isinstance(value, Module):
-                yield attr_name, value
-            elif isinstance(value, (list, tuple)):
-                for index, element in enumerate(value):
-                    if isinstance(element, Module):
-                        yield f"{attr_name}.{index}", element
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for attr_name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield f"{prefix}{attr_name}", value
-        for child_name, child in self._children():
-            yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
-
-    def parameters(self) -> list[Tensor]:
-        return [parameter for _, parameter in self.named_parameters()]
-
-    def num_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return sum(parameter.size for parameter in self.parameters())
-
-    # -- training state --------------------------------------------------
-    def train(self) -> "Module":
-        self.training = True
-        for _, child in self._children():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for _, child in self._children():
-            child.eval()
-        return self
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters():
-            parameter.zero_grad()
-
-    # -- serialization ---------------------------------------------------
-    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict(
-            (name, parameter.data.copy()) for name, parameter in self.named_parameters()
-        )
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise ValueError(
-                f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}"
-            )
-        for name, parameter in own.items():
-            # Keep the parameter's compute dtype (the model may run float32).
-            value = np.asarray(state[name], dtype=parameter.data.dtype)
-            if value.shape != parameter.data.shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {parameter.data.shape}, "
-                    f"state provides {value.shape}"
-                )
-            # Copy into the existing buffer so references held by optimizers
-            # and inference engines stay valid.
-            np.copyto(parameter.data, value)
-
-
-class Linear(Module):
-    """Affine transformation ``y = x W + b`` over the last axis of 2-D input."""
+    __slots__ = ("weight", "bias")
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         initializer: str = "kaiming",
     ) -> None:
-        super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear layer dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         if initializer == "kaiming":
-            weight = init.kaiming_uniform(rng, in_features, out_features)
+            limit = np.sqrt(6.0 / in_features)
         elif initializer == "xavier":
-            weight = init.xavier_uniform(rng, in_features, out_features)
+            limit = np.sqrt(6.0 / (in_features + out_features))
         else:
             raise ValueError(f"unknown initializer {initializer!r}")
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor(weight, requires_grad=True, name="weight")
-        self.bias = Tensor(init.zeros((out_features,)), requires_grad=True, name="bias")
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if inputs.ndim != 2:
-            raise ValueError(
-                f"Linear expects 2-D input (batch, features); got shape {inputs.shape}"
-            )
-        if inputs.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expects {self.in_features} input features, got {inputs.shape[1]}"
-            )
-        return inputs.matmul(self.weight) + self.bias
-
-
-class ReLU(Module):
-    """Rectified linear unit activation layer."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.relu()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation layer."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, probability: float = 0.5, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.probability = probability
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        if not self.training or self.probability == 0.0:
-            return inputs
-        keep = 1.0 - self.probability
-        mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * Tensor(mask)
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, layers: Iterable[Module]) -> None:
-        super().__init__()
-        self.layers = list(layers)
-        if not self.layers:
-            raise ValueError("Sequential requires at least one layer")
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = inputs
-        for layer in self.layers:
-            output = layer(output)
-        return output
-
-
-class MLP(Module):
-    """Two-layer fully-connected network with ReLU activations.
-
-    This is the per-element set module of the paper: every element of the
-    table / join / predicate set is passed through the same two-layer MLP with
-    shared parameters before pooling.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        hidden_features: int,
-        out_features: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        out_features = out_features if out_features is not None else hidden_features
-        rng = rng if rng is not None else np.random.default_rng()
-        self.first = Linear(in_features, hidden_features, rng=rng)
-        self.second = Linear(hidden_features, out_features, rng=rng)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        hidden = self.first(inputs).relu()
-        return self.second(hidden).relu()
+        self.weight = rng.uniform(-limit, limit, size=(in_features, out_features))
+        self.bias = np.zeros(out_features)

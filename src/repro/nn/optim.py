@@ -1,115 +1,62 @@
-"""Gradient-descent optimizers.
-
-The paper trains MSCN with Adam (Kingma & Ba); SGD with momentum is provided
-as a simpler alternative and for tests.
-"""
+"""The Adam optimizer (Kingma & Ba, 2014), the paper's training optimizer."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+__all__ = ["Adam", "BETA1", "BETA2", "EPSILON"]
 
-__all__ = ["Optimizer", "SGD", "Adam"]
-
-
-class Optimizer:
-    """Base class holding the parameter list and the ``zero_grad`` helper."""
-
-    def __init__(self, parameters: Sequence[Tensor]) -> None:
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-        for parameter in self.parameters:
-            if not parameter.requires_grad:
-                raise ValueError("all optimized parameters must require gradients")
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+#: Exponential decay rates of the first and second moment estimates.
+BETA1 = 0.9
+BETA2 = 0.999
+#: Added to the root of the second moment to keep the step finite.
+EPSILON = 1e-8
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
+class Adam:
+    """Adam over a dict of named parameter arrays.
 
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
+    :meth:`step` takes a gradient dict keyed like ``parameters`` and updates
+    the parameter arrays strictly in place: the buffers are never rebound,
+    so references held elsewhere (an inference engine's weight snapshot)
+    stay valid, and a step allocates no new parameter arrays.  Parameters
+    missing from the gradient dict are left unchanged.
+    """
+
+    def __init__(self, parameters: Mapping[str, np.ndarray], learning_rate: float = 0.001) -> None:
+        if not parameters:
+            raise ValueError("optimizer received an empty parameter dict")
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        self.parameters = dict(parameters)
         self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.learning_rate * parameter.grad
-            # In-place update: the parameter buffer identity is stable, so
-            # engine/optimizer references never go stale and no per-step
-            # allocation happens.
-            np.add(parameter.data, velocity, out=parameter.data)
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2014) — the paper's training optimizer."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        learning_rate: float = 0.001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters)
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._step_count = 0
-        self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
-        self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
+        self._first_moment = {name: np.zeros_like(p) for name, p in self.parameters.items()}
+        self._second_moment = {name: np.zeros_like(p) for name, p in self.parameters.items()}
         # Per-parameter scratch for the update term, so a step allocates
         # nothing and the parameter buffers are updated strictly in place.
-        self._scratch = [np.empty_like(p.data) for p in self.parameters]
+        self._scratch = {name: np.empty_like(p) for name, p in self.parameters.items()}
 
-    def step(self) -> None:
+    def step(self, gradients: Mapping[str, np.ndarray]) -> None:
         self._step_count += 1
-        bias_correction1 = 1.0 - self.beta1**self._step_count
-        bias_correction2 = 1.0 - self.beta2**self._step_count
-        for parameter, first, second, scratch in zip(
-            self.parameters, self._first_moment, self._second_moment, self._scratch
-        ):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            first *= self.beta1
-            first += (1.0 - self.beta1) * grad
-            second *= self.beta2
-            second += (1.0 - self.beta2) * grad * grad
+        bias_correction1 = 1.0 - BETA1**self._step_count
+        bias_correction2 = 1.0 - BETA2**self._step_count
+        for name, grad in gradients.items():
+            parameter = self.parameters[name]
+            first = self._first_moment[name]
+            second = self._second_moment[name]
+            scratch = self._scratch[name]
+            first *= BETA1
+            first += (1.0 - BETA1) * grad
+            second *= BETA2
+            second += (1.0 - BETA2) * grad * grad
             # update = lr * (first / bc1) / (sqrt(second / bc2) + eps),
             # computed entirely in the scratch buffer.
             np.divide(second, bias_correction2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.epsilon
+            scratch += EPSILON
             np.divide(first, scratch, out=scratch)
             scratch *= self.learning_rate / bias_correction1
-            np.subtract(parameter.data, scratch, out=parameter.data)
+            np.subtract(parameter, scratch, out=parameter)

@@ -222,14 +222,17 @@ class TestConcurrentCallers:
         dataset = featurizer.featurize_ragged(
             [labelled.query for labelled in tiny_workload[:24]]
         )
-        state_a = {name: p.data.copy() for name, p in model.named_parameters()}
-        state_b = {name: p.data + 0.25 for name, p in model.named_parameters()}
+        state_a = model.state_dict()
+        state_b = {name: p + 0.25 for name, p in model.named_parameters()}
 
         with InferenceEngine(model, replicas=3) as engine:
 
             def install(state):
-                for name, parameter in model.named_parameters():
-                    parameter.data = state[name].copy()
+                # Rebind (don't mutate in place) so snapshots taken by an
+                # earlier refresh keep pointing at the earlier weights.
+                for name, layer in model.layers.items():
+                    layer.weight = state[name + ".weight"].copy()
+                    layer.bias = state[name + ".bias"].copy()
                 engine.refresh()
 
             install(state_a)

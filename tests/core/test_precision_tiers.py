@@ -98,7 +98,7 @@ class TestResolvePrecision:
 class TestEngineLayerQuantization:
     def test_float16_layer_rounds_through_half(self, precision_parts):
         _, model = precision_parts
-        layer = EngineLayer(model.table_mlp.first, np.dtype(np.float32), "float16")
+        layer = EngineLayer(model.layers["table_mlp.first"], np.dtype(np.float32), "float16")
         assert layer.stored_weight.dtype == np.float16
         assert layer.weight.dtype == np.float32
         np.testing.assert_array_equal(
@@ -106,23 +106,23 @@ class TestEngineLayerQuantization:
         )
         # The compute copy differs from the raw weights only by fp16 rounding.
         np.testing.assert_allclose(
-            layer.weight, model.table_mlp.first.weight.data, rtol=1e-3, atol=1e-4
+            layer.weight, model.layers["table_mlp.first"].weight, rtol=1e-3, atol=1e-4
         )
 
     def test_int8_layer_is_symmetric_per_tensor(self, precision_parts):
         _, model = precision_parts
-        linear = model.table_mlp.first
+        linear = model.layers["table_mlp.first"]
         layer = EngineLayer(linear, np.dtype(np.float32), "int8")
         assert layer.stored_weight.dtype == np.int8
         assert np.abs(layer.stored_weight).max() <= 127
-        expected_scale = float(np.abs(np.float64(linear.weight.data)).max()) / 127.0
+        expected_scale = float(np.abs(np.float64(linear.weight)).max()) / 127.0
         assert layer.weight_scale == pytest.approx(expected_scale)
         np.testing.assert_array_equal(
             layer.weight, layer.stored_weight.astype(np.float32) * np.float32(layer.weight_scale)
         )
         # Quantization error is bounded by half a quantization step.
         assert (
-            np.abs(layer.weight - np.float32(linear.weight.data)).max()
+            np.abs(layer.weight - np.float32(linear.weight)).max()
             <= 0.5 * layer.weight_scale + 1e-7
         )
         # Biases stay float32 — quantizing them buys nothing.
@@ -130,15 +130,15 @@ class TestEngineLayerQuantization:
 
     def test_int8_all_zero_weights_use_unit_scale(self, precision_parts):
         _, model = precision_parts
-        linear = model.table_mlp.first
-        saved = linear.weight.data.copy()
+        linear = model.layers["table_mlp.first"]
+        saved = linear.weight.copy()
         try:
-            linear.weight.data = np.zeros_like(saved)
+            linear.weight = np.zeros_like(saved)
             layer = EngineLayer(linear, np.dtype(np.float32), "int8")
             assert layer.weight_scale == 1.0
             assert not layer.stored_weight.any()
         finally:
-            linear.weight.data = saved
+            linear.weight = saved
 
     def test_snapshot_storage_shrinks_with_the_tier(self, precision_parts):
         _, model = precision_parts
@@ -209,12 +209,13 @@ class TestQuantizedAccuracyContract:
         )
         quantized = InferenceEngine(model, precision="float16").run(dataset)
 
-        saved = {name: p.data for name, p in model.named_parameters()}
+        saved = {name: (layer.weight, layer.bias) for name, layer in model.layers.items()}
         try:
-            for _, parameter in model.named_parameters():
-                parameter.data = parameter.data.astype(np.float16).astype(np.float32)
+            for layer in model.layers.values():
+                layer.weight = layer.weight.astype(np.float16).astype(np.float32)
+                layer.bias = layer.bias.astype(np.float16).astype(np.float32)
             rounded = InferenceEngine(model, dtype=np.float32).run(dataset)
         finally:
-            for name, parameter in model.named_parameters():
-                parameter.data = saved[name]
+            for name, layer in model.layers.items():
+                layer.weight, layer.bias = saved[name]
         np.testing.assert_array_equal(quantized, rounded)

@@ -2,10 +2,12 @@
 
 The contracts under test:
 
-* in float64, the graph-free :class:`~repro.core.inference.InferenceEngine`
-  is **bit-identical** to the ragged autograd forward (``MSCN.forward_ragged``)
-  for all three featurization variants and both poolings, including empty
-  join/predicate sets;
+* in float64, the :class:`~repro.core.inference.InferenceEngine` is
+  **bit-identical** to the model's forward pass (``repro.core.model.forward``)
+  over the same chunks, at every chunk size and replica count, for all three
+  featurization variants, including empty join/predicate sets; and both
+  agree to 1e-12 with a per-query reference written from the paper's
+  Section 3.2 equations;
 * in float32, the fused path stays within single-precision tolerance of the
   float64 reference and preserves the q-error ranking of a seeded workload;
 * the ragged containers (gather, slice, minibatch iteration) are faithful
@@ -21,20 +23,20 @@ import pytest
 
 from repro.core.batching import (
     RaggedDataset,
+    RaggedSet,
     as_ragged_dataset,
     iterate_ragged_minibatches,
 )
-from repro.core.config import FeaturizationVariant, MSCNConfig
+from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.core.inference import InferenceEngine
-from repro.core.model import MSCN
+from repro.core.model import MSCN, SET_MODULES, backward, forward
 from repro.core.normalization import ValueNormalizer
 from repro.db.query import Query
 from repro.evaluation.metrics import q_errors
-from repro.nn.functional import segment_mean, segment_sum
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.functional import segment_sum_array
 
 ALL_VARIANTS = tuple(FeaturizationVariant)
 
@@ -60,16 +62,70 @@ def workload_queries(tiny_workload):
     return [Query(tables=("title",))] + [labelled.query for labelled in tiny_workload]
 
 
-def make_model(featurizer, dtype=np.float64, pooling="mean", hidden=24):
+def make_model(featurizer, dtype=np.float64, hidden=24):
     return MSCN(
         table_feature_width=featurizer.table_feature_width,
         join_feature_width=featurizer.join_feature_width,
         predicate_feature_width=featurizer.predicate_feature_width,
         hidden_units=hidden,
         rng=np.random.default_rng(3),
-        pooling=pooling,
         dtype=dtype,
     )
+
+
+def model_forward(model, dataset) -> np.ndarray:
+    """The model's forward pass as a flat vector of predictions."""
+    return forward(dataset, model.layers)[:, 0]
+
+
+def chunked_forward(model, dataset, chunk_size) -> np.ndarray:
+    """The model's forward pass over the chunks an engine run splits into."""
+    return np.concatenate(
+        [
+            model_forward(model, dataset.slice(start, start + chunk_size))
+            for start in range(0, dataset.size, chunk_size)
+        ]
+    )
+
+
+def paper_reference(model, dataset) -> np.ndarray:
+    """Per-query float64 predictions written from the Section 3.2 equations.
+
+    ``w_S = 1/|S| * sum_{s in S} MLP_S(v_s)`` for each set (a zero vector for
+    an empty set), ``w_out = sigmoid(MLP_out([w_T, w_J, w_P]))``, where each
+    MLP is two ReLU layers and MLP_out's second layer is the sigmoid's input.
+    """
+    def layer(name, inputs):
+        linear = model.layers[name]
+        return np.asarray(inputs, np.float64) @ linear.weight + linear.bias
+
+    def relu(values):
+        return np.maximum(values, 0.0)
+
+    predictions = []
+    for query in range(dataset.size):
+        representations = []
+        for attribute, prefix in SET_MODULES:
+            ragged_set = getattr(dataset, attribute)
+            elements = ragged_set.features[
+                ragged_set.offsets[query] : ragged_set.offsets[query + 1]
+            ]
+            if len(elements) == 0:
+                representations.append(np.zeros(model.hidden_units))
+                continue
+            transformed = relu(layer(prefix + ".second", relu(layer(prefix + ".first", elements))))
+            representations.append(transformed.mean(axis=0))
+        hidden = relu(layer("output_hidden", np.concatenate(representations)))
+        predictions.append(1.0 / (1.0 + np.exp(-layer("output_final", hidden)[0])))
+    return np.array(predictions)
+
+
+def install_weights(model, state) -> None:
+    """Rebind (not mutate) every parameter to a copy of ``state``'s arrays,
+    so snapshots taken earlier keep pointing at the earlier weights."""
+    for name, layer in model.layers.items():
+        layer.weight = state[name + ".weight"].copy()
+        layer.bias = state[name + ".bias"].copy()
 
 
 class TestRaggedFeaturization:
@@ -81,17 +137,20 @@ class TestRaggedFeaturization:
 
 class TestFloat64BitIdentity:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    @pytest.mark.parametrize("pooling", ["mean", "sum"])
-    def test_fused_engine_bit_identical_to_forward_ragged(
-        self, featurizer_parts, workload_queries, variant, pooling
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_engine_bit_identical_to_model_forward(
+        self, featurizer_parts, workload_queries, variant, replicas, chunk_size
     ):
         featurizer = make_featurizer(featurizer_parts, variant)
-        model = make_model(featurizer, pooling=pooling)
+        model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries)
-        engine = InferenceEngine(model, dtype=np.float64)
-        with no_grad():
-            reference = model.forward_ragged(ragged).numpy().reshape(-1)
-        np.testing.assert_array_equal(reference, engine.run(ragged))
+        with InferenceEngine(model, dtype=np.float64, replicas=replicas) as engine:
+            output = engine.run(ragged, chunk_size=chunk_size)
+        np.testing.assert_array_equal(
+            output, chunked_forward(model, ragged, chunk_size or ragged.size)
+        )
+        np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
     def test_engine_handles_empty_sets_and_single_queries(
         self, featurizer_parts
@@ -103,9 +162,9 @@ class TestFloat64BitIdentity:
         ragged = featurizer.featurize_ragged(queries)
         assert ragged.joins.features.shape[0] == 0
         assert ragged.predicates.features.shape[0] == 0
-        with no_grad():
-            reference = model.forward_ragged(ragged).numpy().reshape(-1)
-        np.testing.assert_array_equal(reference, engine.run(ragged))
+        output = engine.run(ragged)
+        np.testing.assert_array_equal(output, model_forward(model, ragged))
+        np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
     def test_refresh_is_atomic_under_concurrent_runs(
         self, featurizer_parts, workload_queries
@@ -119,14 +178,11 @@ class TestFloat64BitIdentity:
         ragged = featurizer.featurize_ragged(workload_queries[:16])
         engine = InferenceEngine(model, dtype=np.float64)
 
-        state_a = {name: p.data.copy() for name, p in model.named_parameters()}
-        state_b = {name: p.data + 0.25 for name, p in model.named_parameters()}
+        state_a = model.state_dict()
+        state_b = {name: p + 0.25 for name, p in model.named_parameters()}
 
         def install(state):
-            for name, parameter in model.named_parameters():
-                # Rebind (don't mutate in place) so snapshots taken by an
-                # earlier refresh keep pointing at the earlier weights.
-                parameter.data = state[name].copy()
+            install_weights(model, state)
             engine.refresh()
 
         install(state_a)
@@ -166,13 +222,11 @@ class TestFloat64BitIdentity:
         engine = InferenceEngine(model, dtype=np.float64)
         before = engine.run(ragged).copy()
         for _, parameter in model.named_parameters():
-            parameter.data += 0.05
+            parameter += 0.05
         engine.refresh()
         after = engine.run(ragged)
         assert not np.allclose(before, after)
-        with no_grad():
-            reference = model.forward_ragged(ragged).numpy().reshape(-1)
-        np.testing.assert_array_equal(reference, after)
+        np.testing.assert_array_equal(model_forward(model, ragged), after)
 
 
 class TestFloat32FusedPath:
@@ -222,21 +276,24 @@ class TestFloat32FusedPath:
         )
         model = make_model(featurizer, dtype=np.float32)
         cardinalities = np.linspace(1.0, 500.0, len(workload_queries))
-        config = MSCNConfig(
-            hidden_units=24, epochs=1, batch_size=16, num_samples=50, dtype="float32"
-        )
-        trainer = MSCNTrainer(model, CardinalityNormalizer.fit(cardinalities), config)
         ragged = featurizer.featurize_ragged(workload_queries)
-        batch = ragged.take(
-            np.arange(16),
-            labels=trainer.normalizer.normalize(cardinalities[:16]),
-            cardinalities=cardinalities[:16],
-        )
-        predictions = model.forward_ragged(batch)
-        loss = trainer._loss(predictions, batch)
-        assert loss.data.dtype == np.float32
-        loss.backward()
-        assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        for loss in LossKind:
+            config = MSCNConfig(
+                hidden_units=24, epochs=1, batch_size=16, num_samples=50, dtype="float32",
+                loss=loss,
+            )
+            trainer = MSCNTrainer(model, CardinalityNormalizer.fit(cardinalities), config)
+            batch = ragged.take(
+                np.arange(16),
+                labels=trainer.normalizer.normalize(cardinalities[:16]),
+                cardinalities=cardinalities[:16],
+            )
+            trace: dict = {}
+            predictions = forward(batch, model.layers, trace)
+            loss_value, grad = trainer._loss(predictions, batch)
+            assert grad.dtype == np.float32, loss
+            gradients = backward(trace, model.layers, grad)
+            assert {g.dtype for g in gradients.values()} == {np.dtype(np.float32)}, loss
 
     def test_float32_pipeline_produces_float32_tensors(
         self, featurizer_parts, workload_queries
@@ -247,7 +304,7 @@ class TestFloat32FusedPath:
         ragged = featurizer.featurize_ragged(workload_queries)
         assert ragged.tables.features.dtype == np.float32
         model = make_model(featurizer, dtype=np.float32)
-        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert all(p.dtype == np.float32 for _, p in model.named_parameters())
         engine = InferenceEngine(model, dtype=np.float32)
         assert engine.run(ragged).dtype == np.float32
 
@@ -329,38 +386,24 @@ class TestRaggedContainers:
 
 class TestSegmentOps:
     def test_segment_sum_matches_manual(self):
-        data = Tensor(np.arange(10, dtype=np.float64).reshape(5, 2))
+        data = np.arange(10, dtype=np.float64).reshape(5, 2)
         offsets = np.array([0, 2, 2, 5])
-        result = segment_sum(data, offsets).numpy()
+        result = segment_sum_array(data, offsets, np.diff(offsets))
         np.testing.assert_array_equal(
             result, [[0 + 2, 1 + 3], [0.0, 0.0], [4 + 6 + 8, 5 + 7 + 9]]
         )
 
     def test_segment_mean_empty_segment_is_zero(self):
-        data = Tensor(np.ones((3, 4)))
-        offsets = np.array([0, 3, 3])
-        result = segment_mean(data, offsets).numpy()
+        ragged_set = RaggedSet(features=np.ones((3, 4)), offsets=np.array([0, 3, 3]))
+        result = (
+            segment_sum_array(ragged_set.features, ragged_set.offsets, ragged_set.lengths)
+            * ragged_set.inv_counts
+        )
         np.testing.assert_array_equal(result, [[1.0] * 4, [0.0] * 4])
 
-    def test_segment_sum_gradient_repeats_per_segment(self):
-        values = Tensor(np.ones((4, 2)), requires_grad=True)
-        offsets = np.array([0, 1, 4])
-        out = segment_sum(values, offsets)
-        (out * Tensor(np.array([[1.0, 1.0], [3.0, 3.0]]))).sum().backward()
-        np.testing.assert_array_equal(
-            values.grad, [[1.0, 1.0], [3.0, 3.0], [3.0, 3.0], [3.0, 3.0]]
-        )
-
-    def test_segment_mean_gradient_scales_by_inverse_length(self):
-        values = Tensor(np.ones((4, 1)), requires_grad=True)
-        offsets = np.array([0, 4])
-        segment_mean(values, offsets).sum().backward()
-        np.testing.assert_allclose(values.grad, np.full((4, 1), 0.25))
-
-    def test_segment_sum_rejects_bad_offsets(self):
-        data = Tensor(np.ones((4, 2)))
+    def test_ragged_set_rejects_bad_offsets(self):
         with pytest.raises(ValueError):
-            segment_sum(data, np.array([0, 2]))  # does not cover all rows
+            RaggedSet(features=np.ones((4, 2)), offsets=np.array([0, 2]))  # not all rows
 
 
 class TestPrecomputedPoolingAux:
@@ -371,24 +414,13 @@ class TestPrecomputedPoolingAux:
             expected = 1.0 / np.maximum(np.diff(ragged_set.offsets), 1.0)
             np.testing.assert_array_equal(ragged_set.inv_counts.reshape(-1), expected)
 
-    def test_precomputed_counts_do_not_change_pooling(self, featurizer_parts, workload_queries):
-        """segment_mean with the cached reciprocal counts is bit-identical to
-        deriving them from the offsets on every call."""
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        predicates = featurizer.featurize_ragged(workload_queries).predicates
-        values = Tensor(predicates.features)
-        np.testing.assert_array_equal(
-            segment_mean(values, predicates.offsets, predicates.inv_counts).numpy(),
-            segment_mean(values, predicates.offsets).numpy(),
-        )
-
 
 class TestServingConsistency:
-    def test_estimate_many_matches_forward_ragged_in_float64(
+    def test_estimate_many_matches_model_forward_in_float64(
         self, tiny_database, tiny_samples, tiny_workload
     ):
-        """estimate_many through the fused engine is bit-identical to the
-        autograd forward pass when both run in float64."""
+        """estimate_many through the chunked engine is bit-identical to one
+        forward pass of the model over the whole workload in float64."""
         config = MSCNConfig(
             hidden_units=24, epochs=8, batch_size=32, num_samples=50, seed=17,
             dtype="float64",
@@ -397,11 +429,10 @@ class TestServingConsistency:
         estimator.fit(tiny_workload)
         queries = [labelled.query for labelled in tiny_workload]
         fused = estimator.estimate_many(queries)
-        with no_grad():
-            normalized = estimator._model.forward_ragged(
-                estimator.featurizer.featurize_ragged(queries)
-            )
-        reference = estimator._normalizer.denormalize(normalized.numpy().reshape(-1))
+        normalized = model_forward(
+            estimator._model, estimator.featurizer.featurize_ragged(queries)
+        )
+        reference = estimator._normalizer.denormalize(normalized)
         np.testing.assert_array_equal(fused, reference)
 
     def test_predictions_are_float64_regardless_of_compute_dtype(

@@ -8,13 +8,12 @@ import pytest
 from repro.core.batching import RaggedDataset, as_ragged_dataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
-from repro.core.featurization import QueryFeaturizer
+from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
 from repro.core.inference import InferenceEngine
-from repro.core.model import MSCN
+from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
 from repro.core.trainer import MSCNTrainer
 from repro.nn.loss import q_error_loss
-from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +106,20 @@ class TestLossVariants:
         result = trainer.train(features[:64], cardinalities[:64])
         assert result.train_loss_history[-1] < result.train_loss_history[0]
 
-    def test_denormalize_tensor_matches_normalizer(self, training_setup):
+    def test_loss_denormalizes_like_the_normalizer(self, training_setup):
+        """The q-error of normalized predictions that equal the normalized
+        truths is 1: the loss's denormalization inverts the normalizer."""
         featurizer, features, cardinalities = training_setup
-        config = MSCNConfig(hidden_units=16, epochs=1, batch_size=32, seed=6, num_samples=50)
+        config = MSCNConfig(hidden_units=16, epochs=1, batch_size=32, seed=6, num_samples=50,
+                            dtype="float64")
         trainer = build_trainer(featurizer, cardinalities, config)
-        normalized = trainer.normalizer.normalize(np.array([123.0]))
-        roundtrip = trainer._denormalize_tensor(Tensor(normalized)).numpy()
-        np.testing.assert_allclose(roundtrip, [123.0], rtol=1e-9)
+        batch = RaggedDataset.from_featurized(
+            features[:4],
+            labels=trainer.normalizer.normalize(cardinalities[:4]),
+            cardinalities=cardinalities[:4],
+        )
+        loss, _ = trainer._loss(batch.labels, batch)
+        assert loss == pytest.approx(1.0, rel=1e-9)
 
     def test_loss_uses_unnormalized_cardinalities_for_q_error(self, training_setup):
         featurizer, features, cardinalities = training_setup
@@ -124,41 +130,61 @@ class TestLossVariants:
             labels=trainer.normalizer.normalize(cardinalities[:4]),
             cardinalities=cardinalities[:4],
         )
-        predictions = trainer.model.forward_ragged(batch)
-        loss = trainer._loss(predictions, batch)
-        expected = q_error_loss(
-            trainer._denormalize_tensor(predictions), Tensor(batch.cardinalities)
+        predictions = forward(batch, trainer.model.layers)
+        loss, _ = trainer._loss(predictions, batch)
+        expected, _ = q_error_loss(
+            trainer.normalizer.denormalize(predictions.astype(np.float64)),
+            batch.cardinalities,
         )
-        assert loss.item() == pytest.approx(expected.item())
+        assert loss == pytest.approx(float(expected), rel=1e-5)
 
 
-class TestTrainingModeHandling:
-    def test_validation_does_not_leak_eval_mode_into_later_epochs(self, training_setup):
-        """Regression: per-epoch validation calls predict(), which switches
-        the model to eval(); every epoch after the first must still train in
-        training mode (silent today, wrong once Dropout is used)."""
+class TestComputeDtype:
+    def test_float64_features_train_a_float32_model_in_float32(self, training_setup):
+        """A float32 trainer fed float64 features computes, and keeps Adam
+        state, in float32, and trains exactly as on features cast first (the
+        regression was a float64 operand promoting the whole pass)."""
         featurizer, features, cardinalities = training_setup
-        config = MSCNConfig(hidden_units=16, epochs=3, batch_size=32, seed=8, num_samples=50)
-        trainer = build_trainer(featurizer, cardinalities, config)
-
-        modes_at_epoch_start: list[bool] = []
-        original_zero_grad = trainer.optimizer.zero_grad
-
-        def recording_zero_grad():
-            modes_at_epoch_start.append(trainer.model.training)
-            return original_zero_grad()
-
-        trainer.optimizer.zero_grad = recording_zero_grad
-        split = int(len(features) * 0.8)
-        trainer.train(
-            features[:split],
-            cardinalities[:split],
-            features[split:],
-            cardinalities[split:],
+        config = MSCNConfig(hidden_units=16, epochs=3, batch_size=32, seed=12,
+                            num_samples=50, dtype="float32")
+        wide = RaggedDataset.from_featurized(features[:64])
+        assert wide.tables.features.dtype == np.float64
+        narrow = RaggedDataset.from_featurized(
+            [
+                FeaturizedQuery(
+                    query.table_features.astype(np.float32),
+                    query.join_features.astype(np.float32),
+                    query.predicate_features.astype(np.float32),
+                )
+                for query in features[:64]
+            ]
         )
-        assert all(modes_at_epoch_start), "an optimizer step ran with the model in eval mode"
-        # After training completes the model is left in eval mode for serving.
-        assert not trainer.model.training
+
+        trainer = build_trainer(featurizer, cardinalities, config)
+        batch = wide.take(
+            np.arange(16),
+            labels=trainer.normalizer.normalize(cardinalities[:16]),
+            cardinalities=cardinalities[:16],
+        )
+        trace: dict = {}
+        predictions = forward(batch, trainer.model.layers, trace)
+        _, grad = trainer._loss(predictions, batch)
+        gradients = backward(trace, trainer.model.layers, grad)
+        assert predictions.dtype == np.float32 and grad.dtype == np.float32
+        assert {g.dtype for g in gradients.values()} == {np.dtype(np.float32)}
+
+        wide_result = trainer.train(wide, cardinalities[:64])
+        moments = [*trainer.optimizer._first_moment.values(),
+                   *trainer.optimizer._second_moment.values()]
+        assert {m.dtype for m in moments} == {np.dtype(np.float32)}
+        narrow_trainer = build_trainer(featurizer, cardinalities, config)
+        narrow_result = narrow_trainer.train(narrow, cardinalities[:64])
+        assert wide_result.train_loss_history == narrow_result.train_loss_history
+        for (name, value), (_, expected) in zip(
+            trainer.model.named_parameters(), narrow_trainer.model.named_parameters()
+        ):
+            assert value.dtype == np.float32, name
+            np.testing.assert_array_equal(value, expected, err_msg=name)
 
 
 class TestDatasetTrainingPath:
@@ -255,3 +281,29 @@ class TestSnapshotRefresh:
         np.testing.assert_array_equal(
             after, trainer.normalizer.denormalize(np.asarray(fresh, dtype=np.float64))
         )
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_same_seed_trains_a_bit_identical_model(self, training_setup, loss, dtype):
+        """Two trainers built from one seed produce the same histories and
+        the same weights, bit for bit (what a retrained model relies on)."""
+        featurizer, features, cardinalities = training_setup
+        config = MSCNConfig(hidden_units=8, epochs=2, batch_size=16, seed=21,
+                            num_samples=50, loss=loss, dtype=dtype)
+        results, models = [], []
+        for _ in range(2):
+            trainer = build_trainer(featurizer, cardinalities, config)
+            results.append(
+                trainer.train(features[:48], cardinalities[:48], features[48:64],
+                              cardinalities[48:64])
+            )
+            models.append(trainer.model)
+        assert results[0].train_loss_history == results[1].train_loss_history
+        assert results[0].validation_q_error_history == results[1].validation_q_error_history
+        for (name, value), (_, other) in zip(
+            models[0].named_parameters(), models[1].named_parameters()
+        ):
+            assert value.dtype == np.dtype(dtype), name
+            np.testing.assert_array_equal(value, other, err_msg=name)

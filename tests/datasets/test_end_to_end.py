@@ -13,9 +13,9 @@ import pytest
 
 from repro.core.config import MSCNConfig
 from repro.core.estimator import MSCNEstimator
+from repro.core.model import forward
 from repro.datasets import registered_datasets
 from repro.db.sampling import MaterializedSamples
-from repro.nn.tensor import no_grad
 from repro.serving import EstimationService, ServiceConfig
 from repro.workload.generator import generate_training_workload
 
@@ -43,17 +43,14 @@ class TestTrainServeRoundTrip:
         assert np.isfinite(estimates).all()
         assert (estimates >= 1.0).all()
 
-    def test_fused_matches_autograd_forward(self, trained_scenario):
+    def test_engine_matches_model_forward(self, trained_scenario):
         spec, estimator, workload = trained_scenario
         queries = [labelled.query for labelled in workload[:40]]
         fused = estimator.estimate_many(queries)
-        with no_grad():
-            normalized = estimator._model.forward_ragged(
-                estimator.featurizer.featurize_ragged(queries)
-            )
-        reference = estimator._normalizer.denormalize(
-            normalized.numpy().reshape(-1).astype(np.float64)
+        normalized = forward(
+            estimator.featurizer.featurize_ragged(queries), estimator._model.layers
         )
+        reference = estimator._normalizer.denormalize(normalized[:, 0].astype(np.float64))
         np.testing.assert_allclose(fused, reference, rtol=1e-4)
 
     def test_serving_round_trip_matches_estimator(self, trained_scenario):

@@ -1,12 +1,11 @@
-"""Tests of layers, modules and parameter management."""
+"""Tests of the affine layer's construction and initialization."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import MLP, Dropout, Linear, Module, ReLU, Sequential, Sigmoid
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Linear
 
 
 def make_rng():
@@ -14,139 +13,41 @@ def make_rng():
 
 
 class TestLinear:
-    def test_output_shape(self):
-        layer = Linear(4, 3, rng=make_rng())
-        out = layer(Tensor(np.ones((5, 4))))
-        assert out.shape == (5, 3)
-
-    def test_rejects_wrong_input_width(self):
-        layer = Linear(4, 3, rng=make_rng())
-        with pytest.raises(ValueError):
-            layer(Tensor(np.ones((5, 2))))
-
-    def test_rejects_non_2d_input(self):
-        layer = Linear(4, 3, rng=make_rng())
-        with pytest.raises(ValueError):
-            layer(Tensor(np.ones(4)))
+    def test_parameter_shapes(self):
+        layer = Linear(4, 3, make_rng())
+        assert layer.weight.shape == (4, 3)
+        assert layer.bias.shape == (3,)
 
     def test_rejects_non_positive_dimensions(self):
         with pytest.raises(ValueError):
-            Linear(0, 3)
+            Linear(0, 3, make_rng())
 
     def test_unknown_initializer(self):
         with pytest.raises(ValueError):
-            Linear(2, 2, initializer="bogus")
+            Linear(2, 2, make_rng(), initializer="bogus")
 
     def test_bias_starts_at_zero(self):
-        layer = Linear(4, 3, rng=make_rng())
-        np.testing.assert_allclose(layer.bias.numpy(), np.zeros(3))
+        layer = Linear(4, 3, make_rng())
+        np.testing.assert_array_equal(layer.bias, np.zeros(3))
 
-    def test_computes_affine_transform(self):
-        layer = Linear(2, 2, rng=make_rng())
-        layer.weight.data = np.array([[1.0, 0.0], [0.0, 2.0]])
-        layer.bias.data = np.array([1.0, -1.0])
-        out = layer(Tensor(np.array([[3.0, 4.0]])))
-        np.testing.assert_allclose(out.numpy(), [[4.0, 7.0]])
+    @pytest.mark.parametrize(
+        "initializer, limit",
+        [("kaiming", np.sqrt(6.0 / 40)), ("xavier", np.sqrt(6.0 / (40 + 30)))],
+    )
+    def test_uniform_initialization_bounds(self, initializer, limit):
+        weight = Linear(40, 30, make_rng(), initializer=initializer).weight
+        assert np.abs(weight).max() <= limit
+        assert np.abs(weight).max() > 0.9 * limit
 
-
-class TestActivationsAndDropout:
-    def test_relu_layer(self):
-        np.testing.assert_allclose(ReLU()(Tensor([-1.0, 2.0])).numpy(), [0.0, 2.0])
-
-    def test_sigmoid_layer_bounds(self):
-        values = Sigmoid()(Tensor([-50.0, 0.0, 50.0])).numpy()
-        assert values[0] < 0.01 and abs(values[1] - 0.5) < 1e-9 and values[2] > 0.99
-
-    def test_dropout_disabled_in_eval_mode(self):
-        dropout = Dropout(0.9, rng=make_rng())
-        dropout.eval()
-        values = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(dropout(values).numpy(), np.ones((4, 4)))
-
-    def test_dropout_zeroes_in_train_mode(self):
-        dropout = Dropout(0.5, rng=make_rng())
-        out = dropout(Tensor(np.ones((100, 10)))).numpy()
-        assert (out == 0).any()
-        # Inverted dropout keeps the expectation roughly constant.
-        assert abs(out.mean() - 1.0) < 0.15
-
-    def test_dropout_probability_validation(self):
+    def test_rejects_non_positive_output_width(self):
         with pytest.raises(ValueError):
-            Dropout(1.0)
+            Linear(3, 0, make_rng())
 
+    def test_initialization_is_reproducible_from_the_seed(self):
+        first = Linear(5, 4, make_rng())
+        second = Linear(5, 4, make_rng())
+        np.testing.assert_array_equal(first.weight, second.weight)
 
-class TestModuleManagement:
-    def test_parameters_found_recursively(self):
-        mlp = MLP(3, 4, rng=make_rng())
-        names = {name for name, _ in mlp.named_parameters()}
-        assert names == {"first.weight", "first.bias", "second.weight", "second.bias"}
-
-    def test_num_parameters(self):
-        mlp = MLP(3, 4, out_features=2, rng=make_rng())
-        assert mlp.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
-
-    def test_parameters_inside_sequential_list(self):
-        model = Sequential([Linear(2, 3, rng=make_rng()), ReLU(), Linear(3, 1, rng=make_rng())])
-        assert len(model.parameters()) == 4
-
-    def test_train_eval_propagates(self):
-        model = Sequential([Dropout(0.5), Linear(2, 2, rng=make_rng())])
-        model.eval()
-        assert not model.layers[0].training
-        model.train()
-        assert model.layers[0].training
-
-    def test_zero_grad_clears_gradients(self):
-        layer = Linear(2, 1, rng=make_rng())
-        out = layer(Tensor(np.ones((3, 2)))).sum()
-        out.backward()
-        assert layer.weight.grad is not None
-        layer.zero_grad()
-        assert layer.weight.grad is None
-
-    def test_state_dict_roundtrip(self):
-        source = MLP(3, 4, rng=make_rng())
-        target = MLP(3, 4, rng=np.random.default_rng(99))
-        target.load_state_dict(source.state_dict())
-        for (_, a), (_, b) in zip(source.named_parameters(), target.named_parameters()):
-            np.testing.assert_allclose(a.numpy(), b.numpy())
-
-    def test_load_state_dict_rejects_missing_keys(self):
-        mlp = MLP(3, 4, rng=make_rng())
-        state = mlp.state_dict()
-        state.pop("first.weight")
-        with pytest.raises(ValueError):
-            mlp.load_state_dict(state)
-
-    def test_load_state_dict_rejects_wrong_shapes(self):
-        mlp = MLP(3, 4, rng=make_rng())
-        state = mlp.state_dict()
-        state["first.weight"] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            mlp.load_state_dict(state)
-
-    def test_sequential_requires_layers(self):
-        with pytest.raises(ValueError):
-            Sequential([])
-
-    def test_base_module_forward_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            Module()(Tensor([1.0]))
-
-
-class TestMLP:
-    def test_output_is_non_negative_due_to_final_relu(self):
-        mlp = MLP(3, 8, rng=make_rng())
-        out = mlp(Tensor(np.random.default_rng(0).normal(size=(10, 3))))
-        assert (out.numpy() >= 0).all()
-
-    def test_custom_output_width(self):
-        mlp = MLP(3, 8, out_features=5, rng=make_rng())
-        assert mlp(Tensor(np.ones((2, 3)))).shape == (2, 5)
-
-    def test_gradients_reach_all_parameters(self):
-        mlp = MLP(3, 4, rng=make_rng())
-        loss = (mlp(Tensor(np.ones((6, 3)))) ** 2).sum()
-        loss.backward()
-        for name, parameter in mlp.named_parameters():
-            assert parameter.grad is not None, name
+    def test_parameters_are_created_in_float64(self):
+        layer = Linear(5, 4, make_rng(), initializer="xavier")
+        assert layer.weight.dtype == np.float64 and layer.bias.dtype == np.float64

@@ -4,36 +4,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import MLP
+from repro.core.batching import RaggedDataset
+from repro.core.featurization import FeaturizedQuery
+from repro.core.model import MSCN, forward
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dict_num_bytes
 
 
+def make_model(hidden: int = 8, seed: int = 1) -> MSCN:
+    return MSCN(4, 3, 5, hidden_units=hidden, rng=np.random.default_rng(seed))
+
+
 def test_save_and_load_roundtrip(tmp_path):
-    model = MLP(4, 8, rng=np.random.default_rng(1))
+    model = make_model()
     path = tmp_path / "weights.npz"
     save_state_dict(model.state_dict(), path)
     loaded = load_state_dict(path)
     assert set(loaded) == set(model.state_dict())
     for name, value in model.state_dict().items():
-        np.testing.assert_allclose(loaded[name], value)
+        np.testing.assert_array_equal(loaded[name], value)
 
 
 def test_loaded_state_restores_model_output(tmp_path):
-    rng = np.random.default_rng(2)
-    source = MLP(4, 8, rng=rng)
-    target = MLP(4, 8, rng=np.random.default_rng(77))
+    source = make_model(seed=2)
+    target = make_model(seed=77)
     path = tmp_path / "weights.npz"
     save_state_dict(source.state_dict(), path)
     target.load_state_dict(load_state_dict(path))
-    from repro.nn.tensor import Tensor
-
-    inputs = Tensor(np.random.default_rng(3).normal(size=(5, 4)))
-    np.testing.assert_allclose(source(inputs).numpy(), target(inputs).numpy())
+    rng = np.random.default_rng(3)
+    batch = RaggedDataset.from_featurized(
+        [
+            FeaturizedQuery(
+                rng.normal(size=(2, 4)), rng.normal(size=(1, 3)), rng.normal(size=(3, 5))
+            )
+            for _ in range(5)
+        ]
+    )
+    np.testing.assert_array_equal(
+        forward(batch, source.layers), forward(batch, target.layers)
+    )
 
 
 def test_state_dict_num_bytes_tracks_model_size():
-    small = MLP(4, 8, rng=np.random.default_rng(1))
-    large = MLP(4, 64, rng=np.random.default_rng(1))
+    small = make_model(hidden=8)
+    large = make_model(hidden=64)
     small_bytes = state_dict_num_bytes(small.state_dict())
     large_bytes = state_dict_num_bytes(large.state_dict())
     assert large_bytes > small_bytes
