@@ -19,6 +19,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.config import MSCNConfig
+from repro.core.estimator import MSCNEstimator
 from repro.serving import (
     BreakerState,
     DeadlineExceededError,
@@ -495,35 +497,92 @@ class TestCloseSemantics:
         assert all(isinstance(error, ServiceClosedError) for error in errors)
 
 
+#: The swept serving oracle's fault schedules: each seed draws a different
+#: interleaving of engine failures and latency spikes.
+_CHAOS_SEEDS = (2024, 7, 31337)
+
+
+@pytest.fixture(scope="module")
+def chaos_model(tiny_database, tiny_samples, tiny_workload):
+    """One trained model per (inference precision, engine replicas) pair.
+
+    Small chunks make a multi-replica engine actually fan out over its
+    threads; every model shares the reliability estimator's training seed.
+    """
+    models: dict[tuple, MSCNEstimator] = {}
+
+    def model(precision, replicas) -> MSCNEstimator:
+        key = (precision, replicas)
+        if key not in models:
+            config = MSCNConfig(
+                hidden_units=24,
+                epochs=6,
+                batch_size=32,
+                num_samples=50,
+                seed=13,
+                inference_precision=precision,
+                engine_replicas=replicas,
+                inference_chunk_size=16,
+            )
+            estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
+            estimator.fit(tiny_workload)
+            models[key] = estimator
+        return models[key]
+
+    return model
+
+
 class TestChaos:
+    """The swept serving oracle.
+
+    Concurrent traffic under a seeded fault plan (engine exceptions, latency
+    spikes, registry corruption) across result cache x precision x engine
+    replicas x overload policy: every request resolves to the model's
+    estimate, the fallback's estimate, or a typed error; no thread hangs;
+    afterwards the breaker closes within a bounded number of probes and a
+    cold pass over the workload is bit-identical to the direct path and to
+    an identical service that never saw a fault.
+    """
+
+    @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
+    @pytest.mark.parametrize("overload_policy", ["reject", "degrade"])
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("precision", [None, "int8"])
+    @pytest.mark.parametrize("cache_capacity", [1, 4096])
     def test_every_request_resolves_and_recovery_is_bit_identical(
         self,
         tmp_path,
         tiny_database,
-        reliability_estimator,
+        chaos_model,
         reliability_queries,
         sampling_fallback,
+        cache_capacity,
+        precision,
+        replicas,
+        overload_policy,
+        seed,
     ):
-        """The issue's acceptance scenario: concurrent traffic under a seeded
-        fault plan (engine exceptions, latency spikes, registry corruption)
-        — every request resolves to the correct estimate, a degraded
-        estimate, or a typed error; afterwards the breaker closes within a
-        bounded number of probes and a cold pass over the workload is
-        bit-identical to an identical service that never saw a fault."""
+        model = chaos_model(precision, replicas)
         queries = reliability_queries
-        baseline = reliability_estimator.estimate_many(queries)
+        baseline = model.estimate_many(queries)
         fallback_values = np.asarray(
             sampling_fallback.estimate_many(queries), dtype=np.float64
         )
         config = ServiceConfig(
+            cache_capacity=cache_capacity,
             batch_window_seconds=0.001,
-            max_queue_depth=64,
+            # Six single-query callers against a depth of four: admission
+            # control sheds or degrades some of them.
+            max_queue_depth=4,
+            overload_policy=overload_policy,
             breaker_failure_threshold=2,
-            breaker_reset_timeout_seconds=0.02,
+            # Short enough that the breaker opens and recovers several times
+            # while the traffic runs, so the model path answers too.
+            breaker_reset_timeout_seconds=0.002,
             request_timeout_seconds=30.0,
         )
         registry = ModelRegistry(tmp_path / "models", tiny_database)
-        registry.publish("mscn", reliability_estimator)
+        registry.publish("mscn", model)
         plan = FaultPlan(
             [
                 FaultSpec("engine.run", kind="error", probability=0.4, max_triggers=6),
@@ -536,7 +595,7 @@ class TestChaos:
                 ),
                 FaultSpec("registry.load", kind="corrupt", max_triggers=1),
             ],
-            seed=2024,
+            seed=seed,
         )
         typed = (DeadlineExceededError, ServiceOverloadedError)
         num_workers = 6
@@ -544,9 +603,7 @@ class TestChaos:
         outcomes: dict[int, tuple] = {}
         lock = threading.Lock()
         barrier = threading.Barrier(num_workers)
-        service = EstimationService(
-            reliability_estimator, fallback=sampling_fallback, config=config
-        )
+        service = EstimationService(model, fallback=sampling_fallback, config=config)
 
         def worker(slot: int) -> None:
             barrier.wait()
@@ -571,7 +628,7 @@ class TestChaos:
                 with pytest.raises(SnapshotCorruptionError):
                     service.swap_from_registry(registry, "mscn")
                 for thread in threads:
-                    thread.join(timeout=120)
+                    thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads), (
                     "hung request threads"
                 )
@@ -590,10 +647,15 @@ class TestChaos:
                         f"({baseline[index]}) nor the fallback's "
                         f"({fallback_values[index]}) answer"
                     )
+                elif overload_policy == "degrade":
+                    # With a fallback to degrade to, overload never sheds.
+                    assert payload != "ServiceOverloadedError"
             assert plan.triggered("engine.run") >= 1, "the chaos never happened"
 
             # Faults have stopped: the breaker must close within a bounded
-            # number of recovery probes.
+            # number of recovery probes (each a cache miss, so it reaches the
+            # model path).
+            service.cache.clear()
             for attempt in range(25):
                 if service.breaker.state == BreakerState.CLOSED:
                     break
@@ -609,7 +671,7 @@ class TestChaos:
             service.cache.clear()
             recovered = service.estimate_many(queries)
             with EstimationService(
-                reliability_estimator, fallback=sampling_fallback, config=config
+                model, fallback=sampling_fallback, config=config
             ) as pristine:
                 pre_fault = pristine.estimate_many(queries)
             np.testing.assert_array_equal(recovered, pre_fault)
