@@ -88,7 +88,6 @@ def main() -> int:
     fallback_values = np.asarray(fallback.estimate_many(queries), dtype=np.float64)
 
     service_config = ServiceConfig(
-        batch_window_seconds=0.001,
         max_queue_depth=64,
         breaker_failure_threshold=2,
         breaker_reset_timeout_seconds=0.02,

@@ -57,11 +57,9 @@ def main() -> int:
         assert direct.shape == (len(queries),)
         assert np.isfinite(direct).all() and (direct >= 1.0).all()
 
-        # Serving round trip: cold pass answers through the batcher, warm
-        # pass must be pure cache hits agreeing bit for bit.
-        service = EstimationService(
-            estimator, config=ServiceConfig(cache_capacity=256, batch_window_seconds=0.0)
-        )
+        # Serving round trip: cold pass answers through one fused batch,
+        # warm pass must be pure cache hits agreeing bit for bit.
+        service = EstimationService(estimator, config=ServiceConfig(cache_capacity=256))
         try:
             served = service.estimate_many(queries)
             repeated = service.estimate_many(queries)

@@ -74,7 +74,7 @@ def main() -> int:
     uncached_qps = REPEATS * len(queries) / uncached_seconds
 
     # Cached service: the first pass computes, later passes hit the LRU.
-    with EstimationService(estimator, config=ServiceConfig(batch_window_seconds=0.0)) as service:
+    with EstimationService(estimator) as service:
         served = service.estimate_many(queries)  # cold pass fills the cache
         np.testing.assert_array_equal(served, direct)
         start = time.perf_counter()

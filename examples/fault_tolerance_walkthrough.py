@@ -72,7 +72,6 @@ def main() -> None:
               f"(sha256 manifest written alongside the weights)")
 
         config = ServiceConfig(
-            batch_window_seconds=0.0,
             breaker_failure_threshold=2,
             breaker_reset_timeout_seconds=0.05,
         )

@@ -46,8 +46,7 @@ def main() -> None:
     ensemble.fit(training)
 
     fallback = RandomSamplingEstimator(database, samples)
-    service_config = ServiceConfig(max_joins=2, max_spread=4.0,
-                                   batch_window_seconds=0.005)
+    service_config = ServiceConfig(max_joins=2, max_spread=4.0)
 
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(Path(tmp) / "models", database)

@@ -8,11 +8,12 @@ package turns the fused inference engine of ``repro.core`` into a service:
     :class:`EstimationService` — a thread-safe front-end that canonicalizes
     queries into a :class:`~repro.utils.lru.LRU` result cache (importable here
     as ``ResultCache``), coalesces concurrent callers into
-    micro-batches feeding one fused pass, and routes low-confidence queries
-    (high ensemble spread, out-of-range join counts) to a traditional
-    fallback estimator.  Bounded admission, per-request deadlines, a
-    circuit breaker over inference, and a batcher watchdog guarantee every
-    request resolves to an estimate or a typed error — never a silent hang.
+    micro-batches feeding one fused pass (run by one waiting caller at a
+    time, on its own thread — the service starts no thread), and routes
+    low-confidence queries (high ensemble spread, out-of-range join counts)
+    to a traditional fallback estimator.  Bounded admission, per-request
+    deadlines and a circuit breaker over inference guarantee every request
+    resolves to an estimate or a typed error — never a silent hang.
 ``repro.serving.registry``
     :class:`ModelRegistry` — named, versioned, checksum-verified model
     persistence with atomically updated "current" pointers, retrying loads
@@ -31,7 +32,6 @@ package turns the fused inference engine of ``repro.core`` into a service:
 
 from repro.serving.breaker import BreakerState, CircuitBreaker
 from repro.serving.errors import (
-    BatcherCrashedError,
     DeadlineExceededError,
     ModelLoadError,
     ModelPromotionError,
@@ -59,7 +59,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "DeadlineExceededError",
-    "BatcherCrashedError",
     "ModelUnavailableError",
     "ModelLoadError",
     "SnapshotCorruptionError",

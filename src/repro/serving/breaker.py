@@ -1,20 +1,20 @@
 """A circuit breaker over the model inference path.
 
-The classic three-state machine, tuned for the estimation service's single
-batcher thread:
+The classic three-state machine, tuned for the estimation service, whose
+batches never overlap (one caller leads a batch at a time):
 
 * **closed** — traffic flows to the model; consecutive failures are counted
   and ``failure_threshold`` of them in a row open the breaker,
 * **open** — the model is not called at all; batches degrade straight to the
   fallback estimator (or fail typed) until ``reset_timeout_seconds`` have
   elapsed since opening,
-* **half-open** — after the reset timeout, up to ``half_open_max_probes``
-  batches are allowed through as probes; one success closes the breaker (and
-  zeroes the failure count), one failure re-opens it and restarts the timer.
+* **half-open** — after the reset timeout, one batch at a time is allowed
+  through as a probe; one success closes the breaker (and zeroes the failure
+  count), one failure re-opens it and restarts the timer.
 
 The clock is injectable so state transitions are unit-testable without real
 waiting, and every method is thread-safe (stats snapshots read the breaker
-from arbitrary threads while the batcher drives it).
+from arbitrary threads while batch leaders drive it).
 """
 
 from __future__ import annotations
@@ -41,24 +41,20 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         reset_timeout_seconds: float = 30.0,
-        half_open_max_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout_seconds < 0:
             raise ValueError("reset_timeout_seconds must be non-negative")
-        if half_open_max_probes < 1:
-            raise ValueError("half_open_max_probes must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout_seconds = reset_timeout_seconds
-        self.half_open_max_probes = half_open_max_probes
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self._opens = 0
 
     # ------------------------------------------------------------------
@@ -84,7 +80,7 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """Whether the caller may attempt model inference right now.
 
-        In half-open state a ``True`` reserves one probe slot; the caller
+        In half-open state a ``True`` reserves the one probe slot; the caller
         *must* follow up with :meth:`record_success` or
         :meth:`record_failure` to release it.
         """
@@ -94,9 +90,9 @@ class CircuitBreaker:
                 return True
             if self._state == BreakerState.OPEN:
                 return False
-            if self._probes_in_flight >= self.half_open_max_probes:
+            if self._probe_in_flight:
                 return False
-            self._probes_in_flight += 1
+            self._probe_in_flight = True
             return True
 
     def record_success(self) -> None:
@@ -104,7 +100,7 @@ class CircuitBreaker:
         with self._lock:
             self._state = BreakerState.CLOSED
             self._consecutive_failures = 0
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
 
     def record_failure(self) -> None:
         """An inference attempt failed: count it, possibly (re-)open."""
@@ -126,10 +122,10 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.reset_timeout_seconds
         ):
             self._state = BreakerState.HALF_OPEN
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
 
     def _open_locked(self) -> None:
         self._state = BreakerState.OPEN
         self._opened_at = self._clock()
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self._opens += 1

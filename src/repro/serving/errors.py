@@ -12,7 +12,6 @@ heuristic estimate — instead of string-matching messages.  All of them are
 from __future__ import annotations
 
 __all__ = [
-    "BatcherCrashedError",
     "DeadlineExceededError",
     "ModelLoadError",
     "ModelPromotionError",
@@ -47,24 +46,11 @@ class ServiceOverloadedError(ServiceError):
 class DeadlineExceededError(ServiceError, TimeoutError):
     """The request's deadline expired before an estimate was produced.
 
-    Raised both caller-side (waiting on the batcher outlasted the deadline)
-    and batcher-side (an expired request was removed from the queue at
-    dequeue time instead of being featurized and inferred as dead work).
+    Raised both caller-side (waiting behind another caller's batch outlasted
+    the deadline) and by the batch leader (an expired request was removed
+    from the queue at dequeue time instead of being featurized and inferred
+    as dead work).
     """
-
-
-class BatcherCrashedError(ServiceError):
-    """The batcher thread died outside its per-batch error handling.
-
-    Carries the original traceback text so the failure is diagnosable from
-    the caller side; the service's watchdog restarts the thread (queued
-    requests survive), and only requests that cannot be replayed resolve
-    with this error.
-    """
-
-    def __init__(self, message: str, traceback_text: str = ""):
-        super().__init__(message)
-        self.traceback_text = traceback_text
 
 
 class ModelUnavailableError(ServiceError):

@@ -8,13 +8,15 @@ the deployment recipe of the paper's Section 5 discussion:
   into a signature-keyed LRU, so the repetitive traffic an optimizer
   generates (the same subqueries costed across plan enumerations) is
   answered without touching the model at all.
-* **Micro-batch coalescing** — cache misses from concurrent callers are
-  queued and drained by a single batcher thread into one
-  ``model.serving_dataset`` featurization and one fused
-  ``estimate_featurized`` pass per micro-batch: set-wise MLPs and pooling
-  amortize across every in-flight request instead of running per caller.
-  Both steps allocate fresh arrays, so nothing stays pinned between
-  micro-batches.
+* **Caller-runs micro-batching** — cache misses from concurrent callers are
+  queued; a waiting caller that finds no batch running becomes the leader,
+  takes the queued requests (up to ``max_batch_size`` queries, FIFO) and
+  runs one ``model.serving_dataset`` featurization and one fused
+  ``estimate_featurized`` pass for all of them on its own thread, while
+  callers arriving meanwhile queue for the next leader.  Set-wise MLPs and
+  pooling amortize across every in-flight request instead of running per
+  caller; both steps allocate fresh arrays, so nothing stays pinned between
+  micro-batches.  The service starts no thread of its own.
 * **Uncertainty-routed fallback** — when the model is an
   :class:`~repro.core.ensemble.EnsembleMSCNEstimator`, queries whose member
   spread exceeds ``max_spread`` are out-of-distribution by the deep-ensembles
@@ -37,7 +39,7 @@ estimate, a degraded (fallback) estimate, or a typed error:
   (``overload_policy="reject"``) or answers them straight from the fallback
   estimator (``"degrade"``), never queueing unbounded work.
 * **Deadline propagation** — every request carries a deadline (defaulting
-  to ``request_timeout_seconds``); the batcher removes expired requests at
+  to ``request_timeout_seconds``); the leader removes expired requests at
   dequeue time — their queries are *not* featurized or inferred as dead
   work — and resolves them with a typed
   :class:`~repro.serving.errors.DeadlineExceededError`.
@@ -47,12 +49,9 @@ estimate, a degraded (fallback) estimate, or a typed error:
   :class:`~repro.serving.errors.ModelUnavailableError` when there is no
   fallback), and half-open probes test recovery.  Degraded estimates are
   **never** published to the result cache, so once the breaker closes the
-  served values are bit-identical to the pre-fault path.
-* **Batcher watchdog** — a batcher thread that dies outside its per-batch
-  error handling is detected (both by the dying thread itself and on the
-  next admission) and restarted without losing queued requests; the crash,
-  with its original traceback, is kept for :meth:`health` and used to fail
-  requests that cannot be replayed (service already closed).
+  served values are bit-identical to the pre-fault path.  A batch that
+  fails in any other way fails only its own requests; the next caller
+  leads the next batch.
 * **Fail-fast close** — :meth:`close` rejects queued-but-unstarted requests
   with a typed :class:`~repro.serving.errors.ServiceClosedError` immediately
   (no caller is left waiting out a timeout), is idempotent, and makes
@@ -65,10 +64,8 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -84,7 +81,6 @@ from repro.serving.errors import (
     ServiceOverloadedError,
 )
 from repro.serving.stats import ServiceStats, StatsAccumulator
-from repro.utils.faults import fault_point
 from repro.utils.lru import LRU
 
 __all__ = ["EstimationService", "ServiceConfig"]
@@ -100,25 +96,23 @@ _UNSET = object()
 class ServiceConfig:
     """Tunables of one :class:`EstimationService`.
 
-    ``batch_window_seconds`` bounds how long the batcher waits for more
-    concurrent callers before running a partially filled micro-batch; zero
-    disables the wait (lowest latency, least coalescing).  ``max_spread`` is
-    the ensemble-disagreement threshold above which a query is routed to the
-    fallback estimator; ``max_joins`` routes queries with more joins than the
-    model was trained on (``None`` disables join-count routing).
+    ``max_batch_size`` bounds the queries one leader takes into a micro-batch.
+    ``max_spread`` is the ensemble-disagreement threshold above which a query
+    is routed to the fallback estimator; ``max_joins`` routes queries with
+    more joins than the model was trained on (``None`` disables join-count
+    routing).
 
     ``request_timeout_seconds`` is the default per-request deadline (``None``
     disables deadlines); ``deadline_grace_seconds`` is the extra slack a
-    caller waits for the batcher's own typed timeout before concluding it on
-    its side.  ``max_queue_depth`` bounds the pending queue in *queries*;
-    ``overload_policy`` picks what happens beyond it.  The ``breaker_*``
+    queued caller waits for the leader's own typed timeout before concluding
+    it on its side.  ``max_queue_depth`` bounds the pending queue in
+    *queries*; ``overload_policy`` picks what happens beyond it.  The ``breaker_*``
     knobs configure the inference circuit breaker (see
     :class:`~repro.serving.breaker.CircuitBreaker`).
     """
 
     cache_capacity: int = 4096
     max_batch_size: int = 1024
-    batch_window_seconds: float = 0.001
     max_spread: float = 2.0
     max_joins: int | None = None
     request_timeout_seconds: float | None = 60.0
@@ -127,15 +121,12 @@ class ServiceConfig:
     overload_policy: str = "reject"
     breaker_failure_threshold: int = 5
     breaker_reset_timeout_seconds: float = 30.0
-    breaker_half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive")
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.batch_window_seconds < 0:
-            raise ValueError("batch_window_seconds must be non-negative")
         if self.max_spread < 1.0:
             raise ValueError("max_spread is a q-error factor and must be >= 1")
         if self.max_joins is not None and self.max_joins < 0:
@@ -155,15 +146,13 @@ class ServiceConfig:
             raise ValueError("breaker_failure_threshold must be >= 1")
         if self.breaker_reset_timeout_seconds < 0:
             raise ValueError("breaker_reset_timeout_seconds must be non-negative")
-        if self.breaker_half_open_probes < 1:
-            raise ValueError("breaker_half_open_probes must be >= 1")
 
 
 class _Request:
     """One caller's cache-missed queries plus the future carrying results.
 
     ``deadline`` is an absolute clock reading (``None`` = no deadline); the
-    batcher drops requests past it at dequeue time.  Resolution goes through
+    leader drops requests past it at dequeue time.  Resolution goes through
     :meth:`resolve`/:meth:`fail` so a request is only ever settled once.
     """
 
@@ -191,6 +180,13 @@ class _Request:
 
 class EstimationService:
     """Serve cardinality estimates to concurrent callers.
+
+    Batches are run by the callers themselves: one leader at a time takes
+    the queued misses and computes them on its own thread, so batches never
+    overlap.  A leader's own wait is therefore bounded by the model call, as
+    with a direct ``estimate_many``; a caller queued behind it waits at most
+    ``deadline + deadline_grace_seconds`` (measured in real time) before it
+    concludes the timeout itself.
 
     Parameters
     ----------
@@ -230,16 +226,13 @@ class EstimationService:
         self._breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             reset_timeout_seconds=self.config.breaker_reset_timeout_seconds,
-            half_open_max_probes=self.config.breaker_half_open_probes,
             clock=clock,
         )
         self._pending: deque[_Request] = deque()
         self._queued_queries = 0
         self._pending_available = threading.Condition(threading.Lock())
+        self._batch_running = False
         self._closed = False
-        self._worker: threading.Thread | None = None
-        self._worker_ever_started = False
-        self._last_batcher_crash: BaseException | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -253,9 +246,9 @@ class EstimationService:
     ) -> np.ndarray:
         """Estimated cardinalities for a sequence of queries.
 
-        Cache hits are answered inline; the misses are submitted to the
-        batcher as one request, where they coalesce with every other caller's
-        in-flight misses into shared fused passes.
+        Cache hits are answered inline; the misses are queued as one request,
+        where they coalesce with every other caller's queued misses into
+        shared fused passes (run by this caller when it leads a batch).
 
         ``timeout_seconds`` overrides the configured per-request deadline for
         this call (``None`` disables it).  An expired request resolves with a
@@ -324,15 +317,11 @@ class EstimationService:
 
         ``healthy`` means the service accepts traffic and the model path is
         trusted (breaker not open); ``ready`` additionally requires headroom
-        in the pending queue.  ``last_batcher_crash`` carries the traceback
-        text of the most recent batcher death (the watchdog restarts the
-        thread, but the diagnostic is preserved).
+        in the pending queue.
         """
-        worker = self._worker
         with self._pending_available:
             closed = self._closed
             queue_depth = self._queued_queries
-            crash = self._last_batcher_crash
         breaker_state = self._breaker.state
         healthy = not closed and breaker_state != BreakerState.OPEN
         return {
@@ -343,10 +332,6 @@ class EstimationService:
             "breaker_opens": self._breaker.opens,
             "queue_depth": queue_depth,
             "max_queue_depth": self.config.max_queue_depth,
-            "batcher_alive": worker.is_alive() if worker is not None else False,
-            "last_batcher_crash": (
-                getattr(crash, "traceback_text", str(crash)) if crash is not None else None
-            ),
             "cache": self._cache.stats(),
             "model_generation": self._generation,
         }
@@ -363,7 +348,7 @@ class EstimationService:
 
     @property
     def breaker(self) -> CircuitBreaker:
-        """The inference circuit breaker (read-mostly; the batcher drives it)."""
+        """The inference circuit breaker (read-mostly; batch leaders drive it)."""
         return self._breaker
 
     def swap_model(self, model) -> None:
@@ -395,21 +380,23 @@ class EstimationService:
         self.swap_model(registry.load(name, version, retry=retry))
 
     def close(self) -> None:
-        """Stop the batcher and resolve every queued request immediately.
+        """Resolve every queued request immediately and refuse new ones.
 
         Queued-but-unstarted requests resolve with a typed
         :class:`ServiceClosedError` (no caller is left waiting out its
         timeout); a micro-batch already computing finishes and delivers its
-        results.  Repeated ``close()`` is a no-op, and ``estimate()`` after
-        close raises immediately.
+        results.  ``close()`` never waits for that batch.  Repeated
+        ``close()`` is a no-op, and ``estimate()`` after close raises
+        immediately.
         """
+        error = ServiceClosedError("the estimation service has been closed")
         with self._pending_available:
             self._closed = True
-            worker = self._worker
+            for request in self._pending:
+                request.fail(error)
+            self._pending.clear()
+            self._queued_queries = 0
             self._pending_available.notify_all()
-        if worker is not None:
-            worker.join(timeout=10.0)
-        self._fail_pending(ServiceClosedError("the estimation service has been closed"))
 
     def __enter__(self) -> "EstimationService":
         return self
@@ -421,7 +408,7 @@ class EstimationService:
     # Admission control and request resolution
     # ------------------------------------------------------------------
     def _admit(self, request: _Request) -> bool:
-        """Queue the request for the batcher, or decide to degrade it.
+        """Queue the request for the next batch, or decide to degrade it.
 
         Returns ``True`` when queued; ``False`` when the caller should
         answer it inline via the fallback (overload + ``degrade`` policy).
@@ -429,7 +416,6 @@ class EstimationService:
         shedding is the policy (or there is nothing to degrade to), and
         :class:`ServiceClosedError` when the service closed meanwhile.
         """
-        self._ensure_worker()
         with self._pending_available:
             if self._closed:
                 raise ServiceClosedError("the estimation service has been closed")
@@ -449,28 +435,51 @@ class EstimationService:
                 )
             self._pending.append(request)
             self._queued_queries += len(request.queries)
-            self._pending_available.notify()
             return True
 
     def _await_result(self, request: _Request, deadline: float | None) -> np.ndarray:
-        """Wait for the batcher to settle the request, bounded by its deadline.
+        """Settle the request, leading batches whenever none is running.
 
-        The batcher resolves expired requests with the typed error itself;
-        the grace period only covers the window where the batcher is wedged
-        mid-computation — after it, the caller concludes the timeout on its
-        side so no request ever outlives ``deadline + grace``.
+        While another caller's batch runs, this caller waits on the pending
+        condition.  When no batch runs and requests are queued, it becomes
+        the leader: it takes a batch (which holds its own request unless the
+        queue ahead of it fills ``max_batch_size``) and runs it on this
+        thread, then wakes every waiter.  The leader resolves expired
+        requests with the typed error itself; the grace period only covers a
+        leader wedged mid-computation — after it, a queued caller concludes
+        the timeout on its side, so no queued request outlives
+        ``deadline + grace``.
         """
         if deadline is None:
-            timeout = None
+            give_up_at = None
         else:
             remaining = max(0.0, deadline - self._clock())
-            timeout = remaining + self.config.deadline_grace_seconds
-        try:
-            return request.future.result(timeout=timeout)
-        except FutureTimeoutError:
-            raise DeadlineExceededError(
-                "request deadline expired while waiting for the batcher"
-            ) from None
+            give_up_at = time.monotonic() + remaining + self.config.deadline_grace_seconds
+        while True:
+            with self._pending_available:
+                while not request.future.done() and (self._batch_running or not self._pending):
+                    timeout = None if give_up_at is None else give_up_at - time.monotonic()
+                    if timeout is not None and timeout <= 0:
+                        # Not taken by a batch yet: drop it here, counted as
+                        # expired as if a leader had dropped it at dequeue.
+                        if request in self._pending:
+                            self._pending.remove(request)
+                            self._queued_queries -= len(request.queries)
+                            self._stats.record_expired(len(request.queries))
+                        raise DeadlineExceededError(
+                            "request deadline expired while waiting for a batch"
+                        )
+                    self._pending_available.wait(timeout)
+                if request.future.done():
+                    return request.future.result()
+                batch = self._take_batch()
+                self._batch_running = True
+            try:
+                self._process(batch)
+            finally:
+                with self._pending_available:
+                    self._batch_running = False
+                    self._pending_available.notify_all()
 
     def _degrade(self, queries: list[Query]) -> np.ndarray:
         """Answer queries via the fallback estimator (reliability-degraded).
@@ -490,110 +499,23 @@ class EstimationService:
         self._stats.record_degraded(len(queries), time.perf_counter() - start)
         return values
 
-    def _fail_pending(self, error: BaseException) -> None:
-        """Settle every queued request with ``error`` (close/crash path)."""
-        with self._pending_available:
-            pending = list(self._pending)
-            self._pending.clear()
-            self._queued_queries = 0
-        for request in pending:
-            request.fail(error)
-
     # ------------------------------------------------------------------
-    # Batching worker and watchdog
+    # Batching
     # ------------------------------------------------------------------
-    def _ensure_worker(self) -> None:
-        """Start the batcher thread, restarting it if it died (watchdog).
+    def _take_batch(self) -> list[_Request]:
+        """Pop queued requests FIFO, up to ``max_batch_size`` queries.
 
-        The aliveness check runs on every admission, so even a thread killed
-        without its own crash handler running is replaced before new work
-        queues behind it.  Queued requests survive a restart untouched: the
-        replacement thread drains the same deque.
+        Called with the pending lock held.  A request is never split, so the
+        last one taken may overshoot the quota.
         """
-        worker = self._worker
-        if worker is not None and worker.is_alive():
-            return
-        with self._pending_available:
-            if self._closed:
-                return
-            if self._worker is not None and not self._worker.is_alive():
-                self._worker = None
-            if self._worker is None:
-                if self._worker_ever_started:
-                    self._stats.record_batcher_restart()
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    name="estimation-service-batcher",
-                    daemon=True,
-                )
-                self._worker = worker
-                self._worker_ever_started = True
-                worker.start()
-
-    def _worker_loop(self) -> None:
-        try:
-            while True:
-                fault_point("batcher.loop")
-                requests = self._next_batch()
-                if requests is None:
-                    return
-                self._process(requests)
-        except BaseException as error:  # noqa: BLE001 — the thread must not die silently
-            from repro.serving.errors import BatcherCrashedError
-
-            crash = BatcherCrashedError(
-                f"estimation batcher thread crashed: {error!r}",
-                traceback_text=traceback.format_exc(),
-            )
-            crash.__cause__ = error
-            me = threading.current_thread()
-            with self._pending_available:
-                self._last_batcher_crash = crash
-                if self._worker is me:
-                    self._worker = None
-                closed = self._closed
-            if closed:
-                # No watchdog will run again: fail fast with the diagnostic
-                # instead of letting queued callers wait out their timeouts.
-                self._fail_pending(crash)
-            else:
-                # Watchdog: replace the dead thread; queued requests are
-                # still in the deque and are drained by the replacement.
-                self._ensure_worker()
-
-    def _next_batch(self) -> list[_Request] | None:
-        """Block for work, then coalesce concurrent requests into one batch.
-
-        After the first request arrives the batcher keeps the window open for
-        ``batch_window_seconds`` (or until ``max_batch_size`` queries are
-        pending), so bursts from many threads drain as a handful of fused
-        passes instead of one pass per caller.  A closed service stops
-        dequeuing immediately — the queued remainder is settled with typed
-        errors by :meth:`close`.
-        """
-        with self._pending_available:
-            while not self._pending and not self._closed:
-                self._pending_available.wait()
-            if self._closed:
-                return None
-            deadline = time.monotonic() + self.config.batch_window_seconds
-            while not self._closed:
-                if sum(len(r.queries) for r in self._pending) >= self.config.max_batch_size:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._pending_available.wait(remaining)
-            if self._closed:
-                return None
-            requests: list[_Request] = []
-            quota = self.config.max_batch_size
-            while self._pending and quota > 0:
-                request = self._pending.popleft()
-                self._queued_queries -= len(request.queries)
-                requests.append(request)
-                quota -= len(request.queries)
-            return requests
+        requests: list[_Request] = []
+        quota = self.config.max_batch_size
+        while self._pending and quota > 0:
+            request = self._pending.popleft()
+            self._queued_queries -= len(request.queries)
+            requests.append(request)
+            quota -= len(request.queries)
+        return requests
 
     def _process(self, requests: list[_Request]) -> None:
         """Answer a coalesced batch: expire, dedupe, one fused pass, scatter.
@@ -624,7 +546,7 @@ class EstimationService:
             resolved: dict[tuple, float] = {}
             to_compute: list[tuple[tuple, Query]] = []
             for signature, query in unique.items():
-                # A concurrent batch (or a swap-preceding batch) may have
+                # An earlier batch (possibly a swap-preceding one) may have
                 # answered this signature since the caller's miss; peek so
                 # these internal probes don't skew the request hit rate.
                 cached = self._cache.peek(signature)

@@ -6,11 +6,10 @@ the per-stage latency breakdown inherited from
 :class:`~repro.core.estimator.PredictionTiming`, plus cache effectiveness,
 fallback routing volume, the micro-batch size histogram (how well concurrent
 callers coalesce) and the reliability-layer counters — shed / degraded /
-expired request volume, circuit-breaker state and open count, batcher
-watchdog restarts.  :class:`StatsAccumulator` is its mutable, lock-protected
-counterpart the service updates on the hot path.  There are no memory
-gauges: neither featurization nor inference keeps buffers between
-micro-batches.
+expired request volume, circuit-breaker state and open count.
+:class:`StatsAccumulator` is its mutable, lock-protected counterpart the
+service updates on the hot path.  There are no memory gauges: neither
+featurization nor inference keeps buffers between micro-batches.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ class ServiceStats(PredictionTiming):
     breaker_state: str = BreakerState.CLOSED
     #: How many times the breaker has opened since the service started.
     breaker_opens: int = 0
-    #: How many times the watchdog restarted a dead batcher thread.
-    batcher_restarts: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -111,15 +108,13 @@ class ServiceStats(PredictionTiming):
             or self.degraded_queries
             or self.expired_queries
             or self.inference_failures
-            or self.batcher_restarts
             or self.breaker_state != BreakerState.CLOSED
         ):
             summary += (
                 f"; reliability: breaker {self.breaker_state} "
                 f"({self.breaker_opens} opens), {self.shed_queries} shed, "
                 f"{self.degraded_queries} degraded, {self.expired_queries} expired, "
-                f"{self.inference_failures} inference failures, "
-                f"{self.batcher_restarts} batcher restarts"
+                f"{self.inference_failures} inference failures"
             )
         return summary
 
@@ -144,7 +139,6 @@ class StatsAccumulator:
         self.degraded_queries = 0
         self.expired_queries = 0
         self.inference_failures = 0
-        self.batcher_restarts = 0
 
     def record_lookups(self, hits: int, misses: int) -> None:
         with self._lock:
@@ -194,10 +188,6 @@ class StatsAccumulator:
         with self._lock:
             self.inference_failures += 1
 
-    def record_batcher_restart(self) -> None:
-        with self._lock:
-            self.batcher_restarts += 1
-
     def snapshot(
         self,
         cache_evictions: int = 0,
@@ -224,5 +214,4 @@ class StatsAccumulator:
                 inference_failures=self.inference_failures,
                 breaker_state=breaker_state,
                 breaker_opens=breaker_opens,
-                batcher_restarts=self.batcher_restarts,
             )

@@ -2,8 +2,8 @@
 
 A learned estimator embedded in a query optimizer has to keep answering —
 correctly, degraded, or with a typed error — while the machinery around it
-misbehaves: inference blows up, a model snapshot on disk is corrupt, the
-batcher thread dies, latency spikes push requests past their deadlines.
+misbehaves: inference blows up, a model snapshot on disk is corrupt,
+latency spikes push requests past their deadlines.
 Testing those paths with ad-hoc monkeypatching is fragile and unrepeatable,
 so this module provides a *seeded* fault plan that production code
 cooperates with through named **fault sites**:
@@ -14,12 +14,7 @@ cooperates with through named **fault sites**:
 ``registry.load``
     fired by :meth:`repro.serving.registry.ModelRegistry.load` before a
     version directory is read (its context carries ``path``, so a
-    ``corrupt`` fault can flip bytes in the stored snapshot),
-``batcher.loop``
-    fired by the :class:`~repro.serving.service.EstimationService` batcher
-    thread at the top of every loop iteration — *outside* the per-batch
-    error handling, which is exactly where an uncaught bug would kill the
-    thread.
+    ``corrupt`` fault can flip bytes in the stored snapshot).
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` rules.  Every decision
 (fire or not) is drawn from a per-spec ``random.Random`` stream derived from

@@ -53,8 +53,8 @@ class LRU:
     def peek(self, key: Hashable) -> Any:
         """Like :meth:`get` but without touching LRU order or counters.
 
-        For internal re-checks that are not request traffic (e.g. the service
-        batcher re-checking coalesced queries a concurrent batch may have just
+        For internal re-checks that are not request traffic (e.g. a service
+        batch re-checking coalesced queries an earlier batch may have just
         answered), so they do not skew the hit rate.
         """
         with self._lock:

@@ -57,9 +57,7 @@ class TestTrainServeRoundTrip:
         spec, estimator, workload = trained_scenario
         queries = [labelled.query for labelled in workload[:30]]
         direct = estimator.estimate_many(queries)
-        service = EstimationService(
-            estimator, config=ServiceConfig(cache_capacity=64, batch_window_seconds=0.0)
-        )
+        service = EstimationService(estimator, config=ServiceConfig(cache_capacity=64))
         try:
             served_cold = service.estimate_many(queries)
             served_warm = service.estimate_many(queries)  # cache hits

@@ -7,6 +7,7 @@ diagnostic (not a flake) when things go wrong.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -35,6 +36,36 @@ def wait_until():
             time.sleep(interval)
 
     return _wait_until
+
+
+class GatedModel:
+    """Delegates to a real model, but blocks featurization on a gate.
+
+    Lets a test deterministically hold a batch leader inside a micro-batch
+    while it arranges queue contents, then release it.  ``batches`` records
+    the queries of every featurized micro-batch, in batch order.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.batches: list[list] = []
+
+    def serving_dataset(self, queries):
+        self.batches.append(list(queries))
+        self.entered.set()
+        assert self.gate.wait(timeout=30.0), "test gate never opened"
+        return self.inner.serving_dataset(queries)
+
+    def estimate_featurized(self, dataset):
+        return self.inner.estimate_featurized(dataset)
+
+
+@pytest.fixture(scope="session")
+def gated_model():
+    """The :class:`GatedModel` wrapper: ``gated_model(estimator)``."""
+    return GatedModel
 
 
 @pytest.fixture(scope="package")

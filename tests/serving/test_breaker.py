@@ -23,12 +23,9 @@ def clock():
     return FakeClock()
 
 
-def make_breaker(clock, threshold=3, reset=10.0, probes=1):
+def make_breaker(clock, threshold=3, reset=10.0):
     return CircuitBreaker(
-        failure_threshold=threshold,
-        reset_timeout_seconds=reset,
-        half_open_max_probes=probes,
-        clock=clock,
+        failure_threshold=threshold, reset_timeout_seconds=reset, clock=clock
     )
 
 
@@ -60,8 +57,6 @@ class TestClosedState:
             make_breaker(clock, threshold=0)
         with pytest.raises(ValueError):
             make_breaker(clock, reset=-1.0)
-        with pytest.raises(ValueError):
-            make_breaker(clock, probes=0)
 
 
 class TestOpenState:
@@ -83,7 +78,7 @@ class TestOpenState:
 
 class TestHalfOpenState:
     def test_reset_timeout_admits_a_bounded_probe(self, clock):
-        breaker = make_breaker(clock, threshold=1, reset=10.0, probes=1)
+        breaker = make_breaker(clock, threshold=1, reset=10.0)
         breaker.record_failure()
         clock.advance(10.0)
         assert breaker.state == BreakerState.HALF_OPEN
@@ -112,11 +107,3 @@ class TestHalfOpenState:
         assert breaker.state == BreakerState.OPEN
         clock.advance(1.0)
         assert breaker.state == BreakerState.HALF_OPEN
-
-    def test_multiple_probe_slots(self, clock):
-        breaker = make_breaker(clock, threshold=1, reset=10.0, probes=2)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()

@@ -1,11 +1,11 @@
 """Tests of the serving reliability layer.
 
-Admission control, deadline propagation, circuit-breaker degradation, the
-batcher watchdog, fail-fast close semantics — and the seeded chaos test the
-issue's acceptance criteria ask for: under concurrent injected faults every
-request resolves to a correct estimate, a degraded estimate or a typed
-error (zero hung futures, zero silent wrong answers), and after the faults
-stop the serving output is bit-identical to the pre-fault path.
+Admission control, deadline propagation, circuit-breaker degradation, failed
+batches that never wedge the service, fail-fast close semantics — and the
+swept chaos oracle: under concurrent injected faults every request resolves
+to a correct estimate, a degraded estimate or a typed error (zero hung
+callers, zero silent wrong answers), and after the faults stop the serving
+output is bit-identical to the pre-fault path.
 
 All synchronization is event/condition-based (``wait_until``, barriers,
 gates) — no fixed sleeps gating correctness.
@@ -46,29 +46,6 @@ class FakeClock:
         self.now += seconds
 
 
-class GatedModel:
-    """Delegates to a real model, but blocks featurization on a gate.
-
-    Lets a test deterministically wedge the (single) batcher thread inside a
-    micro-batch while it arranges queue contents, then release it.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.gate = threading.Event()
-        self.entered = threading.Event()
-        self.dataset_calls = 0
-
-    def serving_dataset(self, queries):
-        self.dataset_calls += 1
-        self.entered.set()
-        assert self.gate.wait(timeout=30.0), "test gate never opened"
-        return self.inner.serving_dataset(queries)
-
-    def estimate_featurized(self, dataset):
-        return self.inner.estimate_featurized(dataset)
-
-
 class FlakyModel:
     """Delegates to a real model, failing the next N inference calls."""
 
@@ -90,10 +67,10 @@ class FlakyModel:
 
 class TestAdmissionControl:
     def test_reject_policy_sheds_with_typed_error(
-        self, reliability_estimator, reliability_queries, wait_until
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
-        gated = GatedModel(reliability_estimator)
-        config = ServiceConfig(max_queue_depth=2, batch_window_seconds=0.0)
+        gated = gated_model(reliability_estimator)
+        config = ServiceConfig(max_queue_depth=2)
         service = EstimationService(gated, config=config)
         try:
             results: dict[str, object] = {}
@@ -106,7 +83,7 @@ class TestAdmissionControl:
 
             blocker = threading.Thread(target=first_caller)
             blocker.start()
-            wait_until(gated.entered.is_set, message="batcher never started computing")
+            wait_until(gated.entered.is_set, message="leader never started computing")
             filler = threading.Thread(target=bulk_caller)
             filler.start()
             wait_until(
@@ -138,12 +115,15 @@ class TestAdmissionControl:
             service.close()
 
     def test_degrade_policy_answers_from_fallback_and_never_caches(
-        self, reliability_estimator, reliability_queries, sampling_fallback, wait_until
+        self,
+        reliability_estimator,
+        gated_model,
+        reliability_queries,
+        sampling_fallback,
+        wait_until,
     ):
-        gated = GatedModel(reliability_estimator)
-        config = ServiceConfig(
-            max_queue_depth=1, batch_window_seconds=0.0, overload_policy="degrade"
-        )
+        gated = gated_model(reliability_estimator)
+        config = ServiceConfig(max_queue_depth=1, overload_policy="degrade")
         service = EstimationService(gated, fallback=sampling_fallback, config=config)
         try:
             overflow = reliability_queries[2]
@@ -153,7 +133,7 @@ class TestAdmissionControl:
 
             blocker = threading.Thread(target=first_caller)
             blocker.start()
-            wait_until(gated.entered.is_set, message="batcher never started computing")
+            wait_until(gated.entered.is_set, message="leader never started computing")
             filler = threading.Thread(
                 target=lambda: service.estimate(reliability_queries[1])
             )
@@ -179,12 +159,10 @@ class TestAdmissionControl:
             service.close()
 
     def test_degrade_policy_without_fallback_sheds(
-        self, reliability_estimator, reliability_queries, wait_until
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
-        gated = GatedModel(reliability_estimator)
-        config = ServiceConfig(
-            max_queue_depth=1, batch_window_seconds=0.0, overload_policy="degrade"
-        )
+        gated = gated_model(reliability_estimator)
+        config = ServiceConfig(max_queue_depth=1, overload_policy="degrade")
         service = EstimationService(gated, config=config)  # no fallback
         try:
             blocker = threading.Thread(
@@ -212,15 +190,13 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_expired_requests_are_dropped_at_dequeue_not_computed(
-        self, reliability_estimator, reliability_queries, wait_until
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
         """The stale-work fix: a request that expires while queued gets the
         typed timeout error and its queries are never featurized/inferred."""
         clock = FakeClock()
-        gated = GatedModel(reliability_estimator)
-        service = EstimationService(
-            gated, config=ServiceConfig(batch_window_seconds=0.0), clock=clock
-        )
+        gated = gated_model(reliability_estimator)
+        service = EstimationService(gated, clock=clock)
         try:
             results: dict[str, object] = {}
 
@@ -236,7 +212,7 @@ class TestDeadlines:
 
             blocker = threading.Thread(target=blocker_caller)
             blocker.start()
-            wait_until(gated.entered.is_set, message="batcher never started computing")
+            wait_until(gated.entered.is_set, message="leader never started computing")
             doomed = threading.Thread(target=doomed_caller)
             doomed.start()
             wait_until(lambda: service.health()["queue_depth"] == 1)
@@ -253,16 +229,16 @@ class TestDeadlines:
             )[0]
             # Only the blocker's batch ever reached featurization.
             wait_until(lambda: service.stats().expired_queries == 1)
-            assert gated.dataset_calls == 1
+            assert len(gated.batches) == 1
         finally:
             gated.gate.set()
             service.close()
 
-    def test_caller_times_out_typed_when_batcher_is_wedged(
-        self, reliability_estimator, reliability_queries, wait_until
+    def test_queued_caller_times_out_typed_when_leader_is_wedged(
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
-        gated = GatedModel(reliability_estimator)
-        config = ServiceConfig(batch_window_seconds=0.0, deadline_grace_seconds=0.05)
+        gated = gated_model(reliability_estimator)
+        config = ServiceConfig(deadline_grace_seconds=0.05)
         service = EstimationService(gated, config=config)
         try:
             blocker = threading.Thread(
@@ -274,6 +250,13 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceededError):
                 service.estimate(reliability_queries[1], timeout_seconds=0.05)
             assert time.monotonic() - start < 5.0  # typed error, not a long hang
+            # The abandoned request left the queue at once (counted expired)
+            # instead of waiting there for a later leader.
+            assert service.health()["queue_depth"] == 0
+            assert service.stats().expired_queries == 1
+            gated.gate.set()
+            blocker.join(timeout=30)
+            assert len(gated.batches) == 1
         finally:
             gated.gate.set()
             blocker.join(timeout=30)
@@ -294,7 +277,6 @@ class TestCircuitBreaker:
         clock = FakeClock()
         flaky = FlakyModel(reliability_estimator, failures_remaining=2)
         config = ServiceConfig(
-            batch_window_seconds=0.0,
             breaker_failure_threshold=2,
             breaker_reset_timeout_seconds=10.0,
         )
@@ -349,7 +331,7 @@ class TestCircuitBreaker:
     ):
         clock = FakeClock()
         flaky = FlakyModel(reliability_estimator, failures_remaining=10)
-        config = ServiceConfig(batch_window_seconds=0.0, breaker_failure_threshold=1)
+        config = ServiceConfig(breaker_failure_threshold=1)
         with EstimationService(flaky, config=config, clock=clock) as service:
             with pytest.raises(ModelUnavailableError):
                 service.estimate(reliability_queries[0])
@@ -364,7 +346,7 @@ class TestCircuitBreaker:
     ):
         clock = FakeClock()
         flaky = FlakyModel(reliability_estimator, failures_remaining=10)
-        config = ServiceConfig(batch_window_seconds=0.0, breaker_failure_threshold=1)
+        config = ServiceConfig(breaker_failure_threshold=1)
         with EstimationService(flaky, config=config, clock=clock) as service:
             with pytest.raises(ModelUnavailableError):
                 service.estimate(reliability_queries[0])
@@ -377,89 +359,112 @@ class TestCircuitBreaker:
             )[0]
 
 
-class TestBatcherWatchdog:
-    def test_dead_batcher_is_restarted_without_losing_requests(
-        self, reliability_estimator, reliability_queries, wait_until
+class TestFailedBatches:
+    def test_a_failed_batch_never_wedges_the_service(
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
-        plan = FaultPlan([FaultSpec("batcher.loop", max_triggers=1)])
-        with EstimationService(
-            reliability_estimator, config=ServiceConfig(batch_window_seconds=0.0)
-        ) as service:
-            with plan.activate():
-                # The first batcher thread dies at its first loop iteration;
-                # the watchdog restarts it and the request still resolves.
-                value = service.estimate(reliability_queries[0])
-            assert value == reliability_estimator.estimate_many(
-                reliability_queries[:1]
-            )[0]
-            wait_until(lambda: service.stats().batcher_restarts == 1)
-            health = service.health()
-            assert health["batcher_alive"]
-            assert "InjectedFault" in health["last_batcher_crash"]  # original traceback
+        """A batch that dies outside the model path's typed failure handling
+        (here a ``BaseException`` from featurization) fails only its own
+        requests; a caller queued behind it leads the next batch."""
 
-    def test_admission_path_replaces_a_dead_thread(
-        self, reliability_estimator, reliability_queries
-    ):
-        with EstimationService(
-            reliability_estimator, config=ServiceConfig(batch_window_seconds=0.0)
-        ) as service:
-            service.estimate(reliability_queries[0])
-            worker = service._worker
-            assert worker is not None and worker.is_alive()
-            plan = FaultPlan([FaultSpec("batcher.loop", max_triggers=3)])
-            with plan.activate():
-                # Repeated crashes are survivable too: each estimate finds or
-                # rebuilds a live batcher.
-                for index in range(1, 4):
-                    value = service.estimate(reliability_queries[index])
-                    assert value == reliability_estimator.estimate_many(
-                        [reliability_queries[index]]
-                    )[0]
-            assert service.stats().batcher_restarts >= 1
+        class Abort(BaseException):
+            pass
+
+        class AbortFirstBatch(gated_model):
+            def serving_dataset(self, queries):
+                first = not self.batches
+                dataset = super().serving_dataset(queries)
+                if first:
+                    raise Abort("featurization died")
+                return dataset
+
+        model = AbortFirstBatch(reliability_estimator)
+        service = EstimationService(model)
+        results: dict[str, object] = {}
+
+        def caller(name: str, query) -> None:
+            try:
+                results[name] = service.estimate(query)
+            except Abort:
+                results[name] = "aborted"
+
+        try:
+            leader = threading.Thread(target=caller, args=("leader", reliability_queries[0]))
+            leader.start()
+            wait_until(model.entered.is_set, message="leader never started computing")
+            queued = threading.Thread(target=caller, args=("queued", reliability_queries[1]))
+            queued.start()
+            wait_until(lambda: service.health()["queue_depth"] == 1)
+            model.gate.set()
+            for thread in (leader, queued):
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+
+            assert results["leader"] == "aborted"
+            assert results["queued"] == reliability_estimator.estimate_many(
+                reliability_queries[1:2]
+            )[0]
+            # The failed query was never cached: the next estimate computes it.
+            assert reliability_queries[0].signature() not in service.cache
+            value = service.estimate(reliability_queries[0])
+            assert value == reliability_estimator.estimate_many(reliability_queries[:1])[0]
+            assert [len(batch) for batch in model.batches] == [1, 1, 1]
+            health = service.health()
+            assert health["queue_depth"] == 0
+            assert health["healthy"]
+        finally:
+            model.gate.set()
+            service.close()
 
 
 class TestCloseSemantics:
     def test_queued_requests_fail_fast_and_inflight_completes(
-        self, reliability_estimator, reliability_queries, wait_until
+        self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
-        gated = GatedModel(reliability_estimator)
-        service = EstimationService(gated, config=ServiceConfig(batch_window_seconds=0.0))
+        gated = gated_model(reliability_estimator)
+        service = EstimationService(gated)
         results: dict[str, object] = {}
 
         def inflight_caller():
             results["inflight"] = service.estimate(reliability_queries[0])
 
         def queued_caller():
-            start = time.monotonic()
             try:
                 service.estimate(reliability_queries[1])
                 results["queued"] = "resolved"
             except ServiceClosedError:
-                results["queued"] = ("closed", time.monotonic() - start)
+                results["queued"] = "closed"
 
-        inflight = threading.Thread(target=inflight_caller)
-        inflight.start()
-        wait_until(gated.entered.is_set, message="batcher never started computing")
-        queued = threading.Thread(target=queued_caller)
-        queued.start()
-        wait_until(lambda: service.health()["queue_depth"] == 1)
+        try:
+            inflight = threading.Thread(target=inflight_caller)
+            inflight.start()
+            wait_until(gated.entered.is_set, message="leader never started computing")
+            queued = threading.Thread(target=queued_caller)
+            queued.start()
+            wait_until(lambda: service.health()["queue_depth"] == 1)
 
-        closer = threading.Thread(target=service.close)
-        closer.start()
-        wait_until(lambda: service.health()["closed"])
-        gated.gate.set()  # let the in-flight batch finish
-        for thread in (inflight, queued, closer):
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+            # While the in-flight batch is still held at the gate, close()
+            # returns and the queued caller gets the typed error: neither
+            # waits for the batch (nor out its 60 s timeout).
+            closer = threading.Thread(target=service.close)
+            closer.start()
+            closer.join(timeout=5.0)
+            assert not closer.is_alive(), "close() waited for the in-flight batch"
+            queued.join(timeout=5.0)
+            assert not queued.is_alive(), "the queued caller waited for the batch"
+            assert not gated.gate.is_set()
+            assert results["queued"] == "closed"
 
-        # The in-flight batch delivered its result; the queued request got
-        # the typed error promptly instead of waiting out a 60 s timeout.
-        assert results["inflight"] == reliability_estimator.estimate_many(
-            reliability_queries[:1]
-        )[0]
-        outcome, elapsed = results["queued"]
-        assert outcome == "closed"
-        assert elapsed < 30.0
+            gated.gate.set()  # now let the in-flight batch finish
+            inflight.join(timeout=30)
+            assert not inflight.is_alive()
+            # The in-flight batch delivered its result.
+            assert results["inflight"] == reliability_estimator.estimate_many(
+                reliability_queries[:1]
+            )[0]
+        finally:
+            gated.gate.set()
+            service.close()
 
     def test_repeated_close_is_idempotent(self, reliability_estimator):
         service = EstimationService(reliability_estimator)
@@ -570,7 +575,6 @@ class TestChaos:
         )
         config = ServiceConfig(
             cache_capacity=cache_capacity,
-            batch_window_seconds=0.001,
             # Six single-query callers against a depth of four: admission
             # control sheds or degrades some of them.
             max_queue_depth=4,

@@ -127,49 +127,95 @@ def _joins_between(left, right, estimator):
 
 class TestMicroBatchCoalescing:
     def test_concurrent_callers_coalesce_into_shared_batches(
-        self, serving_estimator, serving_queries
+        self, serving_estimator, serving_queries, gated_model, wait_until
     ):
-        """Threads issuing single-query requests at once are answered by far
-        fewer fused passes than there are callers."""
+        """Callers that arrive while a batch runs queue up, and the next
+        leader answers all of them in one fused pass."""
         num_callers = 16
-        config = ServiceConfig(batch_window_seconds=0.2)
-        with EstimationService(serving_estimator, config=config) as service:
-            barrier = threading.Barrier(num_callers)
+        gated = gated_model(serving_estimator)
+        with EstimationService(gated) as service:
             results: dict[int, float] = {}
 
             def caller(position: int) -> None:
-                barrier.wait()
                 results[position] = service.estimate(serving_queries[position])
 
             threads = [
                 threading.Thread(target=caller, args=(position,))
                 for position in range(num_callers)
             ]
+            try:
+                # Hold the first leader inside its batch, let the other 15
+                # callers queue behind it, then release.
+                threads[0].start()
+                wait_until(gated.entered.is_set, message="leader never started computing")
+                for thread in threads[1:]:
+                    thread.start()
+                wait_until(lambda: service.health()["queue_depth"] == num_callers - 1)
+            finally:
+                gated.gate.set()
             for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
             stats = service.stats()
 
-        reference = serving_estimator.estimate_many(serving_queries[:num_callers])
-        for position in range(num_callers):
-            assert results[position] == reference[position]
-        computed = sum(
-            size * count for size, count in stats.batch_size_histogram.items()
+        assert stats.batch_size_histogram == {1: 1, num_callers - 1: 1}
+        first, follow_up = gated.batches
+        assert first == [serving_queries[0]]
+        assert results[0] == serving_estimator.estimate_many(first)[0]
+        # The follow-up batch holds the 15 queued queries in arrival order;
+        # each caller got exactly the direct path's answer over that batch.
+        assert sorted(map(serving_queries.index, follow_up)) == list(range(1, num_callers))
+        reference = serving_estimator.estimate_many(follow_up)
+        for query, expected in zip(follow_up, reference):
+            assert results[serving_queries.index(query)] == expected
+
+    def test_batches_are_fifo_and_bounded_by_max_batch_size(
+        self, serving_estimator, serving_queries, gated_model, wait_until
+    ):
+        """A leader takes at most ``max_batch_size`` queued queries, oldest
+        first; whatever does not fit is led by a later caller, possibly the
+        same one looping."""
+        queries = serving_queries[:4]
+        gated = gated_model(serving_estimator)
+        config = ServiceConfig(max_batch_size=2)
+        with EstimationService(gated, config=config) as service:
+            results: dict[int, float] = {}
+
+            def caller(position: int) -> None:
+                results[position] = service.estimate(queries[position])
+
+            threads = [
+                threading.Thread(target=caller, args=(position,))
+                for position in range(len(queries))
+            ]
+            try:
+                threads[0].start()
+                wait_until(gated.entered.is_set, message="leader never started computing")
+                for depth, thread in enumerate(threads[1:], start=1):
+                    thread.start()
+                    wait_until(lambda: service.health()["queue_depth"] == depth)
+            finally:
+                gated.gate.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert service.health()["queue_depth"] == 0
+
+        assert gated.batches == [queries[:1], queries[1:3], queries[3:]]
+        expected = np.concatenate(
+            [serving_estimator.estimate_many(batch) for batch in gated.batches]
         )
-        assert computed == num_callers
-        assert stats.coalesced_batches < num_callers
-        assert stats.mean_batch_size > 1.0
+        np.testing.assert_array_equal([results[i] for i in range(len(queries))], expected)
 
     def test_concurrent_duplicate_queries_are_computed_once(
         self, serving_estimator, serving_queries
     ):
-        """Identical in-flight queries dedupe inside the batcher: the model
-        sees one instance however many callers ask."""
+        """Identical in-flight queries dedupe inside a batch (or are found in
+        the cache by a later one): the model sees one instance however many
+        callers ask."""
         num_callers = 12
         query = serving_queries[40]
-        config = ServiceConfig(batch_window_seconds=0.2)
-        with EstimationService(serving_estimator, config=config) as service:
+        with EstimationService(serving_estimator) as service:
             barrier = threading.Barrier(num_callers)
             observed: list[float] = []
             lock = threading.Lock()
@@ -209,8 +255,7 @@ class TestMicroBatchCoalescing:
             )
         }
         num_callers = 8
-        config = ServiceConfig(batch_window_seconds=0.01)
-        with EstimationService(serving_estimator, config=config) as service:
+        with EstimationService(serving_estimator) as service:
             barrier = threading.Barrier(num_callers)
             failures: list[str] = []
             observed: dict[tuple, float] = {}
@@ -355,8 +400,6 @@ class TestServiceStats:
             ServiceConfig(cache_capacity=0)
         with pytest.raises(ValueError):
             ServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(batch_window_seconds=-0.1)
         with pytest.raises(ValueError):
             ServiceConfig(max_spread=0.5)
         with pytest.raises(ValueError):
