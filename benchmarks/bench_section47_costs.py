@@ -150,7 +150,6 @@ def test_section47_inference_latency(context, write_result):
         p95_ms=p95,
         dtype="float32",
         precision="float32",
-        replicas=fused.config.engine_replicas,
         metrics={"num_queries": len(queries)},
     )
 

@@ -273,7 +273,6 @@ def main() -> int:
         p95_ms=p95_ms,
         dtype=config.dtype,
         precision=config.inference_precision or config.dtype,
-        replicas=config.engine_replicas,
         metrics={
             "requests": total,
             "availability": availability,

@@ -81,7 +81,6 @@ def main() -> int:
         throughput_qps=1000.0 / elapsed_ms if elapsed_ms > 0 else None,
         dtype=base.dtype,
         precision=base.dtype,
-        replicas=base.engine_replicas,
         metrics={
             "ms_per_query": elapsed_ms,
             "num_queries": len(queries),

@@ -172,7 +172,6 @@ def main() -> int:
         throughput_qps=labels_per_second,
         dtype="float32",
         precision="float32",
-        replicas=1,
         metrics={
             "sales_rows": sales_rows,
             "total_rows": database.total_rows(),

@@ -1,7 +1,7 @@
 """CI smoke test of concurrent truth labeling and executor scan reuse.
 
-Exercises the :class:`~repro.utils.parallel.WorkerPool` substrate end to end
-through its one database-side consumer, plus the executor's scan memo:
+Exercises the one thread-parallel path left in the repository, concurrent
+truth labeling in the query generator, plus the executor's scan memo:
 
 * **Labeling identity and throughput floor** — concurrent truth labeling
   (``WorkloadConfig.label_workers``) must generate exactly the serial
@@ -13,8 +13,8 @@ through its one database-side consumer, plus the executor's scan memo:
   base-table scans from the per-predicate-set memo, and memoized counts must
   equal fresh executions.
 
-BLAS threading is pinned to one thread *before numpy loads*, so the worker
-pool is the only source of parallelism being measured.
+BLAS threading is pinned to one thread *before numpy loads*, so the labeling
+threads are the only source of parallelism being measured.
 
 Writes ``benchmarks/results/BENCH_smoke_parallel_execution.json`` (serial and
 parallel labels/s, speedup, reuse rates) next to a ``.txt`` report.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import sys
 
-# Pin BLAS to one thread before numpy is imported anywhere: the WorkerPool's
+# Pin BLAS to one thread before numpy is imported anywhere: the labeling
 # threads are the parallelism under test, and a multi-threaded BLAS would
 # both inflate the serial baseline and contend with the workers.
 from repro.utils.bench import pin_blas_threads
@@ -148,7 +148,6 @@ def main() -> int:
         RESULTS_DIRECTORY,
         "smoke_parallel_execution",
         throughput_qps=parallel_rate,
-        replicas=workers,
         metrics={
             "serial_labels_per_s": serial_rate,
             "parallel_labels_per_s": parallel_rate,

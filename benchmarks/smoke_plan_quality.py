@@ -121,7 +121,6 @@ def main() -> int:
         throughput_qps=plans_enumerated / elapsed if elapsed > 0 else None,
         dtype="float32",
         precision="float32",
-        replicas=1,
         metrics={
             "datasets": len(specs),
             "plans_enumerated": plans_enumerated,

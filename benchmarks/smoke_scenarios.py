@@ -82,7 +82,6 @@ def main() -> int:
         throughput_qps=queries_served / elapsed if elapsed > 0 else None,
         dtype="float32",
         precision="float32",
-        replicas=1,
         metrics={
             "datasets": len(specs),
             "queries_round_tripped": queries_served,

@@ -130,7 +130,6 @@ def main() -> int:
         throughput_qps=cached_qps,
         dtype=config.dtype,
         precision=config.inference_precision or config.dtype,
-        replicas=config.engine_replicas,
         metrics={
             "uncached_qps": uncached_qps,
             "cached_speedup": speedup,

@@ -12,13 +12,11 @@ inference engine.  The default is ``float32``: serving accuracy is unaffected
 move half the memory.  Use ``float64`` for comparisons against
 hand-computed references, such as the finite-difference gradient check.
 
-Three knobs configure the serving-side inference tier on top of the training
-dtype: ``inference_precision`` selects the engine's weight tier (``None``
-inherits ``dtype``; ``float16``/``int8`` serve quantized weight snapshots
-with float32 compute), ``engine_replicas`` is the number of worker threads
-the :class:`~repro.core.inference.InferenceEngine` spreads the chunks of a
-large batch over, and ``inference_chunk_size`` fixes the queries-per-chunk
-of ``estimate_many`` (``None`` falls back to ``batch_size``).
+``inference_precision`` selects the serving engine's weight tier on top of
+the training dtype: ``None`` inherits ``dtype``; ``float16``/``int8`` serve
+quantized weight snapshots with float32 compute.  The precision table and
+its aliases belong to :mod:`repro.core.inference`.  Predictions run in
+chunks of ``batch_size`` queries on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.inference import resolve_precision
+
 __all__ = ["FeaturizationVariant", "LossKind", "MSCNConfig"]
 
 _SUPPORTED_DTYPES = ("float32", "float64")
-_SUPPORTED_PRECISIONS = ("float32", "float64", "float16", "int8")
 
 
 class FeaturizationVariant(str, enum.Enum):
@@ -75,8 +74,6 @@ class MSCNConfig:
     dtype: str = "float32"
     bucket_by_length: bool = True
     inference_precision: str | None = None
-    engine_replicas: int = 1
-    inference_chunk_size: int | None = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -103,23 +100,10 @@ class MSCNConfig:
             raise ValueError(f"dtype must be one of {_SUPPORTED_DTYPES}, got {self.dtype!r}")
         object.__setattr__(self, "dtype", canonical)
         if self.inference_precision is not None:
-            try:
-                precision = np.dtype(self.inference_precision).name
-            except TypeError:
-                precision = str(self.inference_precision)
-            if precision not in _SUPPORTED_PRECISIONS:
-                raise ValueError(
-                    f"inference_precision must be one of {_SUPPORTED_PRECISIONS} "
-                    f"(or None to inherit dtype), got {self.inference_precision!r}"
-                )
-            object.__setattr__(self, "inference_precision", precision)
-        if self.engine_replicas < 1:
-            raise ValueError("engine_replicas must be >= 1")
-        if self.inference_chunk_size is not None and self.inference_chunk_size < 1:
-            raise ValueError(
-                "inference_chunk_size must be >= 1 (the number of queries per "
-                "fused inference chunk), or None to fall back to batch_size"
+            _, precision = resolve_precision(
+                np.dtype(canonical), precision=self.inference_precision
             )
+            object.__setattr__(self, "inference_precision", precision)
         # Accept plain strings for convenience.
         if not isinstance(self.loss, LossKind):
             object.__setattr__(self, "loss", LossKind(self.loss))

@@ -239,10 +239,7 @@ class MSCNEstimator:
         regardless of how estimates were batched.  (Featurization dominates
         this path's latency; the whole-batch fused pass remains the serving
         default via :meth:`estimate_many`/:meth:`estimate_featurized`.)
-
-        With ``engine_replicas > 1`` the per-sub-plan chunks are spread over
-        the engine's worker threads; tiny fan-outs (fewer chunks than
-        replicas) run inline automatically.
+        The chunks run one after another on the calling thread.
         """
         trainer = self._require_trained()
         subqueries = query.connected_subqueries()
@@ -283,9 +280,8 @@ class MSCNEstimator:
     def predict_normalized(self, queries: Sequence[Query]) -> np.ndarray:
         """Raw sigmoid outputs in [0, 1] (mostly useful for tests).
 
-        Inference runs in chunks of ``config.inference_chunk_size`` queries
-        (``config.batch_size`` when unset), so arbitrarily long query lists
-        never form one unbounded batch.
+        Inference runs in chunks of ``config.batch_size`` queries, so
+        arbitrarily long query lists never form one unbounded batch.
         """
         trainer = self._require_trained()
         if not queries:
@@ -331,8 +327,6 @@ class MSCNEstimator:
                 "dtype": self.config.dtype,
                 "bucket_by_length": self.config.bucket_by_length,
                 "inference_precision": self.config.inference_precision,
-                "engine_replicas": self.config.engine_replicas,
-                "inference_chunk_size": self.config.inference_chunk_size,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -368,10 +362,8 @@ class MSCNEstimator:
             # Models saved before these knobs existed were float64.
             dtype=config_data.get("dtype", "float64"),
             bucket_by_length=config_data.get("bucket_by_length", True),
-            # Serving-tier knobs (absent in models saved before they existed).
+            # Absent in models saved before the precision tiers existed.
             inference_precision=config_data.get("inference_precision"),
-            engine_replicas=config_data.get("engine_replicas", 1),
-            inference_chunk_size=config_data.get("inference_chunk_size"),
         )
         samples = None
         if metadata.get("has_samples"):

@@ -4,8 +4,8 @@
 :func:`repro.core.model.forward` — the same code training runs — against an
 immutable weight snapshot, and adds what serving needs on top:
 
-* chunking: a batch is split into fixed-size chunks, and ``replicas``
-  worker threads can split the chunks of one large batch;
+* chunking: a batch is split into fixed-size chunks, run one after another
+  on the calling thread;
 * precision tiers: the snapshot may hold float16 or int8 weights (see
   below), computed in float32;
 * the ``engine.run`` fault point, for the fault-injection tests.
@@ -13,16 +13,17 @@ immutable weight snapshot, and adds what serving needs on top:
 The engine keeps no scratch between runs: every intermediate is a fresh
 array, which ran at 0.96-1.02x the time of reusing grow-only scratch buffers
 at chunk sizes 1-4,000 (imdb ``small``, hidden 256, float32, 2 cores).  So
-the only state a run reads is the weight snapshot.
-That makes one engine safe to share across threads, and lets ``replicas``
-worker threads split one large batch without a copy of the engine each.
+the only state a run reads is the weight snapshot, which makes one engine
+safe to share across threads.
+
+A run starts no thread: every chunk computes on the caller's thread.
 
 Over a native snapshot of the model's own dtype, the engine is
 bit-identical to ``forward(dataset, model.layers)`` on each chunk.
 
 The weights an engine computes against live in an immutable
 :class:`WeightSnapshot` — a generation-stamped set of :class:`EngineLayer`
-snapshots that every worker of a run reads.  Snapshots support three
+snapshots that every chunk of a run reads.  Snapshots support three
 precision tiers:
 
 * **native** (``float32`` / ``float64``) — contiguous casts of the live
@@ -47,7 +48,6 @@ tier is re-quantized once per weight change, not once per prediction).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,7 +62,8 @@ __all__ = [
     "SUPPORTED_PRECISIONS",
 ]
 
-#: Precisions a weight snapshot can be captured in.
+#: Precisions a weight snapshot can be captured in; ``MSCNConfig`` validates
+#: ``inference_precision`` against this table through :func:`resolve_precision`.
 SUPPORTED_PRECISIONS = ("float32", "float64", "float16", "int8")
 
 #: Precisions whose stored weights differ from the compute copies.
@@ -150,11 +151,11 @@ class EngineLayer:
 class WeightSnapshot:
     """An immutable, generation-stamped capture of a model's weights.
 
-    A snapshot is built once, then only ever read: every worker of a run
-    shares one snapshot object, and a run that captured a snapshot keeps
-    computing against it even if a concurrent refresh installs a newer
-    generation — which is what makes hot-swap-under-load yield
-    whole-generation outputs only.
+    A snapshot is built once, then only ever read: every chunk of a run
+    computes against one snapshot object, and a run that captured a
+    snapshot keeps computing against it even if a concurrent refresh
+    installs a newer generation — which is what makes hot-swap-under-load
+    yield whole-generation outputs only.
     """
 
     __slots__ = ("layers", "dtype", "precision", "generation")
@@ -186,10 +187,9 @@ class InferenceEngine:
 
     The engine holds no state between runs except its weight snapshot:
     every intermediate is a fresh matmul or ufunc result, so any number
-    of threads may call :meth:`run` on one engine at once.  ``precision``
-    selects the weight tier (see the module docstring).  ``replicas`` is the
-    number of worker threads one :meth:`run` spreads its chunks over;
-    ``1`` runs every chunk inline on the calling thread.
+    of threads may call :meth:`run` on one engine at once; each run computes
+    on its caller's thread.  ``precision`` selects the weight tier (see the
+    module docstring).
     """
 
     def __init__(
@@ -197,15 +197,10 @@ class InferenceEngine:
         model: MSCN,
         dtype: "np.dtype | str | None" = None,
         precision: "str | None" = None,
-        replicas: int = 1,
     ):
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.model = model
         self.dtype, self.precision = resolve_precision(model.dtype, dtype, precision)
-        self.replicas = int(replicas)
         self._lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
         self._snapshot = WeightSnapshot(model, self.dtype, self.precision, generation=0)
 
     # ------------------------------------------------------------------
@@ -249,13 +244,10 @@ class InferenceEngine:
         ``dataset`` is a :class:`repro.core.batching.RaggedDataset` (or any
         slice of one).  It is split into ``chunk_size``-query chunks at
         ``range(0, size, chunk_size)`` (``None`` means one whole-batch
-        chunk).  With several replicas, contiguous runs of chunks go to the
-        worker threads and each chunk's result is written back at its own
-        offsets, so the output is bit-identical to running every chunk
-        inline, whatever the replica count.  (BLAS kernel selection depends
-        on operand shape; keeping the chunks themselves unchanged is what
-        makes the guarantee hold.)  Every chunk of one run computes against
-        the snapshot the run read at its start.
+        chunk), run in order on the calling thread.  Chunking bounds memory,
+        and because BLAS kernel selection depends on operand shape, a run at
+        chunk size 1 is bit-identical to one run per query.  Every chunk of
+        one run computes against the snapshot the run read at its start.
         """
         size = dataset.size
         if size == 0:
@@ -265,72 +257,11 @@ class InferenceEngine:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         layers = self._snapshot.layers  # read once: the whole batch's generation
-        starts = range(0, size, chunk_size)
-        num_chunks = len(starts)
-        # Fewer chunks than replicas cannot keep the workers busy: dispatch
-        # overhead dominates, so such batches run inline.
-        if self.replicas == 1 or num_chunks < self.replicas:
-            outputs = [
-                self._forward(dataset.slice(start, min(start + chunk_size, size)), layers)
-                for start in starts
-            ]
-            return outputs[0] if num_chunks == 1 else np.concatenate(outputs)
-
-        num_workers = min(self.replicas, num_chunks)
-        chunks_per_worker = -(-num_chunks // num_workers)  # ceil division
-        output = np.empty(size, dtype=self.dtype)
-
-        def run_chunks(worker: int) -> None:
-            for start in starts[worker * chunks_per_worker : (worker + 1) * chunks_per_worker]:
-                stop = min(start + chunk_size, size)
-                output[start:stop] = self._forward(dataset.slice(start, stop), layers)
-
-        futures = [self._submit(run_chunks, worker) for worker in range(num_workers)]
-        # Observe every worker before raising: bailing on the first error
-        # would leave the rest still writing into ``output`` after run
-        # returned (a use-after-return race) and would discard their
-        # diagnostics.  The first failure (in worker order) propagates; the
-        # others are recorded as context on its message.
-        errors: "list[tuple[int, BaseException]]" = []
-        for worker, future in enumerate(futures):
-            try:
-                future.result()
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                errors.append((worker, error))
-        if errors:
-            first_worker, first_error = errors[0]
-            if len(errors) > 1:
-                others = ", ".join(
-                    f"replica {worker}: {error!r}" for worker, error in errors[1:]
-                )
-                raise RuntimeError(
-                    f"{len(errors)}/{num_workers} engine replicas failed; "
-                    f"first failure on replica {first_worker}: {first_error!r}; "
-                    f"also: {others}"
-                ) from first_error
-            raise first_error
-        return output
-
-    def _submit(self, function, *args):
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.replicas, thread_name_prefix="inference-engine"
-                )
-            return self._executor.submit(function, *args)
-
-    def close(self) -> None:
-        """Shut down the worker threads (idempotent; the engine stays usable)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        outputs = [
+            self._forward(dataset.slice(start, min(start + chunk_size, size)), layers)
+            for start in range(0, size, chunk_size)
+        ]
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
 
     # ------------------------------------------------------------------
     def _forward(self, dataset, layers: dict) -> np.ndarray:

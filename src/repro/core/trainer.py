@@ -180,11 +180,10 @@ class MSCNTrainer:
     def engine(self) -> InferenceEngine:
         """The cached fused inference engine, built on first use.
 
-        Sized and precision-configured by the estimator configuration; with
-        ``engine_replicas=1`` (the default) every chunk runs inline on the
-        calling thread and no worker threads are created.  Predictions
-        refresh its snapshot after training; callers that change the weights
-        by other means call ``engine().refresh()`` themselves.
+        Precision-configured by the estimator configuration; every run
+        computes on its caller's thread.  Predictions refresh its snapshot
+        after training; callers that change the weights by other means call
+        ``engine().refresh()`` themselves.
         """
         with self._engine_lock:
             if self._engine is None:
@@ -192,7 +191,6 @@ class MSCNTrainer:
                     self.model,
                     dtype=self.config.np_dtype,
                     precision=self.config.inference_precision,
-                    replicas=self.config.engine_replicas,
                 )
                 self._stale = False  # a new engine captures the current weights
             return self._engine
@@ -202,8 +200,8 @@ class MSCNTrainer:
     ) -> np.ndarray:
         """Raw sigmoid outputs in [0, 1] from the fused engine, in chunks.
 
-        Chunks hold ``batch_size`` queries; by default
-        ``config.inference_chunk_size`` when set, else ``config.batch_size``.
+        Chunks hold ``batch_size`` queries (by default ``config.batch_size``),
+        which bounds memory on long inputs.
 
         Predictions are always returned as float64, whatever the engine's
         compute dtype: downstream consumers (denormalization, q-error metrics,
@@ -211,11 +209,7 @@ class MSCNTrainer:
         out of the engine would silently change their precision.
         """
         if batch_size is None:
-            batch_size = (
-                self.config.inference_chunk_size
-                if self.config.inference_chunk_size is not None
-                else self.config.batch_size
-            )
+            batch_size = self.config.batch_size
         if not isinstance(features, RaggedDataset) and not features:
             return np.empty(0, dtype=np.float64)
         dataset = as_ragged_dataset(features)

@@ -76,8 +76,6 @@ class ScenarioConfig:
     every workload (see :class:`~repro.workload.generator.WorkloadConfig`):
     at the ``large`` tier, queries over budget-exceeding table sets are
     labelled from bounded samples instead of full execution.
-    ``label_workers`` fans that truth labelling across threads (``None`` =
-    serial, ``"auto"`` = CPU count) with bit-identical workloads.
     """
 
     datasets: tuple[str, ...] = ()
@@ -104,7 +102,6 @@ class ScenarioConfig:
     truth_sample_rows: int = 100_000
     truth_confidence: float = 0.95
     block_rows: int | None = None
-    label_workers: "int | str | None" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.dataset_scale, str) and self.dataset_scale <= 0:
@@ -129,7 +126,6 @@ class ScenarioConfig:
             truth_sample_rows=self.truth_sample_rows,
             truth_confidence=self.truth_confidence,
             block_rows=self.block_rows,
-            label_workers=self.label_workers,
         )
 
 

@@ -1,5 +1,5 @@
 """Shared utilities: deterministic RNG management, timing, benchmark
-records, thread-parallel execution, the one LRU cache, and seeded fault
+records, the one LRU cache, and seeded fault
 injection for the reliability test harness.
 
 Submodules are imported lazily (PEP 562): ``repro.utils.bench`` must be
@@ -15,7 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers only
     from repro.utils.bench import latency_percentiles_ms, pin_blas_threads, write_bench_json
     from repro.utils.faults import FaultPlan, FaultSpec, InjectedFault, fault_point
     from repro.utils.lru import LRU
-    from repro.utils.parallel import WorkerPool, chunk_spans, resolve_worker_count
     from repro.utils.rng import spawn_rng
     from repro.utils.timer import Timer
 
@@ -26,9 +25,6 @@ __all__ = [
     "pin_blas_threads",
     "write_bench_json",
     "LRU",
-    "WorkerPool",
-    "chunk_spans",
-    "resolve_worker_count",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
@@ -42,9 +38,6 @@ _EXPORTS = {
     "pin_blas_threads": "repro.utils.bench",
     "write_bench_json": "repro.utils.bench",
     "LRU": "repro.utils.lru",
-    "WorkerPool": "repro.utils.parallel",
-    "chunk_spans": "repro.utils.parallel",
-    "resolve_worker_count": "repro.utils.parallel",
     "FaultPlan": "repro.utils.faults",
     "FaultSpec": "repro.utils.faults",
     "InjectedFault": "repro.utils.faults",

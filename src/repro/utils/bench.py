@@ -6,16 +6,15 @@ runs (and local reruns) leave a structured trail of throughput and latency
 numbers that tooling can diff across commits without scraping text tables.
 
 Every record carries a common envelope — benchmark name, serving dtype /
-precision tier, engine replica count, throughput and latency percentiles —
-plus free-form benchmark-specific metrics.  Fields that do not apply are
+precision tier, throughput and latency percentiles — plus free-form
+benchmark-specific metrics.  Fields that do not apply are
 simply ``None``; consumers must treat absent/null keys as "not measured".
 
 :func:`pin_blas_threads` is the shared benchmark-environment helper: every
-smoke benchmark measuring thread-level parallelism (engine replicas,
-concurrent labeling) must pin the BLAS libraries to one thread so nested
-BLAS threading neither inflates serial baselines nor contends with the
-worker pools under test.  This module deliberately avoids
-importing numpy at module level so the helper can run before numpy — and
+smoke benchmark measuring thread-level parallelism (concurrent labeling)
+must pin the BLAS libraries to one thread so nested BLAS threading neither
+inflates serial baselines nor contends with the worker threads under test.
+This module deliberately avoids importing numpy at module level so the helper can run before numpy — and
 therefore before OpenBLAS/MKL read their thread-count environment variables
 — is loaded anywhere in the process.
 """
@@ -91,7 +90,6 @@ def write_bench_json(
     p95_ms: "float | None" = None,
     dtype: "str | None" = None,
     precision: "str | None" = None,
-    replicas: "int | None" = None,
     metrics: "Mapping[str, object] | None" = None,
 ) -> Path:
     """Write ``BENCH_<name>.json`` into ``directory`` and return its path.
@@ -109,7 +107,6 @@ def write_bench_json(
         "p95_ms": None if p95_ms is None else float(p95_ms),
         "dtype": dtype,
         "precision": precision,
-        "replicas": None if replicas is None else int(replicas),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "metrics": dict(metrics) if metrics else {},

@@ -20,6 +20,7 @@ evaluation workload of 5,000 queries.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -29,7 +30,6 @@ from repro.db.executor import CardinalityExecutor
 from repro.db.predicates import Operator
 from repro.db.query import JoinCondition, Predicate, Query
 from repro.db.table import Database
-from repro.utils.parallel import WorkerPool, resolve_worker_count
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
@@ -82,10 +82,10 @@ class WorkloadConfig:
     exact labels with zero behaviour change.  ``block_rows`` streams both
     oracles' scans block-by-block (bit-identical counts, bounded peak memory).
 
-    ``label_workers`` fans truth labeling across a thread pool (``None`` =
-    serial, ``"auto"`` = CPU count, or a worker count): queries are still
-    drawn serially from the RNG and deduplicated in draw order, but candidate
-    batches are labelled concurrently through the thread-safe executors.
+    ``label_workers`` fans truth labeling across that many threads (``None``
+    or 1 = serial, on the calling thread): queries are still drawn serially
+    from the RNG and deduplicated in draw order, but candidate batches are
+    labelled concurrently through the thread-safe executors.
     Labels are pure functions of the immutable snapshot, acceptance is
     decided in draw order, and the workload is truncated at the target — so
     the generated workload is **identical at any worker count**, including
@@ -105,7 +105,7 @@ class WorkloadConfig:
     truth_sample_rows: int = 100_000
     truth_confidence: float = 0.95
     block_rows: int | None = None
-    label_workers: "int | str | None" = None
+    label_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_queries <= 0:
@@ -122,7 +122,15 @@ class WorkloadConfig:
             raise ValueError("truth_confidence must lie strictly between 0 and 1")
         if self.block_rows is not None and self.block_rows < 1:
             raise ValueError("block_rows must be at least 1 when given")
-        resolve_worker_count(self.label_workers)  # validates; raises on junk
+        if self.label_workers is not None and (
+            isinstance(self.label_workers, bool)
+            or not isinstance(self.label_workers, int)
+            or self.label_workers < 1
+        ):
+            raise ValueError(
+                "label_workers must be None or a positive integer, "
+                f"got {self.label_workers!r}"
+            )
 
 
 class QueryGenerator:
@@ -134,7 +142,6 @@ class QueryGenerator:
         self.schema = database.schema
         self._executor = CardinalityExecutor(database, block_rows=self.config.block_rows)
         self._sampled_executor: "SampledCardinalityExecutor | None" = None
-        self._label_pool = WorkerPool(self.config.label_workers, name="truth-label")
         self._rng = spawn_rng(self.config.seed, "query-generator")
         self._join_graph_tables = self.schema.tables_in_join_graph() or self.schema.table_names
         self._component_sizes = self.schema.join_component_sizes() or {
@@ -157,11 +164,13 @@ class QueryGenerator:
         non-empty queries within a bounded number of attempts (which would
         indicate a database far too small for the requested workload size).
 
-        Labeling is fanned across ``config.label_workers`` threads in batches.
-        Drawing stays serial (the RNG stream is shared and labels never feed
-        back into draws), candidates are accepted in draw order and the list
-        is truncated at the target — so the output is identical to the serial
-        generator at every worker count.
+        Labeling is fanned across ``config.label_workers`` threads in batches;
+        every label of a batch finishes before the batch is accepted, and the
+        first failing label in draw order propagates.  Drawing stays serial
+        (the RNG stream is shared and labels never feed back into draws),
+        candidates are accepted in draw order and the list is truncated at
+        the target — so the output is identical to the serial generator at
+        every worker count.
         """
         target = num_queries if num_queries is not None else self.config.num_queries
         labelled: list[LabelledQuery] = []
@@ -185,7 +194,7 @@ class QueryGenerator:
                 # Materialize the sampled oracle up front: lazy first-use
                 # construction must not race across labeling threads.
                 self._sampled()
-            for entry in self._label_pool.map(self._label, batch):
+            for entry in self._label_batch(batch):
                 if self.config.skip_empty_results and entry.cardinality == 0:
                     continue
                 if len(labelled) < target:
@@ -196,6 +205,20 @@ class QueryGenerator:
                 f"after {attempts} attempts; use a larger database or fewer queries"
             )
         return labelled
+
+    def _label_batch(self, batch: list[Query]) -> list[LabelledQuery]:
+        """Labels of ``batch`` in draw order, on ``label_workers`` threads."""
+        workers = min(self.config.label_workers or 1, len(batch))
+        if workers == 1:
+            return list(map(self._label, batch))
+        # One contiguous chunk per thread: one task per query labelled 1,000
+        # imdb queries 1.3-1.5x slower on 2 threads (2-core host).
+        size = -(-len(batch) // workers)
+        chunks = [batch[start : start + size] for start in range(0, len(batch), size)]
+        # Leaving the block joins every thread, also when a label raised.
+        with ThreadPoolExecutor(workers, thread_name_prefix="truth-label") as pool:
+            labelled = pool.map(lambda chunk: list(map(self._label, chunk)), chunks)
+            return [entry for chunk in labelled for entry in chunk]
 
     # -- ground-truth oracle routing -----------------------------------
     def _should_sample(self, query: Query) -> bool:

@@ -126,8 +126,8 @@ class TestIntrospectionAndPersistence:
     def test_load_ignores_retired_metadata_keys(self, trained_estimator, tiny_database,
                                                 tiny_workload, tmp_path):
         """Models saved before the padded inference path, the process
-        featurization tier and the engine scratch cap were retired still
-        load, bit-identically."""
+        featurization tier, the engine scratch cap and the engine's thread
+        tier were retired still load, bit-identically."""
         directory = tmp_path / "older"
         trained_estimator.save(directory)
         metadata_path = directory / "metadata.json"
@@ -135,6 +135,8 @@ class TestIntrospectionAndPersistence:
         metadata["config"]["fused_inference"] = False
         metadata["config"]["featurize_workers"] = 2
         metadata["config"]["scratch_rows_cap"] = 512
+        metadata["config"]["engine_replicas"] = 3
+        metadata["config"]["inference_chunk_size"] = 16
         metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
         restored = MSCNEstimator.load(directory, tiny_database)
         queries = [labelled.query for labelled in tiny_workload[:20]]

@@ -1,10 +1,9 @@
 """Tests of the low-precision inference tiers (float16 / int8 snapshots).
 
-The accuracy contract (mirrored in the parallel-inference smoke benchmark):
-serving quantized weight snapshots keeps the **median q-error within 5%
-relative** of the float32 engine and preserves the estimate ranking of the
-evaluation workload.  The storage contract: float16 halves and int8 quarters
-the snapshot's weight bytes relative to float32.
+The accuracy contract: serving quantized weight snapshots keeps the
+**median q-error within 5% relative** of the float32 engine and preserves the
+estimate ranking of the evaluation workload.  The storage contract: float16
+halves and int8 quarters the snapshot's weight bytes relative to float32.
 """
 
 from __future__ import annotations
@@ -93,6 +92,19 @@ class TestResolvePrecision:
             resolve_precision(np.dtype(np.float32), precision="int16")
         with pytest.raises(ValueError):
             resolve_precision(np.dtype(np.float32), dtype=np.int8)
+
+
+class TestConfigKnobs:
+    """``MSCNConfig.inference_precision`` resolves through the engine's table."""
+
+    def test_rejects_invalid_serving_knobs(self):
+        with pytest.raises(ValueError):
+            MSCNConfig(inference_precision="int16")
+
+    def test_precision_accepts_aliases_and_none(self):
+        assert MSCNConfig(inference_precision="half").inference_precision == "float16"
+        assert MSCNConfig(inference_precision=None).inference_precision is None
+        assert MSCNConfig(inference_precision="int8").inference_precision == "int8"
 
 
 class TestEngineLayerQuantization:

@@ -4,10 +4,13 @@ The contracts under test:
 
 * in float64, the :class:`~repro.core.inference.InferenceEngine` is
   **bit-identical** to the model's forward pass (``repro.core.model.forward``)
-  over the same chunks, at every chunk size and replica count, for all three
-  featurization variants, including empty join/predicate sets; and both
-  agree to 1e-12 with a per-query reference written from the paper's
-  Section 3.2 equations;
+  over the same chunks, at every chunk size, for all three featurization
+  variants, including empty join/predicate sets; and both agree to 1e-12
+  with a per-query reference written from the paper's Section 3.2
+  equations;
+* a run computes on its caller's thread; threads sharing one engine get
+  bit-identical results, and a refresh racing in-flight runs never mixes
+  weight generations within one output;
 * in float32, the fused path stays within single-precision tolerance of the
   float64 reference and preserves the q-error ranking of a seeded workload;
 * the ragged containers (gather, slice, minibatch iteration) are faithful
@@ -16,6 +19,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -37,6 +41,7 @@ from repro.core.normalization import ValueNormalizer
 from repro.db.query import Query
 from repro.evaluation.metrics import q_errors
 from repro.nn.functional import segment_sum_array
+from repro.utils.faults import FaultPlan, FaultSpec, InjectedFault
 
 ALL_VARIANTS = tuple(FeaturizationVariant)
 
@@ -137,20 +142,100 @@ class TestRaggedFeaturization:
 
 class TestFloat64BitIdentity:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    @pytest.mark.parametrize("replicas", [1, 3])
     @pytest.mark.parametrize("chunk_size", [1, 7, None])
     def test_engine_bit_identical_to_model_forward(
-        self, featurizer_parts, workload_queries, variant, replicas, chunk_size
+        self, featurizer_parts, workload_queries, variant, chunk_size
     ):
         featurizer = make_featurizer(featurizer_parts, variant)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries)
-        with InferenceEngine(model, dtype=np.float64, replicas=replicas) as engine:
-            output = engine.run(ragged, chunk_size=chunk_size)
+        output = InferenceEngine(model, dtype=np.float64).run(ragged, chunk_size=chunk_size)
         np.testing.assert_array_equal(
             output, chunked_forward(model, ragged, chunk_size or ragged.size)
         )
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "dtype, precision",
+        [(np.float64, None), (np.float32, None), (np.float32, "float16"), (np.float32, "int8")],
+        ids=["float64", "float32", "float16", "int8"],
+    )
+    @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
+    def test_chunked_run_bit_identical_to_one_run_per_chunk(
+        self, featurizer_parts, workload_queries, dtype, precision, chunk_size
+    ):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        ragged = featurizer.featurize_ragged(workload_queries[:60])
+        engine = InferenceEngine(model, dtype=dtype, precision=precision)
+        output = engine.run(ragged, chunk_size=chunk_size)
+        per_chunk = [
+            engine.run(ragged.slice(start, min(start + chunk_size, ragged.size)))
+            for start in range(0, ragged.size, chunk_size)
+        ]
+        assert output.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(output, np.concatenate(per_chunk))
+
+    def test_run_at_chunk_size_one_starts_no_thread(self, featurizer_parts, workload_queries):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
+        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        ragged = featurizer.featurize_ragged(workload_queries[:24])
+        threads_before = threading.active_count()
+        engine.run(ragged, chunk_size=1)
+        assert threading.active_count() == threads_before
+
+    def test_empty_dataset_and_invalid_chunk_size(self, featurizer_parts, workload_queries):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
+        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        ragged = featurizer.featurize_ragged(workload_queries[:4])
+        assert engine.run(ragged.slice(0, 0)).shape == (0,)
+        with pytest.raises(ValueError):
+            engine.run(ragged, chunk_size=0)
+
+    def test_failing_chunk_propagates_its_own_exception(
+        self, featurizer_parts, workload_queries
+    ):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
+        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        ragged = featurizer.featurize_ragged(workload_queries[:24])
+        with FaultPlan([FaultSpec("engine.run", max_triggers=1)]).activate() as plan:
+            with pytest.raises(InjectedFault):
+                engine.run(ragged, chunk_size=4)
+        # The run stops at its first failing chunk.
+        assert plan.triggered("engine.run") == 1
+
+    def test_threaded_callers_all_get_bit_identical_results(
+        self, featurizer_parts, workload_queries
+    ):
+        """Four threads share one engine and run at once, which only works
+        because a run keeps no state outside its own frame."""
+        featurizer = make_featurizer(
+            featurizer_parts, FeaturizationVariant.BITMAPS, dtype=np.float32
+        )
+        model = make_model(featurizer, dtype=np.float32)
+        ragged = featurizer.featurize_ragged(workload_queries[:48])
+        engine = InferenceEngine(model, dtype=np.float32)
+        reference = chunked_forward(model, ragged, 8)
+        mismatches: list[int] = []
+
+        def caller(caller_id: int) -> None:
+            for _ in range(12):
+                if not np.array_equal(engine.run(ragged, chunk_size=8), reference):
+                    mismatches.append(caller_id)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a caller never finished"
+        assert not mismatches, "a concurrent caller observed a non-identical result"
 
     def test_engine_handles_empty_sets_and_single_queries(
         self, featurizer_parts
@@ -166,13 +251,15 @@ class TestFloat64BitIdentity:
         np.testing.assert_array_equal(output, model_forward(model, ragged))
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("chunk_size", [None, 4])
     def test_refresh_is_atomic_under_concurrent_runs(
-        self, featurizer_parts, workload_queries
+        self, featurizer_parts, workload_queries, chunk_size
     ):
         """A refresh racing concurrent runs must never produce a mixed-weight
-        forward pass: every run's output corresponds to exactly one of the
-        installed weight snapshots (the regression was refresh swapping the
-        layer snapshot while another thread was mid-run)."""
+        forward pass: every run's output, whole batch or chunked, corresponds
+        to exactly one of the installed weight snapshots (the regression was
+        refresh swapping the layer snapshot while another thread was
+        mid-run; a chunked run reads the snapshot once for all its chunks)."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries[:16])
@@ -186,9 +273,9 @@ class TestFloat64BitIdentity:
             engine.refresh()
 
         install(state_a)
-        reference_a = engine.run(ragged).copy()
+        reference_a = engine.run(ragged, chunk_size=chunk_size).copy()
         install(state_b)
-        reference_b = engine.run(ragged).copy()
+        reference_b = engine.run(ragged, chunk_size=chunk_size).copy()
         assert not np.array_equal(reference_a, reference_b)
 
         stop = threading.Event()
@@ -196,7 +283,7 @@ class TestFloat64BitIdentity:
 
         def reader():
             while not stop.is_set():
-                output = engine.run(ragged)
+                output = engine.run(ragged, chunk_size=chunk_size)
                 if not (
                     np.array_equal(output, reference_a)
                     or np.array_equal(output, reference_b)
@@ -220,10 +307,14 @@ class TestFloat64BitIdentity:
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries[:10])
         engine = InferenceEngine(model, dtype=np.float64)
+        first = engine.snapshot
+        assert engine.generation == 0
         before = engine.run(ragged).copy()
         for _, parameter in model.named_parameters():
             parameter += 0.05
         engine.refresh()
+        assert engine.generation == 1
+        assert engine.snapshot is not first
         after = engine.run(ragged)
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(model_forward(model, ragged), after)

@@ -233,7 +233,6 @@ class TestScaleTiersAndMemoryReporting:
             truth_sample_rows=456,
             truth_confidence=0.9,
             block_rows=64,
-            label_workers=2,
         )
         assert config.truth_overrides() == {
             "truth_mode": "sampled",
@@ -241,7 +240,6 @@ class TestScaleTiersAndMemoryReporting:
             "truth_sample_rows": 456,
             "truth_confidence": 0.9,
             "block_rows": 64,
-            "label_workers": 2,
         }
 
     def test_scenario_reports_database_bytes(self):

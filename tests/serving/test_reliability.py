@@ -509,16 +509,14 @@ _CHAOS_SEEDS = (2024, 7, 31337)
 
 @pytest.fixture(scope="module")
 def chaos_model(tiny_database, tiny_samples, tiny_workload):
-    """One trained model per (inference precision, engine replicas) pair.
+    """One trained model per inference precision.
 
-    Small chunks make a multi-replica engine actually fan out over its
-    threads; every model shares the reliability estimator's training seed.
+    Every model shares the reliability estimator's training seed.
     """
-    models: dict[tuple, MSCNEstimator] = {}
+    models: dict[str | None, MSCNEstimator] = {}
 
-    def model(precision, replicas) -> MSCNEstimator:
-        key = (precision, replicas)
-        if key not in models:
+    def model(precision) -> MSCNEstimator:
+        if precision not in models:
             config = MSCNConfig(
                 hidden_units=24,
                 epochs=6,
@@ -526,13 +524,11 @@ def chaos_model(tiny_database, tiny_samples, tiny_workload):
                 num_samples=50,
                 seed=13,
                 inference_precision=precision,
-                engine_replicas=replicas,
-                inference_chunk_size=16,
             )
             estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
             estimator.fit(tiny_workload)
-            models[key] = estimator
-        return models[key]
+            models[precision] = estimator
+        return models[precision]
 
     return model
 
@@ -541,17 +537,15 @@ class TestChaos:
     """The swept serving oracle.
 
     Concurrent traffic under a seeded fault plan (engine exceptions, latency
-    spikes, registry corruption) across result cache x precision x engine
-    replicas x overload policy: every request resolves to the model's
-    estimate, the fallback's estimate, or a typed error; no thread hangs;
-    afterwards the breaker closes within a bounded number of probes and a
+    spikes, registry corruption) across result cache x precision x overload
+    policy: every request resolves to the model's estimate, the fallback's
+    estimate, or a typed error; no thread hangs; afterwards the breaker closes within a bounded number of probes and a
     cold pass over the workload is bit-identical to the direct path and to
     an identical service that never saw a fault.
     """
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     @pytest.mark.parametrize("overload_policy", ["reject", "degrade"])
-    @pytest.mark.parametrize("replicas", [1, 2])
     @pytest.mark.parametrize("precision", [None, "int8"])
     @pytest.mark.parametrize("cache_capacity", [1, 4096])
     def test_every_request_resolves_and_recovery_is_bit_identical(
@@ -563,11 +557,10 @@ class TestChaos:
         sampling_fallback,
         cache_capacity,
         precision,
-        replicas,
         overload_policy,
         seed,
     ):
-        model = chaos_model(precision, replicas)
+        model = chaos_model(precision)
         queries = reliability_queries
         baseline = model.estimate_many(queries)
         fallback_values = np.asarray(

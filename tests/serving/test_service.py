@@ -447,10 +447,10 @@ class TestSubplanFanout:
         assert hits_after > hits_before
 
 
-class TestReplicatedServing:
-    """The parallel low-precision tier behind the service front-end."""
+class TestServedModels:
+    """Models other than the default fixture behind the service front-end."""
 
-    def test_replicated_low_precision_model_serves_identically_to_direct(
+    def test_float16_model_serves_identically_to_direct(
         self, tiny_database, tiny_samples, tiny_workload, serving_queries
     ):
         config = MSCNConfig(
@@ -459,8 +459,6 @@ class TestReplicatedServing:
             batch_size=32,
             num_samples=50,
             seed=13,
-            engine_replicas=2,
-            inference_chunk_size=16,
             inference_precision="float16",
         )
         estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)

@@ -8,6 +8,7 @@ and bounds — and the thread-shared executor caches must stay coherent.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ def _fingerprint(workload):
 
 
 class TestParallelLabelingDeterminism:
-    @pytest.mark.parametrize("label_workers", [1, 2, 7, "auto"])
+    @pytest.mark.parametrize("label_workers", [1, 2, 7])
     def test_exact_labels_identical_at_any_worker_count(
         self, tiny_database, label_workers
     ):
@@ -88,13 +89,59 @@ class TestParallelLabelingDeterminism:
         workload = QueryGenerator(tiny_database, config).generate(num_queries=15)
         assert len(workload) == 15
 
-    def test_config_validates_label_workers(self):
+    @pytest.mark.parametrize("junk", [0, -2, True, "fast", "auto", 2.0])
+    def test_config_rejects_invalid_label_workers(self, junk):
         with pytest.raises(ValueError):
-            WorkloadConfig(label_workers=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(label_workers="fast")
-        WorkloadConfig(label_workers="auto")  # valid
-        WorkloadConfig(label_workers=None)  # valid
+            WorkloadConfig(label_workers=junk)
+
+    def test_config_accepts_none_and_positive_counts(self):
+        assert WorkloadConfig(label_workers=None).label_workers is None
+        assert WorkloadConfig(label_workers=3).label_workers == 3
+
+
+class _LabelFailure(Exception):
+    """Raised by the failing generator below, carrying the draw index."""
+
+
+class _FailingGenerator(QueryGenerator):
+    """Labels of the distinct queries drawn at ``failing`` positions raise."""
+
+    def __init__(self, database, config, failing):
+        super().__init__(database, config)
+        self._failing = set(failing)
+        self._draw_index: dict[tuple, int] = {}
+
+    def _draw_query(self):
+        query = super()._draw_query()
+        self._draw_index.setdefault(query.signature(), len(self._draw_index))
+        return query
+
+    def _label(self, query):
+        index = self._draw_index[query.signature()]
+        if index in self._failing:
+            raise _LabelFailure(index)
+        return super()._label(query)
+
+
+class TestLabelingFailures:
+    @pytest.mark.parametrize("label_workers", [None, 3])
+    def test_failing_label_propagates_and_leaves_no_thread(
+        self, tiny_database, label_workers
+    ):
+        config = WorkloadConfig(
+            num_queries=40, max_joins=2, seed=23, label_workers=label_workers
+        )
+        generator = _FailingGenerator(tiny_database, config, failing=(11, 17))
+        with pytest.raises(_LabelFailure) as raised:
+            generator.generate()
+        # The first failure in draw order is the one that propagates.
+        assert raised.value.args == (11,)
+        alive = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("truth-label")
+        ]
+        assert not alive, f"labeling threads outlived generate(): {alive}"
 
 
 class TestThreadedExecutorSharing:
