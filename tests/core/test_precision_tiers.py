@@ -16,6 +16,7 @@ from repro.core.encoding import SchemaEncoding
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.core.inference import (
+    SUPPORTED_PRECISIONS,
     EngineLayer,
     InferenceEngine,
     WeightSnapshot,
@@ -105,6 +106,36 @@ class TestConfigKnobs:
         assert MSCNConfig(inference_precision="half").inference_precision == "float16"
         assert MSCNConfig(inference_precision=None).inference_precision is None
         assert MSCNConfig(inference_precision="int8").inference_precision == "int8"
+
+    @pytest.mark.parametrize(
+        "alias, tag",
+        [
+            ("float16", "float16"),
+            ("half", "float16"),
+            ("f2", "float16"),
+            ("float32", "float32"),
+            ("single", "float32"),
+            ("f4", "float32"),
+            ("float64", "float64"),
+            ("double", "float64"),
+            ("f8", "float64"),
+            ("int8", "int8"),
+            ("i1", "int8"),
+        ],
+    )
+    def test_config_and_engine_resolve_aliases_alike(self, alias, tag):
+        assert MSCNConfig(inference_precision=alias).inference_precision == tag
+        assert resolve_precision(np.dtype(np.float32), precision=alias)[1] == tag
+        assert tag in SUPPORTED_PRECISIONS
+
+    @pytest.mark.parametrize(
+        "junk", ["int16", "uint8", "bfloat16", "complex64", "float128", "fast"]
+    )
+    def test_config_and_engine_reject_the_same_precisions(self, junk):
+        with pytest.raises(ValueError):
+            MSCNConfig(inference_precision=junk)
+        with pytest.raises(ValueError):
+            resolve_precision(np.dtype(np.float32), precision=junk)
 
 
 class TestEngineLayerQuantization:

@@ -142,7 +142,7 @@ class TestRaggedFeaturization:
 
 class TestFloat64BitIdentity:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000, None])
     def test_engine_bit_identical_to_model_forward(
         self, featurizer_parts, workload_queries, variant, chunk_size
     ):
@@ -161,10 +161,11 @@ class TestFloat64BitIdentity:
         ids=["float64", "float32", "float16", "int8"],
     )
     @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_chunked_run_bit_identical_to_one_run_per_chunk(
-        self, featurizer_parts, workload_queries, dtype, precision, chunk_size
+        self, featurizer_parts, workload_queries, variant, dtype, precision, chunk_size
     ):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
+        featurizer = make_featurizer(featurizer_parts, variant, dtype)
         model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:60])
         engine = InferenceEngine(model, dtype=dtype, precision=precision)
@@ -192,35 +193,46 @@ class TestFloat64BitIdentity:
         with pytest.raises(ValueError):
             engine.run(ragged, chunk_size=0)
 
+    @pytest.mark.parametrize("failing_chunk", [0, 2, 5])
     def test_failing_chunk_propagates_its_own_exception(
-        self, featurizer_parts, workload_queries
+        self, featurizer_parts, workload_queries, failing_chunk
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
         ragged = featurizer.featurize_ragged(workload_queries[:24])
-        with FaultPlan([FaultSpec("engine.run", max_triggers=1)]).activate() as plan:
+        spec = FaultSpec("engine.run", max_triggers=1, skip_first=failing_chunk)
+        with FaultPlan([spec]).activate() as plan:
             with pytest.raises(InjectedFault):
                 engine.run(ragged, chunk_size=4)
-        # The run stops at its first failing chunk.
+        # The run stops at its first failing chunk: no later chunk computes.
         assert plan.triggered("engine.run") == 1
+        assert plan.evaluations("engine.run") == failing_chunk + 1
 
+    @pytest.mark.parametrize("chunk_size", [1, 8, None])
+    @pytest.mark.parametrize(
+        "dtype, precision",
+        [(np.float64, None), (np.float32, None), (np.float32, "float16"), (np.float32, "int8")],
+        ids=["float64", "float32", "float16", "int8"],
+    )
     def test_threaded_callers_all_get_bit_identical_results(
-        self, featurizer_parts, workload_queries
+        self, featurizer_parts, workload_queries, dtype, precision, chunk_size
     ):
         """Four threads share one engine and run at once, which only works
         because a run keeps no state outside its own frame."""
-        featurizer = make_featurizer(
-            featurizer_parts, FeaturizationVariant.BITMAPS, dtype=np.float32
-        )
-        model = make_model(featurizer, dtype=np.float32)
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
+        model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:48])
-        engine = InferenceEngine(model, dtype=np.float32)
-        reference = chunked_forward(model, ragged, 8)
+        engine = InferenceEngine(model, dtype=dtype, precision=precision)
+        reference = engine.run(ragged, chunk_size=chunk_size).copy()
+        if precision is None:
+            np.testing.assert_array_equal(
+                reference, chunked_forward(model, ragged, chunk_size or ragged.size)
+            )
         mismatches: list[int] = []
 
         def caller(caller_id: int) -> None:
             for _ in range(12):
-                if not np.array_equal(engine.run(ragged, chunk_size=8), reference):
+                if not np.array_equal(engine.run(ragged, chunk_size=chunk_size), reference):
                     mismatches.append(caller_id)
                     return
 
@@ -251,9 +263,10 @@ class TestFloat64BitIdentity:
         np.testing.assert_array_equal(output, model_forward(model, ragged))
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("chunk_size", [None, 4])
+    @pytest.mark.parametrize("precision", [None, "float16", "int8"])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 4])
     def test_refresh_is_atomic_under_concurrent_runs(
-        self, featurizer_parts, workload_queries, chunk_size
+        self, featurizer_parts, workload_queries, chunk_size, precision
     ):
         """A refresh racing concurrent runs must never produce a mixed-weight
         forward pass: every run's output, whole batch or chunked, corresponds
@@ -263,7 +276,7 @@ class TestFloat64BitIdentity:
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries[:16])
-        engine = InferenceEngine(model, dtype=np.float64)
+        engine = InferenceEngine(model, dtype=np.float64, precision=precision)
 
         state_a = model.state_dict()
         state_b = {name: p + 0.25 for name, p in model.named_parameters()}

@@ -546,7 +546,7 @@ class TestChaos:
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     @pytest.mark.parametrize("overload_policy", ["reject", "degrade"])
-    @pytest.mark.parametrize("precision", [None, "int8"])
+    @pytest.mark.parametrize("precision", [None, "float16", "int8"])
     @pytest.mark.parametrize("cache_capacity", [1, 4096])
     def test_every_request_resolves_and_recovery_is_bit_identical(
         self,

@@ -89,7 +89,9 @@ class TestParallelLabelingDeterminism:
         workload = QueryGenerator(tiny_database, config).generate(num_queries=15)
         assert len(workload) == 15
 
-    @pytest.mark.parametrize("junk", [0, -2, True, "fast", "auto", 2.0])
+    @pytest.mark.parametrize(
+        "junk", [0, -1, -2, True, False, "fast", "auto", "2", 2.0, 2.5, [2]]
+    )
     def test_config_rejects_invalid_label_workers(self, junk):
         with pytest.raises(ValueError):
             WorkloadConfig(label_workers=junk)
@@ -97,6 +99,10 @@ class TestParallelLabelingDeterminism:
     def test_config_accepts_none_and_positive_counts(self):
         assert WorkloadConfig(label_workers=None).label_workers is None
         assert WorkloadConfig(label_workers=3).label_workers == 3
+
+    @pytest.mark.parametrize("label_workers", [1, 2, 7, 64])
+    def test_config_keeps_positive_counts_as_given(self, label_workers):
+        assert WorkloadConfig(label_workers=label_workers).label_workers == label_workers
 
 
 class _LabelFailure(Exception):
@@ -123,25 +129,72 @@ class _FailingGenerator(QueryGenerator):
         return super()._label(query)
 
 
+def _labeling_threads() -> list[str]:
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("truth-label")
+    ]
+
+
 class TestLabelingFailures:
-    @pytest.mark.parametrize("label_workers", [None, 3])
+    @pytest.mark.parametrize("failing", [(0,), (11, 17), (17, 11), (39,)])
+    @pytest.mark.parametrize("label_workers", [None, 1, 3, 7])
     def test_failing_label_propagates_and_leaves_no_thread(
-        self, tiny_database, label_workers
+        self, tiny_database, label_workers, failing
     ):
         config = WorkloadConfig(
             num_queries=40, max_joins=2, seed=23, label_workers=label_workers
         )
-        generator = _FailingGenerator(tiny_database, config, failing=(11, 17))
+        generator = _FailingGenerator(tiny_database, config, failing=failing)
         with pytest.raises(_LabelFailure) as raised:
             generator.generate()
         # The first failure in draw order is the one that propagates.
-        assert raised.value.args == (11,)
-        alive = [
-            thread.name
-            for thread in threading.enumerate()
-            if thread.name.startswith("truth-label")
-        ]
+        assert raised.value.args == (min(failing),)
+        alive = _labeling_threads()
         assert not alive, f"labeling threads outlived generate(): {alive}"
+
+
+class _RecordingGenerator(QueryGenerator):
+    """Labels any item as itself, recording the thread that labelled it."""
+
+    def __init__(self, database, config):
+        super().__init__(database, config)
+        self.labelled_on: dict[int, int] = {}
+
+    def _label(self, item):
+        self.labelled_on[item] = threading.get_ident()
+        return item
+
+
+class TestLabelBatch:
+    """``_label_batch`` splits a batch into one contiguous chunk per thread."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 101])
+    @pytest.mark.parametrize("label_workers", [None, 2, 3, 7, 16])
+    def test_labels_come_back_in_draw_order_from_contiguous_chunks(
+        self, tiny_database, label_workers, size
+    ):
+        generator = _RecordingGenerator(
+            tiny_database, WorkloadConfig(label_workers=label_workers)
+        )
+        batch = list(range(size))
+        assert generator._label_batch(batch) == batch
+        assert sorted(generator.labelled_on) == batch
+        threads = [generator.labelled_on[item] for item in batch]
+        workers = min(label_workers or 1, size)
+        if workers == 1:
+            # Serial labeling runs inline on the calling thread.
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
+            assert len(set(threads)) <= workers
+            # Each chunk of ceil(size / workers) queries is labelled on one
+            # thread (an idle pool thread may go on to take a later chunk).
+            chunk = -(-size // workers)
+            for start in range(0, size, chunk):
+                assert len(set(threads[start : start + chunk])) == 1
+        assert not _labeling_threads()
 
 
 class TestThreadedExecutorSharing:
