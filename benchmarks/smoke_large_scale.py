@@ -1,17 +1,19 @@
-"""CI smoke test of the out-of-core large-scale tier.
+"""CI smoke test of the large-scale tier.
 
 Exercises the million-row path end to end on the retail star:
 
 1. generate ``scale="large"`` retail with streaming chunked emission and
    assert the fact table crosses one million rows,
-2. gate block-chunked execution on bit-identity with the whole-array path
-   over a labelled probe workload,
-3. label a training workload from per-table row samples (multiplicity
+2. label a training workload from per-table row samples (multiplicity
    corrected, with confidence bounds) and hold a rows-labeled/s floor,
-4. train a miniature MSCN on the sampled labels and estimate an evaluation
+3. train a miniature MSCN on the sampled labels and estimate an evaluation
    workload (finite median q-error proves featurization + training + truth
    oracle stay tractable at this tier),
-5. assert the whole run stayed under a peak-RSS ceiling.
+4. assert the whole run stayed under a peak-RSS ceiling.
+
+The exact executor's counts are checked against a nested-loop reference by
+``tests/db/test_executor_oracle.py`` and, at this scale, by the pipeline
+benchmark's ``truth_large`` workload.
 
 Invoked as a plain script (``PYTHONPATH=src python
 benchmarks/smoke_large_scale.py``) from CI next to the other smokes.
@@ -34,7 +36,6 @@ import numpy as np
 from repro.core.config import MSCNConfig
 from repro.core.estimator import MSCNEstimator
 from repro.datasets import get_dataset
-from repro.db.executor import CardinalityExecutor
 from repro.db.sampling import MaterializedSamples
 from repro.evaluation.runner import evaluate_estimator
 from repro.utils.bench import write_bench_json
@@ -44,8 +45,8 @@ RESULTS_DIRECTORY = Path(__file__).parent / "results"
 
 #: Peak-RSS ceiling for the whole process.  The large retail snapshot holds
 #: roughly 60 MiB of column storage; the ceiling leaves room for the python
-#: runtime, numpy and transient per-chunk intermediates while still failing
-#: loudly if a whole-table-sized intermediate sneaks back into a hot path
+#: runtime, numpy and the executor's whole-array intermediates while still
+#: failing loudly if the run starts holding extra copies of the fact table
 #: (the run peaks below 200 MiB today).
 PEAK_RSS_CEILING_MB = 512
 
@@ -54,8 +55,6 @@ PEAK_RSS_CEILING_MB = 512
 #: is comfortable; the floor only catches order-of-magnitude regressions on
 #: shared CI runners.
 LABELS_PER_SECOND_FLOOR = 2.0
-
-BLOCK_ROWS = 65_536
 
 
 def peak_rss_mb() -> float | None:
@@ -87,20 +86,6 @@ def main() -> int:
         f"{database_mb:.1f} MiB column storage"
     )
 
-    # -- block bit-identity gate ------------------------------------------
-    probe = QueryGenerator(
-        database,
-        WorkloadConfig(num_queries=12, max_joins=2, seed=11, truth_mode="exact"),
-    ).generate()
-    blocked = CardinalityExecutor(database, block_rows=BLOCK_ROWS)
-    for entry in probe:
-        count = blocked.execute(entry.query)
-        assert count == entry.cardinality, (
-            f"block-chunked executor diverged: {count} != {entry.cardinality} "
-            f"for {entry.query}"
-        )
-    print(f"  block executor bit-identical on {len(probe)} probe queries")
-
     # -- sampled truth labeling -------------------------------------------
     label_started = time.perf_counter()
     training = QueryGenerator(
@@ -112,7 +97,6 @@ def main() -> int:
             truth_mode="auto",
             truth_row_budget=500_000,
             truth_sample_rows=100_000,
-            block_rows=BLOCK_ROWS,
         ),
     ).generate()
     label_seconds = time.perf_counter() - label_started
@@ -145,7 +129,6 @@ def main() -> int:
             seed=31,
             truth_mode="sampled",
             truth_sample_rows=100_000,
-            block_rows=BLOCK_ROWS,
         ),
     ).generate()
     result = evaluate_estimator(estimator, evaluation)

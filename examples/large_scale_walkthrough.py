@@ -1,4 +1,4 @@
-"""Train a cardinality estimator on a million-row snapshot, out of core.
+"""Train a cardinality estimator on a million-row snapshot.
 
 Walks the large-scale tier end to end:
 
@@ -9,9 +9,7 @@ Walks the large-scale tier end to end:
 3. label a training workload with the *sampled* truth oracle — each table is
    reduced to a bounded row sample, observed join counts are multiplicity
    corrected, and every sampled label carries confidence bounds,
-4. sanity-check the bounds against exact block-chunked execution on a few
-   queries (block scans keep intermediates at ``block_rows`` size while
-   producing bit-identical counts),
+4. sanity-check the bounds against exact execution on a few queries,
 5. train a miniature MSCN on the sampled labels and evaluate it.
 
 Run with::
@@ -32,8 +30,6 @@ from repro.db.sampling import MaterializedSamples
 from repro.evaluation.runner import evaluate_estimator
 from repro.evaluation.scenarios import format_bytes
 from repro.workload.generator import QueryGenerator, WorkloadConfig
-
-BLOCK_ROWS = 65_536
 
 
 def main() -> None:
@@ -63,7 +59,6 @@ def main() -> None:
             truth_mode="auto",          # sample only when referenced rows exceed...
             truth_row_budget=500_000,   # ...this budget; small queries stay exact
             truth_sample_rows=100_000,  # per-table row budget of the sampled oracle
-            block_rows=BLOCK_ROWS,
         ),
     ).generate()
     elapsed = time.perf_counter() - started
@@ -79,8 +74,8 @@ def main() -> None:
         f"with {100 * 0.95:.0f}% bounds [{lower:.0f}, {upper:.0f}]"
     )
 
-    print("\n== 4. spot-check bounds against exact block-chunked execution ==")
-    exact = CardinalityExecutor(database, block_rows=BLOCK_ROWS)
+    print("\n== 4. spot-check bounds against exact execution ==")
+    exact = CardinalityExecutor(database)
     oracle = SampledCardinalityExecutor(database, sample_rows=100_000, seed=23)
     covered = 0
     for entry in sampled[:5]:
@@ -111,7 +106,6 @@ def main() -> None:
             seed=31,
             truth_mode="sampled",
             truth_sample_rows=100_000,
-            block_rows=BLOCK_ROWS,
         ),
     ).generate()
     summary = evaluate_estimator(estimator, evaluation).summary()

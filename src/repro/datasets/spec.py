@@ -41,7 +41,7 @@ __all__ = [
 
 #: Named scale tiers shared by all datasets unless a spec overrides them.
 #: ``small`` is the CI-friendly default of the scenario matrix, ``medium``
-#: the generator's design size, and ``large`` the out-of-core tier — specs
+#: the generator's design size, and ``large`` the million-row tier — specs
 #: that advertise a million-row fact table override ``large`` with whatever
 #: multiplier reaches it for their schema.
 DEFAULT_SCALE_TIERS: tuple[tuple[str, float], ...] = (

@@ -14,7 +14,6 @@ from repro.db.index import HashIndex, IndexSet
 from repro.db.predicates import (
     Operator,
     evaluate_conjunction,
-    evaluate_conjunction_values,
     evaluate_predicate,
 )
 from repro.db.query import JoinCondition, Predicate, Query
@@ -44,7 +43,6 @@ __all__ = [
     "Query",
     "evaluate_predicate",
     "evaluate_conjunction",
-    "evaluate_conjunction_values",
     "CardinalityExecutor",
     "SampledCardinality",
     "SampledCardinalityExecutor",

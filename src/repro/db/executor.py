@@ -20,12 +20,10 @@ edge with negative keys, or keys spread far wider than its rows (huge ids,
 row-sampled tables), first codes its keys by rank in the sorted union of
 both columns' distinct values; that union is built once per executor.
 
-The executor is block-chunked: with ``block_rows`` set, predicate scans walk
-contiguous column slices and the weight propagation folds and gathers block
-by block, so per-operator intermediates are bounded by the block size (plus
-one key-domain array per edge).  All weights are integer-valued float64, so
-every sum is exact below 2**53 and counts are bit-identical at every block
-size; ``block_rows=None`` is the single-block (whole-array) evaluation.
+The executor evaluates whole arrays: a predicate scan is one selection mask
+over the table, and each edge folds all child rows in one ``np.bincount``
+and gathers all parent factors in one indexing pass.  All weights are
+integer-valued float64, so every sum is exact below 2**53.
 
 Two :class:`~repro.utils.lru.LRU` memos sit in front of the counting:
 ``cache_capacity`` memoizes whole results by query signature, and
@@ -48,7 +46,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.db.predicates import evaluate_conjunction_values, selection_mask
+from repro.db.predicates import selection_mask
 from repro.db.query import Query
 from repro.db.table import Database
 from repro.utils.lru import LRU
@@ -82,10 +80,9 @@ class _JoinKeyDomain:
     def codes(self, keys: np.ndarray) -> np.ndarray:
         return keys if self.union is None else np.searchsorted(self.union, keys)
 
-    def fold(self, totals: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> None:
-        # The sums of np.bincount(codes, weights, minlength=size), scattered
-        # in place so a block costs time in its own length, not the domain's.
-        np.add.at(totals, self.codes(keys), weights)
+    def fold(self, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Summed ``weights`` per key code (added in input order)."""
+        return np.bincount(self.codes(keys), weights, minlength=self.size)
 
     def apply(self, weights: np.ndarray, totals: np.ndarray, keys: np.ndarray) -> None:
         weights *= totals[self.codes(keys)]
@@ -98,13 +95,6 @@ class CardinalityExecutor:
     scatter-added per key) and gather (parent factors read per key); the
     edge's domain is derived once per executor and shared across threads.
     The executor is safe to share between threads (concurrent labeling).
-
-    ``block_rows`` selects block-chunked evaluation: predicate scans and the
-    Yannakakis weight propagation then process contiguous row blocks of that
-    size, bounding per-operator intermediates independently of table size
-    (the out-of-core execution mode of the ``scale="large"`` tier).  Counts
-    are bit-identical to the default whole-array evaluation
-    (``block_rows=None``) at every block size.
 
     ``cache_capacity`` enables signature-keyed LRU memoization of results:
     plan enumeration and repeated scenario runs execute the same connected
@@ -127,13 +117,9 @@ class CardinalityExecutor:
         self,
         database: Database,
         cache_capacity: int | None = None,
-        block_rows: int | None = None,
         scan_cache_capacity: int | None = None,
     ):
         self.database = database
-        if block_rows is not None and block_rows < 1:
-            raise ValueError("block_rows must be a positive integer (or None)")
-        self.block_rows = block_rows
         self._cache = LRU(cache_capacity) if cache_capacity is not None else None
         self._scan_cache = LRU(scan_cache_capacity) if scan_cache_capacity is not None else None
         self._key_domains: dict[tuple, _JoinKeyDomain] = {}
@@ -212,29 +198,7 @@ class CardinalityExecutor:
         table = self.database.table(table_name)
         if not predicates:
             return np.arange(table.num_rows, dtype=np.int64)
-        if self.block_rows is None:
-            mask = selection_mask(table, predicates)
-            return np.flatnonzero(mask).astype(np.int64)
-        # Block-chunked scan: qualifying indices are collected per block, so
-        # the boolean intermediates never exceed ``block_rows`` entries.
-        triples = [(p.column, p.operator, p.value) for p in predicates]
-        needed = tuple(dict.fromkeys(p.column for p in predicates))
-        arrays = {name: table.column(name) for name in needed}
-        parts: list[np.ndarray] = []
-        for start, stop in self._index_spans(table.num_rows):
-            values = {name: array[start:stop] for name, array in arrays.items()}
-            indices = np.flatnonzero(evaluate_conjunction_values(values, triples))
-            if indices.size:
-                parts.append((indices + start).astype(np.int64))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def _index_spans(self, total: int):
-        """``[start, stop)`` spans walking ``total`` positions block-wise."""
-        step = total if self.block_rows is None else self.block_rows
-        for start in range(0, total, max(step, 1)):
-            yield start, min(start + step, total)
+        return np.flatnonzero(selection_mask(table, predicates)).astype(np.int64)
 
     def _key_domain(self, join) -> _JoinKeyDomain:
         """The join edge's key domain, built once per executor for both orientations."""
@@ -313,10 +277,7 @@ class CardinalityExecutor:
                     parent_join[child] = join
                     order.append(child)
 
-        # Bottom-up weight propagation over each edge's key domain, block by
-        # block: per-block intermediates (keys, codes, factors) are bounded by
-        # the block size, and with ``block_rows=None`` each loop below runs
-        # once over the whole arrays.
+        # Bottom-up weight propagation over each edge's key domain.
         weights = {
             table: np.ones(len(qualifying_rows[table]), dtype=np.float64) for table in tables
         }
@@ -324,25 +285,18 @@ class CardinalityExecutor:
             join = parent_join[table]
             parent = join.other_table(table)
             domain = self._key_domain(join)
-            child_rows = qualifying_rows[table]
-            child_keys = self._block_keys(table, join.column_of(table), child_rows)
-            child_weights = weights[table]
-            totals = np.zeros(domain.size, dtype=np.float64)
-            for start, stop in self._index_spans(len(child_rows)):
-                domain.fold(totals, child_keys(start, stop), child_weights[start:stop])
-            parent_rows = qualifying_rows[parent]
-            parent_keys = self._block_keys(parent, join.column_of(parent), parent_rows)
-            parent_weights = weights[parent]
-            for start, stop in self._index_spans(len(parent_rows)):
-                domain.apply(parent_weights[start:stop], totals, parent_keys(start, stop))
+            child_keys = self._keys(table, join.column_of(table), qualifying_rows[table])
+            totals = domain.fold(child_keys, weights[table])
+            parent_keys = self._keys(parent, join.column_of(parent), qualifying_rows[parent])
+            domain.apply(weights[parent], totals, parent_keys)
         return int(round(weights[root].sum()))
 
-    def _block_keys(self, table: str, column: str, rows: np.ndarray):
-        """``keys(start, stop)``: the ``column`` values of ``rows[start:stop]``."""
+    def _keys(self, table: str, column: str, rows: np.ndarray) -> np.ndarray:
+        """The ``column`` values of ``rows``; the column itself for an unfiltered scan."""
         values = self.database.table(table).column(column)
         if len(rows) == len(values):  # an unfiltered scan: rows are 0..n-1
-            return lambda start, stop: values[start:stop]
-        return lambda start, stop: values[rows[start:stop]]
+            return values
+        return values[rows]
 
     def _count_by_expansion(self, tables, joins, qualifying_rows) -> int:
         """Iterative hash-join expansion for cyclic join graphs.

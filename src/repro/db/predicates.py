@@ -9,7 +9,7 @@ subset (the latter is what sampling-based estimators need).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "Operator",
     "evaluate_predicate",
     "evaluate_conjunction",
-    "evaluate_conjunction_values",
     "selection_mask",
 ]
 
@@ -81,37 +80,6 @@ def evaluate_conjunction(
         mask &= evaluate_predicate(table, column, operator, value, rows)
         if not mask.any():
             break
-    return mask
-
-
-def evaluate_conjunction_values(
-    columns: Mapping[str, np.ndarray],
-    predicates: Iterable[tuple[str, Operator, int]],
-) -> np.ndarray:
-    """Boolean mask of a conjunction over already-materialized column arrays.
-
-    This is the block-wise twin of :func:`evaluate_conjunction`: the caller
-    supplies the (sliced) column values — typically one row block of the
-    executor's block-chunked scan — and the mask refers to those positions.
-    All supplied arrays must share one length.
-    """
-    predicates = list(predicates)
-    if not predicates:
-        if not columns:
-            raise ValueError("evaluate_conjunction_values needs predicates or columns")
-        length = len(next(iter(columns.values())))
-        return np.ones(length, dtype=bool)
-    mask: np.ndarray | None = None
-    for column, operator, value in predicates:
-        try:
-            values = columns[column]
-        except KeyError:
-            raise KeyError(f"no values supplied for predicate column {column!r}") from None
-        comparison = _compare(values, operator, int(value))
-        mask = comparison if mask is None else mask & comparison
-        if not mask.any():
-            break
-    assert mask is not None
     return mask
 
 

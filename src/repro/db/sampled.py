@@ -21,9 +21,8 @@ normal-approximation interval on ``K`` that maps to bounds on ``N``.  Tables
 smaller than the budget are fully sampled (:math:`f_i = 1`) and contribute no
 uncertainty; when every table fits, the result is exact.
 
-The sampled database reuses :class:`~repro.db.executor.CardinalityExecutor`
-(including its block-chunked mode and its LRU result and scan memos), so
-sampled labeling inherits the exact engine's counting paths rather than
+The sampled database reuses :class:`~repro.db.executor.CardinalityExecutor`,
+so sampled labeling inherits the exact engine's counting paths rather than
 duplicating them.
 """
 
@@ -121,15 +120,6 @@ class SampledCardinalityExecutor:
         Seed of the sampling RNG (one derived stream per table).
     confidence:
         Two-sided confidence level of the reported interval.
-    block_rows:
-        Forwarded to the underlying exact executor running on the sampled
-        database (block-chunked evaluation of the sampled scan).
-    cache_capacity:
-        Signature-keyed LRU memoization of sampled results, mirroring
-        :class:`~repro.db.executor.CardinalityExecutor`.
-    scan_cache_capacity:
-        Per-(table, predicate-set) qualifying-row memo of the underlying
-        executor (scan reuse across sub-plan fan-outs).
     """
 
     def __init__(
@@ -138,9 +128,6 @@ class SampledCardinalityExecutor:
         sample_rows: int = 100_000,
         seed: int = 0,
         confidence: float = 0.95,
-        block_rows: int | None = None,
-        cache_capacity: int | None = None,
-        scan_cache_capacity: int | None = None,
     ):
         if sample_rows <= 0:
             raise ValueError("sample_rows must be positive")
@@ -172,12 +159,7 @@ class SampledCardinalityExecutor:
                 },
             )
         self._sampled_database = Database(database.schema, sampled_tables)
-        self._executor = CardinalityExecutor(
-            self._sampled_database,
-            cache_capacity=cache_capacity,
-            block_rows=block_rows,
-            scan_cache_capacity=scan_cache_capacity,
-        )
+        self._executor = CardinalityExecutor(self._sampled_database)
 
     # ------------------------------------------------------------------
     def sampling_fraction(self, table: str) -> float:
@@ -247,20 +229,3 @@ class SampledCardinalityExecutor:
     def label(self, query: Query) -> int:
         """The integer training label (rounded multiplicity-corrected count)."""
         return self.execute(query).label
-
-    @property
-    def cache_hits(self) -> int:
-        return self._executor.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._executor.cache_misses
-
-    @property
-    def scan_reuse_hits(self) -> int:
-        """Base scans served from the underlying executor's scan memo."""
-        return self._executor.scan_reuse_hits
-
-    @property
-    def scan_reuse_misses(self) -> int:
-        return self._executor.scan_reuse_misses

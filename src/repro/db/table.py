@@ -5,12 +5,9 @@ in this reproduction are integers (IDs, years, categorical codes), matching
 the subset of IMDb the paper's workloads touch: JOB-light has no string
 predicates and the training generator only draws numeric literals.
 
-For million-row snapshots, whole-array consumers are the scaling hazard, not
-storage: a selection mask or a gathered intermediate the size of the table
-doubles peak memory per operator.  The executor's ``block_rows`` mode
-therefore walks contiguous zero-copy slices of :meth:`Table.column`.
-:attr:`Table.nbytes` / :meth:`Database.memory_bytes` make the resident-size
-claims of the large-scale tier measurable.
+Every table is held in memory.  :attr:`Table.nbytes` /
+:meth:`Database.memory_bytes` make the resident-size claims of the
+large-scale tier measurable.
 """
 
 from __future__ import annotations

@@ -71,11 +71,11 @@ class ScenarioConfig:
     not each dataset's full-size workload.
 
     ``dataset_scale`` accepts a numeric multiplier or a named tier
-    (``"small"`` / ``"medium"`` / ``"large"``) resolved per spec.  The
-    ``truth_*`` knobs and ``block_rows`` select the ground-truth oracle of
-    every workload (see :class:`~repro.workload.generator.WorkloadConfig`):
-    at the ``large`` tier, queries over budget-exceeding table sets are
-    labelled from bounded samples instead of full execution.
+    (``"small"`` / ``"medium"`` / ``"large"``) resolved per spec.  Every
+    workload is labelled by :class:`~repro.workload.generator.WorkloadConfig`'s
+    default truth oracle: at the ``large`` tier, queries over
+    budget-exceeding table sets are labelled from bounded samples instead of
+    full execution.
     """
 
     datasets: tuple[str, ...] = ()
@@ -97,11 +97,6 @@ class ScenarioConfig:
     include_plan_quality: bool = True
     plan_quality_max_queries: int = 40
     plan_quality_min_joins: int = 2
-    truth_mode: str = "auto"
-    truth_row_budget: int = 5_000_000
-    truth_sample_rows: int = 100_000
-    truth_confidence: float = 0.95
-    block_rows: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.dataset_scale, str) and self.dataset_scale <= 0:
@@ -117,16 +112,6 @@ class ScenarioConfig:
         if not self.datasets:
             return registered_datasets()
         return tuple(get_dataset(name) for name in self.datasets)
-
-    def truth_overrides(self) -> dict:
-        """The :class:`WorkloadConfig` overrides selecting the truth oracle."""
-        return dict(
-            truth_mode=self.truth_mode,
-            truth_row_budget=self.truth_row_budget,
-            truth_sample_rows=self.truth_sample_rows,
-            truth_confidence=self.truth_confidence,
-            block_rows=self.block_rows,
-        )
 
 
 @dataclass
@@ -158,7 +143,6 @@ class Scenario:
                 self.database,
                 self.config.num_training_queries,
                 seed=self.config.training_seed,
-                **self.config.truth_overrides(),
             )
         return self._training_workload
 
@@ -233,7 +217,6 @@ def build_scenario(spec: DatasetSpec, config: ScenarioConfig | None = None) -> S
             database,
             config.num_eval_queries,
             seed=config.evaluation_seed,
-            **config.truth_overrides(),
         )
     }
     if config.include_scale_workload:
@@ -242,7 +225,6 @@ def build_scenario(spec: DatasetSpec, config: ScenarioConfig | None = None) -> S
             database,
             queries_per_join_count=config.scale_queries_per_join_count,
             seed=config.evaluation_seed + 1,
-            **config.truth_overrides(),
         )
     return Scenario(
         spec=spec,

@@ -79,8 +79,7 @@ class WorkloadConfig:
     per-table samples (:class:`~repro.db.sampled.SampledCardinalityExecutor`),
     and ``"auto"`` — the default — samples only queries whose referenced
     tables sum to more than ``truth_row_budget`` rows, so small snapshots keep
-    exact labels with zero behaviour change.  ``block_rows`` streams both
-    oracles' scans block-by-block (bit-identical counts, bounded peak memory).
+    exact labels with zero behaviour change.
 
     ``label_workers`` fans truth labeling across that many threads (``None``
     or 1 = serial, on the calling thread): queries are still drawn serially
@@ -103,8 +102,6 @@ class WorkloadConfig:
     truth_mode: str = "auto"
     truth_row_budget: int = 5_000_000
     truth_sample_rows: int = 100_000
-    truth_confidence: float = 0.95
-    block_rows: int | None = None
     label_workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -118,10 +115,6 @@ class WorkloadConfig:
             raise ValueError("truth_row_budget must be positive")
         if self.truth_sample_rows <= 0:
             raise ValueError("truth_sample_rows must be positive")
-        if not 0.0 < self.truth_confidence < 1.0:
-            raise ValueError("truth_confidence must lie strictly between 0 and 1")
-        if self.block_rows is not None and self.block_rows < 1:
-            raise ValueError("block_rows must be at least 1 when given")
         if self.label_workers is not None and (
             isinstance(self.label_workers, bool)
             or not isinstance(self.label_workers, int)
@@ -140,7 +133,7 @@ class QueryGenerator:
         self.database = database
         self.config = config if config is not None else WorkloadConfig()
         self.schema = database.schema
-        self._executor = CardinalityExecutor(database, block_rows=self.config.block_rows)
+        self._executor = CardinalityExecutor(database)
         self._sampled_executor: "SampledCardinalityExecutor | None" = None
         self._rng = spawn_rng(self.config.seed, "query-generator")
         self._join_graph_tables = self.schema.tables_in_join_graph() or self.schema.table_names
@@ -241,8 +234,6 @@ class QueryGenerator:
                 self.database,
                 sample_rows=self.config.truth_sample_rows,
                 seed=self.config.seed,
-                confidence=self.config.truth_confidence,
-                block_rows=self.config.block_rows,
             )
         return self._sampled_executor
 

@@ -51,7 +51,7 @@ def generate_scale_workload(
     A join tree with ``k`` joins needs ``k + 1`` tables inside one connected
     component of the join graph, so the largest component bounds the
     satisfiable strata; requesting more raises ``ValueError``.  Extra keyword
-    arguments (e.g. the ``truth_*`` oracle knobs or ``block_rows``) are
+    arguments (e.g. the ``truth_*`` oracle knobs) are
     forwarded into each stratum's :class:`WorkloadConfig`.
     """
     config = config if config is not None else ScaleWorkloadConfig()

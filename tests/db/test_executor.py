@@ -224,8 +224,7 @@ class TestJoinKeyDomain:
         if child_weights is None:
             child_weights = np.ones(len(child_keys))
         domain = _JoinKeyDomain(child_keys, parent_keys)
-        totals = np.zeros(domain.size)
-        domain.fold(totals, child_keys, np.asarray(child_weights, dtype=np.float64))
+        totals = domain.fold(child_keys, np.asarray(child_weights, dtype=np.float64))
         factors = np.ones(len(parent_keys))
         domain.apply(factors, totals, parent_keys)
         return domain, factors

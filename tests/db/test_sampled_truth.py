@@ -97,20 +97,6 @@ class TestSampledIntervals:
                 b.observed,
             )
 
-    def test_block_rows_does_not_change_results(self, tiny_database, tiny_workload):
-        plain = SampledCardinalityExecutor(tiny_database, sample_rows=500, seed=5)
-        blocked = SampledCardinalityExecutor(
-            tiny_database, sample_rows=500, seed=5, block_rows=7
-        )
-        for entry in tiny_workload[:10]:
-            a, b = plain.execute(entry.query), blocked.execute(entry.query)
-            assert (a.observed, a.estimate, a.lower, a.upper) == (
-                b.observed,
-                b.estimate,
-                b.lower,
-                b.upper,
-            )
-
     def test_covers_helper(self, tiny_database):
         executor = SampledCardinalityExecutor(tiny_database, sample_rows=500, seed=5)
         query = Query(tables=("cast_info",), predicates=(Predicate("cast_info", "role_id", ">", 0),))

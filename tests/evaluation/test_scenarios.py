@@ -226,22 +226,6 @@ class TestScaleTiersAndMemoryReporting:
         with pytest.raises(ValueError):
             ScenarioConfig(dataset_scale=-1.0)
 
-    def test_truth_overrides_round_trip(self):
-        config = ScenarioConfig(
-            truth_mode="sampled",
-            truth_row_budget=123,
-            truth_sample_rows=456,
-            truth_confidence=0.9,
-            block_rows=64,
-        )
-        assert config.truth_overrides() == {
-            "truth_mode": "sampled",
-            "truth_row_budget": 123,
-            "truth_sample_rows": 456,
-            "truth_confidence": 0.9,
-            "block_rows": 64,
-        }
-
     def test_scenario_reports_database_bytes(self):
         scenario = build_scenarios(TINY)[0]
         assert scenario.database_bytes == scenario.database.memory_bytes() > 0

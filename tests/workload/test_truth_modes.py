@@ -1,7 +1,7 @@
 """Tests of truth-oracle routing in workload labeling.
 
 ``truth_mode`` decides which oracle labels each candidate query: the exact
-block-chunked executor, the sampled executor with confidence bounds, or an
+executor, the sampled executor with confidence bounds, or an
 automatic switch keyed on the total rows the query's tables hold.
 """
 
@@ -24,9 +24,6 @@ class TestConfigValidation:
         (
             {"truth_row_budget": 0},
             {"truth_sample_rows": 0},
-            {"truth_confidence": 0.0},
-            {"truth_confidence": 1.0},
-            {"block_rows": 0},
         ),
     )
     def test_invalid_truth_knobs_rejected(self, kwargs):
@@ -129,7 +126,7 @@ class TestAutoMode:
 
 
 class TestScaleWorkloadForwarding:
-    def test_truth_overrides_reach_strata(self, tiny_database):
+    def test_truth_knobs_reach_strata(self, tiny_database):
         workload = generate_scale_workload(
             tiny_database,
             ScaleWorkloadConfig(queries_per_join_count=8, max_joins=1, seed=5),
