@@ -3,12 +3,15 @@
 Section 3.2 of the paper pads every query's sets to the largest set in the
 mini-batch and masks the dummy elements out of the average.  This
 reproduction stores the same sets without any padding:
-:class:`RaggedDataset` keeps, per set, only the real elements, flattened to
-``(total_elements, width)`` with per-query CSR offsets.  The per-element MLPs
-then touch exactly the FLOPs the workload requires, and the masked average
-becomes a segment mean over the offsets — the same values summed in the same
-order, so nothing about the model changes.  Empty sets (a query without
-joins or predicates) are zero-length segments that pool to a zero vector.
+:class:`RaggedDataset` keeps, per set, only the real elements, with
+per-query CSR offsets.  An element that repeats across the batch's queries
+(the sub-plans of one query share most of their tables, joins and
+predicates) is stored once: a set holds ``(distinct_elements, width)``
+feature rows plus ``rows``, each element's index into them.  The
+per-element MLPs then touch each distinct row once, and the masked average
+becomes a segment mean over the offsets, gathered through ``rows``.  Empty
+sets (a query without joins or predicates) are zero-length segments that
+pool to a zero vector.
 
 :func:`iterate_ragged_minibatches` optionally orders queries into
 length-homogeneous buckets before batching, so gathered training batches have
@@ -23,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.featurization import FeaturizedQuery
+from repro.core.featurization import FeaturizedQuery, first_seen
 
 __all__ = [
     "RaggedSet",
@@ -54,15 +57,22 @@ def offsets_from_lengths(lengths) -> np.ndarray:
 class RaggedSet:
     """One variable-sized set over a workload, stored without padding.
 
-    ``features`` stacks the real elements of every query's set in query order,
-    shape ``(total_elements, feature_width)``; ``offsets`` holds the
-    ``num_queries + 1`` CSR row boundaries (query ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]``).  ``lengths`` and the reciprocal counts
-    used by mean pooling are derived once and cached.
+    ``features`` holds one row per *distinct* element, shape
+    ``(distinct_elements, feature_width)``; ``rows`` lists, for every real
+    element of every query's set in query order, the index of its feature
+    row, and ``offsets`` holds the ``num_queries + 1`` CSR boundaries into
+    ``rows`` (query ``i`` owns elements ``offsets[i]:offsets[i + 1]``).  So
+    element ``e``'s feature vector is ``features[rows[e]]``, and an element
+    repeated across a batch's queries is stored — and projected by the
+    model — once.  ``rows=None`` means one row per element
+    (``arange``), the layout :meth:`RaggedDataset.from_featurized` builds.
+    ``lengths`` and the reciprocal counts used by mean pooling are derived
+    once and cached.
     """
 
     features: np.ndarray
     offsets: np.ndarray
+    rows: np.ndarray | None = None
     lengths: np.ndarray = field(init=False, repr=False)
     inv_counts: np.ndarray = field(init=False, repr=False)
 
@@ -71,21 +81,29 @@ class RaggedSet:
         if offsets.ndim != 1 or offsets.shape[0] < 1:
             raise ValueError("offsets must be 1-D with at least one boundary")
         if self.features.ndim != 2:
-            raise ValueError("ragged features must be 2-D (total_elements, width)")
-        if offsets[-1] != self.features.shape[0]:
+            raise ValueError("ragged features must be 2-D (distinct_elements, width)")
+        num_rows = self.features.shape[0]
+        if self.rows is None:
+            rows = np.arange(num_rows, dtype=np.int64)
+        else:
+            rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+            if rows.ndim != 1:
+                raise ValueError("rows must be 1-D (one feature row per element)")
+            if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+                raise ValueError(f"rows must index the {num_rows} feature rows")
+        if offsets[-1] != rows.shape[0]:
             raise ValueError(
-                f"offsets cover {offsets[-1]} rows but features has "
-                f"{self.features.shape[0]}"
+                f"offsets cover {offsets[-1]} elements but rows has {rows.shape[0]}"
             )
-        lengths = np.diff(offsets)
+        lengths = offsets[1:] - offsets[:-1]
         if (lengths < 0).any():
             raise ValueError("offsets must be non-decreasing")
-        inv_counts = 1.0 / np.maximum(lengths, 1.0)
+        inv_counts = np.maximum(lengths, 1).astype(self.features.dtype)[:, None]
+        np.reciprocal(inv_counts, out=inv_counts)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(
-            self, "inv_counts", inv_counts.astype(self.features.dtype)[:, None]
-        )
+        object.__setattr__(self, "inv_counts", inv_counts)
 
     @property
     def num_segments(self) -> int:
@@ -96,24 +114,38 @@ class RaggedSet:
         return self.features.shape[1]
 
     def slice(self, start: int, stop: int) -> "RaggedSet":
-        """A contiguous query range as views into the flat arrays (no copy)."""
+        """A contiguous query range, keeping only the feature rows it uses.
+
+        The whole range is ``self``; a partial one is compacted like
+        :meth:`take`.
+        """
+        if start == 0 and stop == self.num_segments:
+            return self
         offsets = self.offsets[start : stop + 1]
         base = offsets[0]
-        return RaggedSet(
-            features=self.features[base : offsets[-1]], offsets=offsets - base
-        )
+        return self._compact(self.rows[base : offsets[-1]], offsets - base)
 
     def take(self, indices: np.ndarray) -> "RaggedSet":
-        """Gather an arbitrary selection of queries into a new ragged set."""
+        """Gather an arbitrary selection of queries into a new ragged set.
+
+        The result keeps only the feature rows its elements use, in
+        first-seen order — the layout featurizing the selected queries as
+        one batch gives — so a minibatch or chunk projects only its own
+        distinct elements.
+        """
         indices = np.asarray(indices)
         starts = self.offsets[:-1][indices]
         lengths = self.lengths[indices]
         offsets = offsets_from_lengths(lengths)
         total = int(offsets[-1])
-        # Row gather: for output row r in segment j, source row is
-        # starts[j] + (r - offsets[j]).
-        rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
-        return RaggedSet(features=self.features[rows], offsets=offsets)
+        # Element gather: for output element r in segment j, the source
+        # element is starts[j] + (r - offsets[j]).
+        elements = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
+        return self._compact(self.rows[elements], offsets)
+
+    def _compact(self, rows: np.ndarray, offsets: np.ndarray) -> "RaggedSet":
+        first, local = first_seen(rows)
+        return RaggedSet(features=self.features[rows[first]], offsets=offsets, rows=local)
 
 
 @dataclass(frozen=True)
@@ -174,7 +206,7 @@ class RaggedDataset:
         )
 
     def slice(self, start: int, stop: int) -> "RaggedDataset":
-        """A contiguous query range (views, no copies)."""
+        """A contiguous query range (the whole range is ``self``'s sets)."""
         start, stop, _ = slice(start, stop).indices(self.size)
         return RaggedDataset(
             tables=self.tables.slice(start, stop),

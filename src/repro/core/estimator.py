@@ -229,17 +229,21 @@ class MSCNEstimator:
 
         The optimizer-facing fan-out path: the sub-queries are derived once
         (``Query.connected_subqueries``) and featurized together into a
-        single ragged dataset — sub-plans share base tables and predicates,
-        so the one-hot gathers are amortized and the sample-bitmap probes hit
-        the shared bitmap cache.  Inference then runs the fused engine in
-        per-sub-plan chunks rather than one big matrix: BLAS kernels are
-        selected by operand shape, so only shape-matched chunks make the
-        batch path **bit-identical** to per-sub-query :meth:`estimate` calls
-        — the guarantee an optimizer needs for its costs to be reproducible
-        regardless of how estimates were batched.  (Featurization dominates
-        this path's latency; the whole-batch fused pass remains the serving
-        default via :meth:`estimate_many`/:meth:`estimate_featurized`.)
-        The chunks run one after another on the calling thread.
+        single ragged dataset — sub-plans share base tables, joins and
+        predicates, so each distinct element is featurized once and the
+        sample-bitmap probes hit the shared bitmap cache.  Inference then
+        runs the fused engine in per-sub-plan chunks rather than one big
+        matrix: each chunk keeps only its sub-plan's distinct rows, in
+        first-seen order — exactly the rows and order featurizing that
+        sub-plan alone gives — and BLAS kernels are selected by operand
+        shape, so only these shape-matched chunks make the batch path
+        **bit-identical** to per-sub-query :meth:`estimate` calls — the
+        guarantee an optimizer needs for its costs to be reproducible
+        regardless of how estimates were batched.  (The whole-batch fused
+        pass, which projects each element shared by the sub-plans once,
+        remains the serving default via
+        :meth:`estimate_many`/:meth:`estimate_featurized`.)  The chunks run
+        one after another on the calling thread.
         """
         trainer = self._require_trained()
         subqueries = query.connected_subqueries()

@@ -18,14 +18,15 @@ There is one workload path, :meth:`QueryFeaturizer.featurize_ragged`: a
 :class:`CompiledFeaturizerPlan` resolves each distinct query's vocabulary ids
 and sample probes once (kept in an :class:`~repro.utils.lru.LRU` by query
 signature), and the batch is assembled with a few fancy-indexed writes into
-flattened ``(total_elements, width)`` arrays plus CSR offsets — the layout
-of training and of the fused inference engine.  Every batch gets fresh
+``(distinct_elements, width)`` arrays, one row per distinct element of each
+set, plus each element's row index and CSR offsets — the layout of training
+and of the fused inference engine.  Every batch gets fresh
 arrays, which took 0.79-0.97x the time of featurizing into reused grow-only
 buffers at batch sizes 1-1,024 (imdb ``small``, 2 cores).
 
 The per-query :meth:`QueryFeaturizer.featurize`, which concatenates one-hot
 vectors element by element, is the reference the workload path is tested
-against bit for bit.
+against bit for bit, element by element.
 
 All paths compute in the featurizer's configurable ``dtype`` (float32 by
 default in serving configurations; see ``MSCNConfig.dtype``).  Literal
@@ -35,6 +36,7 @@ the float32 and float64 paths agree to the last representable bit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,6 +56,7 @@ __all__ = [
     "CompiledFeaturizerPlan",
     "FeaturizedQuery",
     "QueryFeaturizer",
+    "first_seen",
 ]
 
 
@@ -119,18 +122,60 @@ class FeaturizedQuery:
         return self.predicate_features.shape[0]
 
 
-@dataclass
-class _GatheredWorkload:
-    """Flat ids of a batch in query order, plus each query's set sizes.
+def first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate a 1-D integer array in first-seen order.
 
-    Everything downstream is dense array work against these ids;
-    ``probe_bitmaps`` holds the qualifying-sample bitmap row of every table
-    element (``None`` for the ``no_samples`` variant).
+    Returns ``(first, rows)``: ``first[d]`` is the position of the ``d``-th
+    distinct value's first occurrence, and ``rows[e]`` the distinct index of
+    element ``e``, so ``ids == ids[first][rows]``.  A dict pass over the
+    values: the arrays are a batch's set elements, tens to a few thousand
+    long, where it beats sorting (``np.unique``) by a wide margin.
+    """
+    index: dict[int, int] = {}
+    first: list[int] = []
+    rows: list[int] = []
+    for position, key in enumerate(ids.tolist()):
+        row = index.get(key)
+        if row is None:
+            row = index[key] = len(first)
+            first.append(position)
+        rows.append(row)
+    return np.array(first, dtype=np.int64), np.array(rows, dtype=np.int64)
+
+
+@dataclass
+class _GatheredSet:
+    """One set of a batch: an element id per element, deduplicated.
+
+    ``element_ids`` lists the plan's id of every element in query order
+    (``counts`` per query); equal ids mean equal feature rows.  ``first``
+    and ``rows`` are :func:`first_seen` of the ids: the distinct elements'
+    positions and every element's index into them.
     """
 
-    table_counts: np.ndarray
-    join_counts: np.ndarray
-    predicate_counts: np.ndarray
+    counts: np.ndarray
+    element_ids: np.ndarray
+    first: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, counts: np.ndarray, element_ids: np.ndarray) -> "_GatheredSet":
+        return cls(counts, element_ids, *first_seen(element_ids))
+
+
+@dataclass
+class _GatheredWorkload:
+    """A batch's sets, plus what the distinct elements' features need.
+
+    The vocabulary ids and literals are those of the distinct elements, in
+    first-seen order; ``probe_bitmaps`` holds the qualifying-sample bitmap
+    row of every distinct table element (``None`` for the ``no_samples``
+    variant).
+    """
+
+    tables: _GatheredSet
+    joins: _GatheredSet
+    predicates: _GatheredSet
     table_ids: np.ndarray
     join_ids: np.ndarray
     column_ids: np.ndarray
@@ -143,9 +188,10 @@ class _CompiledQuery:
     """Pre-resolved flat ids of one query, cached by its signature.
 
     Everything featurization would look up per element — table / join /
-    column / operator vocabulary ids, float64 literal values and the probe
-    ids into the plan's bitmap matrix — resolved once and replayed as numpy
-    concatenation on every later appearance of the same query.  The ids
+    column / operator vocabulary ids, float64 literal values, the probe
+    ids into the plan's bitmap matrix and the plan's predicate ids —
+    resolved once and replayed as numpy concatenation on every later
+    appearance of the same query.  The ids
     follow ``source``'s element order, so they only replay for a query that
     lists its sets in that same order (:meth:`replays`).
     """
@@ -158,6 +204,7 @@ class _CompiledQuery:
         "column_ids",
         "operator_ids",
         "literal_values",
+        "predicate_ids",
         "num_tables",
         "num_joins",
         "num_predicates",
@@ -172,6 +219,7 @@ class _CompiledQuery:
         column_ids: np.ndarray,
         operator_ids: np.ndarray,
         literal_values: np.ndarray,
+        predicate_ids: np.ndarray,
     ):
         self.source = source
         self.table_ids = table_ids
@@ -180,6 +228,7 @@ class _CompiledQuery:
         self.column_ids = column_ids
         self.operator_ids = operator_ids
         self.literal_values = literal_values
+        self.predicate_ids = predicate_ids
         self.num_tables = table_ids.shape[0]
         self.num_joins = join_ids.shape[0]
         self.num_predicates = column_ids.shape[0]
@@ -214,13 +263,25 @@ class CompiledFeaturizerPlan:
     :meth:`QueryFeaturizer.featurize` reads, so both produce identical
     features.
 
+    Every set element also gets an *element id*, and elements with equal
+    ids have equal feature rows: a table's probe id (its table id for the
+    ``no_samples`` variant), a join's join id, and a predicate's plan-level
+    predicate id, keyed by (column id, operator id, literal).
+    :meth:`gather` deduplicates each set's ids, so a batch builds and
+    projects every distinct element once.
+
     The query cache is an :class:`~repro.utils.lru.LRU` of
     ``max_cached_queries`` entries.  Compiled queries hold indexes into the
-    probe matrix, so probes cannot be evicted one by one: once a long-tailed
-    workload has accumulated ``4 * max_cached_queries`` distinct probes, the
-    matrix is flushed wholesale — together with every compiled query — at
-    the start of the next :meth:`gather`, never while a batch is being
-    compiled (probe ids handed out earlier in the batch must stay valid).
+    probe matrix and the predicate registry, so neither can be evicted
+    entry by entry: once a long-tailed workload has accumulated
+    ``4 * max_cached_queries`` distinct probes or predicates, both are
+    flushed wholesale — together with every compiled query — at the start
+    of the next :meth:`gather`, never while a batch is being compiled (ids
+    handed out earlier in the batch must stay valid).
+
+    A plan is safe to share across threads: one lock covers compiling and
+    gathering a batch, so no two batches interleave their probe and
+    predicate registrations or a flush.
     """
 
     DEFAULT_MAX_CACHED_QUERIES = 65536
@@ -238,11 +299,13 @@ class CompiledFeaturizerPlan:
         self._samples = featurizer.samples
         self._needs_samples = featurizer.variant is not FeaturizationVariant.NO_SAMPLES
         self.max_cached_queries = max_cached_queries
+        self._lock = threading.Lock()
         self._compiled = LRU(max_cached_queries)
         # Signature hits whose element order differs: recompiled, so misses.
         self._reordered = 0
         self._flushes = 0
         self._probe_ids: dict[tuple, int] = {}
+        self._predicate_ids: dict[tuple, int] = {}
         self._num_probes = 0
         sample_width = self._samples.sample_size if self._needs_samples else 0
         self._probe_matrix = np.zeros((64 if self._needs_samples else 0, sample_width), dtype=bool)
@@ -250,6 +313,10 @@ class CompiledFeaturizerPlan:
     # -- per-query compilation --------------------------------------------
     def compile_query(self, query: Query) -> _CompiledQuery:
         """The cached compiled form of ``query`` (compiling on first sight)."""
+        with self._lock:
+            return self._lookup(query)
+
+    def _lookup(self, query: Query) -> _CompiledQuery:
         signature = query.signature()
         compiled = self._compiled.get(signature)
         if compiled is not None:
@@ -291,18 +358,32 @@ class CompiledFeaturizerPlan:
         column_ids = np.empty(num_predicates, dtype=np.int64)
         operator_ids = np.empty(num_predicates, dtype=np.int64)
         literal_values = np.empty(num_predicates, dtype=np.float64)
+        predicate_ids = np.empty(num_predicates, dtype=np.int64)
         for slot, predicate in enumerate(query.predicates):
             key = f"{predicate.table}.{predicate.column}"
             try:
-                column_ids[slot] = self._column_index[key]
+                column_id = self._column_index[key]
             except KeyError:
                 raise KeyError(
                     f"column {key!r} is not a predicable (non-key) column"
                 ) from None
-            operator_ids[slot] = self._operator_index[predicate.operator.value]
-            literal_values[slot] = float(predicate.value)
+            operator_id = self._operator_index[predicate.operator.value]
+            literal = float(predicate.value)
+            column_ids[slot] = column_id
+            operator_ids[slot] = operator_id
+            literal_values[slot] = literal
+            predicate_ids[slot] = self._predicate_ids.setdefault(
+                (column_id, operator_id, literal), len(self._predicate_ids)
+            )
         return _CompiledQuery(
-            query, table_ids, probe_ids, join_ids, column_ids, operator_ids, literal_values
+            query,
+            table_ids,
+            probe_ids,
+            join_ids,
+            column_ids,
+            operator_ids,
+            literal_values,
+            predicate_ids,
         )
 
     def _probe_id(self, table: str, predicates: tuple) -> int:
@@ -327,41 +408,47 @@ class CompiledFeaturizerPlan:
 
     # -- batch assembly -----------------------------------------------------
     def gather(self, queries: Sequence[Query]) -> _GatheredWorkload:
-        """The flat ids and probe bitmap rows of a batch, in query order."""
-        if self._num_probes >= 4 * self.max_cached_queries:
-            # Between batches, so no probe id handed out below goes stale
-            # (rare: it takes a quarter-million distinct predicate sets at the
-            # default cap).
-            self._compiled.clear()
-            self._probe_ids.clear()
-            self._num_probes = 0
-            self._flushes += 1
-        compiled = [self.compile_query(query) for query in queries]
-
-        def counts_of(attribute: str) -> np.ndarray:
-            return np.fromiter(
-                (getattr(entry, attribute) for entry in compiled),
-                dtype=np.int64,
-                count=len(compiled),
+        """The deduplicated sets of a batch and their distinct elements' ids."""
+        with self._lock:
+            limit = 4 * self.max_cached_queries
+            if self._num_probes >= limit or len(self._predicate_ids) >= limit:
+                # Between batches, so no id handed out below goes stale
+                # (rare: it takes a quarter-million distinct predicate sets
+                # at the default cap).
+                self._compiled.clear()
+                self._probe_ids.clear()
+                self._predicate_ids.clear()
+                self._num_probes = 0
+                self._flushes += 1
+            compiled = [self._lookup(query) for query in queries]
+            probe_ids = _concatenated(compiled, "probe_ids", np.int64)
+            table_ids = _concatenated(compiled, "table_ids", np.int64)
+            tables = _GatheredSet.of(
+                _counts(compiled, "num_tables"),
+                probe_ids if self._needs_samples else table_ids,
             )
-
-        def concatenated(attribute: str, dtype) -> np.ndarray:
-            if not compiled:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([getattr(entry, attribute) for entry in compiled])
-
-        probe_bitmaps = None
-        if self._needs_samples:
-            probe_bitmaps = self._probe_matrix[concatenated("probe_ids", np.int64)]
+            # Only the distinct probes' rows, read before another batch can
+            # grow or flush the matrix.
+            probe_bitmaps = (
+                self._probe_matrix[probe_ids[tables.first]] if self._needs_samples else None
+            )
+        predicates = _GatheredSet.of(
+            _counts(compiled, "num_predicates"),
+            _concatenated(compiled, "predicate_ids", np.int64),
+        )
+        joins = _GatheredSet.of(
+            _counts(compiled, "num_joins"), _concatenated(compiled, "join_ids", np.int64)
+        )
+        first = predicates.first
         return _GatheredWorkload(
-            table_counts=counts_of("num_tables"),
-            join_counts=counts_of("num_joins"),
-            predicate_counts=counts_of("num_predicates"),
-            table_ids=concatenated("table_ids", np.int64),
-            join_ids=concatenated("join_ids", np.int64),
-            column_ids=concatenated("column_ids", np.int64),
-            operator_ids=concatenated("operator_ids", np.int64),
-            literal_values=concatenated("literal_values", np.float64),
+            tables=tables,
+            joins=joins,
+            predicates=predicates,
+            table_ids=table_ids[tables.first],
+            join_ids=joins.element_ids[joins.first],
+            column_ids=_concatenated(compiled, "column_ids", np.int64)[first],
+            operator_ids=_concatenated(compiled, "operator_ids", np.int64)[first],
+            literal_values=_concatenated(compiled, "literal_values", np.float64)[first],
             probe_bitmaps=probe_bitmaps,
         )
 
@@ -386,6 +473,25 @@ class CompiledFeaturizerPlan:
     def num_probes(self) -> int:
         """Distinct sample probes registered in the bitmap matrix."""
         return self._num_probes
+
+    @property
+    def num_predicates(self) -> int:
+        """Distinct (column, operator, literal) predicates registered."""
+        return len(self._predicate_ids)
+
+
+def _counts(compiled: list[_CompiledQuery], attribute: str) -> np.ndarray:
+    """Per-query set sizes of a compiled batch."""
+    return np.fromiter(
+        (getattr(entry, attribute) for entry in compiled), dtype=np.int64, count=len(compiled)
+    )
+
+
+def _concatenated(compiled: list[_CompiledQuery], attribute: str, dtype) -> np.ndarray:
+    """One id array of a compiled batch, concatenated in query order."""
+    if not compiled:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([getattr(entry, attribute) for entry in compiled])
 
 
 class QueryFeaturizer:
@@ -518,9 +624,14 @@ class QueryFeaturizer:
     ) -> "RaggedDataset":
         """Featurize a workload into the ragged (CSR) layout.
 
-        Per set, only the real elements are written, flattened in query
-        order, alongside per-query offsets; the arrays feed training and the
-        fused inference engine without any reshaping.  Bit-identical to
+        Per set, only the *distinct* elements get a feature row, in
+        first-seen order; each set's ``rows`` maps every element, flattened
+        in query order, to its row, alongside per-query offsets.  The
+        compiled plan's element ids decide which elements are equal, so
+        sub-plans that share tables, joins and predicates build (and the
+        model projects) each shared element once; only the distinct
+        probes' bitmap rows are gathered.  ``features[rows]`` of every set
+        is bit-identical to
         ``RaggedDataset.from_featurized(self.featurize_many(queries))``.
         The arrays are contiguous and already in the engine dtype, so the
         fused engine consumes them without copying.
@@ -560,16 +671,21 @@ class QueryFeaturizer:
             np.take(lookups.join_rows, gathered.join_ids, axis=0, out=join_features)
 
         # Predicates.
-        total_predicates = gathered.column_ids.shape[0]
+        num_predicates = gathered.column_ids.shape[0]
         predicate_features = np.zeros(
-            (total_predicates, self.predicate_feature_width), dtype=self.dtype
+            (num_predicates, self.predicate_feature_width), dtype=self.dtype
         )
-        if total_predicates:
-            rows = np.arange(total_predicates)
+        if num_predicates:
+            rows = np.arange(num_predicates)
             predicate_features[rows, gathered.column_ids] = 1.0
             predicate_features[rows, encoding.num_columns + gathered.operator_ids] = 1.0
             predicate_features[:, -1] = self._normalized_literals(
                 gathered.column_ids, gathered.literal_values
+            )
+
+        def ragged(features: np.ndarray, gathered_set) -> RaggedSet:
+            return RaggedSet(
+                features, offsets_from_lengths(gathered_set.counts), gathered_set.rows
             )
 
         if labels is not None:
@@ -577,11 +693,9 @@ class QueryFeaturizer:
         if cardinalities is not None:
             cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
         return RaggedDataset(
-            tables=RaggedSet(table_features, offsets_from_lengths(gathered.table_counts)),
-            joins=RaggedSet(join_features, offsets_from_lengths(gathered.join_counts)),
-            predicates=RaggedSet(
-                predicate_features, offsets_from_lengths(gathered.predicate_counts)
-            ),
+            tables=ragged(table_features, gathered.tables),
+            joins=ragged(join_features, gathered.joins),
+            predicates=ragged(predicate_features, gathered.predicates),
             labels=labels,
             cardinalities=cardinalities,
         )

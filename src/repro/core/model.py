@@ -16,13 +16,20 @@ depend on the set size, which eases generalization to unseen set sizes.
 
 MSCN is one fixed graph, so it is written once, as plain numpy.
 :func:`forward` runs it over the ragged layout of
-:class:`~repro.core.batching.RaggedDataset` — the per-element MLPs see only
-the real set elements, and pooling is a segment reduction over the CSR
-offsets, the paper's masked average without any padded slots — against any
-mapping of layer names to ``(weight, bias)`` layers: the live
-:attr:`MSCN.layers` during training, an inference engine's weight snapshot
-when serving.  :func:`backward` is its hand-derived gradient, used by the
-trainer.
+:class:`~repro.core.batching.RaggedDataset` — the per-element MLPs see each
+distinct set element once, and pooling is a segment reduction over the CSR
+offsets, gathered through each set's ``rows``, the paper's masked average
+without any padded slots — against any mapping of layer names to
+``(weight, bias)`` layers: the live :attr:`MSCN.layers` during training, an
+inference engine's weight snapshot when serving.  Because the mean is
+linear, ``MLP_out``'s first layer is split by set and applied before
+pooling::
+
+    hidden = relu(sum_S 1/|S_q| * sum_s MLP_S(v_s) @ W_S + b)
+
+where ``W_S`` is set ``S``'s slice of ``output_hidden.weight``; each distinct
+row is projected once.  :func:`backward` is its hand-derived gradient, used
+by the trainer.
 """
 
 from __future__ import annotations
@@ -131,29 +138,42 @@ def forward(dataset, layers: Mapping, trace: dict | None = None) -> np.ndarray:
     ``weight`` and ``bias`` arrays.  Computation runs in the weights' dtype;
     the features are cast to it first.  When ``trace`` is a dict, the
     activations :func:`backward` needs are stored in it.
+
+    Each set's MLP runs on the set's distinct feature rows only.  Mean
+    pooling is linear, so every distinct row is then also multiplied by its
+    set's slice of ``output_hidden.weight`` before pooling: the pooled,
+    already projected sets are summed with the bias, and the concatenated
+    ``[w_T, w_J, w_P]`` is never formed.
     """
     final = layers["output_final"]
+    output_hidden = layers["output_hidden"]
     dtype = final.weight.dtype
     hidden_units = final.weight.shape[0]
-    merged = np.empty((dataset.size, 3 * hidden_units), dtype=dtype)
+    hidden = np.zeros((dataset.size, hidden_units), dtype=dtype)
     for index, (attribute, prefix) in enumerate(SET_MODULES):
         ragged_set = getattr(dataset, attribute)
         features = np.ascontiguousarray(ragged_set.features, dtype=dtype)
         first = _linear_relu(features, layers[prefix + ".first"])
         second = _linear_relu(first, layers[prefix + ".second"])
-        pooled = merged[:, index * hidden_units : (index + 1) * hidden_units]
-        segment_sum_array(second, ragged_set.offsets, ragged_set.lengths, out=pooled)
+        weight = output_hidden.weight[index * hidden_units : (index + 1) * hidden_units]
+        pooled = segment_sum_array(
+            second @ weight, ragged_set.offsets, ragged_set.lengths, rows=ragged_set.rows
+        )
         inv_counts = ragged_set.inv_counts.astype(dtype, copy=False)
         pooled *= inv_counts
+        hidden += pooled
         if trace is not None:
-            trace[prefix] = (features, first, second, ragged_set.lengths, inv_counts)
+            trace[prefix] = (
+                features, first, second, ragged_set.rows, ragged_set.lengths, inv_counts
+            )
 
-    hidden = _linear_relu(merged, layers["output_hidden"])
+    hidden += output_hidden.bias
+    np.maximum(hidden, 0.0, out=hidden)
     output = hidden @ final.weight
     output += final.bias
     prediction = _stable_sigmoid(output)
     if trace is not None:
-        trace.update(merged=merged, hidden=hidden, prediction=prediction)
+        trace.update(hidden=hidden, prediction=prediction)
     return prediction
 
 
@@ -163,26 +183,54 @@ def backward(trace: dict, layers: Mapping, grad: np.ndarray) -> dict[str, np.nda
     ``trace`` is the dict a :func:`forward` call over the same ``layers``
     filled; the result is keyed by parameter name (``table_mlp.first.weight``,
     ...).  ReLU masks are read off the stored activations (``relu(h) > 0``
-    exactly where ``h > 0``).
+    exactly where ``h > 0``).  The pooled gradient is repeated over each
+    set's elements and scatter-added onto their distinct rows; everything
+    below pooling then runs on the distinct rows, like the forward pass.
     """
     gradients: dict[str, np.ndarray] = {}
     prediction = trace["prediction"]
+    hidden = trace["hidden"]
     grad = grad * prediction * (1.0 - prediction)  # through the sigmoid
-    _linear_gradients(gradients, "output_final", trace["hidden"], grad)
-    grad = (grad @ layers["output_final"].weight.T) * (trace["hidden"] > 0)
-    _linear_gradients(gradients, "output_hidden", trace["merged"], grad)
-    grad = grad @ layers["output_hidden"].weight.T
-    hidden_units = trace["hidden"].shape[1]
+    _linear_gradients(gradients, "output_final", hidden, grad)
+    grad = (grad @ layers["output_final"].weight.T) * (hidden > 0)
+    output_hidden = layers["output_hidden"].weight
+    hidden_units = hidden.shape[1]
+    hidden_weight_grads = []
     for index, (_, prefix) in enumerate(SET_MODULES):
-        features, first, second, lengths, inv_counts = trace[prefix]
-        pooled = grad[:, index * hidden_units : (index + 1) * hidden_units]
-        # Through the mean: every element of a set gets its set's gradient / |S|.
-        set_grad = np.repeat(pooled * inv_counts, lengths, axis=0) * (second > 0)
+        features, first, second, rows, lengths, inv_counts = trace[prefix]
+        # Through the mean and the gather: every distinct row collects
+        # grad / |S| of each set it is an element of.
+        projected_grad = _scatter_rows(grad * inv_counts, lengths, rows, second.shape[0])
+        weight = output_hidden[index * hidden_units : (index + 1) * hidden_units]
+        hidden_weight_grads.append(second.T @ projected_grad)
+        set_grad = (projected_grad @ weight.T) * (second > 0)
         _linear_gradients(gradients, prefix + ".second", first, set_grad)
         set_grad = (set_grad @ layers[prefix + ".second"].weight.T) * (first > 0)
         # The features are inputs, not parameters: no gradient flows into them.
         _linear_gradients(gradients, prefix + ".first", features, set_grad)
+    gradients["output_hidden.weight"] = np.concatenate(hidden_weight_grads)
+    gradients["output_hidden.bias"] = grad.sum(axis=0)
     return gradients
+
+
+def _scatter_rows(
+    segment_grad: np.ndarray, lengths: np.ndarray, rows: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """Add ``segment_grad[i]`` to row ``rows[e]`` for each element ``e`` of segment ``i``.
+
+    One stable sort groups the elements by row, and ``np.add.reduceat``
+    sums each group; ``np.add.at`` would be an order of magnitude slower.
+    Rows no element references get zero.
+    """
+    out = np.zeros((num_rows, segment_grad.shape[1]), dtype=segment_grad.dtype)
+    if rows.shape[0] == 0:
+        return out
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    segment_of = np.repeat(np.arange(lengths.shape[0]), lengths)
+    out[sorted_rows[starts]] = np.add.reduceat(segment_grad[segment_of[order]], starts, axis=0)
+    return out
 
 
 def _linear_relu(features: np.ndarray, layer) -> np.ndarray:

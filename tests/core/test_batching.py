@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import RaggedDataset, iterate_ragged_minibatches
+from repro.core.batching import RaggedDataset, RaggedSet, iterate_ragged_minibatches
 from repro.core.featurization import FeaturizedQuery
 
 
@@ -110,3 +110,45 @@ class TestMinibatchIteration:
         with pytest.raises(ValueError):
             list(iterate_ragged_minibatches(dataset, np.array([1.0]), np.array([1.0]),
                                             batch_size=0))
+
+
+class TestDistinctRows:
+    """A set stores distinct feature rows; ``rows`` maps elements to them."""
+
+    def make_set(self):
+        # Three queries over rows a, b, c: [a, b], [b], [c, a, b].
+        features = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        rows = np.array([0, 1, 1, 2, 0, 1])
+        return RaggedSet(features, offsets=np.array([0, 2, 3, 6]), rows=rows)
+
+    def test_from_featurized_stores_one_row_per_element(self):
+        dataset = RaggedDataset.from_featurized(
+            [make_featurized(2, 1, 0), make_featurized(1, 0, 3)]
+        )
+        np.testing.assert_array_equal(dataset.tables.rows, [0, 1, 2])
+        np.testing.assert_array_equal(dataset.predicates.rows, [0, 1, 2])
+        assert dataset.joins.rows.dtype == np.int64
+
+    def test_take_keeps_its_own_rows_in_first_seen_order(self):
+        taken = self.make_set().take(np.array([2, 1]))
+        # Elements c, a, b, b: rows c, a, b in that order.
+        np.testing.assert_array_equal(taken.features, [[2.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(taken.rows, [0, 1, 2, 2])
+        np.testing.assert_array_equal(taken.offsets, [0, 3, 4])
+
+    def test_partial_slice_drops_unused_rows(self):
+        ragged_set = self.make_set()
+        part = ragged_set.slice(1, 2)
+        np.testing.assert_array_equal(part.features, [[0.0, 1.0]])
+        np.testing.assert_array_equal(part.rows, [0])
+        np.testing.assert_array_equal(part.offsets, [0, 1])
+        assert ragged_set.slice(0, 3) is ragged_set
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.array([0, 1, 3]), np.array([-1, 0, 1]), np.array([[0, 1, 2]]), np.array([0, 1])],
+        ids=("past_the_end", "negative", "two_dimensional", "fewer_than_the_offsets"),
+    )
+    def test_rejects_bad_rows(self, rows):
+        with pytest.raises(ValueError):
+            RaggedSet(np.ones((3, 2)), offsets=np.array([0, 1, 3]), rows=rows)

@@ -9,6 +9,9 @@ featurizer is ``test_featurization_oracle.py``.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,10 +38,11 @@ def make_featurizer(parts, variant=FeaturizationVariant.BITMAPS, dtype=np.float6
 
 
 def assert_ragged_equal(got, reference):
+    """Every element's feature row (``features[rows]``) matches, bit for bit."""
     for name in ("tables", "joins", "predicates"):
         a, b = getattr(got, name), getattr(reference, name)
         assert a.features.dtype == b.features.dtype
-        assert a.features.tobytes() == b.features.tobytes(), name
+        assert a.features[a.rows].tobytes() == b.features[b.rows].tobytes(), name
         assert a.offsets.tobytes() == b.offsets.tobytes(), name
 
 
@@ -185,3 +189,94 @@ class TestProbeSharing:
         featurizer.featurize_ragged(queries)
         num_probes = sum(len(q.tables) for q in queries)
         assert samples.bitmap_cache_hits - hits_before == num_probes
+
+
+class TestElementIds:
+    def test_equal_predicates_share_one_predicate_id(self, parts):
+        plan = make_featurizer(parts).plan()
+        predicate = Predicate("title", "production_year", Operator.GT, 1990)
+        a = plan.compile_query(Query(tables=("title",), predicates=(predicate,)))
+        b = plan.compile_query(
+            Query(
+                tables=("title", "movie_companies"),
+                joins=(JoinCondition("movie_companies", "movie_id", "title", "id"),),
+                predicates=(
+                    Predicate("movie_companies", "company_id", Operator.LT, 50),
+                    Predicate("title", "production_year", Operator.GT, 1990.0),
+                ),
+            )
+        )
+        assert int(a.predicate_ids[0]) == int(b.predicate_ids[1])
+        assert int(b.predicate_ids[0]) != int(b.predicate_ids[1])
+        assert plan.num_predicates == 2
+
+    @pytest.mark.parametrize("variant", tuple(FeaturizationVariant), ids=lambda v: v.value)
+    def test_sub_plans_store_each_shared_element_once(self, parts, variant):
+        featurizer = make_featurizer(parts, variant)
+        query = Query(
+            tables=("title", "movie_companies", "cast_info"),
+            joins=(
+                JoinCondition("movie_companies", "movie_id", "title", "id"),
+                JoinCondition("cast_info", "movie_id", "title", "id"),
+            ),
+            predicates=(
+                Predicate("title", "production_year", Operator.GT, 1990),
+                Predicate("movie_companies", "company_id", Operator.LT, 50),
+            ),
+        )
+        subqueries = query.connected_subqueries()
+        dataset = featurizer.featurize_ragged(subqueries)
+        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(subqueries))
+        assert_ragged_equal(dataset, oracle)
+        # Each table keeps its predicates in every sub-plan: one probe (or
+        # table id) per table, one row per join and per predicate.
+        assert dataset.tables.features.shape[0] == 3
+        assert dataset.joins.features.shape[0] == 2
+        assert dataset.predicates.features.shape[0] == 2
+        assert dataset.tables.rows.shape[0] == sum(len(q.tables) for q in subqueries)
+
+
+class TestThreadSafety:
+    def test_concurrent_batches_match_the_per_query_reference(self, parts, tiny_workload):
+        """Regression: compiling and gathering ran unlocked, so threads
+        sharing one plan could register two probes under one id (or lose a
+        row when the probe matrix grew) and silently return another
+        query's table features."""
+        queries = [
+            subquery
+            for labelled in tiny_workload
+            for subquery in labelled.query.connected_subqueries()
+        ]
+        batches = [queries[start : start + 3] for start in range(0, len(queries), 3)]
+        reference = make_featurizer(parts)
+        expected = [
+            RaggedDataset.from_featurized(reference.featurize_many(batch)) for batch in batches
+        ]
+        num_threads = 4
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # each trial registers every probe afresh
+                featurizer = make_featurizer(parts)
+                results: list = [None] * len(batches)
+                barrier = threading.Barrier(num_threads)
+
+                def featurize(worker: int) -> None:
+                    barrier.wait(timeout=60)
+                    for index in range(worker, len(batches), num_threads):
+                        results[index] = featurizer.featurize_ragged(batches[index])
+
+                threads = [
+                    threading.Thread(target=featurize, args=(worker,))
+                    for worker in range(num_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert all(result is not None for result in results)
+                for got, want in zip(results, expected):
+                    assert_ragged_equal(got, want)
+        finally:
+            sys.setswitchinterval(switch_interval)

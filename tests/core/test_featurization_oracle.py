@@ -7,6 +7,12 @@ at every plan cache cap — small caps force query evictions and
 probe-matrix flushes, which must never change a single feature — and
 whether the workload is featurized as one batch or in serving-sized
 micro-batches that share one plan (flushes then fall between batches).
+
+The workload path stores each set's distinct elements once, so it is
+compared through ``rows``: ``features[rows]`` must equal the reference's
+one-row-per-element features.  The plan's element ids behind the rows must
+be distinct per row, numbered in first-seen order, and valid across probe
+flushes: a flush renumbers the ids but never changes a batch's rows.
 """
 
 from __future__ import annotations
@@ -69,8 +75,42 @@ def assert_ragged_equal(got: RaggedDataset, want: RaggedDataset, context: str) -
     for name in ("tables", "joins", "predicates"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.features.dtype == b.features.dtype, f"{context}:{name}"
-        np.testing.assert_array_equal(a.features, b.features, err_msg=f"{context}:{name}")
+        np.testing.assert_array_equal(
+            a.features[a.rows], b.features[b.rows], err_msg=f"{context}:{name}"
+        )
         np.testing.assert_array_equal(a.offsets, b.offsets, err_msg=f"{context}:{name}")
+
+
+def assert_ids_behind_rows(got: RaggedDataset, gathered, context: str) -> None:
+    """The rows are the element ids deduplicated in first-seen order."""
+    for name in ("tables", "joins", "predicates"):
+        ragged_set, ids = getattr(got, name), getattr(gathered, name)
+        first, rows = ids.first, ragged_set.rows
+        np.testing.assert_array_equal(rows, ids.rows, err_msg=f"{context}:{name}")
+        distinct = ids.element_ids[first]
+        # One feature row per distinct id, and equal rows for equal ids.
+        assert ragged_set.features.shape[0] == first.shape[0], f"{context}:{name}"
+        assert np.unique(distinct).shape[0] == distinct.shape[0], f"{context}:{name}"
+        np.testing.assert_array_equal(distinct[rows], ids.element_ids, err_msg=f"{context}:{name}")
+        # First-seen order: row d is introduced by its first element, and
+        # those first elements come in increasing position.
+        np.testing.assert_array_equal(rows[first], np.arange(first.shape[0]), err_msg=context)
+        assert (np.diff(first) > 0).all(), f"{context}:{name}"
+        assert (first[rows] <= np.arange(rows.shape[0])).all(), f"{context}:{name}"
+
+
+def recording_gathers(featurizer) -> list:
+    """Record every workload the featurizer's plan gathers, in call order."""
+    plan = featurizer.plan()
+    gathered: list = []
+    gather = plan.gather
+
+    def recorded(queries):
+        gathered.append(gather(queries))
+        return gathered[-1]
+
+    plan.gather = recorded
+    return gathered
 
 
 @pytest.mark.parametrize("batch_size", (None, 7, 1), ids=("whole", "batch7", "batch1"))
@@ -84,18 +124,24 @@ def test_featurize_ragged_matches_per_query_oracle(
     database, samples, queries = dataset_parts[name]
     featurizer = make_featurizer(database, samples, variant, dtype, cap)
     oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
+    gathered = recording_gathers(featurizer)
     step = batch_size or len(queries)
     # The second pass replays the plan's caches (and, at small caps, the
     # probe-matrix flush at the start of a batch).
+    first_pass_rows = []
     for attempt in range(2):
-        for start in range(0, len(queries), step):
+        for batch, start in enumerate(range(0, len(queries), step)):
             stop = min(start + step, len(queries))
             context = (
                 f"{name}:{variant.value}:{np.dtype(dtype).name}:cap={cap}"
                 f":pass{attempt}:queries[{start}:{stop}]"
             )
-            assert_ragged_equal(
-                featurizer.featurize_ragged(queries[start:stop]),
-                oracle.slice(start, stop),
-                context,
-            )
+            got = featurizer.featurize_ragged(queries[start:stop])
+            assert_ragged_equal(got, oracle.slice(start, stop), context)
+            assert_ids_behind_rows(got, gathered[-1], context)
+            rows = [getattr(got, set_name).rows for set_name in ("tables", "joins", "predicates")]
+            if attempt == 0:
+                first_pass_rows.append(rows)
+            else:
+                for again, before in zip(rows, first_pass_rows[batch]):
+                    np.testing.assert_array_equal(again, before, err_msg=context)

@@ -232,7 +232,7 @@ class TestForwardContract:
         trace: dict = {}
         out = forward(batch, model.layers, trace)
         assert out.dtype == dtype
-        assert trace["merged"].dtype == dtype and trace["hidden"].dtype == dtype
+        assert trace["hidden"].dtype == dtype and trace["prediction"].dtype == dtype
         for prefix in ("table_mlp", "join_mlp", "predicate_mlp"):
             assert all(part.dtype == dtype for part in trace[prefix][:3]), prefix
 

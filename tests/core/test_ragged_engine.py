@@ -113,7 +113,7 @@ def paper_reference(model, dataset) -> np.ndarray:
         for attribute, prefix in SET_MODULES:
             ragged_set = getattr(dataset, attribute)
             elements = ragged_set.features[
-                ragged_set.offsets[query] : ragged_set.offsets[query + 1]
+                ragged_set.rows[ragged_set.offsets[query] : ragged_set.offsets[query + 1]]
             ]
             if len(elements) == 0:
                 representations.append(np.zeros(model.hidden_units))
@@ -421,23 +421,29 @@ class TestRaggedContainers:
         indices = rng.permutation(len(workload_queries))[:17]
         taken = ragged.take(indices)
         reference = featurizer.featurize_ragged([workload_queries[i] for i in indices])
+        # A gather keeps only its own distinct rows, in first-seen order:
+        # exactly what featurizing the selection as one batch stores.
         for name in ("tables", "joins", "predicates"):
             np.testing.assert_array_equal(
                 getattr(taken, name).features, getattr(reference, name).features
             )
+            np.testing.assert_array_equal(getattr(taken, name).rows, getattr(reference, name).rows)
             np.testing.assert_array_equal(
                 getattr(taken, name).offsets, getattr(reference, name).offsets
             )
 
-    def test_slice_is_a_view(self, featurizer_parts, workload_queries):
+    def test_slice_keeps_only_its_own_rows(self, featurizer_parts, workload_queries):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         ragged = featurizer.featurize_ragged(workload_queries)
+        assert ragged.slice(0, ragged.size).tables is ragged.tables
         chunk = ragged.slice(3, 9)
         assert chunk.size == 6
-        assert chunk.tables.features.base is ragged.tables.features
         reference = featurizer.featurize_ragged(workload_queries[3:9])
-        np.testing.assert_array_equal(chunk.tables.features, reference.tables.features)
-        np.testing.assert_array_equal(chunk.predicates.offsets, reference.predicates.offsets)
+        for name in ("tables", "joins", "predicates"):
+            got, want = getattr(chunk, name), getattr(reference, name)
+            np.testing.assert_array_equal(got.features, want.features, err_msg=name)
+            np.testing.assert_array_equal(got.rows, want.rows, err_msg=name)
+            np.testing.assert_array_equal(got.offsets, want.offsets, err_msg=name)
 
     def test_as_ragged_dataset_accepts_both_containers(
         self, featurizer_parts, workload_queries
@@ -446,7 +452,11 @@ class TestRaggedContainers:
         ragged = featurizer.featurize_ragged(workload_queries)
         assert as_ragged_dataset(ragged) is ragged
         stacked = as_ragged_dataset(featurizer.featurize_many(workload_queries))
-        np.testing.assert_array_equal(stacked.predicates.features, ragged.predicates.features)
+        rows = stacked.predicates.rows
+        np.testing.assert_array_equal(rows, np.arange(rows.size))
+        np.testing.assert_array_equal(
+            stacked.predicates.features, ragged.predicates.features[ragged.predicates.rows]
+        )
 
     def test_ragged_minibatches_cover_all_queries_once(
         self, featurizer_parts, workload_queries
@@ -496,6 +506,17 @@ class TestSegmentOps:
         np.testing.assert_array_equal(
             result, [[0 + 2, 1 + 3], [0.0, 0.0], [4 + 6 + 8, 5 + 7 + 9]]
         )
+
+    def test_segment_sum_reads_elements_through_rows(self):
+        data = np.arange(6, dtype=np.float64).reshape(3, 2)
+        offsets = np.array([0, 3, 3, 5])
+        rows = np.array([2, 0, 2, 1, 1])
+        result = segment_sum_array(data, offsets, np.diff(offsets), rows=rows)
+        np.testing.assert_array_equal(
+            result,
+            segment_sum_array(data[rows], offsets, np.diff(offsets)),
+        )
+        np.testing.assert_array_equal(result, [[4 + 0 + 4, 5 + 1 + 5], [0, 0], [2 + 2, 3 + 3]])
 
     def test_segment_mean_empty_segment_is_zero(self):
         ragged_set = RaggedSet(features=np.ones((3, 4)), offsets=np.array([0, 3, 3]))

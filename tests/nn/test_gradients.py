@@ -4,8 +4,11 @@ One float64 central-difference check covers every parameter of the model,
 for each training loss, through the trainer's whole loss chain (sigmoid,
 label denormalization, loss).  The batch has queries with empty join and
 predicate sets, so the pooling backward of a zero-length segment is
-covered too.  The remaining tests pin properties of the kernel itself:
-dtypes, per-query separation, linearity and no side effects.
+covered too, and the check runs again on a batch whose elements share
+feature rows within a query and across queries, which covers the
+scatter-add of the pooled gradient onto distinct rows.  The remaining
+tests pin properties of the kernel itself: dtypes, per-query separation,
+linearity and no side effects.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import RaggedDataset
+from repro.core.batching import RaggedDataset, RaggedSet, offsets_from_lengths
 from repro.core.config import LossKind, MSCNConfig
 from repro.core.featurization import FeaturizedQuery
 from repro.core.model import MSCN, backward, forward
@@ -45,15 +48,53 @@ def make_batch(rng: np.random.Generator, normalizer: CardinalityNormalizer) -> R
     )
 
 
+def make_shared_batch(
+    rng: np.random.Generator, normalizer: CardinalityNormalizer
+) -> RaggedDataset:
+    """Like :func:`make_batch`, but elements share distinct feature rows.
+
+    Per set, the element rows of each query; row 0 of every set repeats
+    within a query and across queries, and row 3 of the tables is stored
+    but no element uses it.
+    """
+    rows = {
+        "tables": [[0], [1, 0], [0, 2, 0], [1], [2, 0]],
+        "joins": [[], [0], [0, 1], [], [0]],
+        "predicates": [[], [0, 1, 0], [], [2, 0], [1]],
+    }
+    widths = {"tables": 4, "joins": 3, "predicates": 5}
+    distinct = {"tables": 4, "joins": 2, "predicates": 3}
+
+    def ragged(name: str) -> RaggedSet:
+        per_query = rows[name]
+        return RaggedSet(
+            features=rng.normal(size=(distinct[name], widths[name])),
+            offsets=offsets_from_lengths([len(elements) for elements in per_query]),
+            rows=np.array([row for elements in per_query for row in elements], dtype=np.int64),
+        )
+
+    cardinalities = np.array([2.0, 900.0, 15.0, 3000.0, 1.5])
+    return RaggedDataset(
+        tables=ragged("tables"),
+        joins=ragged("joins"),
+        predicates=ragged("predicates"),
+        labels=normalizer.normalize(cardinalities).reshape(-1, 1),
+        cardinalities=cardinalities.reshape(-1, 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "layout", [make_batch, make_shared_batch], ids=("per_query", "shared_rows")
+)
 @pytest.mark.parametrize("loss", list(LossKind))
-def test_every_parameter_gradient_matches_central_differences(loss):
+def test_every_parameter_gradient_matches_central_differences(loss, layout):
     rng = np.random.default_rng(0)
     model = MSCN(4, 3, 5, hidden_units=6, rng=rng, dtype=np.float64)
     for layer in model.layers.values():
         layer.bias[...] = rng.normal(scale=0.1, size=layer.bias.shape)
     normalizer = CardinalityNormalizer.fit(np.array([1.0, 1e4]))
     trainer = MSCNTrainer(model, normalizer, MSCNConfig(loss=loss, dtype="float64"))
-    batch = make_batch(rng, normalizer)
+    batch = layout(rng, normalizer)
     assert batch.joins.lengths.min() == 0 and batch.predicates.lengths.min() == 0
 
     def loss_value() -> float:
