@@ -150,7 +150,6 @@ def test_section47_inference_latency(context, write_result):
         p50_ms=p50,
         p95_ms=p95,
         dtype="float32",
-        precision="float32",
         metrics={"num_queries": len(queries)},
     )
 

@@ -154,7 +154,6 @@ def main() -> int:
         "smoke_large_scale",
         throughput_qps=labels_per_second,
         dtype="float32",
-        precision="float32",
         metrics={
             "sales_rows": sales_rows,
             "total_rows": database.total_rows(),

@@ -129,7 +129,6 @@ def main() -> int:
         "smoke_service",
         throughput_qps=cached_qps,
         dtype=config.dtype,
-        precision=config.inference_precision or config.dtype,
         metrics={
             "uncached_qps": uncached_qps,
             "cached_speedup": speedup,

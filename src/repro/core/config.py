@@ -11,12 +11,8 @@ inference engine.  The default is ``float32``: serving accuracy is unaffected
 (the model's own approximation error dwarfs single precision) while matmuls
 move half the memory.  Use ``float64`` for comparisons against
 hand-computed references, such as the finite-difference gradient check.
-
-``inference_precision`` selects the serving engine's weight tier on top of
-the training dtype: ``None`` inherits ``dtype``; ``float16``/``int8`` serve
-quantized weight snapshots with float32 compute.  The precision table and
-its aliases belong to :mod:`repro.core.inference`.  Predictions run in
-chunks of ``batch_size`` queries on the calling thread.
+It is the only precision setting: the serving engine computes in it too.
+Predictions run in chunks of ``batch_size`` queries on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.core.inference import resolve_precision
 
 __all__ = ["FeaturizationVariant", "LossKind", "MSCNConfig"]
 
@@ -73,7 +67,6 @@ class MSCNConfig:
     shuffle: bool = True
     dtype: str = "float32"
     bucket_by_length: bool = True
-    inference_precision: str | None = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -95,15 +88,14 @@ class MSCNConfig:
             raise ValueError("num_samples must be positive")
         # Accept numpy dtypes / aliases for convenience, but pin the stored
         # value to the canonical string so configs stay JSON-serializable.
-        canonical = np.dtype(self.dtype).name
+        # ``None`` is rejected, not read as numpy's float64 default.
+        try:
+            canonical = None if self.dtype is None else np.dtype(self.dtype).name
+        except TypeError:
+            canonical = None
         if canonical not in _SUPPORTED_DTYPES:
             raise ValueError(f"dtype must be one of {_SUPPORTED_DTYPES}, got {self.dtype!r}")
         object.__setattr__(self, "dtype", canonical)
-        if self.inference_precision is not None:
-            _, precision = resolve_precision(
-                np.dtype(canonical), precision=self.inference_precision
-            )
-            object.__setattr__(self, "inference_precision", precision)
         # Accept plain strings for convenience.
         if not isinstance(self.loss, LossKind):
             object.__setattr__(self, "loss", LossKind(self.loss))

@@ -330,7 +330,6 @@ class MSCNEstimator:
                 "shuffle": self.config.shuffle,
                 "dtype": self.config.dtype,
                 "bucket_by_length": self.config.bucket_by_length,
-                "inference_precision": self.config.inference_precision,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -366,8 +365,9 @@ class MSCNEstimator:
             # Models saved before these knobs existed were float64.
             dtype=config_data.get("dtype", "float64"),
             bucket_by_length=config_data.get("bucket_by_length", True),
-            # Absent in models saved before the precision tiers existed.
-            inference_precision=config_data.get("inference_precision"),
+            # Retired keys are not read: e.g. "engine_replicas", or an
+            # "inference_precision" of "float16"/"int8", which now serves at
+            # the native dtype.
         )
         samples = None
         if metadata.get("has_samples"):

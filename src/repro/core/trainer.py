@@ -14,9 +14,8 @@ length-bucketed mini-batch (see ``iterate_ragged_minibatches``), chains the
 loss gradient through the label normalization, and hands the hand-derived
 :func:`repro.core.model.backward` gradients to Adam.  Inference goes through
 the :class:`~repro.core.inference.InferenceEngine`, whose weight snapshot is
-refreshed only before the first prediction after training, so a quantized
-(``float16``/``int8``) tier is re-quantized once per weight change rather
-than once per prediction.
+refreshed only before the first prediction after training, once per weight
+change rather than once per prediction.
 """
 
 from __future__ import annotations
@@ -180,18 +179,13 @@ class MSCNTrainer:
     def engine(self) -> InferenceEngine:
         """The cached fused inference engine, built on first use.
 
-        Precision-configured by the estimator configuration; every run
-        computes on its caller's thread.  Predictions refresh its snapshot
-        after training; callers that change the weights by other means call
-        ``engine().refresh()`` themselves.
+        It computes in the model's dtype, on each caller's thread.
+        Predictions refresh its snapshot after training; callers that change
+        the weights by other means call ``engine().refresh()`` themselves.
         """
         with self._engine_lock:
             if self._engine is None:
-                self._engine = InferenceEngine(
-                    self.model,
-                    dtype=self.config.np_dtype,
-                    precision=self.config.inference_precision,
-                )
+                self._engine = InferenceEngine(self.model)
                 self._stale = False  # a new engine captures the current weights
             return self._engine
 

@@ -5,18 +5,18 @@ The smoke benchmarks and the Section 4.7 latency benchmark each write a
 runs (and local reruns) leave a structured trail of throughput and latency
 numbers that tooling can diff across commits without scraping text tables.
 
-Every record carries a common envelope — benchmark name, serving dtype /
-precision tier, throughput and latency percentiles — plus free-form
-benchmark-specific metrics.  Fields that do not apply are
-simply ``None``; consumers must treat absent/null keys as "not measured".
+Every record carries a common envelope — benchmark name, serving dtype,
+throughput and latency percentiles — plus free-form benchmark-specific
+metrics.  Fields that do not apply are simply ``None``; consumers must treat
+absent/null keys as "not measured".
 
-:func:`pin_blas_threads` is the shared benchmark-environment helper: every
-smoke benchmark measuring thread-level parallelism (concurrent labeling)
-must pin the BLAS libraries to one thread so nested BLAS threading neither
-inflates serial baselines nor contends with the worker threads under test.
-This module deliberately avoids importing numpy at module level so the helper can run before numpy — and
-therefore before OpenBLAS/MKL read their thread-count environment variables
-— is loaded anywhere in the process.
+:func:`pin_blas_threads` is the shared benchmark-environment helper: the
+pipeline benchmark and the smokes pin the BLAS libraries to one thread, so
+nested BLAS threading neither inflates serial baselines nor contends with
+the threads under test.  This module avoids importing numpy at module level,
+so the helper can run before numpy — and therefore before OpenBLAS/MKL read
+their thread-count environment variables — is loaded anywhere in the
+process.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def write_bench_json(
     p50_ms: "float | None" = None,
     p95_ms: "float | None" = None,
     dtype: "str | None" = None,
-    precision: "str | None" = None,
     metrics: "Mapping[str, object] | None" = None,
 ) -> Path:
     """Write ``BENCH_<name>.json`` into ``directory`` and return its path.
@@ -106,7 +105,6 @@ def write_bench_json(
         "p50_ms": None if p50_ms is None else float(p50_ms),
         "p95_ms": None if p95_ms is None else float(p95_ms),
         "dtype": dtype,
-        "precision": precision,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "metrics": dict(metrics) if metrics else {},

@@ -126,8 +126,9 @@ class TestIntrospectionAndPersistence:
     def test_load_ignores_retired_metadata_keys(self, trained_estimator, tiny_database,
                                                 tiny_workload, tmp_path):
         """Models saved before the padded inference path, the process
-        featurization tier, the engine scratch cap and the engine's thread
-        tier were retired still load, bit-identically."""
+        featurization tier, the engine scratch cap, the engine's thread
+        tier and the quantized precision tiers were retired still load, and
+        serve bit-identically at their native dtype."""
         directory = tmp_path / "older"
         trained_estimator.save(directory)
         metadata_path = directory / "metadata.json"
@@ -137,12 +138,40 @@ class TestIntrospectionAndPersistence:
         metadata["config"]["scratch_rows_cap"] = 512
         metadata["config"]["engine_replicas"] = 3
         metadata["config"]["inference_chunk_size"] = 16
+        metadata["config"]["inference_precision"] = "int8"
         metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
         restored = MSCNEstimator.load(directory, tiny_database)
         queries = [labelled.query for labelled in tiny_workload[:20]]
         np.testing.assert_array_equal(
             restored.estimate_many(queries), trained_estimator.estimate_many(queries)
         )
+
+    @pytest.mark.parametrize("precision", ["int8", "float16", "float32", "float64", None])
+    def test_load_serves_a_retired_precision_at_native_dtype(
+        self, trained_estimator, tiny_database, tiny_workload, tmp_path, precision
+    ):
+        """Whatever ``inference_precision`` an older ``metadata.json``
+        recorded, the loaded model keeps its saved dtype, its engine computes
+        in that dtype, and it estimates bit-identically to the saved model."""
+        directory = tmp_path / "older"
+        trained_estimator.save(directory)
+        metadata_path = directory / "metadata.json"
+        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+        assert "inference_precision" not in metadata["config"]
+        metadata["config"]["inference_precision"] = precision
+        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
+        restored = MSCNEstimator.load(directory, tiny_database)
+        assert restored.config.dtype == trained_estimator.config.dtype
+        assert not hasattr(restored.config, "inference_precision")
+        queries = [labelled.query for labelled in tiny_workload[:20]]
+        np.testing.assert_array_equal(
+            restored.estimate_many(queries), trained_estimator.estimate_many(queries)
+        )
+        engine = restored._trainer.engine()
+        assert engine.dtype == restored.config.np_dtype
+        for layer in engine.snapshot.layers.values():
+            assert layer.weight.dtype == restored.config.np_dtype
+            assert layer.bias.dtype == restored.config.np_dtype
 
     def test_save_before_fit_raises(self, tiny_database, small_config, tiny_samples, tmp_path):
         estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)

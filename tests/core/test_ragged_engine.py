@@ -149,26 +149,22 @@ class TestFloat64BitIdentity:
         featurizer = make_featurizer(featurizer_parts, variant)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries)
-        output = InferenceEngine(model, dtype=np.float64).run(ragged, chunk_size=chunk_size)
+        output = InferenceEngine(model).run(ragged, chunk_size=chunk_size)
         np.testing.assert_array_equal(
             output, chunked_forward(model, ragged, chunk_size or ragged.size)
         )
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize(
-        "dtype, precision",
-        [(np.float64, None), (np.float32, None), (np.float32, "float16"), (np.float32, "int8")],
-        ids=["float64", "float32", "float16", "int8"],
-    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_chunked_run_bit_identical_to_one_run_per_chunk(
-        self, featurizer_parts, workload_queries, variant, dtype, precision, chunk_size
+        self, featurizer_parts, workload_queries, variant, dtype, chunk_size
     ):
         featurizer = make_featurizer(featurizer_parts, variant, dtype)
         model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:60])
-        engine = InferenceEngine(model, dtype=dtype, precision=precision)
+        engine = InferenceEngine(model)
         output = engine.run(ragged, chunk_size=chunk_size)
         per_chunk = [
             engine.run(ragged.slice(start, min(start + chunk_size, ragged.size)))
@@ -179,7 +175,7 @@ class TestFloat64BitIdentity:
 
     def test_run_at_chunk_size_one_starts_no_thread(self, featurizer_parts, workload_queries):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        engine = InferenceEngine(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:24])
         threads_before = threading.active_count()
         engine.run(ragged, chunk_size=1)
@@ -187,7 +183,7 @@ class TestFloat64BitIdentity:
 
     def test_empty_dataset_and_invalid_chunk_size(self, featurizer_parts, workload_queries):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        engine = InferenceEngine(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:4])
         assert engine.run(ragged.slice(0, 0)).shape == (0,)
         with pytest.raises(ValueError):
@@ -198,7 +194,7 @@ class TestFloat64BitIdentity:
         self, featurizer_parts, workload_queries, failing_chunk
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        engine = InferenceEngine(make_model(featurizer), dtype=np.float64)
+        engine = InferenceEngine(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:24])
         spec = FaultSpec("engine.run", max_triggers=1, skip_first=failing_chunk)
         with FaultPlan([spec]).activate() as plan:
@@ -209,25 +205,20 @@ class TestFloat64BitIdentity:
         assert plan.evaluations("engine.run") == failing_chunk + 1
 
     @pytest.mark.parametrize("chunk_size", [1, 8, None])
-    @pytest.mark.parametrize(
-        "dtype, precision",
-        [(np.float64, None), (np.float32, None), (np.float32, "float16"), (np.float32, "int8")],
-        ids=["float64", "float32", "float16", "int8"],
-    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     def test_threaded_callers_all_get_bit_identical_results(
-        self, featurizer_parts, workload_queries, dtype, precision, chunk_size
+        self, featurizer_parts, workload_queries, dtype, chunk_size
     ):
         """Four threads share one engine and run at once, which only works
         because a run keeps no state outside its own frame."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
         model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:48])
-        engine = InferenceEngine(model, dtype=dtype, precision=precision)
+        engine = InferenceEngine(model)
         reference = engine.run(ragged, chunk_size=chunk_size).copy()
-        if precision is None:
-            np.testing.assert_array_equal(
-                reference, chunked_forward(model, ragged, chunk_size or ragged.size)
-            )
+        np.testing.assert_array_equal(
+            reference, chunked_forward(model, ragged, chunk_size or ragged.size)
+        )
         mismatches: list[int] = []
 
         def caller(caller_id: int) -> None:
@@ -254,7 +245,7 @@ class TestFloat64BitIdentity:
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
         model = make_model(featurizer)
-        engine = InferenceEngine(model, dtype=np.float64)
+        engine = InferenceEngine(model)
         queries = [Query(tables=("title",))]
         ragged = featurizer.featurize_ragged(queries)
         assert ragged.joins.features.shape[0] == 0
@@ -263,20 +254,20 @@ class TestFloat64BitIdentity:
         np.testing.assert_array_equal(output, model_forward(model, ragged))
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("precision", [None, "float16", "int8"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("chunk_size", [None, 1, 4])
     def test_refresh_is_atomic_under_concurrent_runs(
-        self, featurizer_parts, workload_queries, chunk_size, precision
+        self, featurizer_parts, workload_queries, chunk_size, dtype
     ):
         """A refresh racing concurrent runs must never produce a mixed-weight
         forward pass: every run's output, whole batch or chunked, corresponds
         to exactly one of the installed weight snapshots (the regression was
         refresh swapping the layer snapshot while another thread was
         mid-run; a chunked run reads the snapshot once for all its chunks)."""
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        model = make_model(featurizer)
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
+        model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:16])
-        engine = InferenceEngine(model, dtype=np.float64, precision=precision)
+        engine = InferenceEngine(model)
 
         state_a = model.state_dict()
         state_b = {name: p + 0.25 for name, p in model.named_parameters()}
@@ -319,7 +310,7 @@ class TestFloat64BitIdentity:
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries[:10])
-        engine = InferenceEngine(model, dtype=np.float64)
+        engine = InferenceEngine(model)
         first = engine.snapshot
         assert engine.generation == 0
         before = engine.run(ragged).copy()
@@ -331,6 +322,118 @@ class TestFloat64BitIdentity:
         after = engine.run(ragged)
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(model_forward(model, ragged), after)
+
+
+NATIVE_DTYPES = pytest.mark.parametrize(
+    "dtype", [np.float64, np.float32], ids=["float64", "float32"]
+)
+
+
+class TestNativeSnapshot:
+    """The engine's weight snapshot is the model's own weights in the model's
+    dtype: one weight and one bias per layer, and nothing else."""
+
+    @NATIVE_DTYPES
+    def test_snapshot_holds_every_layer_in_the_model_dtype(self, featurizer_parts, dtype):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        engine = InferenceEngine(model)
+        assert engine.dtype == model.dtype == np.dtype(dtype)
+        layers = engine.snapshot.layers
+        assert set(layers) == set(model.layers)
+        for name, layer in layers.items():
+            for snapshot_array, live in (
+                (layer.weight, model.layers[name].weight),
+                (layer.bias, model.layers[name].bias),
+            ):
+                assert snapshot_array.dtype == np.dtype(dtype)
+                assert snapshot_array.flags.c_contiguous
+                np.testing.assert_array_equal(snapshot_array, live)
+
+    @NATIVE_DTYPES
+    def test_contiguous_parameters_pass_through_without_copy(self, featurizer_parts, dtype):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        engine = InferenceEngine(model)
+        for _ in range(2):  # at construction, then again after a refresh
+            for name, layer in engine.snapshot.layers.items():
+                assert np.shares_memory(layer.weight, model.layers[name].weight)
+                assert np.shares_memory(layer.bias, model.layers[name].bias)
+            engine.refresh()
+
+    @NATIVE_DTYPES
+    def test_non_contiguous_parameters_are_copied_contiguous(
+        self, featurizer_parts, workload_queries, dtype
+    ):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        ragged = featurizer.featurize_ragged(workload_queries[:20])
+        engine = InferenceEngine(model)
+        before = engine.run(ragged).copy()
+        for layer in model.layers.values():
+            layer.weight = np.asfortranarray(layer.weight)
+        engine.refresh()
+        for name, layer in engine.snapshot.layers.items():
+            assert layer.weight.flags.c_contiguous
+            assert layer.weight.dtype == np.dtype(dtype)
+            if model.layers[name].weight.ndim == 2 and min(model.layers[name].weight.shape) > 1:
+                assert not np.shares_memory(layer.weight, model.layers[name].weight)
+        np.testing.assert_array_equal(engine.run(ragged), before)
+
+    @NATIVE_DTYPES
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_run_returns_the_model_dtype(self, featurizer_parts, workload_queries, variant, dtype):
+        featurizer = make_featurizer(featurizer_parts, variant, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        engine = InferenceEngine(model)
+        ragged = featurizer.featurize_ragged(workload_queries[:12])
+        output = engine.run(ragged, chunk_size=5)
+        assert output.dtype == np.dtype(dtype)
+        assert output.shape == (12,)
+        assert engine.run(ragged.slice(0, 0)).dtype == np.dtype(dtype)
+
+    @NATIVE_DTYPES
+    def test_rebound_weights_are_unseen_until_refresh(
+        self, featurizer_parts, workload_queries, dtype
+    ):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        ragged = featurizer.featurize_ragged(workload_queries[:16])
+        engine = InferenceEngine(model)
+        before = engine.run(ragged).copy()
+        shifted = {name: p + dtype(0.25) for name, p in model.named_parameters()}
+        install_weights(model, shifted)
+        np.testing.assert_array_equal(engine.run(ragged), before)
+        engine.refresh()
+        after = engine.run(ragged)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, model_forward(model, ragged))
+
+    @NATIVE_DTYPES
+    def test_each_refresh_installs_a_new_generation(
+        self, featurizer_parts, workload_queries, dtype
+    ):
+        """A refresh builds a new snapshot and leaves the old one intact, so
+        a run that read the old one keeps its weights."""
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
+        model = make_model(featurizer, dtype=dtype)
+        engine = InferenceEngine(model)
+        snapshots = [engine.snapshot]
+        states = [model.state_dict()]
+        for step in range(1, 4):
+            install_weights(
+                model, {name: p + dtype(0.1) for name, p in model.named_parameters()}
+            )
+            engine.refresh()
+            assert engine.generation == step
+            assert engine.snapshot.generation == step
+            assert engine.snapshot is not snapshots[-1]
+            snapshots.append(engine.snapshot)
+            states.append(model.state_dict())
+        for snapshot, state in zip(snapshots, states):
+            for name, layer in snapshot.layers.items():
+                np.testing.assert_array_equal(layer.weight, state[name + ".weight"])
+                np.testing.assert_array_equal(layer.bias, state[name + ".bias"])
 
 
 class TestFloat32FusedPath:
@@ -409,7 +512,7 @@ class TestFloat32FusedPath:
         assert ragged.tables.features.dtype == np.float32
         model = make_model(featurizer, dtype=np.float32)
         assert all(p.dtype == np.float32 for _, p in model.named_parameters())
-        engine = InferenceEngine(model, dtype=np.float32)
+        engine = InferenceEngine(model)
         assert engine.run(ragged).dtype == np.float32
 
 

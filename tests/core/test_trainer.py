@@ -242,11 +242,11 @@ class TestDatasetTrainingPath:
 class TestSnapshotRefresh:
     """Predictions re-snapshot the weights only after training changed them."""
 
-    def test_repeat_predictions_share_one_quantized_snapshot(self, training_setup):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_repeat_predictions_share_one_snapshot(self, training_setup, dtype):
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(
-            hidden_units=16, epochs=2, batch_size=32, seed=5, num_samples=50,
-            inference_precision="int8",
+            hidden_units=16, epochs=2, batch_size=32, seed=5, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
         trainer.train(features, cardinalities)
@@ -257,14 +257,13 @@ class TestSnapshotRefresh:
         assert trainer.engine().generation == snapshot.generation
         np.testing.assert_array_equal(first, second)
 
-    @pytest.mark.parametrize("precision", [None, "int8"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_predictions_after_more_training_use_the_new_weights(
-        self, training_setup, precision
+        self, training_setup, dtype
     ):
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(
-            hidden_units=16, epochs=2, batch_size=32, seed=6, num_samples=50,
-            inference_precision=precision,
+            hidden_units=16, epochs=2, batch_size=32, seed=6, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
         trainer.train(features, cardinalities)
@@ -275,9 +274,7 @@ class TestSnapshotRefresh:
         assert trainer.engine().generation == generation + 1
         assert not np.array_equal(before, after)
         # The refreshed snapshot is the one a fresh engine would take.
-        fresh = InferenceEngine(
-            trainer.model, dtype=config.np_dtype, precision=precision
-        ).run(as_ragged_dataset(features[:10]))
+        fresh = InferenceEngine(trainer.model).run(as_ragged_dataset(features[:10]))
         np.testing.assert_array_equal(
             after, trainer.normalizer.denormalize(np.asarray(fresh, dtype=np.float64))
         )

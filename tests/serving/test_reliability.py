@@ -509,26 +509,26 @@ _CHAOS_SEEDS = (2024, 7, 31337)
 
 @pytest.fixture(scope="module")
 def chaos_model(tiny_database, tiny_samples, tiny_workload):
-    """One trained model per inference precision.
+    """One trained model per dtype.
 
     Every model shares the reliability estimator's training seed.
     """
-    models: dict[str | None, MSCNEstimator] = {}
+    models: dict[str, MSCNEstimator] = {}
 
-    def model(precision) -> MSCNEstimator:
-        if precision not in models:
+    def model(dtype) -> MSCNEstimator:
+        if dtype not in models:
             config = MSCNConfig(
                 hidden_units=24,
                 epochs=6,
                 batch_size=32,
                 num_samples=50,
                 seed=13,
-                inference_precision=precision,
+                dtype=dtype,
             )
             estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
             estimator.fit(tiny_workload)
-            models[precision] = estimator
-        return models[precision]
+            models[dtype] = estimator
+        return models[dtype]
 
     return model
 
@@ -537,7 +537,7 @@ class TestChaos:
     """The swept serving oracle.
 
     Concurrent traffic under a seeded fault plan (engine exceptions, latency
-    spikes, registry corruption) across result cache x precision x overload
+    spikes, registry corruption) across result cache x dtype x overload
     policy: every request resolves to the model's estimate, the fallback's
     estimate, or a typed error; no thread hangs; afterwards the breaker closes within a bounded number of probes and a
     cold pass over the workload is bit-identical to the direct path and to
@@ -546,7 +546,7 @@ class TestChaos:
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     @pytest.mark.parametrize("overload_policy", ["reject", "degrade"])
-    @pytest.mark.parametrize("precision", [None, "float16", "int8"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("cache_capacity", [1, 4096])
     def test_every_request_resolves_and_recovery_is_bit_identical(
         self,
@@ -556,11 +556,11 @@ class TestChaos:
         reliability_queries,
         sampling_fallback,
         cache_capacity,
-        precision,
+        dtype,
         overload_policy,
         seed,
     ):
-        model = chaos_model(precision)
+        model = chaos_model(dtype)
         queries = reliability_queries
         baseline = model.estimate_many(queries)
         fallback_values = np.asarray(

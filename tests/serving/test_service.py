@@ -450,7 +450,7 @@ class TestSubplanFanout:
 class TestServedModels:
     """Models other than the default fixture behind the service front-end."""
 
-    def test_float16_model_serves_identically_to_direct(
+    def test_float64_model_serves_identically_to_direct(
         self, tiny_database, tiny_samples, tiny_workload, serving_queries
     ):
         config = MSCNConfig(
@@ -459,7 +459,7 @@ class TestServedModels:
             batch_size=32,
             num_samples=50,
             seed=13,
-            inference_precision="float16",
+            dtype="float64",
         )
         estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
         estimator.fit(tiny_workload)
