@@ -7,10 +7,23 @@ PK/FK equi-join without materializing it.
 
 For the tree-shaped join graphs produced by the workload generators (every
 join adds one new table), counting follows a Yannakakis-style bottom-up
-weight propagation: each qualifying row of a leaf has weight 1, a parent row's
-weight is the product over child tables of the summed weights of matching
-child rows, and the result cardinality is the sum of root weights.  This runs
-in time linear in the table sizes rather than in the size of the join result.
+weight propagation.  The tree is rooted at the table with the most qualifying
+rows.  Each edge carries a *message*: the child subtree's row weights summed
+per join key.  A row's weight is the product over its child tables of the
+messages it matches, and the result cardinality is the sum of the root's row
+weights.  This runs in time linear in the table sizes rather than in the size
+of the join result.
+
+One counting core answers a whole list of connected table subsets of one
+query: :meth:`CardinalityExecutor.execute` asks it for the full table set,
+and :meth:`CardinalityExecutor.execute_subplans` for every connected sub-plan
+a join-order optimizer costs.  Each base table is scanned once per call, each
+edge message is folded once per (child, child-side subtree) and shared by
+every subset that contains that subtree, and the root's qualifying rows are
+walked in fixed blocks: each block gathers every distinct root factor once
+and builds each root-topped subset's product from a prefix shared with the
+previous subset.  Subsets topped by another table sum that table's weights
+from the same messages.
 
 Each join edge is counted over a dense key domain: a child's weights are
 scatter-added into one float64 total per key (the keys are their own codes,
@@ -20,18 +33,15 @@ edge with negative keys, or keys spread far wider than its rows (huge ids,
 row-sampled tables), first codes its keys by rank in the sorted union of
 both columns' distinct values; that union is built once per executor.
 
-The executor evaluates whole arrays: a predicate scan is one selection mask
-over the table, and each edge folds all child rows in one ``np.bincount``
-and gathers all parent factors in one indexing pass.  All weights are
-integer-valued float64, so every sum is exact below 2**53.
+All weights are integer-valued float64 and every term is non-negative, so a
+count is exact while its total stays below 2**53; a count that reaches it
+raises :class:`OverflowError` instead of returning a rounded label.
 
 Two :class:`~repro.utils.lru.LRU` memos sit in front of the counting:
 ``cache_capacity`` memoizes whole results by query signature, and
-``scan_cache_capacity`` memoizes per-(table, predicate-set) qualifying rows.
-The DPsize optimizer's sub-plan fan-out executes every connected sub-plan of
-a query, and all of them filter the same base tables with the same predicate
-conjunctions — the scan memo lets one base scan serve the whole enumeration
-instead of being re-executed per sub-plan.
+``scan_cache_capacity`` memoizes per-(table, predicate-set) qualifying rows
+across calls (:meth:`~CardinalityExecutor.execute` callers that count one
+sub-plan at a time, and other queries that filter a table identically).
 
 Cyclic join graphs (not produced by the generators, but accepted by the API)
 fall back to iterative hash-join expansion.  A brute-force nested-loop
@@ -59,12 +69,22 @@ __all__ = ["CardinalityExecutor", "nested_loop_cardinality"]
 # coded by rank in the edge's sorted distinct-value union.
 _DENSE_SPAN_FACTOR = 4
 
+# The root's qualifying rows are multiplied out this many at a time, so the
+# root side holds block-sized factor and product arrays, never full-length ones.
+_ROOT_BLOCK_ROWS = 1 << 16
+
+# Integer-valued float64 sums are exact below this.
+_EXACT_LIMIT = float(2**53)
+
+# What a subset needs of a table's weights: a message to its parent, a sum.
+_SEND, _SUM = 1, 2
+
 
 class _JoinKeyDomain:
     """Codes both key columns of one join edge into ``[0, size)``.
 
-    Every key of either column has a code, so neither the fold nor the apply
-    needs a membership test: a parent key no child row carries reads total 0.
+    Every key of either column has a code, so neither the fold nor a gather of
+    its totals needs a membership test: a parent key no child row carries reads total 0.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray):
@@ -80,12 +100,11 @@ class _JoinKeyDomain:
     def codes(self, keys: np.ndarray) -> np.ndarray:
         return keys if self.union is None else np.searchsorted(self.union, keys)
 
-    def fold(self, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Summed ``weights`` per key code (added in input order)."""
-        return np.bincount(self.codes(keys), weights, minlength=self.size)
-
-    def apply(self, weights: np.ndarray, totals: np.ndarray, keys: np.ndarray) -> None:
-        weights *= totals[self.codes(keys)]
+    def fold(self, keys: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """Summed ``weights`` per key code (added in input order); ``None``
+        weighs every row 1."""
+        totals = np.bincount(self.codes(keys), weights, minlength=self.size)
+        return totals if weights is not None else totals.astype(np.float64)
 
 
 class CardinalityExecutor:
@@ -104,13 +123,12 @@ class CardinalityExecutor:
     ``cache_hits``/``cache_misses`` count lookups.
 
     ``scan_cache_capacity`` enables a second, finer-grained LRU over
-    per-(table, predicate-set) qualifying-row arrays.  Connected sub-plans of
-    one query all scan the same base tables under the same predicate
-    conjunctions, so during plan enumeration each base scan is executed once
-    and shared across the whole sub-plan fan-out (and across sub-plans of
-    *other* queries that filter a table identically).  Cached arrays are
-    treated as read-only by every counting path.  ``scan_reuse_hits`` /
-    ``scan_reuse_misses`` count lookups.
+    per-(table, predicate-set) qualifying-row arrays.  One
+    :meth:`execute_subplans` call scans each table once by construction; the
+    memo serves :meth:`execute` callers that count a query's sub-plans one at
+    a time, and other queries that filter a table identically.  Cached
+    arrays are treated as read-only by every counting path.
+    ``scan_reuse_hits`` / ``scan_reuse_misses`` count lookups.
     """
 
     def __init__(
@@ -158,6 +176,37 @@ class CardinalityExecutor:
             self._cache.put(signature, result)
         return result
 
+    def execute_subplans(self, query: Query) -> list[int]:
+        """Exact cardinality of every connected sub-plan of ``query``,
+        aligned with :meth:`~repro.db.query.Query.connected_subqueries`.
+
+        The result memo sees exactly the traffic of calling :meth:`execute`
+        on each sub-plan in order (one ``get`` per sub-plan, a ``put`` after
+        each miss), so its hits, misses and contents match that loop; the
+        sub-plans it does not hold are counted together in one pass of the
+        counting core.  Cyclic and disconnected queries run :meth:`execute`
+        per sub-plan.
+        """
+        subqueries = query.connected_subqueries()
+        if not (query.is_connected() and self._is_tree(query.tables, query.joins)):
+            return [self.execute(subquery) for subquery in subqueries]
+        subsets = query.connected_table_subsets()
+        if self._cache is None:
+            return self._count_query_subsets(query, subsets)
+        signatures = [subquery.signature() for subquery in subqueries]
+        # Peeking does not count as a lookup: it only decides which counts
+        # the one core pass must produce before the lookups are replayed.
+        counts = [self._cache.peek(signature) for signature in signatures]
+        missing = [position for position, count in enumerate(counts) if count is None]
+        if missing:
+            fresh = self._count_query_subsets(query, [subsets[i] for i in missing])
+            for position, count in zip(missing, fresh):
+                counts[position] = count
+        for signature, count in zip(signatures, counts):
+            if self._cache.get(signature) is None:
+                self._cache.put(signature, count)
+        return counts
+
     def _execute_uncached(self, query: Query) -> int:
         query.validate_against(self.database.schema)
         qualifying_rows = {
@@ -165,13 +214,22 @@ class CardinalityExecutor:
         }
         if any(len(rows) == 0 for rows in qualifying_rows.values()):
             return 0
-        components = self._connected_components(query)
         total = 1
-        for component_tables, component_joins in components:
-            total *= self._count_component(component_tables, component_joins, qualifying_rows)
+        for component_tables, component_joins in self._connected_components(query):
+            total *= self._count_component(
+                query, component_tables, component_joins, qualifying_rows
+            )
             if total == 0:
                 return 0
         return int(total)
+
+    def _count_query_subsets(self, query: Query, subsets) -> list[int]:
+        """Counts of connected ``subsets`` of the tree query ``query``."""
+        query.validate_against(self.database.schema)
+        qualifying_rows = {
+            table: self._qualifying_rows(query, table) for table in query.tables
+        }
+        return self._count_subsets(query, query.tables, query.joins, subsets, qualifying_rows)
 
     # ------------------------------------------------------------------
     def _qualifying_rows(self, query: Query, table_name: str) -> np.ndarray:
@@ -213,15 +271,17 @@ class CardinalityExecutor:
         return domain
 
     def _connected_components(self, query: Query):
-        """Split the query into connected components of its join graph."""
+        """Split the query into connected components of its join graph; each
+        component lists its tables in query order."""
         remaining = set(query.tables)
         components = []
         adjacency: dict[str, list] = {table: [] for table in query.tables}
         for join in query.joins:
             adjacency[join.left_table].append(join)
             adjacency[join.right_table].append(join)
-        while remaining:
-            start = next(iter(remaining))
+        for start in query.tables:
+            if start not in remaining:
+                continue
             seen = {start}
             frontier = [start]
             joins = []
@@ -235,14 +295,17 @@ class CardinalityExecutor:
                         seen.add(other)
                         frontier.append(other)
             remaining -= seen
-            components.append((tuple(seen), tuple(joins)))
+            tables = tuple(table for table in query.tables if table in seen)
+            components.append((tables, tuple(joins)))
         return components
 
-    def _count_component(self, tables, joins, qualifying_rows) -> int:
+    def _count_component(self, query, tables, joins, qualifying_rows) -> int:
         if len(tables) == 1:
             return int(len(qualifying_rows[tables[0]]))
         if self._is_tree(tables, joins):
-            return self._count_tree(tables, joins, qualifying_rows)
+            return self._count_subsets(
+                query, tables, joins, [frozenset(tables)], qualifying_rows
+            )[0]
         return self._count_by_expansion(tables, joins, qualifying_rows)
 
     @staticmethod
@@ -255,41 +318,148 @@ class CardinalityExecutor:
         pairs = {frozenset({j.left_table, j.right_table}) for j in joins}
         return len(pairs) == len(joins)
 
-    def _count_tree(self, tables, joins, qualifying_rows) -> int:
+    # -- the counting core ------------------------------------------------
+    def _count_subsets(self, query, tables, joins, subsets, qualifying_rows) -> list[int]:
+        """Exact counts of connected ``subsets`` of one join tree.
+
+        ``tables`` (in query order) and ``joins`` form the tree.  It is rooted
+        at the table with the most qualifying rows, the first in query order
+        on a tie.  In subset ``S``, every table ``u`` below ``S``'s top table
+        sends its parent the message of ``(u, S ∩ subtree(u))``: such a
+        message is folded once, children before parents, and shared by every
+        subset that needs it.  A subset topped by another table sums that
+        table's weights; root-topped subsets are multiplied out over blocks
+        of root rows (:meth:`_count_rooted`).
+        """
+        sizes = [len(qualifying_rows[table]) for table in tables]
+        root = tables[sizes.index(max(sizes))]
         adjacency: dict[str, list] = {table: [] for table in tables}
         for join in joins:
             adjacency[join.left_table].append(join)
             adjacency[join.right_table].append(join)
-
-        root = tables[0]
-        # Build a rooted traversal order (parents before children).
+        # Parents before children; ``edges`` maps every other table to the
+        # join with its parent and that join's key domain.
         order = [root]
-        parent_join = {root: None}
-        seen = {root}
-        index = 0
-        while index < len(order):
-            current = order[index]
-            index += 1
+        depth = {root: 0}
+        edges: dict[str, tuple] = {}
+        children: dict[str, list] = {table: [] for table in tables}
+        for current in order:
             for join in adjacency[current]:
                 child = join.other_table(current)
-                if child not in seen:
-                    seen.add(child)
-                    parent_join[child] = join
+                if child not in depth:
+                    depth[child] = depth[current] + 1
+                    edges[child] = (join, self._key_domain(join))
+                    children[current].append(child)
                     order.append(child)
+        subtree: dict[str, frozenset] = {}
+        for table in reversed(order):
+            subtree[table] = frozenset((table,)).union(*(subtree[c] for c in children[table]))
 
-        # Bottom-up weight propagation over each edge's key domain.
-        weights = {
-            table: np.ones(len(qualifying_rows[table]), dtype=np.float64) for table in tables
-        }
-        for table in reversed(order[1:]):
-            join = parent_join[table]
-            parent = join.other_table(table)
-            domain = self._key_domain(join)
-            child_keys = self._keys(table, join.column_of(table), qualifying_rows[table])
-            totals = domain.fold(child_keys, weights[table])
-            parent_keys = self._keys(parent, join.column_of(parent), qualifying_rows[parent])
-            domain.apply(weights[parent], totals, parent_keys)
-        return int(round(weights[root].sum()))
+        # Per table, the subset parts at or below it whose weights some
+        # subset needs: sent up as a message (_SEND) from every table but a
+        # subset's top, and summed (_SUM) at a top other than the root.
+        needs: dict[str, dict] = {table: {} for table in tables}
+        rooted = []
+        for subset in subsets:
+            top = min(subset, key=depth.__getitem__)
+            for table in subset:
+                if table != top:
+                    below = subset & subtree[table]
+                    needs[table][below] = needs[table].get(below, 0) | _SEND
+            if top != root:
+                needs[top][subset] = needs[top].get(subset, 0) | _SUM
+            elif len(subset) > 1:
+                rooted.append(subset)
+
+        messages: dict[tuple, np.ndarray] = {}
+        totals: dict[frozenset, float] = {}
+        for table in reversed(order):  # the root needs nothing here
+            rows = qualifying_rows[table]
+            codes: dict[str, np.ndarray] = {}  # this table's key codes per child
+            for below, flags in needs[table].items():
+                weights = None
+                for child in children[table]:
+                    if child in below:
+                        child_codes = codes.get(child)
+                        if child_codes is None:
+                            join, domain = edges[child]
+                            keys = self._keys(table, join.column_of(table), rows)
+                            child_codes = codes[child] = domain.codes(keys)
+                        factor = messages[child, below & subtree[child]][child_codes]
+                        if weights is None:
+                            weights = factor
+                        else:
+                            weights *= factor
+                if flags & _SEND:
+                    join, domain = edges[table]
+                    keys = self._keys(table, join.column_of(table), rows)
+                    messages[table, below] = domain.fold(keys, weights)
+                if flags & _SUM:
+                    totals[below] = len(rows) if weights is None else float(weights.sum())
+        if rooted:
+            totals.update(
+                self._count_rooted(
+                    root, qualifying_rows[root], rooted, children[root], edges, subtree, messages
+                )
+            )
+
+        counts = []
+        for subset in subsets:
+            total = totals[subset] if len(subset) > 1 else len(qualifying_rows[next(iter(subset))])
+            if not total < _EXACT_LIMIT:
+                raise OverflowError(
+                    f"the count of {query.subquery(subset).to_sql()!r} reaches 2**53, "
+                    "beyond what float64 join weights count exactly"
+                )
+            counts.append(int(total))
+        return counts
+
+    def _count_rooted(self, root, rows, subsets, children, edges, subtree, messages) -> dict:
+        """Totals of the root-topped ``subsets`` over the root's ``rows``.
+
+        A subset's product multiplies one message per root child it holds,
+        in child order.  The rows are walked in blocks: per block, each child
+        edge's keys are coded once and each distinct message gathered once,
+        and subsets sorted by their factor lists reuse every prefix product
+        they share with their predecessor.
+        """
+        factor_ids: dict[tuple, int] = {}
+        plans = sorted(
+            (
+                tuple(
+                    factor_ids.setdefault((child, subset & subtree[child]), len(factor_ids))
+                    for child in children
+                    if child in subset
+                ),
+                subset,
+            )
+            for subset in subsets
+        )
+        root_table = self.database.table(root)
+        columns = [
+            (child, root_table.column(edges[child][0].column_of(root)), edges[child][1])
+            for child in dict.fromkeys(child for child, _ in factor_ids)
+        ]
+        unfiltered = len(rows) == root_table.num_rows
+        totals = dict.fromkeys(subsets, 0.0)
+        for start in range(0, len(rows), _ROOT_BLOCK_ROWS):
+            stop = start + _ROOT_BLOCK_ROWS
+            block = slice(start, stop) if unfiltered else rows[start:stop]
+            codes = {child: domain.codes(column[block]) for child, column, domain in columns}
+            factors = [messages[factor][codes[factor[0]]] for factor in factor_ids]
+            previous: tuple = ()
+            products: list[np.ndarray] = []
+            for ids, subset in plans:
+                shared = 0
+                while shared < min(len(previous), len(ids)) and previous[shared] == ids[shared]:
+                    shared += 1
+                del products[shared:]
+                for position in ids[shared:]:
+                    factor = factors[position]
+                    products.append(products[-1] * factor if products else factor)
+                totals[subset] += float(products[-1].sum())
+                previous = ids
+        return totals
 
     def _keys(self, table: str, column: str, rows: np.ndarray) -> np.ndarray:
         """The ``column`` values of ``rows``; the column itself for an unfiltered scan."""

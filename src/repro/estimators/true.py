@@ -1,5 +1,6 @@
 """Oracle estimator returning exact cardinalities: the truth side of
-plan-quality evaluation, executed serially with LRU result and scan memos."""
+plan-quality evaluation, executed serially with LRU result and scan memos and
+one counting pass per sub-plan fan-out."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from repro.db.executor import CardinalityExecutor
 from repro.db.query import Query
 from repro.db.table import Database
-from repro.estimators.base import CardinalityEstimator
+from repro.estimators.base import CardinalityEstimator, subplan_map
 
 __all__ = ["TrueCardinalityEstimator"]
 
@@ -27,10 +28,18 @@ class TrueCardinalityEstimator(CardinalityEstimator):
     database snapshot re-execute nothing.  Pass ``cache_capacity=None`` to
     execute every call.
 
+    :meth:`estimate_subplans` counts a query's whole fan-out in one pass of
+    the executor's counting core (:meth:`CardinalityExecutor.execute_subplans`):
+    each base table is scanned once and each join edge's message is folded
+    once for every sub-plan that shares it.  Only the sub-plans the result
+    memo does not hold are counted, and the memo sees the same lookups as
+    :meth:`estimate_many` over the sub-plans, so its hits, misses and
+    contents are those of the base-class path.
+
     A second, coarser reuse layer sits below the result memo: the executor's
-    per-(table, predicate-set) scan memo (``scan_cache_capacity``).  Connected
-    sub-plans of one query share base-table predicate sets, so even sub-plans
-    whose *results* differ reuse each other's qualifying-row scans.
+    per-(table, predicate-set) scan memo (``scan_cache_capacity``), which
+    serves :meth:`estimate` calls on sub-plans of one query, and queries that
+    filter a table identically, from one scan.
     """
 
     name = "True cardinality"
@@ -72,3 +81,9 @@ class TrueCardinalityEstimator(CardinalityEstimator):
         """Executes (or recalls) each query; memoization dedupes within the
         batch as well as across calls."""
         return np.array([self.estimate(query) for query in queries], dtype=np.float64)
+
+    def estimate_subplans(self, query: Query) -> dict[frozenset[str], float]:
+        """Every connected sub-plan's true cardinality (clamped to 1), counted
+        in one fan-out pass; values equal :meth:`estimate` on each sub-plan."""
+        counts = self._executor.execute_subplans(query)
+        return subplan_map(query.connected_subqueries(), [max(count, 1) for count in counts])

@@ -215,7 +215,8 @@ class TestCyclicFallback:
 
 
 class TestJoinKeyDomain:
-    """The per-edge fold (child weights per key) and apply (parent factors)."""
+    """The per-edge fold (child weights per key) and the gather of parent
+    factors from its totals by key code."""
 
     @staticmethod
     def _factors(child_keys, parent_keys, child_weights=None):
@@ -225,9 +226,7 @@ class TestJoinKeyDomain:
             child_weights = np.ones(len(child_keys))
         domain = _JoinKeyDomain(child_keys, parent_keys)
         totals = domain.fold(child_keys, np.asarray(child_weights, dtype=np.float64))
-        factors = np.ones(len(parent_keys))
-        domain.apply(factors, totals, parent_keys)
-        return domain, factors
+        return domain, totals[domain.codes(parent_keys)]
 
     def test_absent_keys_give_factor_zero(self):
         domain, factors = self._factors([2, 5, 5], [1, 2, 5, 9], child_weights=[3, 4, 6])
@@ -267,6 +266,14 @@ class TestJoinKeyDomain:
         domain, factors = self._factors([10**6, 3], [3, 10**6, 4])
         assert domain.union is not None and domain.size == 3
         np.testing.assert_array_equal(factors, [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("keys", [[2, 5, 5, 0], [-3, 2**41, -3]], ids=["dense", "ranked"])
+    def test_fold_without_weights_counts_rows_as_float64(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        domain = _JoinKeyDomain(keys, keys)
+        unweighted = domain.fold(keys, None)
+        assert unweighted.dtype == np.float64
+        np.testing.assert_array_equal(unweighted, domain.fold(keys, np.ones(len(keys))))
 
     def test_executor_builds_one_domain_per_edge(self, two_table_database):
         executor = CardinalityExecutor(two_table_database)

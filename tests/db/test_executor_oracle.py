@@ -17,6 +17,11 @@ Each configuration, as its own test case, must also agree on cyclic join
 graphs (the hash-join expansion path) and joins against an empty table in
 every key domain, on empty and singleton tables, and with the labels of a
 real generated workload; the default executor must agree on random chains.
+``execute_subplans``, which counts a query's whole sub-plan fan-out in one
+pass, must agree sub-plan by sub-plan on star, chain and snowflake trees in
+every key domain, with tied root sizes, empty qualifying sides, roots that
+span several row blocks, and on the cyclic and disconnected fallbacks; it
+must also leave no garbage cycle, and a count reaching 2**53 must raise.
 The sub-plan consistency properties join enumeration relies on, and the
 memos' counters, LRU bounds and capacity checks, are pinned down by the
 short tests at the end.
@@ -24,6 +29,7 @@ short tests at the end.
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import numpy as np
@@ -31,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import executor as executor_module
 from repro.db.executor import CardinalityExecutor, nested_loop_cardinality
 from repro.db.predicates import selection_mask
 from repro.db.query import JoinCondition, Predicate, Query
@@ -71,16 +78,13 @@ def assert_counts(database: Database, configuration: tuple, expected: dict) -> N
             assert executor.execute(query) == count, query
 
 
-@st.composite
-def tree_databases(draw):
-    """A random tree of 2-4 tables and a query with random predicates over it."""
-    num_tables = draw(st.integers(2, 4))
-    parents = [None] + [draw(st.integers(0, index - 1)) for index in range(1, num_tables)]
-    domains = [draw(st.sampled_from(sorted(KEY_DOMAINS))) for _ in range(num_tables)]
-    sizes = [draw(st.integers(1, 6)) for _ in range(num_tables)]
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
+def tree_database(parents, domains, sizes, rng: np.random.Generator):
+    """Tables ``t0..`` where ``t{i}.ref`` joins ``t{parents[i]}.id``, and the
+    unfiltered query joining them all.
 
+    ``domains`` names each table's key domain and ``sizes`` its row count;
+    ``rng`` draws the ``val`` columns and the references.
+    """
     schemas, tables, foreign_keys = [], {}, []
     for index, parent in enumerate(parents):
         name = f"t{index}"
@@ -99,22 +103,33 @@ def tree_databases(draw):
         schemas.append(schema)
         tables[name] = Table(schema, data)
     database = Database(Schema(tables=tuple(schemas), foreign_keys=tuple(foreign_keys)), tables)
+    query = Query(
+        tables=tuple(f"t{index}" for index in range(len(parents))),
+        joins=tuple(
+            JoinCondition(f"t{index}", "ref", f"t{parent}", "id")
+            for index, parent in enumerate(parents)
+            if parent is not None
+        ),
+    )
+    return database, query
+
+
+@st.composite
+def tree_databases(draw):
+    """A random tree of 2-4 tables and a query with random predicates over it."""
+    num_tables = draw(st.integers(2, 4))
+    parents = [None] + [draw(st.integers(0, index - 1)) for index in range(1, num_tables)]
+    domains = [draw(st.sampled_from(sorted(KEY_DOMAINS))) for _ in range(num_tables)]
+    sizes = [draw(st.integers(1, 6)) for _ in range(num_tables)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    database, query = tree_database(parents, domains, sizes, np.random.default_rng(seed))
 
     predicates = []
     for index in range(num_tables):
         if draw(st.booleans()):
             operator = draw(st.sampled_from(("=", "<", ">")))
             predicates.append(Predicate(f"t{index}", "val", operator, draw(st.integers(0, 3))))
-    query = Query(
-        tables=tuple(f"t{index}" for index in range(num_tables)),
-        joins=tuple(
-            JoinCondition(f"t{index}", "ref", f"t{parent}", "id")
-            for index, parent in enumerate(parents)
-            if parent is not None
-        ),
-        predicates=tuple(predicates),
-    )
-    return database, query
+    return database, Query(query.tables, query.joins, tuple(predicates))
 
 
 @given(tree_databases())
@@ -263,9 +278,8 @@ def test_join_against_empty_side(domain, configuration):
     domain_codes = configured_executor(database, configuration)._key_domain(join.joins[0])
     totals = domain_codes.fold(empty, np.ones(0))
     assert totals.shape == (domain_codes.size,) and not totals.any()
-    weights = np.ones(2)
-    domain_codes.apply(weights, totals, database.table("dim").column("id"))
-    assert not weights.any()
+    weights = totals[domain_codes.codes(database.table("dim").column("id"))]
+    assert weights.shape == (2,) and not weights.any()
 
 
 def test_two_table_exact_counts(two_table_database, configuration):
@@ -287,6 +301,170 @@ def test_reproduces_workload_labels(tiny_database, tiny_workload, configuration)
         configuration,
         {entry.query: entry.cardinality for entry in tiny_workload[:20]},
     )
+
+
+# ---------------------------------------------------------------------------
+# Sub-plan fan-out: every connected sub-plan counted in one core pass
+# ---------------------------------------------------------------------------
+# Parent index per table.  A star's leaves, a chain's ends and a snowflake's
+# arms each take the root when they hold the most qualifying rows, so
+# sub-plans the root does not top and messages over several levels both run.
+SHAPES = {
+    "star": (None, 0, 0, 0),
+    "chain": (None, 0, 1, 2),
+    "snowflake": (None, 0, 0, 1, 2),
+}
+
+
+def fanout_case(shape: str, domain: str, seed: int, sizes=None, filtered: bool = True):
+    """A ``shape`` tree in one key domain and its query, with random
+    predicates unless ``filtered`` is false."""
+    rng = np.random.default_rng(seed)
+    parents = SHAPES[shape]
+    if sizes is None:
+        sizes = rng.integers(1, 7, len(parents)).tolist()
+    database, query = tree_database(parents, [domain] * len(parents), sizes, rng)
+    predicates = ()
+    if filtered:
+        predicates = tuple(
+            Predicate(table, "val", ("=", "<", ">")[int(rng.integers(3))], int(rng.integers(4)))
+            for table in query.tables
+            if rng.random() < 0.5
+        )
+    return database, Query(query.tables, query.joins, predicates)
+
+
+def assert_fanout_matches_nested_loop(database: Database, query: Query) -> None:
+    """Every configuration's ``execute_subplans`` counts what the nested loop
+    counts for each connected sub-plan, twice (the second pass is served by
+    whatever the memos kept), and agrees with per-sub-plan ``execute``."""
+    subqueries = query.connected_subqueries()
+    expected = [nested_loop_cardinality(database, subquery) for subquery in subqueries]
+    for configuration in CONFIGURATIONS:
+        executor = configured_executor(database, configuration)
+        for _ in range(2):
+            assert executor.execute_subplans(query) == expected, configuration
+        fresh = configured_executor(database, configuration)
+        assert [fresh.execute(subquery) for subquery in subqueries] == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("domain", sorted(KEY_DOMAINS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_fanout_matches_nested_loop(shape, domain, seed):
+    assert_fanout_matches_nested_loop(*fanout_case(shape, domain, 300 + seed))
+
+
+@pytest.mark.parametrize("domain", sorted(KEY_DOMAINS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_fanout_with_tied_root_sizes(shape, domain):
+    """Every table holds 4 rows: the root is the first table in query order,
+    so reversing the order re-roots the tree at the other end."""
+    sizes = [4] * len(SHAPES[shape])
+    database, query = fanout_case(shape, domain, 7, sizes, filtered=False)
+    assert_fanout_matches_nested_loop(database, query)
+    reversed_query = Query(query.tables[::-1], query.joins, query.predicates)
+    assert_fanout_matches_nested_loop(database, reversed_query)
+
+
+@pytest.mark.parametrize("domain", ("dense", "negative_and_huge"))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_fanout_with_an_empty_qualifying_side(shape, domain):
+    """One table at a time qualifies no row: every sub-plan holding it counts
+    0, the others count as usual."""
+    database, query = fanout_case(shape, domain, 11, filtered=False)
+    for table in query.tables:
+        empty = Query(query.tables, query.joins, (Predicate(table, "val", ">", 3),))
+        assert_fanout_matches_nested_loop(database, empty)
+
+
+@pytest.mark.parametrize("filtered", (False, True), ids=("unfiltered", "filtered"))
+@pytest.mark.parametrize("domain", ("dense", "sparse", "negative_and_huge"))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_fanout_root_spans_several_blocks(shape, domain, filtered, monkeypatch):
+    """Three-row root blocks: each block's partial products add up, whether
+    the root's keys are sliced (unfiltered) or gathered (filtered)."""
+    monkeypatch.setattr(executor_module, "_ROOT_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(13)
+    sizes = rng.integers(4, 8, len(SHAPES[shape])).tolist()
+    sizes[int(rng.integers(len(sizes)))] = 10  # the root: four blocks unfiltered
+    assert_fanout_matches_nested_loop(*fanout_case(shape, domain, 17, sizes, filtered))
+
+
+@pytest.mark.parametrize("domain", sorted(KEY_DOMAINS))
+def test_fanout_falls_back_on_cyclic_and_disconnected_queries(domain):
+    """Both fall back to ``execute`` per sub-plan, memo traffic included."""
+    database = chain_database(np.random.default_rng(400), num_tables=3, domain=domain)
+    cyclic = Query(
+        tables=("t0", "t1", "t2"),
+        joins=(
+            JoinCondition("t1", "ref", "t0", "id"),
+            JoinCondition("t2", "ref", "t1", "id"),
+            JoinCondition("t0", "id", "t1", "ref"),
+        ),
+    )
+    disconnected = Query(
+        tables=("t0", "t1", "t2"),
+        joins=(JoinCondition("t1", "ref", "t0", "id"),),
+        predicates=(Predicate("t2", "val", "<", 3),),
+    )
+    for query in (cyclic, disconnected):
+        assert_fanout_matches_nested_loop(database, query)
+        fanout, loop = (CardinalityExecutor(database, cache_capacity=64) for _ in range(2))
+        fanout.execute_subplans(query)
+        for subquery in query.connected_subqueries():
+            loop.execute(subquery)
+        assert (fanout.cache_hits, fanout.cache_misses) == (loop.cache_hits, loop.cache_misses)
+
+
+def hub_database(num_children: int, rows_per_child: int) -> Database:
+    """One hub row and ``num_children`` tables whose every row joins it."""
+    hub = TableSchema("hub", (ColumnSchema("id", "primary_key"),))
+    schemas, tables, foreign_keys = [hub], {"hub": Table(hub, {"id": np.array([1])})}, []
+    for index in range(num_children):
+        name = f"c{index}"
+        schema = TableSchema(name, (ColumnSchema("hub_id", "foreign_key"),))
+        schemas.append(schema)
+        tables[name] = Table(schema, {"hub_id": np.ones(rows_per_child, dtype=np.int64)})
+        foreign_keys.append(ForeignKey(name, "hub_id", "hub", "id"))
+    return Database(Schema(tables=tuple(schemas), foreign_keys=tuple(foreign_keys)), tables)
+
+
+def test_count_reaching_2_53_raises_overflow_error():
+    """10**16 rows cannot be counted exactly in float64; the executor says so
+    instead of returning a rounded label, and still counts 10**12 exactly."""
+    database = hub_database(4, 10_000)
+    names = database.schema.table_names
+    query = Query(
+        tables=names,
+        joins=tuple(JoinCondition(name, "hub_id", "hub", "id") for name in names[1:]),
+    )
+    executor = CardinalityExecutor(database, cache_capacity=64)
+    with pytest.raises(OverflowError, match="c3"):
+        executor.execute(query)
+    with pytest.raises(OverflowError, match="c3"):
+        executor.execute_subplans(query)
+    three_children = query.subquery(names[:4])
+    assert executor.execute(three_children) == 10**12
+    assert executor.execute_subplans(three_children)[-1] == 10**12
+
+
+def test_fanout_leaves_no_garbage_cycle(tiny_database, probe_queries):
+    """A fan-out frees every array it made by reference counting alone: a
+    reference cycle would keep each pass's arrays alive until a cyclic
+    collection."""
+    executor = CardinalityExecutor(tiny_database, cache_capacity=4096, scan_cache_capacity=256)
+    queries = probe_queries[:20]
+    for query in queries:
+        query.connected_subqueries()
+    gc.collect()
+    gc.disable()
+    try:
+        for query in queries:
+            executor.execute_subplans(query)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

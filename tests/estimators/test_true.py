@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.datasets.registry import get_dataset, registered_datasets
+from repro.estimators.base import CardinalityEstimator
 from repro.estimators.true import TrueCardinalityEstimator
 from repro.evaluation.metrics import q_errors
+from repro.workload.generator import QueryGenerator, WorkloadConfig, generate_evaluation_workload
 
 
 def test_oracle_matches_labels(tiny_database, tiny_workload):
@@ -53,3 +57,64 @@ def test_oracle_cache_can_be_disabled(tiny_database, tiny_workload):
     oracle.estimate(query)
     oracle.estimate(query)
     assert oracle.cache_hits == 0 and oracle.cache_misses == 0
+
+
+# ---------------------------------------------------------------------------
+# The fan-out path against the base-class path (estimate_many over sub-plans)
+# ---------------------------------------------------------------------------
+def memo_state(oracle: TrueCardinalityEstimator):
+    """Hits, misses and the result memo's entries in LRU order."""
+    return oracle.cache_hits, oracle.cache_misses, list(oracle._executor._cache._entries.items())
+
+
+@pytest.fixture(scope="module")
+def fanout_queries(tiny_database):
+    generator = QueryGenerator(
+        tiny_database, WorkloadConfig(num_queries=10, min_joins=2, max_joins=3, seed=29)
+    )
+    queries = [generator._draw_query() for _ in range(10)]
+    assert max(len(query.connected_subqueries()) for query in queries) > 4
+    return queries
+
+
+@pytest.mark.parametrize(
+    "warmth, capacity",
+    [("cold", 65536), ("warm", 65536), ("half_warm", 65536), ("half_warm", 4), ("warm", 4)],
+)
+def test_fanout_memo_traffic_matches_base_class_path(tiny_database, fanout_queries, warmth,
+                                                     capacity):
+    """Same values, hits, misses and LRU contents after every query, also
+    when the LRU holds fewer entries than one fan-out has sub-plans."""
+    fanout, base = (
+        TrueCardinalityEstimator(tiny_database, cache_capacity=capacity) for _ in range(2)
+    )
+    for oracle in (fanout, base):
+        for query in fanout_queries:
+            if warmth == "warm":
+                CardinalityEstimator.estimate_subplans(oracle, query)
+            elif warmth == "half_warm":
+                oracle.estimate_many(query.connected_subqueries()[::2])
+    assert memo_state(fanout) == memo_state(base)
+    # Repeats revisit sub-plans the memo may still hold or already evicted.
+    for query in fanout_queries + fanout_queries[::3]:
+        assert fanout.estimate_subplans(query) == CardinalityEstimator.estimate_subplans(
+            base, query
+        )
+        assert memo_state(fanout) == memo_state(base)
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in registered_datasets()])
+def test_fanout_bit_identical_on_plan_quality_queries(name):
+    """The queries and database of ``test_plan_quality_gates.py``."""
+    spec = get_dataset(name)
+    database = spec.generate(scale=0.05, seed=7)
+    evaluation = generate_evaluation_workload(spec, database, num_queries=60, seed=23)
+    queries = [l.query for l in evaluation if l.query.num_joins >= 2][:25]
+    assert queries
+    fanout = TrueCardinalityEstimator(database)
+    uncached = TrueCardinalityEstimator(database, cache_capacity=None, scan_cache_capacity=None)
+    base = TrueCardinalityEstimator(database)
+    for query in queries:
+        expected = CardinalityEstimator.estimate_subplans(base, query)
+        assert fanout.estimate_subplans(query) == expected
+        assert uncached.estimate_subplans(query) == expected
