@@ -45,15 +45,15 @@ def test_figure6_single_epoch_training_cost(context, benchmark):
     estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
     trainer = estimator._trainer
     snapshot = estimator._model.state_dict()
-    features = estimator.featurizer.featurize_many(
-        [q.query for q in context.training_workload[:2000]]
-    )
     cardinalities = np.array(
         [q.cardinality for q in context.training_workload[:2000]], dtype=np.float64
     )
+    dataset = estimator.featurizer.featurize_ragged(
+        [q.query for q in context.training_workload[:2000]], cardinalities=cardinalities
+    )
 
     def one_epoch():
-        return trainer.train(features, cardinalities, epochs=1)
+        return trainer.train(dataset, cardinalities, epochs=1)
 
     try:
         result = benchmark.pedantic(one_epoch, rounds=1, iterations=1)

@@ -118,8 +118,8 @@ def test_section47_featurization_throughput(context, write_result):
 
 def test_section47_inference_latency(context, write_result):
     """End-to-end serving latency (featurize + infer, warm bitmap cache) of
-    the float32 fused engine, as batch throughput and single-query latency
-    percentiles; in float64 the chunked engine reproduces one model
+    a float32 model, as batch throughput and single-query latency
+    percentiles; in float64 chunked prediction reproduces one model
     ``forward`` pass over the same dataset bit for bit."""
     fused = context.trained_mscn(FeaturizationVariant.BITMAPS)
     queries = [labelled.query for labelled in context.synthetic_workload]

@@ -21,7 +21,6 @@ from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
-from repro.core.inference import InferenceEngine, WeightSnapshot
 from repro.core.model import MSCN
 from repro.core.trainer import MSCNTrainer, TrainingResult
 
@@ -36,6 +35,4 @@ __all__ = [
     "MSCN",
     "MSCNTrainer",
     "TrainingResult",
-    "InferenceEngine",
-    "WeightSnapshot",
 ]

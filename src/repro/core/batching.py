@@ -31,7 +31,6 @@ from repro.core.featurization import FeaturizedQuery, first_seen
 __all__ = [
     "RaggedSet",
     "RaggedDataset",
-    "as_ragged_dataset",
     "iterate_ragged_minibatches",
     "offsets_from_lengths",
 ]
@@ -250,15 +249,6 @@ class RaggedDataset:
     def total_elements(self) -> np.ndarray:
         """Per-query total set elements (used for length bucketing)."""
         return self.tables.lengths + self.joins.lengths + self.predicates.lengths
-
-
-def as_ragged_dataset(
-    features: "RaggedDataset | Sequence[FeaturizedQuery]",
-) -> RaggedDataset:
-    """Coerce either supported feature container to the ragged layout."""
-    if isinstance(features, RaggedDataset):
-        return features
-    return RaggedDataset.from_featurized(list(features))
 
 
 def iterate_ragged_minibatches(

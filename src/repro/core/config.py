@@ -6,12 +6,12 @@ Section 4.6: 100 epochs, batch size 1024, 256 hidden units, learning rate
 per table and bitmap features.
 
 ``dtype`` selects the compute precision of the whole pipeline — featurization
-lookup tables, datasets, model weights, optimizer state and the fused
-inference engine.  The default is ``float32``: serving accuracy is unaffected
+lookup tables, datasets, model weights, optimizer state and prediction.
+The default is ``float32``: serving accuracy is unaffected
 (the model's own approximation error dwarfs single precision) while matmuls
 move half the memory.  Use ``float64`` for comparisons against
 hand-computed references, such as the finite-difference gradient check.
-It is the only precision setting: the serving engine computes in it too.
+It is the only precision setting: prediction computes in it too.
 Predictions run in chunks of ``batch_size`` queries on the calling thread.
 """
 

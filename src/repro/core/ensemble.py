@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batching import RaggedDataset
 from repro.core.config import MSCNConfig
 from repro.core.estimator import MSCNEstimator
 from repro.core.trainer import TrainingResult
@@ -138,17 +139,17 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
     def estimate(self, query: Query) -> float:
         return self.estimate_with_uncertainty(query).cardinality
 
-    def serving_dataset(self, queries: Sequence[Query]):
+    def serving_dataset(self, queries: Sequence[Query]) -> RaggedDataset:
         """Featurize serving traffic once for all members (shared layout)."""
         return self.members[0].serving_dataset(queries)
 
-    def estimate_featurized(self, features) -> np.ndarray:
+    def estimate_featurized(self, dataset: RaggedDataset) -> np.ndarray:
         """Geometric-mean ensemble estimates for a pre-featurized workload."""
-        cardinalities, _, _ = self.estimate_featurized_with_uncertainty(features)
+        cardinalities, _, _ = self.estimate_featurized_with_uncertainty(dataset)
         return cardinalities
 
     def estimate_featurized_with_uncertainty(
-        self, features
+        self, dataset: RaggedDataset
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ensemble estimates and spreads for a pre-featurized workload.
 
@@ -160,7 +161,7 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
         featurizing the workload more than once.
         """
         per_member = np.vstack(
-            [member.estimate_featurized(features) for member in self.members]
+            [member.estimate_featurized(dataset) for member in self.members]
         )
         clamped = np.maximum(per_member, 1.0)
         cardinalities = np.maximum(np.exp(np.mean(np.log(clamped), axis=0)), 1.0)
@@ -172,7 +173,7 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
 
         All members share the same samples, encoding and compute dtype, so the
         workload is featurized once (into the ragged serving layout) and the
-        same dataset feeds every member's fused inference engine.
+        same dataset feeds every member's forward pass.
         """
         if not queries:
             return []

@@ -9,7 +9,7 @@
 5. train the MSCN model,
 6. answer :meth:`estimate` calls for unseen queries by featurizing them (which
    includes probing the materialized samples at estimation time) and running
-   the trainer's fused :class:`~repro.core.inference.InferenceEngine`.
+   the model's forward pass on them (:meth:`MSCNTrainer.predict_normalized`).
 
 The estimator also reports its serialized model size (paper Section 4.7) and
 can be persisted to disk and reloaded against the same database snapshot.
@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import QueryFeaturizer
@@ -150,7 +151,7 @@ class MSCNEstimator:
         self._trainer = MSCNTrainer(self._model, self._normalizer, self.config)
 
         # Training and validation are featurized once, into the ragged
-        # layout the trainer's minibatch gathers and the fused validation
+        # layout the trainer's minibatch gathers and the validation
         # predictions both read.
         if train_dataset is None:
             train_dataset = self.featurizer.featurize_ragged(
@@ -203,8 +204,8 @@ class MSCNEstimator:
         """Estimated cardinality of a single query."""
         return float(self.estimate_many([query])[0])
 
-    def serving_dataset(self, queries: Sequence[Query]):
-        """Featurize serving traffic into the ragged layout the engine reads.
+    def serving_dataset(self, queries: Sequence[Query]) -> RaggedDataset:
+        """Featurize serving traffic into the ragged layout prediction reads.
 
         Public so ensembles (and other fan-out consumers) can featurize a
         workload once and share the dataset across models; pair with
@@ -216,8 +217,8 @@ class MSCNEstimator:
         """Estimated cardinalities for a sequence of queries.
 
         Featurizes into the ragged layout, reuses the shared bitmap cache,
-        and runs the fused float-``config.dtype`` inference engine — the
-        paper's sub-millisecond serving path.
+        and runs the model's forward pass in ``config.dtype`` — the paper's
+        sub-millisecond serving path.
         """
         trainer = self._require_trained()
         if not queries:
@@ -232,14 +233,14 @@ class MSCNEstimator:
         single ragged dataset — sub-plans share base tables, joins and
         predicates, so each distinct element is featurized once and the
         sample-bitmap probes hit the shared bitmap cache.  Inference then
-        runs the fused engine in per-sub-plan chunks rather than one big
+        runs the forward pass in per-sub-plan chunks rather than one big
         matrix: each chunk keeps only its sub-plan's distinct rows, in
         first-seen order — exactly the rows and order featurizing that
         sub-plan alone gives — and BLAS kernels are selected by operand
         shape, so only these shape-matched chunks make the batch path
         **bit-identical** to per-sub-query :meth:`estimate` calls — the
         guarantee an optimizer needs for its costs to be reproducible
-        regardless of how estimates were batched.  (The whole-batch fused
+        regardless of how estimates were batched.  (The whole-batch
         pass, which projects each element shared by the sub-plans once,
         remains the serving default via
         :meth:`estimate_many`/:meth:`estimate_featurized`.)  The chunks run
@@ -251,14 +252,12 @@ class MSCNEstimator:
             subqueries, trainer.predict(self.serving_dataset(subqueries), batch_size=1)
         )
 
-    def estimate_featurized(self, features) -> np.ndarray:
-        """Estimated cardinalities for already-featurized queries.
-
-        Accepts a :class:`~repro.core.batching.RaggedDataset` or per-query
-        featurizations; ensembles use this to featurize a workload once and
-        fan it out to every member.
+    def estimate_featurized(self, dataset: RaggedDataset) -> np.ndarray:
+        """Estimated cardinalities for queries already featurized by
+        :meth:`serving_dataset`; ensembles use this to featurize a workload
+        once and fan it out to every member.
         """
-        return self._require_trained().predict(features)
+        return self._require_trained().predict(dataset)
 
     def timed_estimate_many(self, queries: Sequence[Query]) -> tuple[np.ndarray, PredictionTiming]:
         """Estimates plus a featurization/inference latency breakdown."""

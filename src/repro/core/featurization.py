@@ -19,8 +19,8 @@ There is one workload path, :meth:`QueryFeaturizer.featurize_ragged`: a
 and sample probes once (kept in an :class:`~repro.utils.lru.LRU` by query
 signature), and the batch is assembled with a few fancy-indexed writes into
 ``(distinct_elements, width)`` arrays, one row per distinct element of each
-set, plus each element's row index and CSR offsets — the layout of training
-and of the fused inference engine.  Every batch gets fresh
+set, plus each element's row index and CSR offsets — the layout training
+and prediction both read.  Every batch gets fresh
 arrays, which took 0.79-0.97x the time of featurizing into reused grow-only
 buffers at batch sizes 1-1,024 (imdb ``small``, 2 cores).
 
@@ -633,8 +633,8 @@ class QueryFeaturizer:
         probes' bitmap rows are gathered.  ``features[rows]`` of every set
         is bit-identical to
         ``RaggedDataset.from_featurized(self.featurize_many(queries))``.
-        The arrays are contiguous and already in the engine dtype, so the
-        fused engine consumes them without copying.
+        The arrays are contiguous and already in the model dtype, so the
+        forward pass consumes them without copying.
         """
         from repro.core.batching import (
             RaggedDataset,

@@ -19,9 +19,9 @@ MSCN is one fixed graph, so it is written once, as plain numpy.
 :class:`~repro.core.batching.RaggedDataset` — the per-element MLPs see each
 distinct set element once, and pooling is a segment reduction over the CSR
 offsets, gathered through each set's ``rows``, the paper's masked average
-without any padded slots — against any mapping of layer names to
-``(weight, bias)`` layers: the live :attr:`MSCN.layers` during training, an
-inference engine's weight snapshot when serving.  Because the mean is
+without any padded slots — against a mapping of layer names to
+``(weight, bias)`` layers: the model's own :attr:`MSCN.layers`, for training
+and prediction alike.  Because the mean is
 linear, ``MLP_out``'s first layer is split by set and applied before
 pooling::
 
@@ -127,7 +127,7 @@ class MSCN:
                     f"state provides {value.shape}"
                 )
             # Copy into the existing buffer so references held by the
-            # optimizer and inference engines stay valid.
+            # optimizer stay valid.
             np.copyto(parameter, value)
 
 

@@ -12,39 +12,29 @@ FLOPs are spent on padding.  Both also run the one MSCN forward pass,
 :func:`repro.core.model.forward`.  A training step runs it on a
 length-bucketed mini-batch (see ``iterate_ragged_minibatches``), chains the
 loss gradient through the label normalization, and hands the hand-derived
-:func:`repro.core.model.backward` gradients to Adam.  Inference goes through
-the :class:`~repro.core.inference.InferenceEngine`, whose weight snapshot is
-refreshed only before the first prediction after training, once per weight
-change rather than once per prediction.
+:func:`repro.core.model.backward` gradients to Adam, which updates the
+parameter arrays in place.  Prediction runs it chunk by chunk on the model's
+own layers, so it always sees the current weights: there is no second copy
+of them to keep in step.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.batching import (
-    RaggedDataset,
-    as_ragged_dataset,
-    iterate_ragged_minibatches,
-)
+from repro.core.batching import RaggedDataset, iterate_ragged_minibatches
 from repro.core.config import LossKind, MSCNConfig
-from repro.core.featurization import FeaturizedQuery
-from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer
 from repro.nn.loss import geometric_q_error_loss, mse_loss, q_error_loss
 from repro.nn.optim import Adam
+from repro.utils.faults import fault_point
 from repro.utils.rng import spawn_rng
 
 __all__ = ["TrainingResult", "MSCNTrainer"]
-
-#: Any of the feature containers the training / prediction APIs accept.
-FeatureInput = "RaggedDataset | Sequence[FeaturizedQuery]"
 
 
 @dataclass
@@ -82,11 +72,6 @@ class MSCNTrainer:
         self.config = config
         self.optimizer = Adam(dict(model.named_parameters()), learning_rate=config.learning_rate)
         self._shuffle_rng = spawn_rng(config.seed, "minibatch-shuffle")
-        self._engine: InferenceEngine | None = None
-        self._engine_lock = threading.Lock()
-        # Set when training may have changed the weights the engine's
-        # snapshot was taken from; the next prediction refreshes it.
-        self._stale = False
 
     # ------------------------------------------------------------------
     # Loss
@@ -120,36 +105,24 @@ class MSCNTrainer:
     # ------------------------------------------------------------------
     def train(
         self,
-        train_features: FeatureInput,
+        train_set: RaggedDataset,
         train_cardinalities: np.ndarray,
-        validation_features: "FeatureInput | None" = None,
+        validation_set: RaggedDataset | None = None,
         validation_cardinalities: np.ndarray | None = None,
         epochs: int | None = None,
     ) -> TrainingResult:
         """Train for ``epochs`` passes over the training set.
 
-        Both feature arguments accept a :class:`RaggedDataset` or a sequence
-        of per-query featurizations; everything is converted to the ragged
-        layout once up front, so no per-epoch collation happens inside the
-        epoch loop.
-
         Validation data is optional; when present, the mean validation q-error
         is recorded after every epoch.
         """
         epochs = epochs if epochs is not None else self.config.epochs
-        train_set = as_ragged_dataset(train_features)
-        validation_set = (
-            as_ragged_dataset(validation_features)
-            if validation_features is not None
-            else None
-        )
         train_cardinalities = np.asarray(train_cardinalities, dtype=np.float64)
         train_labels = self.normalizer.normalize(train_cardinalities)
         result = TrainingResult(epochs_run=0, training_seconds=0.0)
         start_time = time.perf_counter()
         layers = self.model.layers
         for _ in range(epochs):
-            self._stale = True
             epoch_losses: list[float] = []
             shuffle_rng = self._shuffle_rng if self.config.shuffle else None
             for batch in iterate_ragged_minibatches(
@@ -176,62 +149,51 @@ class MSCNTrainer:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def engine(self) -> InferenceEngine:
-        """The cached fused inference engine, built on first use.
-
-        It computes in the model's dtype, on each caller's thread.
-        Predictions refresh its snapshot after training; callers that change
-        the weights by other means call ``engine().refresh()`` themselves.
-        """
-        with self._engine_lock:
-            if self._engine is None:
-                self._engine = InferenceEngine(self.model)
-                self._stale = False  # a new engine captures the current weights
-            return self._engine
-
     def predict_normalized(
-        self, features: FeatureInput, batch_size: int | None = None
+        self, dataset: RaggedDataset, batch_size: int | None = None
     ) -> np.ndarray:
-        """Raw sigmoid outputs in [0, 1] from the fused engine, in chunks.
+        """Raw sigmoid outputs in [0, 1], one forward pass per chunk.
 
-        Chunks hold ``batch_size`` queries (by default ``config.batch_size``),
-        which bounds memory on long inputs.
+        The dataset is split into ``batch_size``-query chunks (by default
+        ``config.batch_size``) at ``range(0, size, batch_size)``, run in
+        order on the calling thread against the model's own layers.
+        Chunking bounds memory, and because BLAS kernel selection depends on
+        operand shape, chunk size 1 is bit-identical to one call per query.
+        Each chunk first fires the ``engine.run`` fault point.  A call keeps
+        no state outside its own frame, so threads may predict at once.
 
-        Predictions are always returned as float64, whatever the engine's
+        Predictions are always returned as float64, whatever the model's
         compute dtype: downstream consumers (denormalization, q-error metrics,
         result caches) hold float64 cardinalities, and a float32 array leaking
-        out of the engine would silently change their precision.
+        out would silently change their precision.
         """
         if batch_size is None:
             batch_size = self.config.batch_size
-        if not isinstance(features, RaggedDataset) and not features:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        size = dataset.size
+        if size == 0:
             return np.empty(0, dtype=np.float64)
-        dataset = as_ragged_dataset(features)
-        if dataset.size == 0:
-            return np.empty(0, dtype=np.float64)
-        engine = self.engine()
-        if self._stale:
-            # Cleared only after the refresh, so a concurrent prediction
-            # cannot skip it and run on the pre-training snapshot.
-            engine.refresh()
-            self._stale = False
-        return np.asarray(engine.run(dataset, chunk_size=batch_size), dtype=np.float64)
+        layers = self.model.layers
+        outputs = []
+        for start in range(0, size, batch_size):
+            chunk = dataset.slice(start, start + batch_size)
+            fault_point("engine.run", batch_size=chunk.size)
+            outputs.append(forward(chunk, layers)[:, 0])
+        return np.concatenate(outputs, dtype=np.float64)
 
-    def predict(self, features: FeatureInput, batch_size: int | None = None) -> np.ndarray:
+    def predict(self, dataset: RaggedDataset, batch_size: int | None = None) -> np.ndarray:
         """Predict cardinalities for featurized queries (denormalized, >= 1)."""
-        normalized = self.predict_normalized(features, batch_size=batch_size)
-        if normalized.size == 0:
-            return np.empty(0, dtype=np.float64)
-        return self.normalizer.denormalize(normalized)
+        return self.normalizer.denormalize(self.predict_normalized(dataset, batch_size))
 
     def mean_q_error(
         self,
-        features: FeatureInput,
+        dataset: RaggedDataset,
         cardinalities: np.ndarray,
     ) -> float:
         """Mean q-error of the current model on a labelled feature set."""
         from repro.evaluation.metrics import q_errors
 
-        predictions = self.predict(features)
+        predictions = self.predict(dataset)
         cardinalities = np.asarray(cardinalities, dtype=np.float64)
         return float(q_errors(predictions, cardinalities).mean())

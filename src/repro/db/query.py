@@ -13,6 +13,8 @@ representation carries no projection list.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,7 +36,24 @@ class Predicate:
     def __post_init__(self) -> None:
         if not isinstance(self.operator, Operator):
             object.__setattr__(self, "operator", Operator.from_symbol(str(self.operator)))
-        object.__setattr__(self, "value", int(self.value))
+        object.__setattr__(self, "value", self._integral_value())
+
+    def _integral_value(self) -> int:
+        """The literal as an ``int``, refusing values ``int()`` would change.
+
+        Columns store int64 values only, so a literal follows the rule
+        their loader applies: a float is accepted when it is finite and
+        integral (``1990.0``), and rejected otherwise — ``int(2.5)`` would
+        silently turn ``c < 2.5`` into ``c < 2``, a different count.
+        """
+        value = self.value
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+            if not math.isfinite(value) or not float(value).is_integer():
+                raise ValueError(
+                    f"predicate literal {value!r} on {self.table}.{self.column} "
+                    "is not a finite integer; int64 columns cannot compare it exactly"
+                )
+        return int(value)
 
     @property
     def qualified_column(self) -> str:

@@ -20,8 +20,8 @@ class Adam:
 
     :meth:`step` takes a gradient dict keyed like ``parameters`` and updates
     the parameter arrays strictly in place: the buffers are never rebound,
-    so references held elsewhere (an inference engine's weight snapshot)
-    stay valid, and a step allocates no new parameter arrays.  Parameters
+    so references held elsewhere (the model's layers, which prediction
+    reads) stay valid, and a step allocates no new parameter arrays.  Parameters
     missing from the gradient dict are left unchanged.
     """
 

@@ -2,7 +2,7 @@
 
 The paper argues that a learned estimator is only useful inside a query
 optimizer if it is cheap *per call* and knows when not to trust itself.  This
-package turns the fused inference engine of ``repro.core`` into a service:
+package turns the MSCN estimators of ``repro.core`` into a service:
 
 ``repro.serving.service``
     :class:`EstimationService` — a thread-safe front-end that canonicalizes

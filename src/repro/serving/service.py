@@ -1,7 +1,7 @@
 """The micro-batched, cache-fronted, fault-tolerant estimation service.
 
-:class:`EstimationService` is the traffic-facing layer above the fused
-inference engine (Section 4.7's sub-millisecond serving path) and implements
+:class:`EstimationService` is the traffic-facing layer above the model's
+forward pass (Section 4.7's sub-millisecond serving path) and implements
 the deployment recipe of the paper's Section 5 discussion:
 
 * **Result caching** — queries are canonicalized via ``Query.signature()``
@@ -62,6 +62,7 @@ All public methods are safe to call from any number of threads.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -86,6 +87,14 @@ from repro.utils.lru import LRU
 __all__ = ["EstimationService", "ServiceConfig"]
 
 _OVERLOAD_POLICIES = ("reject", "degrade")
+
+#: The float settings that must be finite (``None`` still disables a deadline).
+_FINITE_FIELDS = (
+    "max_spread",
+    "request_timeout_seconds",
+    "deadline_grace_seconds",
+    "breaker_reset_timeout_seconds",
+)
 
 #: Sentinel distinguishing "no timeout passed" from an explicit ``None``
 #: (which disables the deadline entirely).
@@ -123,6 +132,12 @@ class ServiceConfig:
     breaker_reset_timeout_seconds: float = 30.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and an infinite wait
+        # overflows ``Condition.wait``: both are rejected first.
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive")
         if self.max_batch_size <= 0:
@@ -251,7 +266,8 @@ class EstimationService:
         shared fused passes (run by this caller when it leads a batch).
 
         ``timeout_seconds`` overrides the configured per-request deadline for
-        this call (``None`` disables it).  An expired request resolves with a
+        this call (``None`` disables it); a non-finite value raises
+        ``ValueError`` before anything is queued.  An expired request resolves with a
         typed :class:`DeadlineExceededError`; an over-admission request with
         a :class:`ServiceOverloadedError` (or a degraded fallback answer,
         per ``overload_policy``); a closed service with a
@@ -259,10 +275,12 @@ class EstimationService:
         """
         if self._closed:
             raise ServiceClosedError("the estimation service has been closed")
-        if not queries:
-            return np.empty(0, dtype=np.float64)
         if timeout_seconds is _UNSET:
             timeout_seconds = self.config.request_timeout_seconds
+        elif timeout_seconds is not None and not math.isfinite(timeout_seconds):
+            raise ValueError(f"timeout_seconds must be finite, got {timeout_seconds!r}")
+        if not queries:
+            return np.empty(0, dtype=np.float64)
         deadline = None if timeout_seconds is None else self._clock() + timeout_seconds
         signatures = [query.signature() for query in queries]
         results = np.empty(len(queries), dtype=np.float64)

@@ -9,8 +9,8 @@ so this module provides a *seeded* fault plan that production code
 cooperates with through named **fault sites**:
 
 ``engine.run``
-    fired by :meth:`repro.core.inference.InferenceEngine.run` before each
-    fused forward pass,
+    fired by :meth:`repro.core.trainer.MSCNTrainer.predict_normalized`
+    before each chunk's forward pass (context: ``batch_size``),
 ``registry.load``
     fired by :meth:`repro.serving.registry.ModelRegistry.load` before a
     version directory is read (its context carries ``path``, so a
@@ -271,7 +271,7 @@ def fault_point(site: str, **context) -> None:
     """Hook called by instrumented production code at a named site.
 
     With no active plan this is a global read and a ``None`` check — cheap
-    enough for hot paths like the fused inference engine.
+    enough for hot paths like chunked prediction.
     """
     plan = _active
     if plan is not None:

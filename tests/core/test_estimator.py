@@ -151,8 +151,8 @@ class TestIntrospectionAndPersistence:
         self, trained_estimator, tiny_database, tiny_workload, tmp_path, precision
     ):
         """Whatever ``inference_precision`` an older ``metadata.json``
-        recorded, the loaded model keeps its saved dtype, its engine computes
-        in that dtype, and it estimates bit-identically to the saved model."""
+        recorded, the loaded model's layers keep its saved dtype, and it
+        estimates bit-identically to the saved model."""
         directory = tmp_path / "older"
         trained_estimator.save(directory)
         metadata_path = directory / "metadata.json"
@@ -167,11 +167,32 @@ class TestIntrospectionAndPersistence:
         np.testing.assert_array_equal(
             restored.estimate_many(queries), trained_estimator.estimate_many(queries)
         )
-        engine = restored._trainer.engine()
-        assert engine.dtype == restored.config.np_dtype
-        for layer in engine.snapshot.layers.values():
+        assert restored._model.dtype == restored.config.np_dtype
+        for layer in restored._model.layers.values():
             assert layer.weight.dtype == restored.config.np_dtype
             assert layer.bias.dtype == restored.config.np_dtype
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_loaded_model_layers_keep_the_saved_dtype(
+        self, tiny_database, tiny_samples, tiny_workload, small_config, tmp_path, dtype
+    ):
+        """Loading copies the saved weights into the new model's own layers,
+        which prediction reads directly: they keep the saved dtype and serve
+        bit-identically to the saved model."""
+        estimator = MSCNEstimator(
+            tiny_database, small_config.replace(epochs=1, dtype=dtype), samples=tiny_samples
+        )
+        estimator.fit(tiny_workload)
+        estimator.save(tmp_path / dtype)
+        restored = MSCNEstimator.load(tmp_path / dtype, tiny_database)
+        for name, layer in restored._model.layers.items():
+            for array in (layer.weight, layer.bias):
+                assert array.dtype == np.dtype(dtype), name
+                assert array.flags.c_contiguous, name
+        queries = [labelled.query for labelled in tiny_workload[:20]]
+        np.testing.assert_array_equal(
+            restored.estimate_many(queries), estimator.estimate_many(queries)
+        )
 
     def test_save_before_fit_raises(self, tiny_database, small_config, tiny_samples, tmp_path):
         estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)

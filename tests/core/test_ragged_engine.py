@@ -1,17 +1,17 @@
-"""Tests of the ragged compute engine and the fused inference path.
+"""Tests of the ragged compute path and chunked prediction.
 
 The contracts under test:
 
-* in float64, the :class:`~repro.core.inference.InferenceEngine` is
+* :meth:`~repro.core.trainer.MSCNTrainer.predict_normalized` is
   **bit-identical** to the model's forward pass (``repro.core.model.forward``)
-  over the same chunks, at every chunk size, for all three featurization
-  variants, including empty join/predicate sets; and both agree to 1e-12
-  with a per-query reference written from the paper's Section 3.2
-  equations;
-* a run computes on its caller's thread; threads sharing one engine get
-  bit-identical results, and a refresh racing in-flight runs never mixes
-  weight generations within one output;
-* in float32, the fused path stays within single-precision tolerance of the
+  over the same chunks, at every chunk size, in both compute dtypes, for all
+  three featurization variants, including empty join/predicate sets; and in
+  float64 both agree to 1e-12 with a per-query reference written from the
+  paper's Section 3.2 equations;
+* a prediction computes on its caller's thread; threads sharing one trainer
+  get bit-identical results, and a failing chunk stops the call with its own
+  exception;
+* in float32, the model stays within single-precision tolerance of the
   float64 reference and preserves the q-error ranking of a seeded workload;
 * the ragged containers (gather, slice, minibatch iteration) are faithful
   re-arrangements of the underlying queries.
@@ -25,19 +25,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.batching import (
-    RaggedDataset,
-    RaggedSet,
-    as_ragged_dataset,
-    iterate_ragged_minibatches,
-)
+from repro.core.batching import RaggedDataset, RaggedSet, iterate_ragged_minibatches
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import QueryFeaturizer
-from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN, SET_MODULES, backward, forward
-from repro.core.normalization import ValueNormalizer
+from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
+from repro.core.trainer import MSCNTrainer
 from repro.db.query import Query
 from repro.evaluation.metrics import q_errors
 from repro.nn.functional import segment_sum_array
@@ -78,13 +73,26 @@ def make_model(featurizer, dtype=np.float64, hidden=24):
     )
 
 
+def make_trainer(model) -> MSCNTrainer:
+    """A trainer over ``model``; only its prediction path is exercised."""
+    config = MSCNConfig(hidden_units=model.hidden_units, batch_size=32, dtype=model.dtype.name)
+    return MSCNTrainer(model, CardinalityNormalizer(min_log=0.0, max_log=10.0), config)
+
+
+def predict(model, dataset, chunk_size=None) -> np.ndarray:
+    """``predict_normalized`` at ``chunk_size`` (``None``: one whole chunk)."""
+    return make_trainer(model).predict_normalized(
+        dataset, batch_size=chunk_size or max(dataset.size, 1)
+    )
+
+
 def model_forward(model, dataset) -> np.ndarray:
     """The model's forward pass as a flat vector of predictions."""
     return forward(dataset, model.layers)[:, 0]
 
 
 def chunked_forward(model, dataset, chunk_size) -> np.ndarray:
-    """The model's forward pass over the chunks an engine run splits into."""
+    """The model's forward pass over the chunks a prediction splits into."""
     return np.concatenate(
         [
             model_forward(model, dataset.slice(start, start + chunk_size))
@@ -125,14 +133,6 @@ def paper_reference(model, dataset) -> np.ndarray:
     return np.array(predictions)
 
 
-def install_weights(model, state) -> None:
-    """Rebind (not mutate) every parameter to a copy of ``state``'s arrays,
-    so snapshots taken earlier keep pointing at the earlier weights."""
-    for name, layer in model.layers.items():
-        layer.weight = state[name + ".weight"].copy()
-        layer.bias = state[name + ".bias"].copy()
-
-
 class TestRaggedFeaturization:
     def test_empty_workload_raises(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
@@ -140,90 +140,115 @@ class TestRaggedFeaturization:
             featurizer.featurize_ragged([])
 
 
-class TestFloat64BitIdentity:
+class RecordingPlan(FaultPlan):
+    """A plan with no faults that records every site it is consulted at."""
+
+    def __init__(self):
+        super().__init__([])
+        self.calls: list[tuple[str, dict]] = []
+
+    def fire(self, site: str, **context) -> None:
+        self.calls.append((site, context))
+        super().fire(site, **context)
+
+
+class TestChunkedPrediction:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000, None])
-    def test_engine_bit_identical_to_model_forward(
+    def test_prediction_bit_identical_to_model_forward(
         self, featurizer_parts, workload_queries, variant, chunk_size
     ):
         featurizer = make_featurizer(featurizer_parts, variant)
         model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries)
-        output = InferenceEngine(model).run(ragged, chunk_size=chunk_size)
+        output = predict(model, ragged, chunk_size)
         np.testing.assert_array_equal(
             output, chunked_forward(model, ragged, chunk_size or ragged.size)
         )
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-    @pytest.mark.parametrize("chunk_size", [1, 7, 16, 1000])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_chunked_run_bit_identical_to_one_run_per_chunk(
+    def test_chunked_prediction_bit_identical_to_per_chunk_forward(
         self, featurizer_parts, workload_queries, variant, dtype, chunk_size
     ):
         featurizer = make_featurizer(featurizer_parts, variant, dtype)
         model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:60])
-        engine = InferenceEngine(model)
-        output = engine.run(ragged, chunk_size=chunk_size)
-        per_chunk = [
-            engine.run(ragged.slice(start, min(start + chunk_size, ragged.size)))
-            for start in range(0, ragged.size, chunk_size)
-        ]
-        assert output.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(output, np.concatenate(per_chunk))
+        output = predict(model, ragged, chunk_size)
+        reference = chunked_forward(model, ragged, chunk_size or ragged.size)
+        assert reference.dtype == np.dtype(dtype)
+        assert output.dtype == np.float64
+        np.testing.assert_array_equal(output, reference.astype(np.float64))
 
-    def test_run_at_chunk_size_one_starts_no_thread(self, featurizer_parts, workload_queries):
+    def test_prediction_at_chunk_size_one_starts_no_thread(
+        self, featurizer_parts, workload_queries
+    ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        engine = InferenceEngine(make_model(featurizer))
+        trainer = make_trainer(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:24])
         threads_before = threading.active_count()
-        engine.run(ragged, chunk_size=1)
+        trainer.predict_normalized(ragged, batch_size=1)
         assert threading.active_count() == threads_before
 
     def test_empty_dataset_and_invalid_chunk_size(self, featurizer_parts, workload_queries):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        engine = InferenceEngine(make_model(featurizer))
+        trainer = make_trainer(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:4])
-        assert engine.run(ragged.slice(0, 0)).shape == (0,)
+        empty = trainer.predict_normalized(ragged.slice(0, 0))
+        assert empty.shape == (0,) and empty.dtype == np.float64
         with pytest.raises(ValueError):
-            engine.run(ragged, chunk_size=0)
+            trainer.predict_normalized(ragged, batch_size=0)
 
     @pytest.mark.parametrize("failing_chunk", [0, 2, 5])
     def test_failing_chunk_propagates_its_own_exception(
         self, featurizer_parts, workload_queries, failing_chunk
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        engine = InferenceEngine(make_model(featurizer))
+        trainer = make_trainer(make_model(featurizer))
         ragged = featurizer.featurize_ragged(workload_queries[:24])
         spec = FaultSpec("engine.run", max_triggers=1, skip_first=failing_chunk)
         with FaultPlan([spec]).activate() as plan:
             with pytest.raises(InjectedFault):
-                engine.run(ragged, chunk_size=4)
-        # The run stops at its first failing chunk: no later chunk computes.
+                trainer.predict_normalized(ragged, batch_size=4)
+        # The call stops at its first failing chunk: no later chunk computes.
         assert plan.triggered("engine.run") == 1
         assert plan.evaluations("engine.run") == failing_chunk + 1
+
+    @pytest.mark.parametrize("chunk_size,sizes", [(4, [4, 4, 2]), (10, [10]), (1, [1] * 10)])
+    def test_engine_run_fires_once_per_chunk_with_its_size(
+        self, featurizer_parts, workload_queries, chunk_size, sizes
+    ):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
+        trainer = make_trainer(make_model(featurizer))
+        ragged = featurizer.featurize_ragged(workload_queries[:10])
+        with RecordingPlan().activate() as plan:
+            trainer.predict_normalized(ragged, batch_size=chunk_size)
+        assert plan.calls == [("engine.run", {"batch_size": size}) for size in sizes]
 
     @pytest.mark.parametrize("chunk_size", [1, 8, None])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     def test_threaded_callers_all_get_bit_identical_results(
         self, featurizer_parts, workload_queries, dtype, chunk_size
     ):
-        """Four threads share one engine and run at once, which only works
-        because a run keeps no state outside its own frame."""
+        """Four threads share one trainer and predict at once, which only
+        works because a prediction keeps no state outside its own frame."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
         model = make_model(featurizer, dtype=dtype)
         ragged = featurizer.featurize_ragged(workload_queries[:48])
-        engine = InferenceEngine(model)
-        reference = engine.run(ragged, chunk_size=chunk_size).copy()
+        trainer = make_trainer(model)
+        batch_size = chunk_size or ragged.size
+        reference = trainer.predict_normalized(ragged, batch_size=batch_size).copy()
         np.testing.assert_array_equal(
-            reference, chunked_forward(model, ragged, chunk_size or ragged.size)
+            reference, chunked_forward(model, ragged, batch_size).astype(np.float64)
         )
         mismatches: list[int] = []
 
         def caller(caller_id: int) -> None:
             for _ in range(12):
-                if not np.array_equal(engine.run(ragged, chunk_size=chunk_size), reference):
+                output = trainer.predict_normalized(ragged, batch_size=batch_size)
+                if not np.array_equal(output, reference):
                     mismatches.append(caller_id)
                     return
 
@@ -240,200 +265,33 @@ class TestFloat64BitIdentity:
         assert not any(thread.is_alive() for thread in threads), "a caller never finished"
         assert not mismatches, "a concurrent caller observed a non-identical result"
 
-    def test_engine_handles_empty_sets_and_single_queries(
-        self, featurizer_parts
-    ):
+    def test_prediction_handles_empty_sets_and_single_queries(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
         model = make_model(featurizer)
-        engine = InferenceEngine(model)
         queries = [Query(tables=("title",))]
         ragged = featurizer.featurize_ragged(queries)
         assert ragged.joins.features.shape[0] == 0
         assert ragged.predicates.features.shape[0] == 0
-        output = engine.run(ragged)
+        output = predict(model, ragged)
         np.testing.assert_array_equal(output, model_forward(model, ragged))
         np.testing.assert_allclose(output, paper_reference(model, ragged), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 4])
-    def test_refresh_is_atomic_under_concurrent_runs(
-        self, featurizer_parts, workload_queries, chunk_size, dtype
+    def test_predictions_track_in_place_weight_updates(
+        self, featurizer_parts, workload_queries, dtype
     ):
-        """A refresh racing concurrent runs must never produce a mixed-weight
-        forward pass: every run's output, whole batch or chunked, corresponds
-        to exactly one of the installed weight snapshots (the regression was
-        refresh swapping the layer snapshot while another thread was
-        mid-run; a chunked run reads the snapshot once for all its chunks)."""
+        """Predictions read the model's own layers, so an in-place update
+        (what Adam and ``load_state_dict`` do) shows in the next call."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
         model = make_model(featurizer, dtype=dtype)
-        ragged = featurizer.featurize_ragged(workload_queries[:16])
-        engine = InferenceEngine(model)
-
-        state_a = model.state_dict()
-        state_b = {name: p + 0.25 for name, p in model.named_parameters()}
-
-        def install(state):
-            install_weights(model, state)
-            engine.refresh()
-
-        install(state_a)
-        reference_a = engine.run(ragged, chunk_size=chunk_size).copy()
-        install(state_b)
-        reference_b = engine.run(ragged, chunk_size=chunk_size).copy()
-        assert not np.array_equal(reference_a, reference_b)
-
-        stop = threading.Event()
-        torn_outputs: list[np.ndarray] = []
-
-        def reader():
-            while not stop.is_set():
-                output = engine.run(ragged, chunk_size=chunk_size)
-                if not (
-                    np.array_equal(output, reference_a)
-                    or np.array_equal(output, reference_b)
-                ):
-                    torn_outputs.append(output.copy())
-                    return
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for _ in range(150):
-            install(state_a)
-            install(state_b)
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not torn_outputs, "a run observed a half-refreshed weight snapshot"
-
-    def test_engine_refresh_tracks_weight_updates(self, featurizer_parts, workload_queries):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
-        model = make_model(featurizer)
         ragged = featurizer.featurize_ragged(workload_queries[:10])
-        engine = InferenceEngine(model)
-        first = engine.snapshot
-        assert engine.generation == 0
-        before = engine.run(ragged).copy()
+        trainer = make_trainer(model)
+        before = trainer.predict_normalized(ragged).copy()
         for _, parameter in model.named_parameters():
-            parameter += 0.05
-        engine.refresh()
-        assert engine.generation == 1
-        assert engine.snapshot is not first
-        after = engine.run(ragged)
+            parameter += dtype(0.05)
+        after = trainer.predict_normalized(ragged)
         assert not np.allclose(before, after)
-        np.testing.assert_array_equal(model_forward(model, ragged), after)
-
-
-NATIVE_DTYPES = pytest.mark.parametrize(
-    "dtype", [np.float64, np.float32], ids=["float64", "float32"]
-)
-
-
-class TestNativeSnapshot:
-    """The engine's weight snapshot is the model's own weights in the model's
-    dtype: one weight and one bias per layer, and nothing else."""
-
-    @NATIVE_DTYPES
-    def test_snapshot_holds_every_layer_in_the_model_dtype(self, featurizer_parts, dtype):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        engine = InferenceEngine(model)
-        assert engine.dtype == model.dtype == np.dtype(dtype)
-        layers = engine.snapshot.layers
-        assert set(layers) == set(model.layers)
-        for name, layer in layers.items():
-            for snapshot_array, live in (
-                (layer.weight, model.layers[name].weight),
-                (layer.bias, model.layers[name].bias),
-            ):
-                assert snapshot_array.dtype == np.dtype(dtype)
-                assert snapshot_array.flags.c_contiguous
-                np.testing.assert_array_equal(snapshot_array, live)
-
-    @NATIVE_DTYPES
-    def test_contiguous_parameters_pass_through_without_copy(self, featurizer_parts, dtype):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        engine = InferenceEngine(model)
-        for _ in range(2):  # at construction, then again after a refresh
-            for name, layer in engine.snapshot.layers.items():
-                assert np.shares_memory(layer.weight, model.layers[name].weight)
-                assert np.shares_memory(layer.bias, model.layers[name].bias)
-            engine.refresh()
-
-    @NATIVE_DTYPES
-    def test_non_contiguous_parameters_are_copied_contiguous(
-        self, featurizer_parts, workload_queries, dtype
-    ):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        ragged = featurizer.featurize_ragged(workload_queries[:20])
-        engine = InferenceEngine(model)
-        before = engine.run(ragged).copy()
-        for layer in model.layers.values():
-            layer.weight = np.asfortranarray(layer.weight)
-        engine.refresh()
-        for name, layer in engine.snapshot.layers.items():
-            assert layer.weight.flags.c_contiguous
-            assert layer.weight.dtype == np.dtype(dtype)
-            if model.layers[name].weight.ndim == 2 and min(model.layers[name].weight.shape) > 1:
-                assert not np.shares_memory(layer.weight, model.layers[name].weight)
-        np.testing.assert_array_equal(engine.run(ragged), before)
-
-    @NATIVE_DTYPES
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_run_returns_the_model_dtype(self, featurizer_parts, workload_queries, variant, dtype):
-        featurizer = make_featurizer(featurizer_parts, variant, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        engine = InferenceEngine(model)
-        ragged = featurizer.featurize_ragged(workload_queries[:12])
-        output = engine.run(ragged, chunk_size=5)
-        assert output.dtype == np.dtype(dtype)
-        assert output.shape == (12,)
-        assert engine.run(ragged.slice(0, 0)).dtype == np.dtype(dtype)
-
-    @NATIVE_DTYPES
-    def test_rebound_weights_are_unseen_until_refresh(
-        self, featurizer_parts, workload_queries, dtype
-    ):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        ragged = featurizer.featurize_ragged(workload_queries[:16])
-        engine = InferenceEngine(model)
-        before = engine.run(ragged).copy()
-        shifted = {name: p + dtype(0.25) for name, p in model.named_parameters()}
-        install_weights(model, shifted)
-        np.testing.assert_array_equal(engine.run(ragged), before)
-        engine.refresh()
-        after = engine.run(ragged)
-        assert not np.array_equal(after, before)
-        np.testing.assert_array_equal(after, model_forward(model, ragged))
-
-    @NATIVE_DTYPES
-    def test_each_refresh_installs_a_new_generation(
-        self, featurizer_parts, workload_queries, dtype
-    ):
-        """A refresh builds a new snapshot and leaves the old one intact, so
-        a run that read the old one keeps its weights."""
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES, dtype)
-        model = make_model(featurizer, dtype=dtype)
-        engine = InferenceEngine(model)
-        snapshots = [engine.snapshot]
-        states = [model.state_dict()]
-        for step in range(1, 4):
-            install_weights(
-                model, {name: p + dtype(0.1) for name, p in model.named_parameters()}
-            )
-            engine.refresh()
-            assert engine.generation == step
-            assert engine.snapshot.generation == step
-            assert engine.snapshot is not snapshots[-1]
-            snapshots.append(engine.snapshot)
-            states.append(model.state_dict())
-        for snapshot, state in zip(snapshots, states):
-            for name, layer in snapshot.layers.items():
-                np.testing.assert_array_equal(layer.weight, state[name + ".weight"])
-                np.testing.assert_array_equal(layer.bias, state[name + ".bias"])
+        np.testing.assert_array_equal(after, model_forward(model, ragged).astype(np.float64))
 
 
 class TestFloat32FusedPath:
@@ -457,7 +315,7 @@ class TestFloat32FusedPath:
         queries = [labelled.query for labelled in tiny_workload]
         truths = np.array([labelled.cardinality for labelled in tiny_workload])
         predictions64 = estimator64.estimate_many(queries)
-        # Run the float64-trained weights through a float32 engine so the
+        # Run the float64-trained weights through a float32 model so the
         # comparison isolates inference precision (training trajectories
         # diverge between dtypes long before round-off matters).
         estimator32._model.load_state_dict(estimator64._model.state_dict())
@@ -512,8 +370,7 @@ class TestFloat32FusedPath:
         assert ragged.tables.features.dtype == np.float32
         model = make_model(featurizer, dtype=np.float32)
         assert all(p.dtype == np.float32 for _, p in model.named_parameters())
-        engine = InferenceEngine(model)
-        assert engine.run(ragged).dtype == np.float32
+        assert model_forward(model, ragged).dtype == np.float32
 
 
 class TestRaggedContainers:
@@ -548,13 +405,12 @@ class TestRaggedContainers:
             np.testing.assert_array_equal(got.rows, want.rows, err_msg=name)
             np.testing.assert_array_equal(got.offsets, want.offsets, err_msg=name)
 
-    def test_as_ragged_dataset_accepts_both_containers(
+    def test_from_featurized_stores_one_row_per_element(
         self, featurizer_parts, workload_queries
     ):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
         ragged = featurizer.featurize_ragged(workload_queries)
-        assert as_ragged_dataset(ragged) is ragged
-        stacked = as_ragged_dataset(featurizer.featurize_many(workload_queries))
+        stacked = RaggedDataset.from_featurized(featurizer.featurize_many(workload_queries))
         rows = stacked.predicates.rows
         np.testing.assert_array_equal(rows, np.arange(rows.size))
         np.testing.assert_array_equal(
@@ -647,7 +503,7 @@ class TestServingConsistency:
     def test_estimate_many_matches_model_forward_in_float64(
         self, tiny_database, tiny_samples, tiny_workload
     ):
-        """estimate_many through the chunked engine is bit-identical to one
+        """estimate_many through chunked prediction is bit-identical to one
         forward pass of the model over the whole workload in float64."""
         config = MSCNConfig(
             hidden_units=24, epochs=8, batch_size=32, num_samples=50, seed=17,
@@ -666,9 +522,9 @@ class TestServingConsistency:
     def test_predictions_are_float64_regardless_of_compute_dtype(
         self, tiny_database, tiny_samples, tiny_workload
     ):
-        """The float32 engine computes in single precision internally, but
+        """A float32 model computes in single precision internally, but
         the prediction APIs hand callers float64 (the regression was float32
-        arrays leaking out of the fused path)."""
+        arrays leaking out of the serving path)."""
         config = MSCNConfig(
             hidden_units=16, epochs=2, batch_size=32, num_samples=50, seed=19,
             dtype="float32",
@@ -677,8 +533,8 @@ class TestServingConsistency:
         estimator.fit(tiny_workload)
         queries = [labelled.query for labelled in tiny_workload[:20]]
         dataset = estimator.serving_dataset(queries)
-        # The engine itself stays in its compute dtype ...
-        assert estimator._trainer.engine().run(dataset).dtype == np.float32
+        # The forward pass itself stays in its compute dtype ...
+        assert model_forward(estimator._model, dataset).dtype == np.float32
         # ... but every caller-facing boundary is float64.
         assert estimator.estimate_many(queries).dtype == np.float64
         assert estimator.predict_normalized(queries).dtype == np.float64

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batching import RaggedDataset, as_ragged_dataset
+from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
-from repro.core.inference import InferenceEngine
 from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
 from repro.core.trainer import MSCNTrainer
@@ -28,6 +27,11 @@ def training_setup(tiny_database, tiny_samples, tiny_workload):
     features = featurizer.featurize_many([q.query for q in tiny_workload])
     cardinalities = np.array([q.cardinality for q in tiny_workload], dtype=np.float64)
     return featurizer, features, cardinalities
+
+
+def ragged(features) -> RaggedDataset:
+    """Per-query featurizations in the ragged layout the trainer reads."""
+    return RaggedDataset.from_featurized(features)
 
 
 def build_trainer(featurizer, cardinalities, config):
@@ -50,9 +54,9 @@ class TestTrainingLoop:
         trainer = build_trainer(featurizer, cardinalities, config)
         split = int(len(features) * 0.8)
         result = trainer.train(
-            features[:split],
+            ragged(features[:split]),
             cardinalities[:split],
-            features[split:],
+            ragged(features[split:]),
             cardinalities[split:],
         )
         assert result.epochs_run == 15
@@ -67,7 +71,7 @@ class TestTrainingLoop:
         config = MSCNConfig(hidden_units=32, epochs=60, batch_size=8, seed=2, num_samples=50,
                             learning_rate=5e-3)
         trainer = build_trainer(featurizer, cardinalities, config)
-        subset_features = features[:16]
+        subset_features = ragged(features[:16])
         subset_cards = cardinalities[:16]
         trainer.train(subset_features, subset_cards)
         assert trainer.mean_q_error(subset_features, subset_cards) < 2.0
@@ -76,8 +80,8 @@ class TestTrainingLoop:
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=3, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(features, cardinalities)
-        predictions = trainer.predict(features[:10])
+        trainer.train(ragged(features), cardinalities)
+        predictions = trainer.predict(ragged(features[:10]))
         assert predictions.shape == (10,)
         assert (predictions >= 1.0).all()
 
@@ -85,13 +89,13 @@ class TestTrainingLoop:
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=1, batch_size=32, seed=3, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        assert trainer.predict([]).size == 0
+        assert trainer.predict(ragged(features[:1]).slice(0, 0)).size == 0
 
     def test_validation_is_optional(self, training_setup):
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=4, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        result = trainer.train(features, cardinalities)
+        result = trainer.train(ragged(features), cardinalities)
         assert result.validation_q_error_history == []
         assert np.isnan(result.final_validation_q_error)
 
@@ -103,7 +107,7 @@ class TestLossVariants:
         config = MSCNConfig(hidden_units=16, epochs=10, batch_size=32, seed=5,
                             num_samples=50, loss=loss)
         trainer = build_trainer(featurizer, cardinalities, config)
-        result = trainer.train(features[:64], cardinalities[:64])
+        result = trainer.train(ragged(features[:64]), cardinalities[:64])
         assert result.train_loss_history[-1] < result.train_loss_history[0]
 
     def test_loss_denormalizes_like_the_normalizer(self, training_setup):
@@ -147,9 +151,9 @@ class TestComputeDtype:
         featurizer, features, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=3, batch_size=32, seed=12,
                             num_samples=50, dtype="float32")
-        wide = RaggedDataset.from_featurized(features[:64])
+        wide = ragged(features[:64])
         assert wide.tables.features.dtype == np.float64
-        narrow = RaggedDataset.from_featurized(
+        narrow = ragged(
             [
                 FeaturizedQuery(
                     query.table_features.astype(np.float32),
@@ -188,24 +192,30 @@ class TestComputeDtype:
 
 
 class TestDatasetTrainingPath:
-    def test_training_from_dataset_matches_legacy_features(self, training_setup):
+    def test_distinct_row_layout_trains_like_the_reference_layout(
+        self, training_setup, tiny_workload
+    ):
+        """Training on ``featurize_ragged``'s distinct-row layout matches
+        training on the one-row-per-element ``from_featurized`` layout up to
+        float64 round-off (projecting shared rows once reassociates sums)."""
         featurizer, features, cardinalities = training_setup
-        config = MSCNConfig(hidden_units=16, epochs=5, batch_size=32, seed=9, num_samples=50)
-        legacy_trainer = build_trainer(featurizer, cardinalities, config)
-        legacy_result = legacy_trainer.train(features[:64], cardinalities[:64])
+        config = MSCNConfig(hidden_units=16, epochs=5, batch_size=32, seed=9, num_samples=50,
+                            dtype="float64")
+        reference = ragged(features[:64])
+        reference_trainer = build_trainer(featurizer, cardinalities, config)
+        reference_result = reference_trainer.train(reference, cardinalities[:64])
 
-        dataset = RaggedDataset.from_featurized(features[:64])
+        dataset = featurizer.featurize_ragged([q.query for q in tiny_workload[:64]])
         dataset_trainer = build_trainer(featurizer, cardinalities, config)
         dataset_result = dataset_trainer.train(dataset, cardinalities[:64])
 
         np.testing.assert_allclose(
-            legacy_result.train_loss_history, dataset_result.train_loss_history, rtol=1e-12
+            reference_result.train_loss_history, dataset_result.train_loss_history, rtol=1e-9
         )
-        subset = dataset.take(np.arange(10))
         np.testing.assert_allclose(
-            legacy_trainer.predict(features[:10]),
-            dataset_trainer.predict(subset),
-            rtol=1e-12,
+            reference_trainer.predict(reference.slice(0, 10)),
+            dataset_trainer.predict(dataset.take(np.arange(10))),
+            rtol=1e-9,
         )
 
     def test_mean_q_error_matches_scalar_reference(self, training_setup):
@@ -214,12 +224,12 @@ class TestDatasetTrainingPath:
 
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=10, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(features[:32], cardinalities[:32])
-        predictions = trainer.predict(features[:32])
+        trainer.train(ragged(features[:32]), cardinalities[:32])
+        predictions = trainer.predict(ragged(features[:32]))
         expected = float(
             np.mean([q_error(p, t) for p, t in zip(predictions, cardinalities[:32])])
         )
-        assert trainer.mean_q_error(features[:32], cardinalities[:32]) == pytest.approx(
+        assert trainer.mean_q_error(ragged(features[:32]), cardinalities[:32]) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -233,29 +243,15 @@ class TestDatasetTrainingPath:
             hidden_units=16, epochs=2, batch_size=32, seed=11, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(features, cardinalities)
-        chunked = trainer.predict(features, batch_size=7)
-        whole = trainer.predict(features, batch_size=len(features))
+        dataset = ragged(features)
+        trainer.train(dataset, cardinalities)
+        chunked = trainer.predict(dataset, batch_size=7)
+        whole = trainer.predict(dataset, batch_size=len(features))
         np.testing.assert_allclose(chunked, whole, rtol=rtol)
 
 
-class TestSnapshotRefresh:
-    """Predictions re-snapshot the weights only after training changed them."""
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_repeat_predictions_share_one_snapshot(self, training_setup, dtype):
-        featurizer, features, cardinalities = training_setup
-        config = MSCNConfig(
-            hidden_units=16, epochs=2, batch_size=32, seed=5, num_samples=50, dtype=dtype
-        )
-        trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(features, cardinalities)
-        first = trainer.predict(features[:10])
-        snapshot = trainer.engine().snapshot
-        second = trainer.predict(features[:10])
-        assert trainer.engine().snapshot is snapshot
-        assert trainer.engine().generation == snapshot.generation
-        np.testing.assert_array_equal(first, second)
+class TestPredictionsTrackTraining:
+    """Predictions run on the model's own layers, so they see every update."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_predictions_after_more_training_use_the_new_weights(
@@ -266,17 +262,16 @@ class TestSnapshotRefresh:
             hidden_units=16, epochs=2, batch_size=32, seed=6, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(features, cardinalities)
-        before = trainer.predict(features[:10])
-        generation = trainer.engine().generation
-        trainer.train(features, cardinalities, epochs=1)
-        after = trainer.predict(features[:10])
-        assert trainer.engine().generation == generation + 1
+        dataset = ragged(features)
+        trainer.train(dataset, cardinalities)
+        before = trainer.predict(dataset.slice(0, 10))
+        np.testing.assert_array_equal(before, trainer.predict(dataset.slice(0, 10)))
+        trainer.train(dataset, cardinalities, epochs=1)
+        after = trainer.predict(dataset.slice(0, 10))
         assert not np.array_equal(before, after)
-        # The refreshed snapshot is the one a fresh engine would take.
-        fresh = InferenceEngine(trainer.model).run(as_ragged_dataset(features[:10]))
+        fresh = forward(dataset.slice(0, 10), trainer.model.layers)[:, 0]
         np.testing.assert_array_equal(
-            after, trainer.normalizer.denormalize(np.asarray(fresh, dtype=np.float64))
+            after, trainer.normalizer.denormalize(fresh.astype(np.float64))
         )
 
 
@@ -293,8 +288,8 @@ class TestReproducibility:
         for _ in range(2):
             trainer = build_trainer(featurizer, cardinalities, config)
             results.append(
-                trainer.train(features[:48], cardinalities[:48], features[48:64],
-                              cardinalities[48:64])
+                trainer.train(ragged(features[:48]), cardinalities[:48],
+                              ragged(features[48:64]), cardinalities[48:64])
             )
             models.append(trainer.model)
         assert results[0].train_loss_history == results[1].train_loss_history

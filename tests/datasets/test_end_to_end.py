@@ -2,7 +2,7 @@
 
 Each dataset must survive the full pipeline the IMDb schema already
 exercises: generate -> label a workload -> train MSCN -> answer through the
-fused inference engine -> answer through the serving stack, with serving
+model's forward pass -> answer through the serving stack, with serving
 results agreeing with the estimator's direct answers.
 """
 
@@ -35,7 +35,7 @@ def trained_scenario(request):
 
 
 class TestTrainServeRoundTrip:
-    def test_fused_engine_answers_the_workload(self, trained_scenario):
+    def test_estimator_answers_the_workload(self, trained_scenario):
         spec, estimator, workload = trained_scenario
         queries = [labelled.query for labelled in workload]
         estimates = estimator.estimate_many(queries)
@@ -43,15 +43,15 @@ class TestTrainServeRoundTrip:
         assert np.isfinite(estimates).all()
         assert (estimates >= 1.0).all()
 
-    def test_engine_matches_model_forward(self, trained_scenario):
+    def test_estimates_match_model_forward(self, trained_scenario):
         spec, estimator, workload = trained_scenario
         queries = [labelled.query for labelled in workload[:40]]
-        fused = estimator.estimate_many(queries)
+        estimates = estimator.estimate_many(queries)
         normalized = forward(
             estimator.featurizer.featurize_ragged(queries), estimator._model.layers
         )
         reference = estimator._normalizer.denormalize(normalized[:, 0].astype(np.float64))
-        np.testing.assert_allclose(fused, reference, rtol=1e-4)
+        np.testing.assert_allclose(estimates, reference, rtol=1e-4)
 
     def test_serving_round_trip_matches_estimator(self, trained_scenario):
         spec, estimator, workload = trained_scenario

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.db.predicates import Operator
@@ -21,6 +22,20 @@ class TestPredicate:
         predicate = Predicate("title", "production_year", Operator.GT, 2010)
         assert predicate.qualified_column == "title.production_year"
         assert predicate.to_sql() == "title.production_year > 2010"
+
+    @pytest.mark.parametrize(
+        "value", [2.5, -0.5, float("nan"), float("inf"), float("-inf"), np.float32(2.5)]
+    )
+    def test_rejects_literals_that_are_not_finite_integers(self, value):
+        """``int(2.5)`` would silently turn ``c < 2.5`` into ``c < 2``, a
+        different count; literals follow the int64 column loader's rule."""
+        with pytest.raises(ValueError, match="not a finite integer"):
+            Predicate("t", "c", "<", value)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), np.int32(3)])
+    def test_accepts_integral_literals_as_python_ints(self, value):
+        predicate = Predicate("t", "c", "<", value)
+        assert predicate.value == 3 and type(predicate.value) is int
 
 
 class TestJoinCondition:

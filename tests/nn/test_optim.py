@@ -62,7 +62,7 @@ class TestConvergence:
 
 class TestInPlaceUpdates:
     """Steps update the parameter buffers strictly in place, so references
-    held elsewhere (the inference engine's snapshot) never go stale."""
+    held elsewhere never go stale."""
 
     def test_parameter_buffer_identity_is_stable_across_steps(self):
         parameter = np.array([10.0, -4.0])

@@ -269,6 +269,71 @@ class TestDeadlines:
             value = service.estimate(reliability_queries[0], timeout_seconds=None)
         assert value == reliability_estimator.estimate_many(reliability_queries[:1])[0]
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "request_timeout_seconds",
+            "deadline_grace_seconds",
+            "max_spread",
+            "breaker_reset_timeout_seconds",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        """NaN slips past every ordered check (``max_spread=nan`` silently
+        disabled uncertainty routing) and an infinite wait overflows
+        ``Condition.wait``."""
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_call_timeout_rejected_before_queueing(
+        self, reliability_estimator, reliability_queries, value
+    ):
+        with EstimationService(reliability_estimator) as service:
+            with pytest.raises(ValueError, match="timeout_seconds"):
+                service.estimate(reliability_queries[0], timeout_seconds=value)
+            assert service.health()["queue_depth"] == 0
+            assert service.stats().cache_misses == 0
+            # The service is unharmed: the next call answers normally.
+            assert service.estimate(reliability_queries[0]) == (
+                reliability_estimator.estimate_many(reliability_queries[:1])[0]
+            )
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_follower_with_non_finite_timeout_gets_a_typed_error(
+        self, reliability_estimator, gated_model, reliability_queries, wait_until, value
+    ):
+        """A caller queued behind a running batch used to wait with an
+        infinite timeout and fail with an untyped ``OverflowError``, leaving
+        its request in the queue; it now gets ``ValueError`` before queueing
+        and the leader's batch is unaffected."""
+        gated = gated_model(reliability_estimator)
+        service = EstimationService(gated)
+        results: dict[str, float] = {}
+        leader = threading.Thread(
+            target=lambda: results.setdefault(
+                "leader", service.estimate(reliability_queries[0])
+            )
+        )
+        try:
+            leader.start()
+            wait_until(gated.entered.is_set, message="leader never started computing")
+            with pytest.raises(ValueError, match="timeout_seconds"):
+                service.estimate(reliability_queries[1], timeout_seconds=value)
+            assert service.health()["queue_depth"] == 0
+            gated.gate.set()
+            leader.join(timeout=30)
+            assert not leader.is_alive()
+            assert results["leader"] == reliability_estimator.estimate_many(
+                reliability_queries[:1]
+            )[0]
+            assert len(gated.batches) == 1
+        finally:
+            gated.gate.set()
+            leader.join(timeout=30)
+            service.close()
+
 
 class TestCircuitBreaker:
     def test_failures_degrade_then_open_then_recover_uncorrupted(
