@@ -249,7 +249,7 @@ class MSCNEstimator:
         trainer = self._require_trained()
         subqueries = query.connected_subqueries()
         return subplan_map(
-            subqueries, trainer.predict(self.serving_dataset(subqueries), batch_size=1)
+            query, trainer.predict(self.serving_dataset(subqueries), batch_size=1)
         )
 
     def estimate_featurized(self, dataset: RaggedDataset) -> np.ndarray:

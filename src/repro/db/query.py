@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.db.predicates import Operator
 from repro.db.schema import ForeignKey, Schema
 
-__all__ = ["Predicate", "JoinCondition", "Query"]
+__all__ = ["Predicate", "JoinCondition", "Query", "SubsetSplits"]
 
 
 @dataclass(frozen=True, order=True)
@@ -111,6 +111,24 @@ class JoinCondition:
             f"{self.left_table}.{self.left_column} = "
             f"{self.right_table}.{self.right_column}"
         )
+
+
+class SubsetSplits(NamedTuple):
+    """One multi-table connected subset of a query's join graph, with every
+    way a join-order optimizer may build it from two smaller sub-plans.
+
+    Bit ``i`` of a mask stands for ``query.tables[i]``.  ``splits`` holds the
+    unordered partitions ``(left, right)`` of ``mask`` whose halves are both
+    connected; ``left`` carries the subset's lowest bit, so commutative
+    mirrors appear once.  Because the subset itself is connected, a join edge
+    always crosses such a partition: no split is a cross product.
+    """
+
+    mask: int
+    #: The subset as a table set — the object ``connected_table_subsets()``
+    #: returns, so maps keyed by those sets are probed by identity.
+    tables: frozenset[str]
+    splits: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -270,6 +288,45 @@ class Query:
             )
             for _, mask in subsets
         )
+
+    def connected_subset_splits(self) -> tuple[SubsetSplits, ...]:
+        """The split table of DP join enumeration, one entry per multi-table
+        connected subset, in :meth:`connected_table_subsets` order.
+
+        Size order is the DPsize invariant: both halves of every split are
+        entered before their union.  Splits follow submask order (descending
+        submasks of the subset), which fixes the optimizer's tie-break.  The
+        table depends on the join graph only, so it is derived once per
+        immutable query and shared by every plan enumeration of it.
+        """
+        cached = self.__dict__.get("_subset_splits")
+        if cached is None:
+            cached = self._derive_subset_splits()
+            object.__setattr__(self, "_subset_splits", cached)
+        return cached
+
+    def _derive_subset_splits(self) -> tuple[SubsetSplits, ...]:
+        order = {table: position for position, table in enumerate(self.tables)}
+        connected: set[int] = set()
+        entries = []
+        for subset in self.connected_table_subsets():
+            mask = 0
+            for table in subset:
+                mask |= 1 << order[table]
+            connected.add(mask)
+            if len(subset) < 2:
+                continue
+            splits = []
+            lowest = mask & -mask
+            submask = (mask - 1) & mask
+            while submask:
+                if submask & lowest:
+                    complement = mask ^ submask
+                    if submask in connected and complement in connected:
+                        splits.append((submask, complement))
+                submask = (submask - 1) & mask
+            entries.append(SubsetSplits(mask, subset, tuple(splits)))
+        return tuple(entries)
 
     @staticmethod
     def _mask_is_connected(mask: int, adjacency: list[int]) -> bool:

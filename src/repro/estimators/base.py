@@ -12,16 +12,17 @@ from repro.db.query import JoinCondition, Predicate, Query
 __all__ = ["CardinalityEstimator", "product_form_estimates", "subplan_map"]
 
 
-def subplan_map(
-    subqueries: Sequence[Query], estimates: Sequence[float]
-) -> dict[frozenset[str], float]:
+def subplan_map(query: Query, estimates: Sequence[float]) -> dict[frozenset[str], float]:
     """Assemble the sub-plan table-set → estimate mapping every
     ``estimate_subplans`` implementation returns (one shared shape, so the
-    optimizer's consumers cannot drift apart)."""
-    return {
-        frozenset(subquery.tables): float(estimate)
-        for subquery, estimate in zip(subqueries, estimates)
-    }
+    optimizer's consumers cannot drift apart).
+
+    ``estimates`` is aligned with ``query.connected_subqueries()``.  The keys
+    are the query's memoized ``connected_table_subsets()`` — no table set is
+    rebuilt per call, and join enumeration, which walks the same objects,
+    finds each one by identity.
+    """
+    return dict(zip(query.connected_table_subsets(), map(float, estimates)))
 
 
 class CardinalityEstimator(abc.ABC):
@@ -59,8 +60,7 @@ class CardinalityEstimator(abc.ABC):
         serve the whole fan-out in one shot.  Keys are sub-plan table sets;
         the full query's own estimate is included under ``frozenset(tables)``.
         """
-        subqueries = query.connected_subqueries()
-        return subplan_map(subqueries, self.estimate_many(subqueries))
+        return subplan_map(query, self.estimate_many(query.connected_subqueries()))
 
 
 def product_form_estimates(

@@ -86,4 +86,4 @@ class TrueCardinalityEstimator(CardinalityEstimator):
         """Every connected sub-plan's true cardinality (clamped to 1), counted
         in one fan-out pass; values equal :meth:`estimate` on each sub-plan."""
         counts = self._executor.execute_subplans(query)
-        return subplan_map(query.connected_subqueries(), [max(count, 1) for count in counts])
+        return subplan_map(query, [max(count, 1) for count in counts])

@@ -7,10 +7,12 @@ recurrence: the best plan for a connected table set ``S`` is the cheapest
 combination of best plans for a partition ``S = S₁ ∪ S₂`` where both parts
 are connected and a join edge crosses them (no cross products).
 
-Sub-plan identities are bitmasks over the query's table order, so the DP
-table and the submask enumeration are integer arithmetic; queries in this
-repo join a handful of tables, so exhaustive connected-subgraph DP is
-exact and effectively free next to one model forward pass.
+Sub-plan identities are bitmasks over the query's table order.  The
+partitions worth trying depend on the join graph alone, so they come from
+the query's memoized split table (:meth:`Query.connected_subset_splits`):
+re-planning a query runs the DP over floats and integer masks only and
+builds one :class:`JoinTree`, for the chosen plan.  Queries in this repo
+join a handful of tables, so exhaustive connected-subgraph DP is exact.
 """
 
 from __future__ import annotations
@@ -18,56 +20,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.db.query import Query
-from repro.optimizer.cost import cout_cost
 from repro.optimizer.plan import JoinTree, Plan
 
 __all__ = ["enumerate_optimal_plan", "all_join_trees"]
-
-
-def _table_masks(query: Query) -> tuple[dict[str, int], list[int]]:
-    """Per-table bit positions and per-table adjacency masks."""
-    order = {table: position for position, table in enumerate(query.tables)}
-    adjacency = [0] * len(query.tables)
-    for join in query.joins:
-        left = order[join.left_table]
-        right = order[join.right_table]
-        adjacency[left] |= 1 << right
-        adjacency[right] |= 1 << left
-    return order, adjacency
-
-
-def _mask_tables(query: Query, mask: int) -> frozenset[str]:
-    return frozenset(
-        table for position, table in enumerate(query.tables) if mask >> position & 1
-    )
-
-
-def _connected_subset_masks(query: Query, order: dict[str, int]) -> list[int]:
-    """Bitmasks of the multi-table connected subsets, smallest first.
-
-    Reuses the query's memoized subset enumeration, which is already sorted
-    by size — the DPsize invariant that every partition's parts are solved
-    before their union is visited.
-    """
-    masks = []
-    for subset in query.connected_table_subsets():
-        if len(subset) >= 2:
-            mask = 0
-            for table in subset:
-                mask |= 1 << order[table]
-            masks.append(mask)
-    return masks
-
-
-def _has_cross_edge(submask: int, complement: int, adjacency: list[int]) -> bool:
-    """Whether a join edge connects the two halves of a partition."""
-    reach = 0
-    probe = submask
-    while probe:
-        position = probe.bit_length() - 1
-        probe &= ~(1 << position)
-        reach |= adjacency[position]
-    return bool(reach & complement)
 
 
 def enumerate_optimal_plan(
@@ -93,13 +48,10 @@ def enumerate_optimal_plan(
         tree = JoinTree.leaf(query.tables[0])
         return Plan(tree=tree, cost=0.0, cardinalities=dict(cardinalities))
 
-    order, adjacency = _table_masks(query)
-    best: dict[int, tuple[float, JoinTree]] = {}
-    for position, table in enumerate(query.tables):
-        best[1 << position] = (0.0, JoinTree.leaf(table))
-
-    for mask in _connected_subset_masks(query, order):
-        tables = _mask_tables(query, mask)
+    # Indexed by mask; single-table sub-plans cost nothing under C_out.
+    best_cost = [0.0] * (1 << len(query.tables))
+    chosen: dict[int, tuple[frozenset[str], int, int]] = {}
+    for mask, tables, splits in query.connected_subset_splits():
         try:
             output_cardinality = float(cardinalities[tables])
         except KeyError:
@@ -107,32 +59,34 @@ def enumerate_optimal_plan(
                 f"no cardinality for sub-plan {tuple(sorted(tables))}; "
                 "estimate_subplans must cover every connected sub-plan"
             ) from None
-        champion: tuple[float, JoinTree] | None = None
-        # Enumerate unordered partitions once by anchoring the lowest bit in
-        # the left part; commutative mirrors would only duplicate work.
-        lowest = mask & -mask
-        submask = (mask - 1) & mask
-        while submask:
-            if submask & lowest:
-                complement = mask ^ submask
-                left_solved = best.get(submask)
-                right_solved = best.get(complement)
-                if (
-                    left_solved is not None
-                    and right_solved is not None
-                    and _has_cross_edge(submask, complement, adjacency)
-                ):
-                    cost = left_solved[0] + right_solved[0] + output_cardinality
-                    if champion is None or cost < champion[0]:
-                        champion = (cost, JoinTree.join(left_solved[1], right_solved[1]))
-            submask = (submask - 1) & mask
-        if champion is None:  # pragma: no cover - connected subsets always split
-            raise RuntimeError(f"no connected partition found for {sorted(tables)}")
-        best[mask] = champion
+        champion = None
+        for left, right in splits:
+            cost = best_cost[left] + best_cost[right] + output_cardinality
+            if champion is None or cost < champion:
+                champion = cost
+                champion_split = (tables, left, right)
+        best_cost[mask] = champion
+        chosen[mask] = champion_split
 
     full_mask = (1 << len(query.tables)) - 1
-    cost, tree = best[full_mask]
-    return Plan(tree=tree, cost=cost, cardinalities=dict(cardinalities))
+    return Plan(
+        tree=_build_tree(query, chosen, full_mask),
+        cost=best_cost[full_mask],
+        cardinalities=dict(cardinalities),
+    )
+
+
+def _build_tree(
+    query: Query, chosen: Mapping[int, tuple[frozenset[str], int, int]], mask: int
+) -> JoinTree:
+    """The join tree the DP chose for ``mask``, built top-down from its splits."""
+    split = chosen.get(mask)
+    if split is None:
+        return JoinTree.leaf(query.tables[mask.bit_length() - 1])
+    tables, left, right = split
+    return JoinTree(
+        tables, _build_tree(query, chosen, left), _build_tree(query, chosen, right)
+    )
 
 
 def all_join_trees(query: Query) -> list[JoinTree]:
@@ -145,31 +99,16 @@ def all_join_trees(query: Query) -> list[JoinTree]:
     """
     if not query.is_connected():
         raise ValueError("join enumeration requires a connected join graph")
-    order, adjacency = _table_masks(query)
-
-    trees_by_mask: dict[int, list[JoinTree]] = {}
-    for position, table in enumerate(query.tables):
-        trees_by_mask[1 << position] = [JoinTree.leaf(table)]
-
-    for mask in _connected_subset_masks(query, order):
+    trees_by_mask: dict[int, list[JoinTree]] = {
+        1 << position: [JoinTree.leaf(table)] for position, table in enumerate(query.tables)
+    }
+    for mask, tables, splits in query.connected_subset_splits():
         found: dict[tuple, JoinTree] = {}
-        lowest = mask & -mask
-        submask = (mask - 1) & mask
-        while submask:
-            if submask & lowest:
-                complement = mask ^ submask
-                left_trees = trees_by_mask.get(submask)
-                right_trees = trees_by_mask.get(complement)
-                if (
-                    left_trees
-                    and right_trees
-                    and _has_cross_edge(submask, complement, adjacency)
-                ):
-                    for left in left_trees:
-                        for right in right_trees:
-                            tree = JoinTree.join(left, right)
-                            found.setdefault(tree.canonical(), tree)
-            submask = (submask - 1) & mask
+        for left, right in splits:
+            for left_tree in trees_by_mask[left]:
+                for right_tree in trees_by_mask[right]:
+                    tree = JoinTree(tables, left_tree, right_tree)
+                    found.setdefault(tree.canonical(), tree)
         trees_by_mask[mask] = list(found.values())
 
     full_mask = (1 << len(query.tables)) - 1

@@ -102,9 +102,10 @@ class Plan:
     """A costed join tree: the output of one enumeration run.
 
     ``cost`` is the plan's total cost under the cardinality function the
-    enumerator was driven with; ``cardinalities`` records that function
-    restricted to the plan's sub-plans, so a plan can be re-costed (e.g.
-    under *true* cardinalities) without re-estimating anything.
+    enumerator was driven with; ``cardinalities`` is a copy of that whole
+    function — every connected sub-plan of the query, not only the ones in
+    ``tree`` — so the plan can be compared with other trees of the same
+    query without re-estimating anything.
     """
 
     tree: JoinTree

@@ -52,8 +52,7 @@ def subplan_estimates(estimator, query: Query) -> dict[frozenset[str], float]:
     batch = getattr(estimator, "estimate_subplans", None)
     if batch is not None:
         return batch(query)
-    subqueries = query.connected_subqueries()
-    return subplan_map(subqueries, estimator.estimate_many(subqueries))
+    return subplan_map(query, estimator.estimate_many(query.connected_subqueries()))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from arbitrary threads while batch leaders drive it).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Callable
@@ -43,6 +44,14 @@ class CircuitBreaker:
         reset_timeout_seconds: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ):
+        # NaN passes every ordered comparison below: a NaN threshold would
+        # never open the breaker, a NaN timeout never half-open it.
+        for name, value in (
+            ("failure_threshold", failure_threshold),
+            ("reset_timeout_seconds", reset_timeout_seconds),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout_seconds < 0:

@@ -283,17 +283,13 @@ class EstimationService:
             return np.empty(0, dtype=np.float64)
         deadline = None if timeout_seconds is None else self._clock() + timeout_seconds
         signatures = [query.signature() for query in queries]
-        results = np.empty(len(queries), dtype=np.float64)
-        miss_positions: list[int] = []
-        hits = 0
-        for position, signature in enumerate(signatures):
-            cached = self._cache.get(signature)
-            if cached is None:
-                miss_positions.append(position)
-            else:
-                results[position] = cached
-                hits += 1
-        self._stats.record_lookups(hits, len(miss_positions))
+        cached = self._cache.get_many(signatures)
+        miss_positions = [position for position, value in enumerate(cached) if value is None]
+        self._stats.record_lookups(len(queries) - len(miss_positions), len(miss_positions))
+        # Misses hold NaN only until their computed values overwrite them.
+        results = np.array(
+            [math.nan if value is None else value for value in cached], dtype=np.float64
+        )
         if miss_positions:
             request = _Request(
                 [queries[i] for i in miss_positions],
@@ -319,8 +315,7 @@ class EstimationService:
         the same query — already computed it; only genuinely new sub-plans
         reach the model, coalesced into one micro-batch.
         """
-        subqueries = query.connected_subqueries()
-        return subplan_map(subqueries, self.estimate_many(subqueries))
+        return subplan_map(query, self.estimate_many(query.connected_subqueries()))
 
     def stats(self) -> ServiceStats:
         """An immutable snapshot of the service counters and latencies."""

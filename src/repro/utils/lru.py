@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 __all__ = ["LRU"]
 
@@ -49,6 +49,27 @@ class LRU:
             self._entries.move_to_end(key)
             self._hits += 1
             return value
+
+    def get_many(self, keys: Iterable[Hashable]) -> list[Any]:
+        """:meth:`get` for each key in order, under one lock acquisition.
+
+        Values (``None`` for a miss), hit/miss counters and LRU order end up
+        exactly as a loop of :meth:`get` calls would leave them; a fan-out of
+        lookups just pays for the lock once.
+        """
+        values = []
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    self._misses += 1
+                    values.append(None)
+                else:
+                    entries.move_to_end(key)
+                    self._hits += 1
+                    values.append(value)
+        return values
 
     def peek(self, key: Hashable) -> Any:
         """Like :meth:`get` but without touching LRU order or counters.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.db.statistics import DatabaseStatistics
+from repro.estimators.base import subplan_map
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.random_sampling import RandomSamplingEstimator
 
@@ -108,3 +109,19 @@ def test_join_selectivities_are_deduplicated(estimators, tiny_workload):
             finally:
                 del estimator.__dict__["join_selectivity"]
             assert len(calls) == len(set(calls)) == query.num_joins
+
+
+def test_subplan_map_keys_are_the_memoized_subsets(estimators, tiny_workload):
+    # Keys are the very objects ``connected_table_subsets()`` returns, so
+    # join enumeration walking those objects finds each one by identity.
+    multi_join = [l.query for l in tiny_workload if l.query.num_joins >= 2][:5]
+    for query in multi_join:
+        subsets = query.connected_table_subsets()
+        mapping = subplan_map(query, np.arange(1, len(subsets) + 1))
+        assert all(key is subset for key, subset in zip(mapping, subsets))
+        assert list(mapping.values()) == [float(i) for i in range(1, len(subsets) + 1)]
+        assert all(type(value) is float for value in mapping.values())
+        for estimator in estimators:
+            served = estimator.estimate_subplans(query)
+            assert all(key is subset for key, subset in zip(served, subsets))
+            assert len(served) == len(subsets)

@@ -58,6 +58,15 @@ class TestClosedState:
         with pytest.raises(ValueError):
             make_breaker(clock, reset=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_parameters(self, clock, value):
+        # A NaN timeout would never half-open an open breaker and a NaN
+        # threshold would never open a closed one; both are refused.
+        with pytest.raises(ValueError, match="reset_timeout_seconds must be finite"):
+            make_breaker(clock, reset=value)
+        with pytest.raises(ValueError, match="failure_threshold must be finite"):
+            make_breaker(clock, threshold=value)
+
 
 class TestOpenState:
     def test_opens_at_threshold_and_blocks(self, clock):

@@ -121,6 +121,36 @@ class TestLRUEviction:
         assert (cache.hits, cache.misses) == (1, 0)
 
 
+class TestGetMany:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sequential_gets(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = [f"k{i}" for i in range(12)]
+        batched, sequential = LRU(capacity=6), LRU(capacity=6)
+        for value, key in enumerate(rng.permutation(keys)[:8].tolist()):
+            batched.put(key, float(value))
+            sequential.put(key, float(value))
+        for _ in range(20):
+            lookup = [str(key) for key in rng.choice(keys, size=int(rng.integers(0, 9)))]
+            assert batched.get_many(lookup) == [sequential.get(key) for key in lookup]
+            assert (batched.hits, batched.misses) == (sequential.hits, sequential.misses)
+            fresh = str(rng.choice(keys))
+            batched.put(fresh, 1.0)
+            sequential.put(fresh, 1.0)
+        # Equal LRU order: each new key evicts the same entry from both.
+        for extra in range(6):
+            batched.put(f"new{extra}", 0.0)
+            sequential.put(f"new{extra}", 0.0)
+            assert [key in batched for key in keys] == [key in sequential for key in keys]
+        assert batched.stats() == sequential.stats()
+
+    def test_repeated_key_hits_after_first_lookup(self):
+        cache = LRU(capacity=2)
+        cache.put("a", 1.0)
+        assert cache.get_many(["a", "b", "a", "b"]) == [1.0, None, 1.0, None]
+        assert (cache.hits, cache.misses) == (2, 2)
+
+
 class TestThreadSafety:
     def test_mixed_get_put_hammer_keeps_invariants(self):
         cache = LRU(capacity=16)
