@@ -23,16 +23,16 @@ VARIANTS = (
 
 
 @pytest.fixture(scope="module")
-def variant_results(context):
+def variant_results(scenario, mscn_config, synthetic_workload):
     """Evaluation results of the three trained variants (training is cached)."""
     results = {}
     for variant in VARIANTS:
-        estimator = context.trained_mscn(variant)
-        results[estimator.name] = evaluate_estimator(estimator, context.synthetic_workload)
+        estimator = scenario.trained_mscn(mscn_config.replace(variant=variant))
+        results[estimator.name] = evaluate_estimator(estimator, synthetic_workload)
     return results
 
 
-def test_figure4_feature_ablation(context, variant_results, write_result, benchmark):
+def test_figure4_feature_ablation(variant_results, write_result, benchmark):
     def build_report() -> str:
         summary = format_summary_table(
             {name: result.summary() for name, result in variant_results.items()},
@@ -61,11 +61,11 @@ def test_figure4_feature_ablation(context, variant_results, write_result, benchm
     assert bitmaps <= no_samples * 1.5
 
 
-def test_figure4_training_cost_per_variant(context, write_result, benchmark):
+def test_figure4_training_cost_per_variant(scenario, mscn_config, write_result, benchmark):
     """Record the (cached) training cost of each variant for Section 4.7."""
     lines = ["Training cost per variant (wall-clock seconds):"]
     for variant in VARIANTS:
-        estimator = context.trained_mscn(variant)
+        estimator = scenario.trained_mscn(mscn_config.replace(variant=variant))
         result = estimator.training_result
         lines.append(
             f"  {estimator.name:<24} {result.training_seconds:8.1f}s "
@@ -73,4 +73,6 @@ def test_figure4_training_cost_per_variant(context, write_result, benchmark):
         )
     report = "\n".join(lines)
     write_result("figure4_training_costs", report)
-    benchmark(lambda: [context.trained_mscn(v).name for v in VARIANTS])
+    benchmark(
+        lambda: [scenario.trained_mscn(mscn_config.replace(variant=v)).name for v in VARIANTS]
+    )

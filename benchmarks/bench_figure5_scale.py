@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.estimators import PostgresEstimator
 from repro.evaluation.reporting import format_join_breakdown, format_summary_table
 from repro.evaluation.runner import evaluate_estimator, evaluate_estimators
@@ -19,16 +18,18 @@ from repro.workload.scale import ScaleWorkloadConfig, generate_scale_workload
 
 
 @pytest.fixture(scope="module")
-def scale_workload(context):
+def scale_workload(scenario):
     config = ScaleWorkloadConfig(
-        queries_per_join_count=context.scale.scale_queries_per_join_count, max_joins=4, seed=103
+        queries_per_join_count=scenario.config.scale_queries_per_join_count, max_joins=4, seed=103
     )
-    return generate_scale_workload(context.database, config)
+    return generate_scale_workload(scenario.database, config)
 
 
-def test_figure5_generalization_to_more_joins(context, scale_workload, write_result, benchmark):
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
-    estimators = [PostgresEstimator(context.database), mscn]
+def test_figure5_generalization_to_more_joins(
+    scenario, mscn_config, scale_workload, write_result, benchmark
+):
+    mscn = scenario.trained_mscn(mscn_config)
+    estimators = [PostgresEstimator(scenario.database), mscn]
 
     hits_before = mscn.samples.bitmap_cache_hits
 
@@ -79,9 +80,11 @@ def test_figure5_generalization_to_more_joins(context, scale_workload, write_res
     assert four_join_median_ratio < 1.0
 
 
-def test_figure5_trained_join_counts_remain_accurate(context, scale_workload, benchmark):
+def test_figure5_trained_join_counts_remain_accurate(
+    scenario, mscn_config, scale_workload, benchmark
+):
     """On the 0-2-join strata (seen during training) MSCN stays well-behaved."""
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    mscn = scenario.trained_mscn(mscn_config)
     seen_strata = [q for q in scale_workload if q.num_joins <= 2]
 
     def run():

@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.evaluation.reporting import format_convergence_series
 
 
-def test_figure6_validation_convergence(context, write_result, benchmark):
-    estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
+def test_figure6_validation_convergence(scenario, mscn_config, write_result, benchmark):
+    estimator = scenario.trained_mscn(mscn_config)
     history = estimator.training_result.validation_q_error_history
     assert history, "training must record a per-epoch validation series"
 
@@ -36,20 +35,20 @@ def test_figure6_validation_convergence(context, write_result, benchmark):
     assert np.isfinite(history).all()
 
 
-def test_figure6_single_epoch_training_cost(context, benchmark):
+def test_figure6_single_epoch_training_cost(scenario, mscn_config, benchmark):
     """Wall-clock cost of one additional epoch over part of the training set.
 
     The shared (cached) model is snapshotted and restored afterwards so this
     measurement does not perturb the other benchmarks.
     """
-    estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    estimator = scenario.trained_mscn(mscn_config)
     trainer = estimator._trainer
     snapshot = estimator._model.state_dict()
     cardinalities = np.array(
-        [q.cardinality for q in context.training_workload[:2000]], dtype=np.float64
+        [q.cardinality for q in scenario.training_workload[:2000]], dtype=np.float64
     )
     dataset = estimator.featurizer.featurize_ragged(
-        [q.query for q in context.training_workload[:2000]], cardinalities=cardinalities
+        [q.query for q in scenario.training_workload[:2000]], cardinalities=cardinalities
     )
 
     def one_epoch():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.core.estimator import MSCNEstimator
 
 #: (hidden units, batch size) configurations swept by this benchmark.
@@ -24,18 +23,17 @@ _REDUCED_TRAINING_QUERIES = 2500
 
 
 @pytest.fixture(scope="module")
-def grid_results(context):
+def grid_results(scenario, mscn_config):
     """Validation mean q-error of every swept configuration."""
-    training = context.training_workload[:_REDUCED_TRAINING_QUERIES]
+    training = scenario.training_workload[:_REDUCED_TRAINING_QUERIES]
     results = {}
     for hidden_units, batch_size in GRID:
-        config = context.scale.mscn_config(
-            FeaturizationVariant.BITMAPS,
+        config = mscn_config.replace(
             hidden_units=hidden_units,
             batch_size=batch_size,
             epochs=_REDUCED_EPOCHS,
         )
-        estimator = MSCNEstimator(context.database, config, samples=context.samples)
+        estimator = MSCNEstimator(scenario.database, config, samples=scenario.samples)
         outcome = estimator.fit(training)
         results[(hidden_units, batch_size)] = outcome
     return results

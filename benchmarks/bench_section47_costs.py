@@ -39,15 +39,17 @@ def _best_of(function, repeats: int = 3) -> float:
     return best
 
 
-def test_section47_model_costs(context, write_result, benchmark):
+def test_section47_model_costs(
+    scenario, mscn_config, synthetic_workload, write_result, benchmark
+):
     lines = [
         f"{'variant':<24} {'parameters':>12} {'size (KiB)':>12} "
         f"{'train (s)':>10} {'ms / query':>12} {'cache hits':>11}"
     ]
     timings = {}
     for variant in VARIANTS:
-        estimator = context.trained_mscn(variant)
-        queries = [labelled.query for labelled in context.synthetic_workload[:200]]
+        estimator = scenario.trained_mscn(mscn_config.replace(variant=variant))
+        queries = [labelled.query for labelled in synthetic_workload[:200]]
         _, timing = estimator.timed_estimate_many(queries)
         timings[variant] = timing
         lines.append(
@@ -62,23 +64,28 @@ def test_section47_model_costs(context, write_result, benchmark):
 
     # The bitmaps variant must be the largest model (its table feature vector
     # embeds the full bitmap), mirroring the paper's 2.6 MiB vs 1.6 MiB.
-    sizes = {v: context.trained_mscn(v).model_num_bytes() for v in VARIANTS}
+    sizes = {
+        v: scenario.trained_mscn(mscn_config.replace(variant=v)).model_num_bytes()
+        for v in VARIANTS
+    }
     assert sizes[FeaturizationVariant.BITMAPS] > sizes[FeaturizationVariant.NO_SAMPLES]
     # Prediction latency stays in the milliseconds-per-query regime.
     assert all(t.milliseconds_per_query < 100 for t in timings.values())
 
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
-    queries = [labelled.query for labelled in context.synthetic_workload[:200]]
+    mscn = scenario.trained_mscn(mscn_config)
+    queries = [labelled.query for labelled in synthetic_workload[:200]]
     benchmark(lambda: mscn.estimate_many(queries))
 
 
-def test_section47_featurization_throughput(context, write_result):
+def test_section47_featurization_throughput(
+    scenario, mscn_config, synthetic_workload, write_result
+):
     """Featurization throughput: the per-query reference featurizer (one
     one-hot vector at a time, stacked into the ragged layout) vs
     ``featurize_ragged`` through the compiled plan."""
-    estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    estimator = scenario.trained_mscn(mscn_config)
     featurizer = estimator.featurizer
-    queries = [labelled.query for labelled in context.synthetic_workload]
+    queries = [labelled.query for labelled in synthetic_workload]
 
     def per_query():
         return RaggedDataset.from_featurized(featurizer.featurize_many(queries))
@@ -86,7 +93,9 @@ def test_section47_featurization_throughput(context, write_result):
     # Warm the shared bitmap cache and the compiled plan so both paths
     # measure feature construction (the steady-state serving regime), not
     # first-touch predicate evaluation.
-    compiled = context.featurized_workload(FeaturizationVariant.BITMAPS)
+    compiled = featurizer.featurize_ragged(
+        queries, cardinalities=[labelled.cardinality for labelled in synthetic_workload]
+    )
     per_query_seconds = _best_of(per_query)
     compiled_seconds = _best_of(lambda: featurizer.featurize_ragged(queries))
     speedup = per_query_seconds / compiled_seconds
@@ -116,13 +125,13 @@ def test_section47_featurization_throughput(context, write_result):
     assert speedup >= 3.0
 
 
-def test_section47_inference_latency(context, write_result):
+def test_section47_inference_latency(scenario, mscn_config, synthetic_workload, write_result):
     """End-to-end serving latency (featurize + infer, warm bitmap cache) of
     a float32 model, as batch throughput and single-query latency
     percentiles; in float64 chunked prediction reproduces one model
     ``forward`` pass over the same dataset bit for bit."""
-    fused = context.trained_mscn(FeaturizationVariant.BITMAPS)
-    queries = [labelled.query for labelled in context.synthetic_workload]
+    fused = scenario.trained_mscn(mscn_config)
+    queries = [labelled.query for labelled in synthetic_workload]
 
     # Warm the bitmap cache and the compiled plan.
     fused.estimate_many(queries)
@@ -130,7 +139,7 @@ def test_section47_inference_latency(context, write_result):
     batch_seconds = _best_of(lambda: fused.estimate_many(queries), repeats=7)
     throughput = len(queries) / batch_seconds
     single_seconds = []
-    for labelled in context.synthetic_workload[:200]:
+    for labelled in synthetic_workload[:200]:
         start = time.perf_counter()
         fused.estimate(labelled.query)
         single_seconds.append(time.perf_counter() - start)
@@ -153,18 +162,18 @@ def test_section47_inference_latency(context, write_result):
         metrics={"num_queries": len(queries)},
     )
 
-    float64 = context.trained_mscn(FeaturizationVariant.BITMAPS, dtype="float64")
+    float64 = scenario.trained_mscn(mscn_config.replace(dtype="float64"))
     fused_predictions = float64.estimate_many(queries)
     normalized = forward(float64.featurizer.featurize_ragged(queries), float64._model.layers)
     reference = float64._normalizer.denormalize(normalized[:, 0])
     np.testing.assert_array_equal(fused_predictions, reference)
 
 
-def test_section47_serving_cache_reuse(context, write_result):
+def test_section47_serving_cache_reuse(scenario, mscn_config, synthetic_workload, write_result):
     """Repeated serving traffic: the second identical batch of estimates
     probes no sample bitmaps at all."""
-    estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
-    queries = [labelled.query for labelled in context.synthetic_workload[:400]]
+    estimator = scenario.trained_mscn(mscn_config)
+    queries = [labelled.query for labelled in synthetic_workload[:400]]
     _, first = estimator.timed_estimate_many(queries)
     _, second = estimator.timed_estimate_many(queries)
     num_probes = sum(len(query.tables) for query in queries)
@@ -181,19 +190,21 @@ def test_section47_serving_cache_reuse(context, write_result):
     assert second.bitmap_cache_hits == num_probes
 
 
-def test_section47_serialization_roundtrip_cost(context, tmp_path_factory, benchmark):
+def test_section47_serialization_roundtrip_cost(
+    scenario, mscn_config, synthetic_workload, tmp_path_factory, benchmark
+):
     """Cost of persisting and re-loading the trained bitmaps model."""
     from repro.core.estimator import MSCNEstimator
 
-    estimator = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    estimator = scenario.trained_mscn(mscn_config)
     directory = tmp_path_factory.mktemp("mscn-model")
 
     def save_and_load():
         estimator.save(directory)
-        return MSCNEstimator.load(directory, context.database)
+        return MSCNEstimator.load(directory, scenario.database)
 
     restored = benchmark.pedantic(save_and_load, rounds=1, iterations=1)
-    probe = [labelled.query for labelled in context.synthetic_workload[:10]]
+    probe = [labelled.query for labelled in synthetic_workload[:10]]
     original = estimator.estimate_many(probe)
     reloaded = restored.estimate_many(probe)
     assert max(abs(original - reloaded)) < 1e-6

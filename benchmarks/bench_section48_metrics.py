@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FeaturizationVariant, LossKind
+from repro.core.config import LossKind
 from repro.evaluation.reporting import format_summary_table
 from repro.evaluation.runner import evaluate_estimator
 
@@ -23,13 +23,11 @@ _REDUCED_EPOCHS = 30
 
 
 @pytest.fixture(scope="module")
-def loss_results(context):
+def loss_results(scenario, mscn_config, synthetic_workload):
     results = {}
     for loss in LOSSES:
-        estimator = context.trained_mscn(
-            FeaturizationVariant.BITMAPS, loss=loss, epochs=_REDUCED_EPOCHS
-        )
-        evaluation = evaluate_estimator(estimator, context.synthetic_workload)
+        estimator = scenario.trained_mscn(mscn_config.replace(loss=loss, epochs=_REDUCED_EPOCHS))
+        evaluation = evaluate_estimator(estimator, synthetic_workload)
         results[loss.value] = evaluation
     return results
 

@@ -16,21 +16,22 @@ from repro.workload.scale import ScaleWorkloadConfig, generate_scale_workload
 
 
 @pytest.fixture(scope="module")
-def scale_workload(context):
+def scale_workload(scenario):
     config = ScaleWorkloadConfig(
-        queries_per_join_count=context.scale.scale_queries_per_join_count, max_joins=4, seed=103
+        queries_per_join_count=scenario.config.scale_queries_per_join_count, max_joins=4, seed=103
     )
-    return generate_scale_workload(context.database, config)
+    return generate_scale_workload(scenario.database, config)
 
 
 @pytest.fixture(scope="module")
-def job_light_workload(context):
-    return generate_job_light(context.database, JobLightConfig(seed=7))
+def job_light_workload(scenario):
+    return generate_job_light(scenario.database, JobLightConfig(seed=7))
 
 
-def test_table1_join_distribution(context, scale_workload, job_light_workload, write_result,
-                                  benchmark):
-    synthetic = context.synthetic_workload
+def test_table1_join_distribution(
+    scenario, synthetic_workload, scale_workload, job_light_workload, write_result, benchmark
+):
+    synthetic = synthetic_workload
 
     def build_table() -> str:
         return format_workload_distribution(
@@ -51,7 +52,7 @@ def test_table1_join_distribution(context, scale_workload, job_light_workload, w
     scale_groups = split_by_joins(scale_workload)
     assert set(scale_groups) == {0, 1, 2, 3, 4}
     assert all(
-        len(queries) == context.scale.scale_queries_per_join_count
+        len(queries) == scenario.config.scale_queries_per_join_count
         for queries in scale_groups.values()
     )
     job_groups = split_by_joins(job_light_workload)
@@ -64,13 +65,13 @@ def test_table1_join_distribution(context, scale_workload, job_light_workload, w
     }
 
 
-def test_table1_workload_generation_cost(context, benchmark):
+def test_table1_workload_generation_cost(scenario, benchmark):
     """Cost of labelling 100 random training queries (Section 3.3 pipeline)."""
     from repro.workload.generator import QueryGenerator, WorkloadConfig
 
     def label_hundred_queries():
         generator = QueryGenerator(
-            context.database, WorkloadConfig(num_queries=100, max_joins=2, seed=555)
+            scenario.database, WorkloadConfig(num_queries=100, max_joins=2, seed=555)
         )
         return generator.generate()
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.estimators import (
     IndexBasedJoinSamplingEstimator,
     PostgresEstimator,
@@ -21,19 +20,19 @@ from repro.evaluation.runner import evaluate_estimator, evaluate_estimators
 
 
 @pytest.fixture(scope="module")
-def estimators(context):
+def estimators(scenario, mscn_config):
     """All four competitors of Figure 3 / Table 2 (MSCN training is cached)."""
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    mscn = scenario.trained_mscn(mscn_config)
     return [
-        PostgresEstimator(context.database),
-        RandomSamplingEstimator(context.database, context.samples),
-        IndexBasedJoinSamplingEstimator(context.database, context.samples),
+        PostgresEstimator(scenario.database),
+        RandomSamplingEstimator(scenario.database, scenario.samples),
+        IndexBasedJoinSamplingEstimator(scenario.database, scenario.samples),
         mscn,
     ]
 
 
-def test_table2_estimation_errors(context, estimators, write_result, benchmark):
-    workload = context.synthetic_workload
+def test_table2_estimation_errors(synthetic_workload, estimators, write_result, benchmark):
+    workload = synthetic_workload
 
     def run_all_estimators():
         return evaluate_estimators(estimators, workload)
@@ -61,10 +60,10 @@ def test_table2_estimation_errors(context, estimators, write_result, benchmark):
         assert result.summary().median < 10
 
 
-def test_figure3_mscn_prediction_latency(context, benchmark):
+def test_figure3_mscn_prediction_latency(scenario, mscn_config, synthetic_workload, benchmark):
     """Per-query prediction latency of the trained model (ms; Section 4.7)."""
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
-    queries = [labelled.query for labelled in context.synthetic_workload[:200]]
+    mscn = scenario.trained_mscn(mscn_config)
+    queries = [labelled.query for labelled in synthetic_workload[:200]]
 
     def estimate_workload():
         return mscn.estimate_many(queries)
@@ -73,8 +72,8 @@ def test_figure3_mscn_prediction_latency(context, benchmark):
     assert len(estimates) == 200
 
 
-def test_figure3_postgres_estimation_latency(context, benchmark):
-    postgres = PostgresEstimator(context.database)
-    queries = [labelled.query for labelled in context.synthetic_workload[:200]]
+def test_figure3_postgres_estimation_latency(scenario, synthetic_workload, benchmark):
+    postgres = PostgresEstimator(scenario.database)
+    queries = [labelled.query for labelled in synthetic_workload[:200]]
     estimates = benchmark(lambda: postgres.estimate_many(queries))
     assert len(estimates) == 200

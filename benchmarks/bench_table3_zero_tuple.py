@@ -11,32 +11,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.estimators import PostgresEstimator, RandomSamplingEstimator
 from repro.evaluation.reporting import format_summary_table
 from repro.evaluation.runner import evaluate_estimators
 
 
 @pytest.fixture(scope="module")
-def zero_tuple_queries(context):
+def zero_tuple_queries(scenario, synthetic_workload):
     """Base-table queries of the synthetic workload with all-zero bitmaps."""
-    base_table_queries = [q for q in context.synthetic_workload if q.num_joins == 0]
+    base_table_queries = [q for q in synthetic_workload if q.num_joins == 0]
     return [
         labelled
         for labelled in base_table_queries
-        if context.samples.qualifying_count(
+        if scenario.samples.qualifying_count(
             labelled.query.tables[0], labelled.query.predicates
         )
         == 0
     ]
 
 
-def test_table3_zero_tuple_errors(context, zero_tuple_queries, write_result, benchmark):
+def test_table3_zero_tuple_errors(
+    scenario, mscn_config, synthetic_workload, zero_tuple_queries, write_result, benchmark
+):
     assert zero_tuple_queries, "the synthetic workload must contain 0-tuple queries"
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
+    mscn = scenario.trained_mscn(mscn_config)
     estimators = [
-        PostgresEstimator(context.database),
-        RandomSamplingEstimator(context.database, context.samples),
+        PostgresEstimator(scenario.database),
+        RandomSamplingEstimator(scenario.database, scenario.samples),
         mscn,
     ]
 
@@ -45,7 +46,7 @@ def test_table3_zero_tuple_errors(context, zero_tuple_queries, write_result, ben
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    base_table_count = len([q for q in context.synthetic_workload if q.num_joins == 0])
+    base_table_count = len([q for q in synthetic_workload if q.num_joins == 0])
     share = 100.0 * len(zero_tuple_queries) / base_table_count
     header = (
         f"{len(zero_tuple_queries)} of {base_table_count} base-table queries "
@@ -69,7 +70,7 @@ def test_table3_zero_tuple_errors(context, zero_tuple_queries, write_result, ben
     truths = np.array([q.cardinality for q in zero_tuple_queries], dtype=float)
     table_sizes = np.array(
         [
-            context.database.table(q.query.tables[0]).num_rows
+            scenario.database.table(q.query.tables[0]).num_rows
             for q in zero_tuple_queries
         ],
         dtype=float,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import FeaturizationVariant
 from repro.estimators import (
     IndexBasedJoinSamplingEstimator,
     PostgresEstimator,
@@ -21,16 +20,18 @@ from repro.workload.job_light import JobLightConfig, generate_job_light
 
 
 @pytest.fixture(scope="module")
-def job_light_workload(context):
-    return generate_job_light(context.database, JobLightConfig(seed=7))
+def job_light_workload(scenario):
+    return generate_job_light(scenario.database, JobLightConfig(seed=7))
 
 
-def test_table4_job_light_errors(context, job_light_workload, write_result, benchmark):
-    mscn = context.trained_mscn(FeaturizationVariant.BITMAPS)
+def test_table4_job_light_errors(
+    scenario, mscn_config, job_light_workload, write_result, benchmark
+):
+    mscn = scenario.trained_mscn(mscn_config)
     estimators = [
-        PostgresEstimator(context.database),
-        RandomSamplingEstimator(context.database, context.samples),
-        IndexBasedJoinSamplingEstimator(context.database, context.samples),
+        PostgresEstimator(scenario.database),
+        RandomSamplingEstimator(scenario.database, scenario.samples),
+        IndexBasedJoinSamplingEstimator(scenario.database, scenario.samples),
         mscn,
     ]
 
@@ -59,11 +60,11 @@ def test_table4_job_light_errors(context, job_light_workload, write_result, benc
     assert all(result.summary().maximum >= 1.0 for result in results.values())
 
 
-def test_table4_job_light_generation_cost(context, benchmark):
+def test_table4_job_light_generation_cost(scenario, benchmark):
     """Cost of generating and labelling the 70-query JOB-light workload."""
 
     def generate():
-        return generate_job_light(context.database, JobLightConfig(seed=11))
+        return generate_job_light(scenario.database, JobLightConfig(seed=11))
 
     workload = benchmark.pedantic(generate, rounds=1, iterations=1)
     assert len(workload) == 70

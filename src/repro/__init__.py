@@ -15,7 +15,7 @@ contribution:
 ``repro.datasets``
     A synthetic, correlated IMDb-like database generator (the paper's
     evaluation dataset is the real IMDb snapshot, which is not redistributable
-    here; see DESIGN.md for the substitution rationale).
+    here; see the README section "Datasets & scenarios").
 ``repro.workload``
     The paper's random query generator (Section 3.3), the *scale* workload and
     a JOB-light-style workload.

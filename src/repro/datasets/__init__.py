@@ -4,7 +4,7 @@ The paper evaluates on a snapshot of the real Internet Movie Database (IMDb),
 which cannot be downloaded in this offline environment;
 :mod:`repro.datasets.imdb` generates a synthetic substitute with the same
 star schema, skewed value distributions and — crucially — *join-crossing
-correlations* (see DESIGN.md for the substitution argument).
+correlations* (see the README section "Datasets & scenarios").
 
 Because the paper's featurization claims to generalize to any PK/FK schema,
 this package is organised around :class:`~repro.datasets.spec.DatasetSpec`:

@@ -18,13 +18,13 @@ needs to run against a dataset it has never seen:
   the dataset was designed for.
 
 Specs are registered in :mod:`repro.datasets.registry`; everything downstream
-(``workload``, ``evaluation.experiments``, ``evaluation.scenarios``, the
-benchmarks) consumes specs, so adding a dataset is one module plus one
-``register_dataset`` call.
+(``workload``, ``evaluation.scenarios``, the benchmarks) consumes specs, so
+adding a dataset is one module plus one ``register_dataset`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -176,8 +176,8 @@ class DatasetSpec:
                 f"(known tiers: {', '.join(self.tier_names())})"
             )
         value = float(scale)
-        if value <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         return value
 
     def generate(self, scale: float | str = 1.0, seed: int | None = None) -> Database:

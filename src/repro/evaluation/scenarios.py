@@ -24,6 +24,7 @@ scenario's database.  :func:`mscn_factory` builds the standard MSCN factory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -99,8 +100,12 @@ class ScenarioConfig:
     plan_quality_min_joins: int = 2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dataset_scale, str) and self.dataset_scale <= 0:
-            raise ValueError("dataset_scale must be positive")
+        if not isinstance(self.dataset_scale, str) and not (
+            math.isfinite(self.dataset_scale) and self.dataset_scale > 0
+        ):
+            raise ValueError(
+                f"dataset_scale must be positive and finite, got {self.dataset_scale!r}"
+            )
         if self.num_training_queries <= 0 or self.num_eval_queries <= 0:
             raise ValueError("workload sizes must be positive")
         if self.plan_quality_max_queries <= 0:
@@ -116,24 +121,38 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """One dataset instantiated for evaluation: snapshot, samples, workloads.
+    """One dataset snapshot prepared for evaluation: samples, workloads, models.
 
-    The training workload is built (and truth-labelled) lazily on first
-    access: baseline estimators never train, and labelling thousands of
-    queries is the most expensive step of scenario construction.
+    Everything past the database is built lazily on first access and kept:
+    baseline estimators never train, and labelling thousands of queries is
+    the most expensive step of scenario construction.  Trained MSCN models
+    are memoized per :class:`MSCNConfig`, so every estimator of one
+    configuration is fitted once per scenario.
     """
 
     spec: DatasetSpec
     database: Database
-    samples: MaterializedSamples
     config: ScenarioConfig
-    evaluation_workloads: dict[str, list[LabelledQuery]] = field(default_factory=dict)
-    _training_workload: list[LabelledQuery] | None = field(default=None, repr=False)
-    _true_estimator: TrueCardinalityEstimator | None = field(default=None, repr=False)
+    _samples: MaterializedSamples | None = field(default=None, init=False, repr=False)
+    _evaluation_workloads: dict[str, list[LabelledQuery]] | None = field(
+        default=None, init=False, repr=False
+    )
+    _training_workload: list[LabelledQuery] | None = field(default=None, init=False, repr=False)
+    _true_estimator: TrueCardinalityEstimator | None = field(default=None, init=False, repr=False)
+    _trained: dict[MSCNConfig, MSCNEstimator] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def samples(self) -> MaterializedSamples:
+        """Materialized base-table samples shared by every estimator."""
+        if self._samples is None:
+            self._samples = MaterializedSamples(
+                self.database, sample_size=self.config.sample_size, seed=self.config.dataset_seed
+            )
+        return self._samples
 
     @property
     def training_workload(self) -> list[LabelledQuery]:
@@ -145,6 +164,41 @@ class Scenario:
                 seed=self.config.training_seed,
             )
         return self._training_workload
+
+    @property
+    def evaluation_workloads(self) -> dict[str, list[LabelledQuery]]:
+        """The ``synthetic`` workload (the training generator with the
+        evaluation seed) and, when configured, the join-stratified ``scale``
+        workload."""
+        if self._evaluation_workloads is None:
+            config = self.config
+            workloads = {
+                "synthetic": generate_evaluation_workload(
+                    self.spec, self.database, config.num_eval_queries, seed=config.evaluation_seed
+                )
+            }
+            if config.include_scale_workload:
+                workloads["scale"] = generate_scale_workload_for_spec(
+                    self.spec,
+                    self.database,
+                    queries_per_join_count=config.scale_queries_per_join_count,
+                    seed=config.evaluation_seed + 1,
+                )
+            self._evaluation_workloads = workloads
+        return self._evaluation_workloads
+
+    def trained_mscn(self, config: MSCNConfig) -> MSCNEstimator:
+        """An MSCN trained on this scenario's training workload (memoized).
+
+        All models share the scenario's :class:`MaterializedSamples` and so
+        its bitmap cache: the first sampling-enriched model pays for every
+        bitmap probe of the training workload, later ones reuse them.
+        """
+        if config not in self._trained:
+            estimator = MSCNEstimator(self.database, config, samples=self.samples)
+            estimator.fit(self.training_workload)
+            self._trained[config] = estimator
+        return self._trained[config]
 
     @property
     def database_bytes(self) -> int:
@@ -205,34 +259,10 @@ class ScenarioResult:
 
 
 def build_scenario(spec: DatasetSpec, config: ScenarioConfig | None = None) -> Scenario:
-    """Instantiate one dataset as a scenario (database, samples, workloads)."""
+    """Generate one dataset's snapshot at the configured scale as a scenario."""
     config = config if config is not None else ScenarioConfig()
     database = spec.generate(scale=config.dataset_scale, seed=config.dataset_seed)
-    samples = MaterializedSamples(
-        database, sample_size=config.sample_size, seed=config.dataset_seed
-    )
-    workloads = {
-        "synthetic": generate_evaluation_workload(
-            spec,
-            database,
-            config.num_eval_queries,
-            seed=config.evaluation_seed,
-        )
-    }
-    if config.include_scale_workload:
-        workloads["scale"] = generate_scale_workload_for_spec(
-            spec,
-            database,
-            queries_per_join_count=config.scale_queries_per_join_count,
-            seed=config.evaluation_seed + 1,
-        )
-    return Scenario(
-        spec=spec,
-        database=database,
-        samples=samples,
-        config=config,
-        evaluation_workloads=workloads,
-    )
+    return Scenario(spec=spec, database=database, config=config)
 
 
 def build_scenarios(config: ScenarioConfig | None = None) -> list[Scenario]:
@@ -326,19 +356,14 @@ def _plan_quality_summary(
 
 
 def mscn_factory(config: MSCNConfig | None = None) -> EstimatorFactory:
-    """A factory training the paper's MSCN on each scenario it is handed.
+    """A factory handing out each scenario's MSCN trained with ``config``.
 
     The estimator derives its vocabularies from the scenario's schema and
     shares the scenario's materialized samples, so one factory serves every
-    registered dataset.
+    registered dataset; the scenario's memo trains it once per scenario.
     """
-
-    def build(scenario: Scenario) -> CardinalityEstimator:
-        estimator = MSCNEstimator(scenario.database, config, samples=scenario.samples)
-        estimator.fit(scenario.training_workload)
-        return estimator
-
-    return build
+    config = config if config is not None else MSCNConfig()
+    return lambda scenario: scenario.trained_mscn(config)
 
 
 def format_bytes(num_bytes: int) -> str:

@@ -121,6 +121,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             get_dataset("imdb").generate(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_generate_rejects_non_finite_scale(self, scale):
+        # Caught at the spec, naming the value, before any generator runs.
+        for spec in registered_datasets():
+            with pytest.raises(ValueError, match=repr(scale)):
+                spec.generate(scale=scale)
+
 
 def _join_selectivity(child, child_key, child_attr, child_value, parent, parent_attr, parent_value):
     """P(child_attr = v1 | parent_attr = v2 across the join) vs P(child_attr = v1)."""

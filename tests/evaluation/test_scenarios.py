@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import MSCNConfig
+from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
+from repro.core.estimator import MSCNEstimator
+from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
+from repro.datasets.registry import get_dataset
 from repro.estimators.base import CardinalityEstimator
 from repro.evaluation.runner import evaluate_estimator
 from repro.evaluation.scenarios import (
+    Scenario,
     ScenarioConfig,
     build_scenario,
     build_scenarios,
@@ -95,6 +99,71 @@ class TestScenarioBuilding:
         join_counts = {labelled.num_joins for labelled in scale}
         # forum's spec recommends strata up to five joins (the full chain).
         assert join_counts == {0, 1, 2, 3, 4, 5}
+
+
+class TestScenarioState:
+    """A scenario over an explicitly sized snapshot, the way the paper suite
+    (``benchmarks/conftest.py``) builds its IMDb scenario."""
+
+    CONFIG = ScenarioConfig(
+        datasets=("imdb",), num_training_queries=150, num_eval_queries=60, sample_size=30
+    )
+    MSCN = MSCNConfig(hidden_units=16, epochs=3, batch_size=64, num_samples=30)
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        database = generate_imdb(
+            SyntheticIMDbConfig(
+                num_titles=800, num_companies=120, num_persons=1500, num_keywords=300, seed=1
+            )
+        )
+        return Scenario(spec=get_dataset("imdb"), database=database, config=self.CONFIG)
+
+    def test_samples_and_workloads_are_built_once(self, scenario):
+        assert scenario.samples is scenario.samples
+        assert scenario.samples.sample_size == 30
+        assert scenario.training_workload is scenario.training_workload
+        assert scenario.evaluation_workloads is scenario.evaluation_workloads
+
+    def test_workloads_have_requested_sizes(self, scenario):
+        assert len(scenario.training_workload) == 150
+        assert len(scenario.evaluation_workloads["synthetic"]) == 60
+
+    def test_training_and_evaluation_workloads_use_different_seeds(self, scenario):
+        train_signatures = {q.query.signature() for q in scenario.training_workload}
+        test_signatures = {
+            q.query.signature() for q in scenario.evaluation_workloads["synthetic"]
+        }
+        # The two workloads come from different generator seeds; a small
+        # overlap is possible but they must not coincide.
+        assert len(test_signatures - train_signatures) > 0
+
+    def test_trained_mscn_is_memoized_per_config(self, scenario, monkeypatch):
+        first = scenario.trained_mscn(self.MSCN)
+        assert first.training_result is not None
+        fits = []
+        original_fit = MSCNEstimator.fit
+        monkeypatch.setattr(
+            MSCNEstimator,
+            "fit",
+            lambda estimator, *args, **kwargs: fits.append(estimator)
+            or original_fit(estimator, *args, **kwargs),
+        )
+        # An equal configuration (not the same object) hits the memo.
+        assert scenario.trained_mscn(self.MSCN.replace()) is first
+        assert mscn_factory(self.MSCN)(scenario) is first
+        assert fits == []
+        # A different variant or loss is a different model.
+        no_samples = scenario.trained_mscn(
+            self.MSCN.replace(variant=FeaturizationVariant.NO_SAMPLES)
+        )
+        mse = scenario.trained_mscn(self.MSCN.replace(loss=LossKind.MSE))
+        assert fits == [no_samples, mse]
+        assert no_samples is not first and mse is not first
+        assert no_samples.config.variant is FeaturizationVariant.NO_SAMPLES
+        assert mse.config.loss is LossKind.MSE
+        # Every model shares the scenario's samples (and their bitmap cache).
+        assert first.samples is mse.samples is scenario.samples
 
 
 class TestRunScenarios:
@@ -225,6 +294,11 @@ class TestScaleTiersAndMemoryReporting:
     def test_config_rejects_non_positive_numeric_scale(self):
         with pytest.raises(ValueError):
             ScenarioConfig(dataset_scale=-1.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match=repr(scale)):
+            ScenarioConfig(dataset_scale=scale)
 
     def test_scenario_reports_database_bytes(self):
         scenario = build_scenarios(TINY)[0]
