@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_featurization import assert_same_elements, reference_featurize
 
-from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
 from repro.core.model import forward
 from repro.utils.bench import write_bench_json
@@ -80,15 +80,15 @@ def test_section47_model_costs(
 def test_section47_featurization_throughput(
     scenario, mscn_config, synthetic_workload, write_result
 ):
-    """Featurization throughput: the per-query reference featurizer (one
-    one-hot vector at a time, stacked into the ragged layout) vs
-    ``featurize_ragged`` through the compiled plan."""
+    """Featurization throughput: the per-query reference featurization of
+    the tests (one element's vector at a time, stacked into the ragged
+    layout) vs ``featurize_ragged`` through the compiled plan."""
     estimator = scenario.trained_mscn(mscn_config)
     featurizer = estimator.featurizer
     queries = [labelled.query for labelled in synthetic_workload]
 
     def per_query():
-        return RaggedDataset.from_featurized(featurizer.featurize_many(queries))
+        return reference_featurize(featurizer, queries)
 
     # Warm the shared bitmap cache and the compiled plan so both paths
     # measure feature construction (the steady-state serving regime), not
@@ -100,15 +100,9 @@ def test_section47_featurization_throughput(
     compiled_seconds = _best_of(lambda: featurizer.featurize_ragged(queries))
     speedup = per_query_seconds / compiled_seconds
 
-    reference = per_query()
     # The compiled path stores each distinct element once: compare every
     # element's row.
-    for name in ("tables", "joins", "predicates"):
-        expected, got = getattr(reference, name), getattr(compiled, name)
-        np.testing.assert_array_equal(expected.features[expected.rows], got.features[got.rows])
-        np.testing.assert_array_equal(
-            getattr(reference, name).offsets, getattr(compiled, name).offsets
-        )
+    assert_same_elements(compiled, per_query())
 
     report = "\n".join(
         [

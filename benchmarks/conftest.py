@@ -20,6 +20,7 @@ Every benchmark writes the paper-style table it regenerates to
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,10 @@ from repro.evaluation.scenarios import Scenario, ScenarioConfig
 from repro.workload.generator import LabelledQuery
 
 RESULTS_DIRECTORY = Path(__file__).parent / "results"
+
+# The per-query reference featurization lives with the tests; section 4.7
+# measures featurize_ragged against it.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 DATABASE = SyntheticIMDbConfig(
     num_titles=20_000, num_companies=2_500, num_persons=30_000, num_keywords=8_000, seed=42

@@ -20,7 +20,7 @@ The sub-modules follow the pipeline of Section 3:
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
-from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
+from repro.core.featurization import QueryFeaturizer
 from repro.core.model import MSCN
 from repro.core.trainer import MSCNTrainer, TrainingResult
 
@@ -31,7 +31,6 @@ __all__ = [
     "EnsembleMSCNEstimator",
     "EnsembleEstimate",
     "QueryFeaturizer",
-    "FeaturizedQuery",
     "MSCN",
     "MSCNTrainer",
     "TrainingResult",

@@ -13,7 +13,7 @@ becomes a segment mean over the offsets, gathered through ``rows``.  Empty
 sets (a query without joins or predicates) are zero-length segments that
 pool to a zero vector.
 
-:func:`iterate_ragged_minibatches` optionally orders queries into
+:func:`iterate_ragged_minibatches` orders each epoch's shuffled queries into
 length-homogeneous buckets before batching, so gathered training batches have
 near-uniform row counts per set (better matmul shapes, no pathological
 mixed-size batches) while batch order stays shuffled.
@@ -22,11 +22,11 @@ mixed-size batches) while batch order stays shuffled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from repro.core.featurization import FeaturizedQuery, first_seen
+from repro.core.featurization import first_seen
 
 __all__ = [
     "RaggedSet",
@@ -63,15 +63,13 @@ class RaggedSet:
     ``rows`` (query ``i`` owns elements ``offsets[i]:offsets[i + 1]``).  So
     element ``e``'s feature vector is ``features[rows[e]]``, and an element
     repeated across a batch's queries is stored — and projected by the
-    model — once.  ``rows=None`` means one row per element
-    (``arange``), the layout :meth:`RaggedDataset.from_featurized` builds.
-    ``lengths`` and the reciprocal counts used by mean pooling are derived
-    once and cached.
+    model — once.  ``lengths`` and the reciprocal counts used by mean
+    pooling are derived once and cached.
     """
 
     features: np.ndarray
     offsets: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
     lengths: np.ndarray = field(init=False, repr=False)
     inv_counts: np.ndarray = field(init=False, repr=False)
 
@@ -82,14 +80,11 @@ class RaggedSet:
         if self.features.ndim != 2:
             raise ValueError("ragged features must be 2-D (distinct_elements, width)")
         num_rows = self.features.shape[0]
-        if self.rows is None:
-            rows = np.arange(num_rows, dtype=np.int64)
-        else:
-            rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-            if rows.ndim != 1:
-                raise ValueError("rows must be 1-D (one feature row per element)")
-            if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
-                raise ValueError(f"rows must index the {num_rows} feature rows")
+        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ValueError("rows must be 1-D (one feature row per element)")
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ValueError(f"rows must index the {num_rows} feature rows")
         if offsets[-1] != rows.shape[0]:
             raise ValueError(
                 f"offsets cover {offsets[-1]} elements but rows has {rows.shape[0]}"
@@ -177,33 +172,6 @@ class RaggedDataset:
     def __len__(self) -> int:
         return self.size
 
-    @classmethod
-    def from_featurized(
-        cls,
-        featurized: Sequence[FeaturizedQuery],
-        labels: np.ndarray | None = None,
-        cardinalities: np.ndarray | None = None,
-    ) -> "RaggedDataset":
-        """Stack per-query featurizations into the ragged layout."""
-        if not featurized:
-            raise ValueError("cannot build a ragged dataset from zero queries")
-
-        def stack(arrays: list[np.ndarray]) -> RaggedSet:
-            offsets = offsets_from_lengths([a.shape[0] for a in arrays])
-            return RaggedSet(features=np.concatenate(arrays, axis=0), offsets=offsets)
-
-        if labels is not None:
-            labels = _column_vector(labels, len(featurized), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(featurized), "cardinalities")
-        return cls(
-            tables=stack([f.table_features for f in featurized]),
-            joins=stack([f.join_features for f in featurized]),
-            predicates=stack([f.predicate_features for f in featurized]),
-            labels=labels,
-            cardinalities=cardinalities,
-        )
-
     def slice(self, start: int, stop: int) -> "RaggedDataset":
         """A contiguous query range (the whole range is ``self``'s sets)."""
         start, stop, _ = slice(start, stop).indices(self.size)
@@ -256,31 +224,26 @@ def iterate_ragged_minibatches(
     labels: np.ndarray,
     cardinalities: np.ndarray,
     batch_size: int,
-    rng: np.random.Generator | None = None,
-    bucket_by_length: bool = True,
+    rng: np.random.Generator,
 ) -> Iterator[RaggedDataset]:
     """Yield mini-batches of a :class:`RaggedDataset` for one training epoch.
 
-    With ``rng`` and ``bucket_by_length``, queries are first shuffled, then
-    stably ordered by their total set-element count and chunked, and finally
-    the chunk order is shuffled: batches are length-homogeneous (uniform
-    gather and matmul shapes) while the epoch still visits batches — and ties
-    within a bucket — in random order.  Without ``rng`` the dataset order is
-    kept as-is.
+    Queries are first shuffled, then stably ordered by their total
+    set-element count and chunked, and finally the chunk order is shuffled:
+    batches are length-homogeneous (uniform gather and matmul shapes) while
+    the epoch still visits batches — and ties within a bucket — in random
+    order.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     count = dataset.size
     order = np.arange(count)
-    if rng is not None:
-        rng.shuffle(order)
-        if bucket_by_length:
-            order = order[np.argsort(dataset.total_elements[order], kind="stable")]
+    rng.shuffle(order)
+    order = order[np.argsort(dataset.total_elements[order], kind="stable")]
     labels = np.asarray(labels, dtype=np.float64)
     cardinalities = np.asarray(cardinalities, dtype=np.float64)
     starts = np.arange(0, count, batch_size)
-    if rng is not None and bucket_by_length:
-        rng.shuffle(starts)
+    rng.shuffle(starts)
     for start in starts:
         indices = order[start : start + batch_size]
         yield dataset.take(

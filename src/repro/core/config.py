@@ -64,9 +64,7 @@ class MSCNConfig:
     num_samples: int = 1000
     validation_fraction: float = 0.1
     seed: int = 42
-    shuffle: bool = True
     dtype: str = "float32"
-    bucket_by_length: bool = True
 
     @property
     def np_dtype(self) -> np.dtype:

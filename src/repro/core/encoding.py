@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.db.predicates import Operator
-from repro.db.query import JoinCondition
 from repro.db.schema import Schema
 
 __all__ = ["SchemaEncoding"]
@@ -81,34 +78,3 @@ class SchemaEncoding:
             "columns": self.num_columns,
             "operators": self.num_operators,
         }
-
-    # -- encoders --------------------------------------------------------
-    def table_one_hot(self, table: str) -> np.ndarray:
-        vector = np.zeros(self.num_tables, dtype=np.float64)
-        try:
-            vector[self.table_index[table]] = 1.0
-        except KeyError:
-            raise KeyError(f"table {table!r} is not part of the encoded schema") from None
-        return vector
-
-    def join_one_hot(self, join: JoinCondition) -> np.ndarray:
-        vector = np.zeros(self.num_joins, dtype=np.float64)
-        try:
-            vector[self.join_index[join.canonical]] = 1.0
-        except KeyError:
-            raise KeyError(f"join {join.canonical!r} is not part of the encoded schema") from None
-        return vector
-
-    def column_one_hot(self, table: str, column: str) -> np.ndarray:
-        vector = np.zeros(self.num_columns, dtype=np.float64)
-        key = f"{table}.{column}"
-        try:
-            vector[self.column_index[key]] = 1.0
-        except KeyError:
-            raise KeyError(f"column {key!r} is not a predicable (non-key) column") from None
-        return vector
-
-    def operator_one_hot(self, operator: Operator) -> np.ndarray:
-        vector = np.zeros(self.num_operators, dtype=np.float64)
-        vector[self.operator_index[operator.value]] = 1.0
-        return vector

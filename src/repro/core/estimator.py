@@ -77,6 +77,11 @@ class MSCNEstimator:
                  samples: MaterializedSamples | None = None):
         self.database = database
         self.config = config if config is not None else MSCNConfig()
+        if samples is not None and samples.sample_size != self.config.num_samples:
+            raise ValueError(
+                f"config.num_samples is {self.config.num_samples} but the samples hold "
+                f"{samples.sample_size} tuples per table; size the config from the samples"
+            )
         self.encoding = SchemaEncoding.from_schema(database.schema)
         self.value_normalizer = ValueNormalizer.from_database(database)
         if self.config.variant is FeaturizationVariant.NO_SAMPLES:
@@ -326,9 +331,7 @@ class MSCNEstimator:
                 "num_samples": self.config.num_samples,
                 "validation_fraction": self.config.validation_fraction,
                 "seed": self.config.seed,
-                "shuffle": self.config.shuffle,
                 "dtype": self.config.dtype,
-                "bucket_by_length": self.config.bucket_by_length,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -357,16 +360,21 @@ class MSCNEstimator:
             learning_rate=config_data["learning_rate"],
             loss=LossKind(config_data["loss"]),
             variant=FeaturizationVariant(config_data["variant"]),
-            num_samples=config_data["num_samples"],
+            # The samples decide: a model saved before the estimator checked
+            # the two could record another num_samples than it was trained on.
+            num_samples=(
+                int(metadata["sample_size"])
+                if metadata.get("has_samples")
+                else config_data["num_samples"]
+            ),
             validation_fraction=config_data["validation_fraction"],
             seed=config_data["seed"],
-            shuffle=config_data["shuffle"],
-            # Models saved before these knobs existed were float64.
+            # Models saved before this knob existed were float64.
             dtype=config_data.get("dtype", "float64"),
-            bucket_by_length=config_data.get("bucket_by_length", True),
-            # Retired keys are not read: e.g. "engine_replicas", or an
-            # "inference_precision" of "float16"/"int8", which now serves at
-            # the native dtype.
+            # Retired keys are not read: e.g. "engine_replicas", "shuffle",
+            # "bucket_by_length" (training always shuffles and buckets), or
+            # an "inference_precision" of "float16"/"int8", which now serves
+            # at the native dtype.
         )
         samples = None
         if metadata.get("has_samples"):

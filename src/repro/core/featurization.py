@@ -14,7 +14,7 @@ Queries without joins or without predicates simply have empty join/predicate
 sets; the ragged layout stores no element for them and the model's segment
 mean pools them to a zero vector.
 
-There is one workload path, :meth:`QueryFeaturizer.featurize_ragged`: a
+:meth:`QueryFeaturizer.featurize_ragged` is the only featurization path: a
 :class:`CompiledFeaturizerPlan` resolves each distinct query's vocabulary ids
 and sample probes once (kept in an :class:`~repro.utils.lru.LRU` by query
 signature), and the batch is assembled with a few fancy-indexed writes into
@@ -24,14 +24,14 @@ and prediction both read.  Every batch gets fresh
 arrays, which took 0.79-0.97x the time of featurizing into reused grow-only
 buffers at batch sizes 1-1,024 (imdb ``small``, 2 cores).
 
-The per-query :meth:`QueryFeaturizer.featurize`, which concatenates one-hot
-vectors element by element, is the reference the workload path is tested
-against bit for bit, element by element.
+The tests check it bit for bit, element by element, against a per-query
+reference that builds each element's vector on its own from the paper's
+definition (``tests/reference_featurization.py``).
 
-All paths compute in the featurizer's configurable ``dtype`` (float32 by
-default in serving configurations; see ``MSCNConfig.dtype``).  Literal
+Features are computed in the featurizer's configurable ``dtype`` (float32
+by default in serving configurations; see ``MSCNConfig.dtype``).  Literal
 normalization is always performed in float64 and rounded once on store, so
-the float32 and float64 paths agree to the last representable bit.
+float32 and float64 features agree to the last representable bit.
 """
 
 from __future__ import annotations
@@ -54,72 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
 
 __all__ = [
     "CompiledFeaturizerPlan",
-    "FeaturizedQuery",
     "QueryFeaturizer",
     "first_seen",
 ]
-
-
-class _FeatureLookups:
-    """Precomputed lookup tables of the workload featurization path.
-
-    One row per vocabulary entry, stored in the featurizer's compute dtype;
-    featurizing a workload then reduces to gathering integer ids and
-    fancy-indexing into these tables.
-    """
-
-    def __init__(self, featurizer: "QueryFeaturizer"):
-        encoding = featurizer.encoding
-        dtype = featurizer.dtype
-        self.table_eye = np.eye(encoding.num_tables, dtype=dtype)
-        # Join rows carry the zero-padding up to the (possibly widened)
-        # join feature width, so one gather produces finished vectors.
-        self.join_rows = np.zeros(
-            (encoding.num_joins, featurizer.join_feature_width), dtype=dtype
-        )
-        self.join_rows[:, : encoding.num_joins] = np.eye(encoding.num_joins)
-        # Per-column bounds, indexed by column id, for vectorized literal
-        # normalization; kept in float64 so normalization math is identical
-        # across compute dtypes.  Degenerate columns (max <= min) normalize
-        # to 0.0; their span is set to 1.0 only to keep the division
-        # well-defined.
-        num_columns = encoding.num_columns
-        self.column_min = np.zeros(num_columns, dtype=np.float64)
-        self.column_span = np.ones(num_columns, dtype=np.float64)
-        self.column_degenerate = np.zeros(num_columns, dtype=bool)
-        for key, column_id in encoding.column_index.items():
-            table, column = key.split(".", 1)
-            minimum, maximum = featurizer.value_normalizer.bounds(table, column)
-            self.column_min[column_id] = minimum
-            if maximum <= minimum:
-                self.column_degenerate[column_id] = True
-            else:
-                self.column_span[column_id] = maximum - minimum
-
-
-@dataclass(frozen=True)
-class FeaturizedQuery:
-    """Feature sets of a single query.
-
-    Each attribute is a 2-D array of shape ``(set size, feature width)``; the
-    join and predicate arrays may have zero rows.
-    """
-
-    table_features: np.ndarray
-    join_features: np.ndarray
-    predicate_features: np.ndarray
-
-    @property
-    def num_tables(self) -> int:
-        return self.table_features.shape[0]
-
-    @property
-    def num_joins(self) -> int:
-        return self.join_features.shape[0]
-
-    @property
-    def num_predicates(self) -> int:
-        return self.predicate_features.shape[0]
 
 
 def first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +195,8 @@ class CompiledFeaturizerPlan:
     id arrays, and registers each distinct sample probe once in a dense row
     of its bitmap matrix.  Gathering a batch of previously seen queries is
     then pure array assembly: concatenation of the per-query id arrays and
-    one fancy-indexed gather of bitmap rows.  The probe rows come from the very same
-    :class:`~repro.db.sampling.MaterializedSamples` cache the per-query
-    :meth:`QueryFeaturizer.featurize` reads, so both produce identical
-    features.
+    one fancy-indexed gather of bitmap rows, read once per distinct probe
+    from the :class:`~repro.db.sampling.MaterializedSamples` bitmap cache.
 
     Every set element also gets an *element id*, and elements with equal
     ids have equal feature rows: a table's probe id (its table id for the
@@ -529,8 +464,27 @@ class QueryFeaturizer:
         self.samples = samples
         self.variant = variant
         self.dtype = np.dtype(dtype)
-        self._lookups: _FeatureLookups | None = None
         self._plan: CompiledFeaturizerPlan | None = None
+        # Lookup tables, one row per vocabulary entry: featurizing reduces
+        # to gathering integer ids and fancy-indexing into them.  Join rows
+        # carry the zero-padding up to the (possibly widened) join width.
+        self._table_eye = np.eye(encoding.num_tables, dtype=self.dtype)
+        self._join_rows = np.zeros((encoding.num_joins, self.join_feature_width), dtype=self.dtype)
+        self._join_rows[:, : encoding.num_joins] = np.eye(encoding.num_joins)
+        # Per-column bounds, indexed by column id, kept in float64 so literal
+        # normalization is identical across compute dtypes.  Degenerate
+        # columns (max <= min) normalize to 0.0; their span is 1.0 only to
+        # keep the division well-defined.
+        self._column_min = np.zeros(encoding.num_columns, dtype=np.float64)
+        self._column_span = np.ones(encoding.num_columns, dtype=np.float64)
+        self._column_degenerate = np.zeros(encoding.num_columns, dtype=bool)
+        for key, column_id in encoding.column_index.items():
+            minimum, maximum = value_normalizer.bounds(*key.split(".", 1))
+            self._column_min[column_id] = minimum
+            if maximum <= minimum:
+                self._column_degenerate[column_id] = True
+            else:
+                self._column_span[column_id] = maximum - minimum
 
     # -- feature widths --------------------------------------------------
     @property
@@ -555,61 +509,7 @@ class QueryFeaturizer:
     def predicate_feature_width(self) -> int:
         return self.encoding.num_columns + self.encoding.num_operators + 1
 
-    # -- per-query reference featurization -------------------------------
-    def featurize(self, query: Query) -> FeaturizedQuery:
-        """Featurize one query (tables, joins, predicates)."""
-        dtype = self.dtype
-        table_rows = [self._table_vector(query, table) for table in query.tables]
-        join_rows = [self._join_vector(join) for join in query.joins]
-        predicate_rows = [self._predicate_vector(predicate) for predicate in query.predicates]
-        return FeaturizedQuery(
-            table_features=np.vstack(table_rows).astype(dtype, copy=False)
-            if table_rows
-            else np.zeros((0, self.table_feature_width), dtype=dtype),
-            join_features=np.vstack(join_rows).astype(dtype, copy=False)
-            if join_rows
-            else np.zeros((0, self.join_feature_width), dtype=dtype),
-            predicate_features=np.vstack(predicate_rows).astype(dtype, copy=False)
-            if predicate_rows
-            else np.zeros((0, self.predicate_feature_width), dtype=dtype),
-        )
-
-    def featurize_many(self, queries: Sequence[Query]) -> list[FeaturizedQuery]:
-        return [self.featurize(query) for query in queries]
-
-    # -- per-element vectors ---------------------------------------------
-    def _table_vector(self, query: Query, table: str) -> np.ndarray:
-        one_hot = self.encoding.table_one_hot(table)
-        if self.variant is FeaturizationVariant.NO_SAMPLES:
-            return one_hot
-        predicates = query.predicates_on(table)
-        if self.variant is FeaturizationVariant.NUM_SAMPLES:
-            count = self.samples.qualifying_count(table, predicates)
-            fraction = count / self.samples.sample_size
-            return np.concatenate((one_hot, [fraction]))
-        bitmap = self.samples.bitmap(table, predicates).astype(np.float64)
-        return np.concatenate((one_hot, bitmap))
-
-    def _join_vector(self, join) -> np.ndarray:
-        vector = np.zeros(self.join_feature_width, dtype=np.float64)
-        vector[: self.encoding.num_joins] = self.encoding.join_one_hot(join)
-        return vector
-
-    def _predicate_vector(self, predicate) -> np.ndarray:
-        column_one_hot = self.encoding.column_one_hot(predicate.table, predicate.column)
-        operator_one_hot = self.encoding.operator_one_hot(predicate.operator)
-        normalized_value = self.value_normalizer.normalize(
-            predicate.table, predicate.column, predicate.value
-        )
-        return np.concatenate((column_one_hot, operator_one_hot, [normalized_value]))
-
-    # -- workload featurization ------------------------------------------
-    def lookups(self) -> _FeatureLookups:
-        """The (lazily built) one-hot lookup tables of the workload path."""
-        if self._lookups is None:
-            self._lookups = _FeatureLookups(self)
-        return self._lookups
-
+    # -- featurization ---------------------------------------------------
     def plan(self) -> CompiledFeaturizerPlan:
         """The (lazily built) compiled featurizer plan of this encoding."""
         if self._plan is None:
@@ -630,9 +530,8 @@ class QueryFeaturizer:
         compiled plan's element ids decide which elements are equal, so
         sub-plans that share tables, joins and predicates build (and the
         model projects) each shared element once; only the distinct
-        probes' bitmap rows are gathered.  ``features[rows]`` of every set
-        is bit-identical to
-        ``RaggedDataset.from_featurized(self.featurize_many(queries))``.
+        probes' bitmap rows are gathered.  Literals are min/max-normalized
+        per column and clamped to ``[0, 1]``.
         The arrays are contiguous and already in the model dtype, so the
         forward pass consumes them without copying.
         """
@@ -647,14 +546,13 @@ class QueryFeaturizer:
             raise ValueError("cannot featurize an empty workload")
 
         gathered = self.plan().gather(queries)
-        lookups = self.lookups()
         encoding = self.encoding
 
         # Tables.
         table_features = np.zeros(
             (gathered.table_ids.shape[0], self.table_feature_width), dtype=self.dtype
         )
-        table_features[:, : encoding.num_tables] = lookups.table_eye[gathered.table_ids]
+        table_features[:, : encoding.num_tables] = self._table_eye[gathered.table_ids]
         bitmaps = gathered.probe_bitmaps
         if self.variant is FeaturizationVariant.NUM_SAMPLES:
             table_features[:, encoding.num_tables] = (
@@ -668,7 +566,7 @@ class QueryFeaturizer:
             (gathered.join_ids.shape[0], self.join_feature_width), dtype=self.dtype
         )
         if gathered.join_ids.size:
-            np.take(lookups.join_rows, gathered.join_ids, axis=0, out=join_features)
+            np.take(self._join_rows, gathered.join_ids, axis=0, out=join_features)
 
         # Predicates.
         num_predicates = gathered.column_ids.shape[0]
@@ -704,10 +602,7 @@ class QueryFeaturizer:
         self, column_ids: np.ndarray, values: np.ndarray
     ) -> np.ndarray:
         """Vectorized literal normalization (always in float64, see module doc)."""
-        lookups = self.lookups()
-        normalized = (values - lookups.column_min[column_ids]) / lookups.column_span[
-            column_ids
-        ]
+        normalized = (values - self._column_min[column_ids]) / self._column_span[column_ids]
         normalized = np.clip(normalized, 0.0, 1.0)
-        normalized[lookups.column_degenerate[column_ids]] = 0.0
+        normalized[self._column_degenerate[column_ids]] = 0.0
         return normalized

@@ -1,7 +1,9 @@
 """Value and label normalization (Section 3.1 / 3.2 of the paper).
 
 * Predicate literals are normalized to ``[0, 1]`` using the minimum and
-  maximum value of the respective column (:class:`ValueNormalizer`).
+  maximum value of the respective column (:class:`ValueNormalizer` holds
+  the bounds; :class:`~repro.core.featurization.QueryFeaturizer` applies
+  them).
 * Target cardinalities are first log-transformed ("to more evenly distribute
   target values") and then min/max-normalized to ``[0, 1]`` using bounds
   obtained from the training set (:class:`CardinalityNormalizer`).  The
@@ -21,7 +23,7 @@ __all__ = ["ValueNormalizer", "CardinalityNormalizer"]
 
 
 class ValueNormalizer:
-    """Min/max normalization of predicate literals, per column."""
+    """Per-column min/max bounds for normalizing predicate literals."""
 
     def __init__(self, bounds: dict[str, tuple[float, float]]):
         self._bounds = dict(bounds)
@@ -44,14 +46,6 @@ class ValueNormalizer:
             return self._bounds[key]
         except KeyError:
             raise KeyError(f"no value bounds recorded for column {key!r}") from None
-
-    def normalize(self, table: str, column: str, value: float) -> float:
-        """Map a literal to [0, 1]; out-of-range literals are clamped."""
-        minimum, maximum = self.bounds(table, column)
-        if maximum <= minimum:
-            return 0.0
-        normalized = (float(value) - minimum) / (maximum - minimum)
-        return float(np.clip(normalized, 0.0, 1.0))
 
     def to_dict(self) -> dict[str, tuple[float, float]]:
         return dict(self._bounds)

@@ -124,14 +124,12 @@ class MSCNTrainer:
         layers = self.model.layers
         for _ in range(epochs):
             epoch_losses: list[float] = []
-            shuffle_rng = self._shuffle_rng if self.config.shuffle else None
             for batch in iterate_ragged_minibatches(
                 train_set,
                 train_labels,
                 train_cardinalities,
                 self.config.batch_size,
-                rng=shuffle_rng,
-                bucket_by_length=self.config.bucket_by_length,
+                rng=self._shuffle_rng,
             ):
                 trace: dict = {}
                 loss, grad = self._loss(forward(batch, layers, trace), batch)

@@ -193,7 +193,10 @@ class Scenario:
         All models share the scenario's :class:`MaterializedSamples` and so
         its bitmap cache: the first sampling-enriched model pays for every
         bitmap probe of the training workload, later ones reuse them.
+        ``config.num_samples`` is set to the scenario's sample size, so
+        configs that differ only there share one model.
         """
+        config = config.replace(num_samples=self.samples.sample_size)
         if config not in self._trained:
             estimator = MSCNEstimator(self.database, config, samples=self.samples)
             estimator.fit(self.training_workload)

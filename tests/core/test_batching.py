@@ -1,28 +1,26 @@
-"""Tests of the ragged (CSR) containers built from per-query featurizations."""
+"""Tests of the ragged (CSR) containers, on hand-made per-query feature sets."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_featurization import stack_sets
 
-from repro.core.batching import RaggedDataset, RaggedSet, iterate_ragged_minibatches
-from repro.core.featurization import FeaturizedQuery
+from repro.core.batching import RaggedSet, iterate_ragged_minibatches
 
 
-def make_featurized(num_tables, num_joins, num_predicates, table_width=3, join_width=2,
-                    predicate_width=4, fill=1.0):
-    return FeaturizedQuery(
-        table_features=np.full((num_tables, table_width), fill),
-        join_features=np.full((num_joins, join_width), fill),
-        predicate_features=np.full((num_predicates, predicate_width), fill),
+def make_sets(num_tables, num_joins, num_predicates, table_width=3, join_width=2,
+              predicate_width=4, fill=1.0):
+    return (
+        np.full((num_tables, table_width), fill),
+        np.full((num_joins, join_width), fill),
+        np.full((num_predicates, predicate_width), fill),
     )
 
 
-class TestFromFeaturized:
+class TestStackedLayout:
     def test_stacks_real_elements_with_offsets(self):
-        dataset = RaggedDataset.from_featurized(
-            [make_featurized(1, 0, 2), make_featurized(3, 2, 0)]
-        )
+        dataset = stack_sets([make_sets(1, 0, 2), make_sets(3, 2, 0)])
         assert dataset.size == len(dataset) == 2
         assert dataset.tables.features.shape == (4, 3)
         np.testing.assert_array_equal(dataset.tables.offsets, [0, 1, 4])
@@ -30,42 +28,36 @@ class TestFromFeaturized:
         np.testing.assert_array_equal(dataset.predicates.offsets, [0, 2, 2])
 
     def test_empty_sets_are_zero_length_segments(self):
-        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0)])
+        dataset = stack_sets([make_sets(1, 0, 0)])
         assert dataset.joins.features.shape == (0, 2)
         np.testing.assert_array_equal(dataset.joins.lengths, [0])
         np.testing.assert_array_equal(dataset.joins.inv_counts, [[1.0]])
 
-    def test_labels_and_cardinalities_are_column_vectors(self):
-        dataset = RaggedDataset.from_featurized(
-            [make_featurized(1, 0, 0), make_featurized(1, 0, 0)],
-            labels=np.array([0.1, 0.2]),
-            cardinalities=np.array([10.0, 20.0]),
-        )
-        assert dataset.labels.shape == (2, 1)
-        assert dataset.cardinalities.shape == (2, 1)
+    def test_inverse_counts_follow_the_feature_dtype(self):
+        dataset = stack_sets([make_sets(1, 0, 2), make_sets(4, 1, 0)], dtype=np.float32)
+        assert dataset.tables.inv_counts.dtype == np.float32
+        np.testing.assert_array_equal(dataset.tables.inv_counts, [[1.0], [0.25]])
+        np.testing.assert_array_equal(dataset.predicates.inv_counts, [[0.5], [1.0]])
 
-    def test_rejects_empty_workload(self):
-        with pytest.raises(ValueError):
-            RaggedDataset.from_featurized([])
+    def test_rejects_sets_of_different_query_counts(self):
+        dataset = stack_sets([make_sets(1, 0, 0), make_sets(1, 0, 0)])
+        with pytest.raises(ValueError, match="segment counts disagree"):
+            type(dataset)(dataset.tables, dataset.joins.slice(0, 1), dataset.predicates)
 
-    def test_rejects_mismatched_label_length(self):
-        with pytest.raises(ValueError):
-            RaggedDataset.from_featurized(
-                [make_featurized(1, 0, 0)], labels=np.array([0.1, 0.2])
-            )
+    def test_rejects_decreasing_offsets(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RaggedSet(np.ones((2, 2)), offsets=np.array([0, 2, 1, 2]), rows=np.array([0, 1]))
 
-    def test_rejects_mismatched_cardinality_length(self):
-        with pytest.raises(ValueError):
-            RaggedDataset.from_featurized(
-                [make_featurized(1, 0, 0)], cardinalities=np.array([1.0, 2.0])
-            )
+    def test_rows_are_stored_as_contiguous_int64(self):
+        ragged_set = RaggedSet(np.ones((2, 2)), offsets=np.array([0, 2]), rows=[1, 0])
+        assert ragged_set.rows.dtype == np.int64 and ragged_set.rows.flags.c_contiguous
 
 
 class TestTake:
     def make_dataset(self):
-        featurized = [make_featurized(1, 0, 2, fill=1.0), make_featurized(3, 2, 0, fill=2.0),
-                      make_featurized(2, 1, 1, fill=3.0)]
-        return RaggedDataset.from_featurized(
+        featurized = [make_sets(1, 0, 2, fill=1.0), make_sets(3, 2, 0, fill=2.0),
+                      make_sets(2, 1, 1, fill=3.0)]
+        return stack_sets(
             featurized,
             labels=np.array([0.1, 0.2, 0.3]),
             cardinalities=np.array([10.0, 20.0, 30.0]),
@@ -93,23 +85,20 @@ class TestTake:
 
 class TestMinibatchIteration:
     def test_shuffles_with_rng(self):
-        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0) for _ in range(20)])
+        dataset = stack_sets([make_sets(1, 0, 0) for _ in range(20)])
         labels = np.arange(20, dtype=np.float64)
         cards = labels + 1
-        ordered = [b.labels.reshape(-1).tolist() for b in
-                   iterate_ragged_minibatches(dataset, labels, cards, batch_size=20)]
         shuffled = [b.labels.reshape(-1).tolist() for b in
                     iterate_ragged_minibatches(dataset, labels, cards, batch_size=20,
                                                rng=np.random.default_rng(1))]
-        assert ordered[0] == labels.tolist()
         assert shuffled[0] != labels.tolist()
         assert sorted(shuffled[0]) == labels.tolist()
 
     def test_rejects_non_positive_batch_size(self):
-        dataset = RaggedDataset.from_featurized([make_featurized(1, 0, 0)])
+        dataset = stack_sets([make_sets(1, 0, 0)])
         with pytest.raises(ValueError):
             list(iterate_ragged_minibatches(dataset, np.array([1.0]), np.array([1.0]),
-                                            batch_size=0))
+                                            batch_size=0, rng=np.random.default_rng(0)))
 
 
 class TestDistinctRows:
@@ -121,13 +110,12 @@ class TestDistinctRows:
         rows = np.array([0, 1, 1, 2, 0, 1])
         return RaggedSet(features, offsets=np.array([0, 2, 3, 6]), rows=rows)
 
-    def test_from_featurized_stores_one_row_per_element(self):
-        dataset = RaggedDataset.from_featurized(
-            [make_featurized(2, 1, 0), make_featurized(1, 0, 3)]
-        )
-        np.testing.assert_array_equal(dataset.tables.rows, [0, 1, 2])
-        np.testing.assert_array_equal(dataset.predicates.rows, [0, 1, 2])
-        assert dataset.joins.rows.dtype == np.int64
+    def test_take_of_one_row_per_element_keeps_that_layout(self):
+        dataset = stack_sets([make_sets(2, 1, 0), make_sets(1, 0, 3), make_sets(1, 1, 1)])
+        taken = dataset.take(np.array([2, 0]))
+        np.testing.assert_array_equal(taken.tables.rows, [0, 1, 2])
+        np.testing.assert_array_equal(taken.joins.rows, [0, 1])
+        assert taken.joins.rows.dtype == np.int64
 
     def test_take_keeps_its_own_rows_in_first_seen_order(self):
         taken = self.make_set().take(np.array([2, 1]))

@@ -4,7 +4,7 @@ Contracts: unknown vocabulary raises a descriptive ``KeyError``, the query
 cache is LRU-bounded, probe bitmaps are shared across queries, the probe
 matrix is only ever flushed between batches, and plan cache hits keep
 bitmap-cache observability intact.  Bit identity against the per-query
-featurizer is ``test_featurization_oracle.py``.
+reference featurization is ``test_featurization_oracle.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from reference_featurization import assert_same_elements, reference_featurize
 
-from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
@@ -37,15 +37,6 @@ def make_featurizer(parts, variant=FeaturizationVariant.BITMAPS, dtype=np.float6
     )
 
 
-def assert_ragged_equal(got, reference):
-    """Every element's feature row (``features[rows]``) matches, bit for bit."""
-    for name in ("tables", "joins", "predicates"):
-        a, b = getattr(got, name), getattr(reference, name)
-        assert a.features.dtype == b.features.dtype
-        assert a.features[a.rows].tobytes() == b.features[b.rows].tobytes(), name
-        assert a.offsets.tobytes() == b.offsets.tobytes(), name
-
-
 class TestProbeFlush:
     @pytest.mark.parametrize("cap", (2, 8))
     def test_flush_never_splits_a_batch(self, parts, tiny_workload, cap):
@@ -55,11 +46,11 @@ class TestProbeFlush:
         queries = [labelled.query for labelled in tiny_workload[:60]]
         featurizer = make_featurizer(parts)
         featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=cap)
-        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
-        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
+        oracle = reference_featurize(featurizer, queries)
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
         assert featurizer.plan().num_probes > 4 * cap
         # The next batch starts with the flush and is just as exact.
-        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
         assert featurizer.plan()._flushes == 1
 
 
@@ -80,8 +71,8 @@ class TestElementOrder:
         backward = Query(forward.tables[::-1], forward.joins, forward.predicates[::-1])
         assert forward.signature() == backward.signature()
         queries = [forward, backward, forward]
-        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
-        assert_ragged_equal(featurizer.featurize_ragged(queries), oracle)
+        oracle = reference_featurize(featurizer, queries)
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
 
 
 class TestErrorMessages:
@@ -127,6 +118,8 @@ class TestLabelColumns:
         assert dataset.cardinalities.shape == (4, 1)
         with pytest.raises(ValueError):
             featurizer.featurize_ragged(queries, labels=np.array([0.1]))
+        with pytest.raises(ValueError):
+            featurizer.featurize_ragged(queries, cardinalities=np.array([1.0, 2.0]))
 
 
 class TestQueryCache:
@@ -226,8 +219,8 @@ class TestElementIds:
         )
         subqueries = query.connected_subqueries()
         dataset = featurizer.featurize_ragged(subqueries)
-        oracle = RaggedDataset.from_featurized(featurizer.featurize_many(subqueries))
-        assert_ragged_equal(dataset, oracle)
+        oracle = reference_featurize(featurizer, subqueries)
+        assert_same_elements(dataset, oracle)
         # Each table keeps its predicates in every sub-plan: one probe (or
         # table id) per table, one row per join and per predicate.
         assert dataset.tables.features.shape[0] == 3
@@ -249,9 +242,7 @@ class TestThreadSafety:
         ]
         batches = [queries[start : start + 3] for start in range(0, len(queries), 3)]
         reference = make_featurizer(parts)
-        expected = [
-            RaggedDataset.from_featurized(reference.featurize_many(batch)) for batch in batches
-        ]
+        expected = [reference_featurize(reference, batch) for batch in batches]
         num_threads = 4
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -277,6 +268,6 @@ class TestThreadSafety:
                     assert not thread.is_alive()
                 assert all(result is not None for result in results)
                 for got, want in zip(results, expected):
-                    assert_ragged_equal(got, want)
+                    assert_same_elements(got, want)
         finally:
             sys.setswitchinterval(switch_interval)

@@ -24,6 +24,19 @@ def small_config():
     )
 
 
+def reload_with(estimator, database, directory, **config_entries):
+    """Save ``estimator``, set ``config_entries`` in its saved config (as an
+    older ``metadata.json`` would hold them) and load it back.  Returns the
+    loaded estimator and the config as saved."""
+    estimator.save(directory)
+    metadata_path = directory / "metadata.json"
+    metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+    saved = dict(metadata["config"])
+    metadata["config"].update(config_entries)
+    metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
+    return MSCNEstimator.load(directory, database), saved
+
+
 @pytest.fixture(scope="module")
 def trained_estimator(tiny_database, tiny_samples, tiny_workload, small_config):
     estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)
@@ -36,6 +49,15 @@ class TestFitAndEstimate:
         estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)
         with pytest.raises(ValueError):
             estimator.fit([])
+
+    @pytest.mark.parametrize("num_samples", [49, 1000])
+    def test_samples_of_another_size_than_the_config_raise(
+        self, tiny_database, small_config, tiny_samples, num_samples
+    ):
+        with pytest.raises(ValueError, match=rf"num_samples is {num_samples} .* hold 50 "):
+            MSCNEstimator(
+                tiny_database, small_config.replace(num_samples=num_samples), samples=tiny_samples
+            )
 
     def test_estimate_before_fit_raises(self, tiny_database, small_config, tiny_samples):
         estimator = MSCNEstimator(tiny_database, small_config, samples=tiny_samples)
@@ -127,20 +149,17 @@ class TestIntrospectionAndPersistence:
                                                 tiny_workload, tmp_path):
         """Models saved before the padded inference path, the process
         featurization tier, the engine scratch cap, the engine's thread
-        tier and the quantized precision tiers were retired still load, and
-        serve bit-identically at their native dtype."""
-        directory = tmp_path / "older"
-        trained_estimator.save(directory)
-        metadata_path = directory / "metadata.json"
-        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        metadata["config"]["fused_inference"] = False
-        metadata["config"]["featurize_workers"] = 2
-        metadata["config"]["scratch_rows_cap"] = 512
-        metadata["config"]["engine_replicas"] = 3
-        metadata["config"]["inference_chunk_size"] = 16
-        metadata["config"]["inference_precision"] = "int8"
-        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
-        restored = MSCNEstimator.load(directory, tiny_database)
+        tier, the quantized precision tiers and the shuffle and bucketing
+        switches were retired still load, and serve bit-identically at
+        their native dtype."""
+        restored, saved = reload_with(
+            trained_estimator, tiny_database, tmp_path / "older",
+            fused_inference=False, featurize_workers=2, scratch_rows_cap=512,
+            engine_replicas=3, inference_chunk_size=16, inference_precision="int8",
+            shuffle=False, bucket_by_length=False,
+        )
+        assert "shuffle" not in saved and "bucket_by_length" not in saved
+        assert restored.config == trained_estimator.config
         queries = [labelled.query for labelled in tiny_workload[:20]]
         np.testing.assert_array_equal(
             restored.estimate_many(queries), trained_estimator.estimate_many(queries)
@@ -153,14 +172,10 @@ class TestIntrospectionAndPersistence:
         """Whatever ``inference_precision`` an older ``metadata.json``
         recorded, the loaded model's layers keep its saved dtype, and it
         estimates bit-identically to the saved model."""
-        directory = tmp_path / "older"
-        trained_estimator.save(directory)
-        metadata_path = directory / "metadata.json"
-        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        assert "inference_precision" not in metadata["config"]
-        metadata["config"]["inference_precision"] = precision
-        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
-        restored = MSCNEstimator.load(directory, tiny_database)
+        restored, saved = reload_with(
+            trained_estimator, tiny_database, tmp_path / "older", inference_precision=precision
+        )
+        assert "inference_precision" not in saved
         assert restored.config.dtype == trained_estimator.config.dtype
         assert not hasattr(restored.config, "inference_precision")
         queries = [labelled.query for labelled in tiny_workload[:20]]
@@ -192,6 +207,22 @@ class TestIntrospectionAndPersistence:
         queries = [labelled.query for labelled in tiny_workload[:20]]
         np.testing.assert_array_equal(
             restored.estimate_many(queries), estimator.estimate_many(queries)
+        )
+
+    def test_load_sizes_the_config_from_the_recorded_samples(
+        self, trained_estimator, tiny_database, tiny_workload, tmp_path
+    ):
+        """A model saved while the estimator accepted samples of another size
+        than ``config.num_samples`` recorded the wrong number; it loads with
+        the size of the samples it was trained on."""
+        restored, saved = reload_with(
+            trained_estimator, tiny_database, tmp_path / "mismatched", num_samples=1000
+        )
+        assert saved["num_samples"] == 50
+        assert restored.config.num_samples == restored.samples.sample_size == 50
+        queries = [labelled.query for labelled in tiny_workload[:20]]
+        np.testing.assert_array_equal(
+            restored.estimate_many(queries), trained_estimator.estimate_many(queries)
         )
 
     def test_save_before_fit_raises(self, tiny_database, small_config, tiny_samples, tmp_path):

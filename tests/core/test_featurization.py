@@ -1,4 +1,4 @@
-"""Tests of query featurization (Sections 3.1 and 3.4)."""
+"""Tests of query featurization (Sections 3.1 and 3.4) through ``featurize_ragged``."""
 
 from __future__ import annotations
 
@@ -23,6 +23,24 @@ def featurizer_parts(tiny_database, tiny_samples):
 def make_featurizer(parts, variant):
     encoding, value_normalizer, samples = parts
     return QueryFeaturizer(encoding, value_normalizer, samples=samples, variant=variant)
+
+
+def literal_features(featurizer, literals) -> list[float]:
+    """The normalized literal of ``title.production_year = literal``, per literal."""
+    queries = [
+        Query(("title",), (), (Predicate("title", "production_year", Operator.EQ, int(v)),))
+        for v in literals
+    ]
+    predicates = featurizer.featurize_ragged(queries).predicates
+    return predicates.features[predicates.rows, -1].tolist()
+
+
+def one_row_per_element(dataset):
+    """Each set's features with one row per element, in query order."""
+    return {
+        name: getattr(dataset, name).features[getattr(dataset, name).rows]
+        for name in ("tables", "joins", "predicates")
+    }
 
 
 def example_query() -> Query:
@@ -70,70 +88,83 @@ class TestWidths:
         featurizer = QueryFeaturizer(
             encoding, value_normalizer, samples=None, variant=FeaturizationVariant.NO_SAMPLES
         )
-        featurized = featurizer.featurize(example_query())
-        assert featurized.num_tables == 2
+        dataset = featurizer.featurize_ragged([example_query()])
+        np.testing.assert_array_equal(dataset.tables.lengths, [2])
 
 
 class TestFeatureContents:
     def test_set_sizes_match_query(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        featurized = featurizer.featurize(example_query())
-        assert featurized.num_tables == 2
-        assert featurized.num_joins == 1
-        assert featurized.num_predicates == 2
+        dataset = featurizer.featurize_ragged([example_query()])
+        np.testing.assert_array_equal(dataset.tables.lengths, [2])
+        np.testing.assert_array_equal(dataset.joins.lengths, [1])
+        np.testing.assert_array_equal(dataset.predicates.lengths, [2])
 
     def test_single_table_query_has_empty_join_set(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        featurized = featurizer.featurize(Query(tables=("title",)))
-        assert featurized.num_joins == 0
-        assert featurized.join_features.shape == (0, featurizer.join_feature_width)
-        assert featurized.num_predicates == 0
+        dataset = featurizer.featurize_ragged([Query(tables=("title",))])
+        np.testing.assert_array_equal(dataset.joins.lengths, [0])
+        assert dataset.joins.features.shape == (0, featurizer.join_feature_width)
+        np.testing.assert_array_equal(dataset.predicates.lengths, [0])
 
     def test_table_one_hot_embedded_in_table_vector(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         encoding = featurizer_parts[0]
-        featurized = featurizer.featurize(example_query())
-        np.testing.assert_array_equal(
-            featurized.table_features[0], encoding.table_one_hot("title")
-        )
+        tables = one_row_per_element(featurizer.featurize_ragged([example_query()]))["tables"]
+        expected = np.zeros(encoding.num_tables)
+        expected[encoding.table_index["title"]] = 1.0
+        np.testing.assert_array_equal(tables[0], expected)
 
     def test_bitmap_appended_to_table_vector(self, featurizer_parts, tiny_samples):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
         encoding = featurizer_parts[0]
         query = example_query()
-        featurized = featurizer.featurize(query)
+        tables = one_row_per_element(featurizer.featurize_ragged([query]))["tables"]
         expected_bitmap = tiny_samples.bitmap("title", query.predicates_on("title"))
         np.testing.assert_array_equal(
-            featurized.table_features[0, encoding.num_tables :], expected_bitmap.astype(float)
+            tables[0, encoding.num_tables :], expected_bitmap.astype(float)
         )
 
     def test_num_samples_fraction_in_unit_interval(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NUM_SAMPLES)
-        featurized = featurizer.featurize(example_query())
-        fractions = featurized.table_features[:, -1]
+        tables = one_row_per_element(featurizer.featurize_ragged([example_query()]))["tables"]
+        fractions = tables[:, -1]
         assert ((fractions >= 0.0) & (fractions <= 1.0)).all()
 
     def test_predicate_vector_layout(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         encoding, value_normalizer, _ = featurizer_parts
-        featurized = featurizer.featurize(example_query())
-        first_predicate = featurized.predicate_features[0]
+        dataset = featurizer.featurize_ragged([example_query()])
+        first_predicate = one_row_per_element(dataset)["predicates"][0]
+        column = np.zeros(encoding.num_columns)
+        column[encoding.column_index["title.production_year"]] = 1.0
+        operator = np.zeros(encoding.num_operators)
+        operator[encoding.operator_index[Operator.GT.value]] = 1.0
+        np.testing.assert_array_equal(first_predicate[: encoding.num_columns], column)
         np.testing.assert_array_equal(
-            first_predicate[: encoding.num_columns],
-            encoding.column_one_hot("title", "production_year"),
+            first_predicate[encoding.num_columns : encoding.num_columns + 3], operator
         )
-        np.testing.assert_array_equal(
-            first_predicate[encoding.num_columns : encoding.num_columns + 3],
-            encoding.operator_one_hot(Operator.GT),
-        )
-        assert first_predicate[-1] == pytest.approx(
-            value_normalizer.normalize("title", "production_year", 2000)
-        )
+        minimum, maximum = value_normalizer.bounds("title", "production_year")
+        assert first_predicate[-1] == pytest.approx((2000 - minimum) / (maximum - minimum))
 
-    def test_featurize_many(self, featurizer_parts):
+    def test_literals_are_clamped_to_the_column_range(self, featurizer_parts):
+        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
+        low, high = featurizer_parts[1].bounds("title", "production_year")
+        literals = [low, high, high + 100, low - 100]
+        assert literal_features(featurizer, literals) == [0.0, 1.0, 1.0, 0.0]
+
+    def test_single_valued_column_literals_are_zero(self, featurizer_parts):
+        encoding, value_normalizer, _ = featurizer_parts
+        bounds = {**value_normalizer.to_dict(), "title.production_year": (5.0, 5.0)}
+        featurizer = QueryFeaturizer(
+            encoding, ValueNormalizer(bounds), variant=FeaturizationVariant.NO_SAMPLES
+        )
+        assert literal_features(featurizer, [5, 1, 9]) == [0.0, 0.0, 0.0]
+
+    def test_featurize_ragged_keeps_one_segment_per_query(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        featurized = featurizer.featurize_many([example_query(), Query(tables=("title",))])
-        assert len(featurized) == 2
+        dataset = featurizer.featurize_ragged([example_query(), Query(tables=("title",))])
+        assert len(dataset) == 2
 
     def test_featurize_ragged_rejects_empty_workload(self, featurizer_parts):
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)

@@ -1,12 +1,16 @@
-"""The featurization oracle: the workload path against the per-query reference.
+"""The featurization oracle: ``featurize_ragged`` against the per-query reference.
 
 ``QueryFeaturizer.featurize_ragged`` (compiled plan -> ragged arrays) must
-equal ``RaggedDataset.from_featurized(featurizer.featurize_many(queries))``
-bit for bit, on every registered dataset, featurization variant and compute dtype,
-at every plan cache cap — small caps force query evictions and
-probe-matrix flushes, which must never change a single feature — and
+equal ``reference_featurize(featurizer, queries)`` (built element by element
+in ``reference_featurization.py``) bit for bit, on every registered dataset,
+featurization variant and compute dtype, at every plan cache cap — small
+caps force query evictions and probe-matrix flushes, which must never
+change a single feature — and
 whether the workload is featurized as one batch or in serving-sized
 micro-batches that share one plan (flushes then fall between batches).
+The workloads include literals below a column's minimum and above its
+maximum (clamped to 0 and 1), a single-valued column (normalized to 0) and
+joins listed with their sides swapped (the same one-hot).
 
 The workload path stores each set's distinct elements once, so it is
 compared through ``rows``: ``features[rows]`` must equal the reference's
@@ -17,8 +21,11 @@ flushes: a flush renumbers the ids but never changes a batch's rows.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from reference_featurization import assert_same_elements, reference_featurize
 
 from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant
@@ -26,12 +33,38 @@ from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.datasets import registered_datasets
-from repro.db.query import Query
+from repro.db.query import JoinCondition, Query
 from repro.db.sampling import MaterializedSamples
+from repro.db.table import Database, Table
 from repro.workload.generator import generate_training_workload
 
 DATASET_NAMES = tuple(spec.name for spec in registered_datasets())
 PLAN_CAPS = (CompiledFeaturizerPlan.DEFAULT_MAX_CACHED_QUERIES, 8, 2)
+
+
+def with_single_valued_column(database: Database, table: str, column: str) -> Database:
+    """``database`` with ``table.column`` set to its minimum in every row."""
+    source = database.table(table)
+    columns = {name: source.column(name) for name in source.schema.column_names}
+    columns[column] = np.full_like(columns[column], columns[column].min())
+    tables = {name: database.table(name) for name in database.table_names}
+    tables[table] = Table(source.schema, columns)
+    return Database(database.schema, tables)
+
+
+def out_of_range(database: Database, query: Query, above: bool) -> Query:
+    """``query`` with every literal past its column's maximum (or minimum)."""
+
+    def literal(predicate):
+        values = database.table(predicate.table).column(predicate.column)
+        return int(values.max()) + 7 if above else int(values.min()) - 7
+
+    predicates = tuple(replace(p, value=literal(p)) for p in query.predicates)
+    return Query(query.tables, query.joins, predicates)
+
+
+def swapped(join: JoinCondition) -> JoinCondition:
+    return JoinCondition(join.right_table, join.right_column, join.left_table, join.left_column)
 
 
 @pytest.fixture(scope="module")
@@ -39,22 +72,34 @@ def dataset_parts():
     """Per-dataset (database, samples, queries) at miniature scale.
 
     Every query list starts with a lone table — empty join and predicate
-    sets — and ends with a few queries repeated as-is and a few with every
+    sets — and ends with a few queries repeated as-is, a few with every
     set listed in reverse, so cache hits (and same-signature queries in
-    another element order) happen inside a batch.
+    another element order) happen inside a batch, and a few with literals
+    out of their column's range or with swapped join sides.  The column of
+    the workload's first predicate is made single-valued.
     """
     parts = {}
     for spec in registered_datasets():
         database = spec.generate(scale=0.04, seed=5)
-        samples = MaterializedSamples(database, sample_size=25, seed=5)
         workload = generate_training_workload(spec, database, num_queries=60, seed=13)
         queries = [Query(tables=(database.table_names[0],))]
         queries += [labelled.query for labelled in workload]
+        first = next(q.predicates[0] for q in queries if q.predicates)
+        database = with_single_valued_column(database, first.table, first.column)
+        samples = MaterializedSamples(database, sample_size=25, seed=5)
+        with_predicates = [q for q in queries if q.predicates][:5]
+        with_joins = [q for q in queries if q.joins][:5]
         queries += queries[1:6]
         queries += [
             Query(q.tables[::-1], q.joins[::-1], q.predicates[::-1])
             for q in queries[1:] if len(q.tables) > 1
         ][:5]
+        queries += [out_of_range(database, q, above=False) for q in with_predicates]
+        queries += [out_of_range(database, q, above=True) for q in with_predicates]
+        queries += [
+            Query(q.tables, tuple(swapped(j) for j in q.joins), q.predicates)
+            for q in with_joins
+        ]
         parts[spec.name] = (database, samples, queries)
     return parts
 
@@ -69,16 +114,6 @@ def make_featurizer(database, samples, variant, dtype, cap):
     )
     featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=cap)
     return featurizer
-
-
-def assert_ragged_equal(got: RaggedDataset, want: RaggedDataset, context: str) -> None:
-    for name in ("tables", "joins", "predicates"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.features.dtype == b.features.dtype, f"{context}:{name}"
-        np.testing.assert_array_equal(
-            a.features[a.rows], b.features[b.rows], err_msg=f"{context}:{name}"
-        )
-        np.testing.assert_array_equal(a.offsets, b.offsets, err_msg=f"{context}:{name}")
 
 
 def assert_ids_behind_rows(got: RaggedDataset, gathered, context: str) -> None:
@@ -123,7 +158,7 @@ def test_featurize_ragged_matches_per_query_oracle(
 ):
     database, samples, queries = dataset_parts[name]
     featurizer = make_featurizer(database, samples, variant, dtype, cap)
-    oracle = RaggedDataset.from_featurized(featurizer.featurize_many(queries))
+    oracle = reference_featurize(featurizer, queries)
     gathered = recording_gathers(featurizer)
     step = batch_size or len(queries)
     # The second pass replays the plan's caches (and, at small caps, the
@@ -137,7 +172,7 @@ def test_featurize_ragged_matches_per_query_oracle(
                 f":pass{attempt}:queries[{start}:{stop}]"
             )
             got = featurizer.featurize_ragged(queries[start:stop])
-            assert_ragged_equal(got, oracle.slice(start, stop), context)
+            assert_same_elements(got, oracle.slice(start, stop), context)
             assert_ids_behind_rows(got, gathered[-1], context)
             rows = [getattr(got, set_name).rows for set_name in ("tables", "joins", "predicates")]
             if attempt == 0:
@@ -145,3 +180,17 @@ def test_featurize_ragged_matches_per_query_oracle(
             else:
                 for again, before in zip(rows, first_pass_rows[batch]):
                     np.testing.assert_array_equal(again, before, err_msg=context)
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_workloads_reach_clamping_and_a_single_valued_column(dataset_parts, name):
+    """The oracle's inputs exercise every literal-normalization rule."""
+    database, _, queries = dataset_parts[name]
+    normalizer = ValueNormalizer.from_database(database)
+    predicates = [p for q in queries for p in q.predicates]
+    bounds = [normalizer.bounds(p.table, p.column) for p in predicates]
+    assert any(low == high for low, high in bounds)
+    assert any(p.value < low for p, (low, _) in zip(predicates, bounds))
+    assert any(p.value > high for p, (_, high) in zip(predicates, bounds))
+    joins = {join for q in queries for join in q.joins}
+    assert any(swapped(join) in joins for join in joins)

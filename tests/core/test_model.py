@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_featurization import stack_sets
 
-from repro.core.batching import RaggedDataset
-from repro.core.featurization import FeaturizedQuery
 from repro.core.model import MSCN, backward, forward
 
 
@@ -21,15 +20,15 @@ def make_model(table_width=4, join_width=3, predicate_width=5, hidden=16):
 
 
 def ragged(*featurized):
-    return RaggedDataset.from_featurized(list(featurized))
+    return stack_sets(list(featurized))
 
 
 def random_featurized(rng, num_tables, num_joins, num_predicates,
                       table_width=4, join_width=3, predicate_width=5):
-    return FeaturizedQuery(
-        table_features=rng.normal(size=(num_tables, table_width)),
-        join_features=rng.normal(size=(num_joins, join_width)),
-        predicate_features=rng.normal(size=(num_predicates, predicate_width)),
+    return (
+        rng.normal(size=(num_tables, table_width)),
+        rng.normal(size=(num_joins, join_width)),
+        rng.normal(size=(num_predicates, predicate_width)),
     )
 
 
@@ -55,11 +54,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         model = make_model()
         featurized = random_featurized(rng, 3, 2, 4)
-        permuted = FeaturizedQuery(
-            table_features=featurized.table_features[::-1].copy(),
-            join_features=featurized.join_features[::-1].copy(),
-            predicate_features=featurized.predicate_features[::-1].copy(),
-        )
+        permuted = tuple(features[::-1].copy() for features in featurized)
         original = forward(ragged(featurized), model.layers)
         swapped = forward(ragged(permuted), model.layers)
         np.testing.assert_allclose(original, swapped, atol=1e-12)
@@ -81,11 +76,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         model = make_model()
         base = random_featurized(rng, 2, 1, 2)
-        doubled = FeaturizedQuery(
-            table_features=np.vstack([base.table_features, base.table_features]),
-            join_features=np.vstack([base.join_features, base.join_features]),
-            predicate_features=np.vstack([base.predicate_features, base.predicate_features]),
-        )
+        doubled = tuple(np.vstack([features, features]) for features in base)
         np.testing.assert_allclose(
             forward(ragged(base), model.layers),
             forward(ragged(doubled), model.layers),

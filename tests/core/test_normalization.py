@@ -1,4 +1,7 @@
-"""Tests of value and cardinality normalization (invertibility properties)."""
+"""Tests of value and cardinality normalization (invertibility properties).
+
+``QueryFeaturizer.featurize_ragged`` applies the value bounds; its clamping
+and single-valued-column rules are tested in ``test_featurization.py``."""
 
 from __future__ import annotations
 
@@ -17,22 +20,10 @@ class TestValueNormalizer:
         years = tiny_database.table("title").column("production_year")
         assert minimum == years.min() and maximum == years.max()
 
-    def test_normalize_is_in_unit_interval_and_clamped(self, tiny_database):
-        normalizer = ValueNormalizer.from_database(tiny_database)
-        years = tiny_database.table("title").column("production_year")
-        assert normalizer.normalize("title", "production_year", years.min()) == 0.0
-        assert normalizer.normalize("title", "production_year", years.max()) == 1.0
-        assert normalizer.normalize("title", "production_year", years.max() + 100) == 1.0
-        assert normalizer.normalize("title", "production_year", years.min() - 100) == 0.0
-
     def test_unknown_column_raises(self, tiny_database):
         normalizer = ValueNormalizer.from_database(tiny_database)
         with pytest.raises(KeyError):
-            normalizer.normalize("title", "missing", 1)
-
-    def test_degenerate_column_maps_to_zero(self):
-        normalizer = ValueNormalizer({"t.c": (5.0, 5.0)})
-        assert normalizer.normalize("t", "c", 5) == 0.0
+            normalizer.bounds("title", "missing")
 
     def test_to_dict_roundtrip(self, tiny_database):
         normalizer = ValueNormalizer.from_database(tiny_database)

@@ -405,18 +405,6 @@ class TestRaggedContainers:
             np.testing.assert_array_equal(got.rows, want.rows, err_msg=name)
             np.testing.assert_array_equal(got.offsets, want.offsets, err_msg=name)
 
-    def test_from_featurized_stores_one_row_per_element(
-        self, featurizer_parts, workload_queries
-    ):
-        featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.BITMAPS)
-        ragged = featurizer.featurize_ragged(workload_queries)
-        stacked = RaggedDataset.from_featurized(featurizer.featurize_many(workload_queries))
-        rows = stacked.predicates.rows
-        np.testing.assert_array_equal(rows, np.arange(rows.size))
-        np.testing.assert_array_equal(
-            stacked.predicates.features, ragged.predicates.features[ragged.predicates.rows]
-        )
-
     def test_ragged_minibatches_cover_all_queries_once(
         self, featurizer_parts, workload_queries
     ):
@@ -437,24 +425,24 @@ class TestRaggedContainers:
     def test_bucketed_batches_are_length_homogeneous(
         self, featurizer_parts, workload_queries
     ):
-        """With bucketing, the spread of per-query element counts inside a
-        batch is no larger than without it (and the workload still shuffles)."""
+        """The spread of per-query element counts inside a bucketed batch is
+        no larger than inside plain chunks of the shuffled workload."""
         featurizer = make_featurizer(featurizer_parts, FeaturizationVariant.NO_SAMPLES)
         ragged = featurizer.featurize_ragged(workload_queries)
         labels = np.zeros(ragged.size)
         cards = np.ones(ragged.size)
 
-        def spread(bucketed: bool) -> float:
-            rng = np.random.default_rng(1)
-            spreads = []
-            for batch in iterate_ragged_minibatches(
-                ragged, labels, cards, 16, rng=rng, bucket_by_length=bucketed
-            ):
-                totals = batch.total_elements
-                spreads.append(float(totals.max() - totals.min()))
-            return float(np.mean(spreads))
+        def spread(batches) -> float:
+            return float(
+                np.mean([float(b.total_elements.max() - b.total_elements.min()) for b in batches])
+            )
 
-        assert spread(True) <= spread(False)
+        order = np.random.default_rng(1).permutation(ragged.size)
+        unbucketed = [ragged.take(order[start : start + 16]) for start in range(0, ragged.size, 16)]
+        bucketed = iterate_ragged_minibatches(
+            ragged, labels, cards, 16, rng=np.random.default_rng(1)
+        )
+        assert spread(bucketed) <= spread(unbucketed)
 
 
 class TestSegmentOps:
@@ -478,7 +466,9 @@ class TestSegmentOps:
         np.testing.assert_array_equal(result, [[4 + 0 + 4, 5 + 1 + 5], [0, 0], [2 + 2, 3 + 3]])
 
     def test_segment_mean_empty_segment_is_zero(self):
-        ragged_set = RaggedSet(features=np.ones((3, 4)), offsets=np.array([0, 3, 3]))
+        ragged_set = RaggedSet(
+            features=np.ones((3, 4)), offsets=np.array([0, 3, 3]), rows=np.arange(3)
+        )
         result = (
             segment_sum_array(ragged_set.features, ragged_set.offsets, ragged_set.lengths)
             * ragged_set.inv_counts
@@ -487,7 +477,8 @@ class TestSegmentOps:
 
     def test_ragged_set_rejects_bad_offsets(self):
         with pytest.raises(ValueError):
-            RaggedSet(features=np.ones((4, 2)), offsets=np.array([0, 2]))  # not all rows
+            # The offsets cover two of the four elements.
+            RaggedSet(features=np.ones((4, 2)), offsets=np.array([0, 2]), rows=np.arange(4))
 
 
 class TestPrecomputedPoolingAux:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_featurization import reference_featurize
 
-from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
-from repro.core.featurization import FeaturizedQuery, QueryFeaturizer
+from repro.core.featurization import QueryFeaturizer
 from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
 from repro.core.trainer import MSCNTrainer
@@ -24,14 +24,9 @@ def training_setup(tiny_database, tiny_samples, tiny_workload):
         samples=tiny_samples,
         variant=FeaturizationVariant.BITMAPS,
     )
-    features = featurizer.featurize_many([q.query for q in tiny_workload])
+    queries = [q.query for q in tiny_workload]
     cardinalities = np.array([q.cardinality for q in tiny_workload], dtype=np.float64)
-    return featurizer, features, cardinalities
-
-
-def ragged(features) -> RaggedDataset:
-    """Per-query featurizations in the ragged layout the trainer reads."""
-    return RaggedDataset.from_featurized(features)
+    return featurizer, queries, cardinalities
 
 
 def build_trainer(featurizer, cardinalities, config):
@@ -49,14 +44,14 @@ def build_trainer(featurizer, cardinalities, config):
 
 class TestTrainingLoop:
     def test_training_reduces_loss_and_validation_error(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=15, batch_size=32, seed=1, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        split = int(len(features) * 0.8)
+        split = int(len(queries) * 0.8)
         result = trainer.train(
-            ragged(features[:split]),
+            reference_featurize(featurizer, queries[:split]),
             cardinalities[:split],
-            ragged(features[split:]),
+            reference_featurize(featurizer, queries[split:]),
             cardinalities[split:],
         )
         assert result.epochs_run == 15
@@ -67,35 +62,35 @@ class TestTrainingLoop:
         assert result.training_seconds > 0
 
     def test_can_overfit_a_tiny_corpus(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=32, epochs=60, batch_size=8, seed=2, num_samples=50,
                             learning_rate=5e-3)
         trainer = build_trainer(featurizer, cardinalities, config)
-        subset_features = ragged(features[:16])
+        subset_features = reference_featurize(featurizer, queries[:16])
         subset_cards = cardinalities[:16]
         trainer.train(subset_features, subset_cards)
         assert trainer.mean_q_error(subset_features, subset_cards) < 2.0
 
     def test_predictions_are_positive_cardinalities(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=3, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(ragged(features), cardinalities)
-        predictions = trainer.predict(ragged(features[:10]))
+        trainer.train(reference_featurize(featurizer, queries), cardinalities)
+        predictions = trainer.predict(reference_featurize(featurizer, queries[:10]))
         assert predictions.shape == (10,)
         assert (predictions >= 1.0).all()
 
     def test_predict_empty_input(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=1, batch_size=32, seed=3, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        assert trainer.predict(ragged(features[:1]).slice(0, 0)).size == 0
+        assert trainer.predict(reference_featurize(featurizer, queries[:1]).slice(0, 0)).size == 0
 
     def test_validation_is_optional(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=4, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        result = trainer.train(ragged(features), cardinalities)
+        result = trainer.train(reference_featurize(featurizer, queries), cardinalities)
         assert result.validation_q_error_history == []
         assert np.isnan(result.final_validation_q_error)
 
@@ -103,22 +98,23 @@ class TestTrainingLoop:
 class TestLossVariants:
     @pytest.mark.parametrize("loss", [LossKind.Q_ERROR, LossKind.MSE, LossKind.GEOMETRIC_Q_ERROR])
     def test_all_objectives_decrease(self, training_setup, loss):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=10, batch_size=32, seed=5,
                             num_samples=50, loss=loss)
         trainer = build_trainer(featurizer, cardinalities, config)
-        result = trainer.train(ragged(features[:64]), cardinalities[:64])
+        result = trainer.train(reference_featurize(featurizer, queries[:64]), cardinalities[:64])
         assert result.train_loss_history[-1] < result.train_loss_history[0]
 
     def test_loss_denormalizes_like_the_normalizer(self, training_setup):
         """The q-error of normalized predictions that equal the normalized
         truths is 1: the loss's denormalization inverts the normalizer."""
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=1, batch_size=32, seed=6, num_samples=50,
                             dtype="float64")
         trainer = build_trainer(featurizer, cardinalities, config)
-        batch = RaggedDataset.from_featurized(
-            features[:4],
+        batch = reference_featurize(
+            featurizer,
+            queries[:4],
             labels=trainer.normalizer.normalize(cardinalities[:4]),
             cardinalities=cardinalities[:4],
         )
@@ -126,11 +122,12 @@ class TestLossVariants:
         assert loss == pytest.approx(1.0, rel=1e-9)
 
     def test_loss_uses_unnormalized_cardinalities_for_q_error(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=1, batch_size=4, seed=7, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        batch = RaggedDataset.from_featurized(
-            features[:4],
+        batch = reference_featurize(
+            featurizer,
+            queries[:4],
             labels=trainer.normalizer.normalize(cardinalities[:4]),
             cardinalities=cardinalities[:4],
         )
@@ -148,20 +145,20 @@ class TestComputeDtype:
         """A float32 trainer fed float64 features computes, and keeps Adam
         state, in float32, and trains exactly as on features cast first (the
         regression was a float64 operand promoting the whole pass)."""
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=3, batch_size=32, seed=12,
                             num_samples=50, dtype="float32")
-        wide = ragged(features[:64])
+        wide = reference_featurize(featurizer, queries[:64])
         assert wide.tables.features.dtype == np.float64
-        narrow = ragged(
-            [
-                FeaturizedQuery(
-                    query.table_features.astype(np.float32),
-                    query.join_features.astype(np.float32),
-                    query.predicate_features.astype(np.float32),
-                )
-                for query in features[:64]
-            ]
+        narrow = reference_featurize(
+            QueryFeaturizer(
+                featurizer.encoding,
+                featurizer.value_normalizer,
+                samples=featurizer.samples,
+                variant=featurizer.variant,
+                dtype=np.float32,
+            ),
+            queries[:64],
         )
 
         trainer = build_trainer(featurizer, cardinalities, config)
@@ -196,12 +193,12 @@ class TestDatasetTrainingPath:
         self, training_setup, tiny_workload
     ):
         """Training on ``featurize_ragged``'s distinct-row layout matches
-        training on the one-row-per-element ``from_featurized`` layout up to
+        training on the reference's one-row-per-element layout up to
         float64 round-off (projecting shared rows once reassociates sums)."""
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=16, epochs=5, batch_size=32, seed=9, num_samples=50,
                             dtype="float64")
-        reference = ragged(features[:64])
+        reference = reference_featurize(featurizer, queries[:64])
         reference_trainer = build_trainer(featurizer, cardinalities, config)
         reference_result = reference_trainer.train(reference, cardinalities[:64])
 
@@ -219,17 +216,17 @@ class TestDatasetTrainingPath:
         )
 
     def test_mean_q_error_matches_scalar_reference(self, training_setup):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         from repro.evaluation.metrics import q_error
 
         config = MSCNConfig(hidden_units=16, epochs=2, batch_size=32, seed=10, num_samples=50)
         trainer = build_trainer(featurizer, cardinalities, config)
-        trainer.train(ragged(features[:32]), cardinalities[:32])
-        predictions = trainer.predict(ragged(features[:32]))
+        trainer.train(reference_featurize(featurizer, queries[:32]), cardinalities[:32])
+        predictions = trainer.predict(reference_featurize(featurizer, queries[:32]))
         expected = float(
             np.mean([q_error(p, t) for p, t in zip(predictions, cardinalities[:32])])
         )
-        assert trainer.mean_q_error(ragged(features[:32]), cardinalities[:32]) == pytest.approx(
+        assert trainer.mean_q_error(reference_featurize(featurizer, queries[:32]), cardinalities[:32]) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -238,15 +235,15 @@ class TestDatasetTrainingPath:
         """Chunked and single-batch inference agree: exactly in float64,
         within single-precision round-off in float32 (BLAS may pick different
         sgemm kernels for different chunk heights)."""
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(
             hidden_units=16, epochs=2, batch_size=32, seed=11, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
-        dataset = ragged(features)
+        dataset = reference_featurize(featurizer, queries)
         trainer.train(dataset, cardinalities)
         chunked = trainer.predict(dataset, batch_size=7)
-        whole = trainer.predict(dataset, batch_size=len(features))
+        whole = trainer.predict(dataset, batch_size=len(queries))
         np.testing.assert_allclose(chunked, whole, rtol=rtol)
 
 
@@ -257,12 +254,12 @@ class TestPredictionsTrackTraining:
     def test_predictions_after_more_training_use_the_new_weights(
         self, training_setup, dtype
     ):
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(
             hidden_units=16, epochs=2, batch_size=32, seed=6, num_samples=50, dtype=dtype
         )
         trainer = build_trainer(featurizer, cardinalities, config)
-        dataset = ragged(features)
+        dataset = reference_featurize(featurizer, queries)
         trainer.train(dataset, cardinalities)
         before = trainer.predict(dataset.slice(0, 10))
         np.testing.assert_array_equal(before, trainer.predict(dataset.slice(0, 10)))
@@ -281,15 +278,15 @@ class TestReproducibility:
     def test_same_seed_trains_a_bit_identical_model(self, training_setup, loss, dtype):
         """Two trainers built from one seed produce the same histories and
         the same weights, bit for bit (what a retrained model relies on)."""
-        featurizer, features, cardinalities = training_setup
+        featurizer, queries, cardinalities = training_setup
         config = MSCNConfig(hidden_units=8, epochs=2, batch_size=16, seed=21,
                             num_samples=50, loss=loss, dtype=dtype)
         results, models = [], []
         for _ in range(2):
             trainer = build_trainer(featurizer, cardinalities, config)
             results.append(
-                trainer.train(ragged(features[:48]), cardinalities[:48],
-                              ragged(features[48:64]), cardinalities[48:64])
+                trainer.train(reference_featurize(featurizer, queries[:48]), cardinalities[:48],
+                              reference_featurize(featurizer, queries[48:64]), cardinalities[48:64])
             )
             models.append(trainer.model)
         assert results[0].train_loss_history == results[1].train_loss_history

@@ -165,6 +165,17 @@ class TestScenarioState:
         # Every model shares the scenario's samples (and their bitmap cache).
         assert first.samples is mse.samples is scenario.samples
 
+    def test_trained_mscn_sizes_the_config_from_its_samples(self, scenario):
+        """A config's ``num_samples`` names the scenario's sample size, so
+        configs differing only there are one model, saved with the right
+        size."""
+        first = scenario.trained_mscn(self.MSCN)
+        assert first.config.num_samples == scenario.samples.sample_size == 30
+        assert scenario.trained_mscn(self.MSCN.replace(num_samples=1000)) is first
+        default_size = MSCNConfig(hidden_units=16, epochs=3, batch_size=64)
+        assert default_size.num_samples == 1000
+        assert mscn_factory(default_size)(scenario) is first
+
 
 class TestRunScenarios:
     def test_matrix_covers_datasets_and_estimators(self):

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_featurization import stack_sets
 
 from repro.core.batching import RaggedDataset, RaggedSet, offsets_from_lengths
 from repro.core.config import LossKind, MSCNConfig
-from repro.core.featurization import FeaturizedQuery
 from repro.core.model import MSCN, backward, forward
 from repro.core.normalization import CardinalityNormalizer
 from repro.core.trainer import MSCNTrainer
@@ -30,10 +30,10 @@ def make_batch(rng: np.random.Generator, normalizer: CardinalityNormalizer) -> R
     # (tables, joins, predicates) per query; two queries have empty sets.
     shapes = [(1, 0, 0), (2, 1, 3), (3, 2, 0), (1, 0, 2), (2, 1, 1)]
     featurized = [
-        FeaturizedQuery(
-            table_features=rng.normal(size=(tables, 4)),
-            join_features=rng.normal(size=(joins, 3)),
-            predicate_features=rng.normal(size=(predicates, 5)),
+        (
+            rng.normal(size=(tables, 4)),
+            rng.normal(size=(joins, 3)),
+            rng.normal(size=(predicates, 5)),
         )
         for tables, joins, predicates in shapes
     ]
@@ -41,7 +41,7 @@ def make_batch(rng: np.random.Generator, normalizer: CardinalityNormalizer) -> R
     # factor >= 5 away keep every q-error off the max kink (over == under),
     # and predictions far above 1 keep them off the clip kink.
     cardinalities = np.array([2.0, 900.0, 15.0, 3000.0, 1.5])
-    return RaggedDataset.from_featurized(
+    return stack_sets(
         featurized,
         labels=normalizer.normalize(cardinalities),
         cardinalities=cardinalities,

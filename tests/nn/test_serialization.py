@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from reference_featurization import stack_sets
 
-from repro.core.batching import RaggedDataset
-from repro.core.featurization import FeaturizedQuery
 from repro.core.model import MSCN, forward
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dict_num_bytes
 
@@ -31,11 +30,9 @@ def test_loaded_state_restores_model_output(tmp_path):
     save_state_dict(source.state_dict(), path)
     target.load_state_dict(load_state_dict(path))
     rng = np.random.default_rng(3)
-    batch = RaggedDataset.from_featurized(
+    batch = stack_sets(
         [
-            FeaturizedQuery(
-                rng.normal(size=(2, 4)), rng.normal(size=(1, 3)), rng.normal(size=(3, 5))
-            )
+            (rng.normal(size=(2, 4)), rng.normal(size=(1, 3)), rng.normal(size=(3, 5)))
             for _ in range(5)
         ]
     )
