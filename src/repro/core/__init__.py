@@ -14,11 +14,16 @@ The sub-modules follow the pipeline of Section 3:
 * :mod:`repro.core.model` — the MSCN architecture,
 * :mod:`repro.core.trainer` — training / validation loop with the paper's
   loss functions,
-* :mod:`repro.core.estimator` — the public :class:`MSCNEstimator` façade.
+* :mod:`repro.core.estimator` — the public :class:`MSCNEstimator` façade,
+* :mod:`repro.core.ensemble` — :class:`EnsembleMSCNEstimator`, the deep-ensemble
+  extension of Section 5 (geometric-mean estimates plus a member spread).
+
+Both estimators subclass :class:`~repro.estimators.base.CardinalityEstimator`,
+like every baseline.
 """
 
 from repro.core.config import FeaturizationVariant, MSCNConfig
-from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
+from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.core.model import MSCN
@@ -29,7 +34,6 @@ __all__ = [
     "FeaturizationVariant",
     "MSCNEstimator",
     "EnsembleMSCNEstimator",
-    "EnsembleEstimate",
     "QueryFeaturizer",
     "MSCN",
     "MSCNTrainer",

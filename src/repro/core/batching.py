@@ -164,6 +164,10 @@ class RaggedDataset:
         }
         if len(sizes) != 1:
             raise ValueError(f"set segment counts disagree: {sorted(sizes)}")
+        for name in ("labels", "cardinalities"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, _column_vector(values, self.size, name))
 
     @property
     def size(self) -> int:
@@ -197,13 +201,9 @@ class RaggedDataset:
         already be aligned with ``indices``.
         """
         indices = np.asarray(indices)
-        if labels is not None:
-            labels = _column_vector(labels, indices.shape[0], "labels")
-        elif self.labels is not None:
+        if labels is None and self.labels is not None:
             labels = self.labels[indices]
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, indices.shape[0], "cardinalities")
-        elif self.cardinalities is not None:
+        if cardinalities is None and self.cardinalities is not None:
             cardinalities = self.cardinalities[indices]
         return RaggedDataset(
             tables=self.tables.take(indices),

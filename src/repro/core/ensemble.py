@@ -18,7 +18,6 @@ and combines their predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,26 +32,7 @@ from repro.db.table import Database
 from repro.estimators.base import CardinalityEstimator
 from repro.workload.generator import LabelledQuery
 
-__all__ = ["EnsembleEstimate", "EnsembleMSCNEstimator"]
-
-
-@dataclass(frozen=True)
-class EnsembleEstimate:
-    """An ensemble prediction with its disagreement-based uncertainty."""
-
-    cardinality: float
-    member_estimates: tuple[float, ...]
-
-    @property
-    def spread(self) -> float:
-        """Maximum pairwise q-error between member estimates (>= 1)."""
-        lowest = min(self.member_estimates)
-        highest = max(self.member_estimates)
-        return max(highest, 1.0) / max(lowest, 1.0)
-
-    def is_confident(self, max_spread: float = 2.0) -> bool:
-        """Whether all members agree within ``max_spread``."""
-        return self.spread <= max_spread
+__all__ = ["EnsembleMSCNEstimator"]
 
 
 class EnsembleMSCNEstimator(CardinalityEstimator):
@@ -132,12 +112,8 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
             for member in self.members
         ]
 
-    def estimate_with_uncertainty(self, query: Query) -> EnsembleEstimate:
-        """Ensemble estimate plus the member disagreement for one query."""
-        return self.estimate_many_with_uncertainty([query])[0]
-
     def estimate(self, query: Query) -> float:
-        return self.estimate_with_uncertainty(query).cardinality
+        return float(self.estimate_many([query])[0])
 
     def serving_dataset(self, queries: Sequence[Query]) -> RaggedDataset:
         """Featurize serving traffic once for all members (shared layout)."""
@@ -168,29 +144,10 @@ class EnsembleMSCNEstimator(CardinalityEstimator):
         spreads = clamped.max(axis=0) / clamped.min(axis=0)
         return cardinalities, spreads, per_member
 
-    def estimate_many_with_uncertainty(self, queries: Sequence[Query]) -> list[EnsembleEstimate]:
-        """Vectorized ensemble estimates (one member forward pass per model).
-
-        All members share the same samples, encoding and compute dtype, so the
-        workload is featurized once (into the ragged serving layout) and the
-        same dataset feeds every member's forward pass.
-        """
-        if not queries:
-            return []
-        shared_dataset = self.serving_dataset(queries)
-        cardinalities, _, per_member = self.estimate_featurized_with_uncertainty(
-            shared_dataset
-        )
-        return [
-            EnsembleEstimate(
-                cardinality=float(cardinalities[index]),
-                member_estimates=tuple(float(value) for value in per_member[:, index]),
-            )
-            for index in range(len(queries))
-        ]
-
     def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
-        return np.array(
-            [e.cardinality for e in self.estimate_many_with_uncertainty(queries)],
-            dtype=np.float64,
-        )
+        """Geometric-mean ensemble estimates: the workload is featurized once
+        (into the ragged serving layout) and that dataset feeds every member's
+        forward pass."""
+        if not queries:
+            return np.empty(0, dtype=np.float64)
+        return self.estimate_featurized(self.serving_dataset(queries))

@@ -34,8 +34,8 @@ from repro.core.normalization import CardinalityNormalizer, ValueNormalizer
 from repro.core.trainer import MSCNTrainer, TrainingResult
 from repro.db.query import Query
 from repro.db.sampling import MaterializedSamples
-from repro.estimators.base import subplan_map
 from repro.db.table import Database
+from repro.estimators.base import CardinalityEstimator, subplan_map
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dict_num_bytes
 from repro.utils.rng import spawn_rng
 from repro.workload.generator import LabelledQuery
@@ -68,7 +68,7 @@ class PredictionTiming:
         return 1000.0 * self.total_seconds / self.num_queries
 
 
-class MSCNEstimator:
+class MSCNEstimator(CardinalityEstimator):
     """Learned cardinality estimator (the paper's MSCN)."""
 
     name = "MSCN"

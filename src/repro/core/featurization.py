@@ -538,7 +538,6 @@ class QueryFeaturizer:
         from repro.core.batching import (
             RaggedDataset,
             RaggedSet,
-            _column_vector,
             offsets_from_lengths,
         )
 
@@ -586,10 +585,6 @@ class QueryFeaturizer:
                 features, offsets_from_lengths(gathered_set.counts), gathered_set.rows
             )
 
-        if labels is not None:
-            labels = _column_vector(labels, len(queries), "labels")
-        if cardinalities is not None:
-            cardinalities = _column_vector(cardinalities, len(queries), "cardinalities")
         return RaggedDataset(
             tables=ragged(table_features, gathered.tables),
             joins=ragged(join_features, gathered.joins),

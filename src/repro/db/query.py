@@ -163,17 +163,7 @@ class Query:
     # -- convenience -----------------------------------------------------
     @property
     def num_joins(self) -> int:
-        """Number of join edges; memoized like :meth:`signature`.
-
-        Evaluation and serving consult the join count once per row (q-error
-        grouping, uncertainty routing), so it is derived once per immutable
-        query rather than per consumer.
-        """
-        cached = self.__dict__.get("_num_joins")
-        if cached is None:
-            cached = len(self.joins)
-            object.__setattr__(self, "_num_joins", cached)
-        return cached
+        return len(self.joins)
 
     @property
     def num_predicates(self) -> int:

@@ -21,12 +21,12 @@ are evaluated against the sample tuples exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.db.predicates import evaluate_conjunction
-from repro.db.query import Predicate, Query
+from repro.db.query import Predicate
 from repro.db.table import Database, Table
 from repro.utils.lru import LRU
 
@@ -244,28 +244,3 @@ class MaterializedSamples:
         sample = self.sample(table)
         bitmap = self._cached_bitmap(table, predicates)
         return sample.row_indices[bitmap[: sample.num_sampled]]
-
-    # ------------------------------------------------------------------
-    def query_bitmaps(self, query: Query) -> Mapping[str, np.ndarray]:
-        """Bitmaps for every table referenced by ``query``."""
-        return {
-            table: self.bitmap(table, query.predicates_on(table)) for table in query.tables
-        }
-
-    def query_counts(self, query: Query) -> Mapping[str, int]:
-        """Qualifying-sample counts for every table referenced by ``query``."""
-        return {
-            table: self.qualifying_count(table, query.predicates_on(table))
-            for table in query.tables
-        }
-
-    def estimate_base_cardinality(self, table: str, predicates: Iterable[Predicate]) -> float:
-        """Sampling estimate of a single table's filtered cardinality.
-
-        Returns 0.0 when no sample tuple qualifies (the caller decides how to
-        fall back — see the Random Sampling estimator).
-        """
-        predicates = list(predicates)
-        sample = self.sample(table)
-        count = self.qualifying_count(table, predicates)
-        return count * sample.scale_factor

@@ -1,5 +1,13 @@
 """Baseline cardinality estimators used as competitors in the paper.
 
+Every estimator in the repository, MSCN and its ensemble included, is a
+:class:`~repro.estimators.base.CardinalityEstimator`: ``estimate``,
+``estimate_many`` and ``estimate_subplans`` are the one way to ask for
+estimates.
+
+* :class:`~repro.estimators.base.ProductFormEstimator` — ``∏ base-table
+  estimates × ∏ join selectivities``, written once for the two classical
+  baselines below; each supplies only its base-table estimate.
 * :class:`~repro.estimators.postgres.PostgresEstimator` — textbook
   histogram/MCV statistics with the attribute-value-independence assumption
   and ``1/max(nd)`` join selectivities (stand-in for PostgreSQL 10.3).
@@ -13,7 +21,7 @@
   in tests and sanity checks.
 """
 
-from repro.estimators.base import CardinalityEstimator
+from repro.estimators.base import CardinalityEstimator, ProductFormEstimator
 from repro.estimators.ibjs import IndexBasedJoinSamplingEstimator
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.random_sampling import RandomSamplingEstimator
@@ -21,6 +29,7 @@ from repro.estimators.true import TrueCardinalityEstimator
 
 __all__ = [
     "CardinalityEstimator",
+    "ProductFormEstimator",
     "PostgresEstimator",
     "RandomSamplingEstimator",
     "IndexBasedJoinSamplingEstimator",

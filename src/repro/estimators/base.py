@@ -1,15 +1,23 @@
-"""The estimator interface shared by MSCN and all baselines."""
+"""The estimator interface shared by MSCN and all baselines.
+
+:class:`CardinalityEstimator` is the one way to ask for estimates: every
+estimator answers :meth:`~CardinalityEstimator.estimate`,
+:meth:`~CardinalityEstimator.estimate_many` and
+:meth:`~CardinalityEstimator.estimate_subplans`.  The two product-form
+baselines share :class:`ProductFormEstimator`.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.db.query import JoinCondition, Predicate, Query
+from repro.db.statistics import DatabaseStatistics
 
-__all__ = ["CardinalityEstimator", "product_form_estimates", "subplan_map"]
+__all__ = ["CardinalityEstimator", "ProductFormEstimator", "subplan_map"]
 
 
 def subplan_map(query: Query, estimates: Sequence[float]) -> dict[frozenset[str], float]:
@@ -63,48 +71,76 @@ class CardinalityEstimator(abc.ABC):
         return subplan_map(query, self.estimate_many(query.connected_subqueries()))
 
 
-def product_form_estimates(
-    queries: Sequence[Query],
-    base_table_estimate: Callable[[str, tuple[Predicate, ...]], float],
-    join_selectivity: Callable[[JoinCondition], float],
-) -> np.ndarray:
-    """Batched evaluation for product-form estimators (PostgreSQL-style, RS).
+class ProductFormEstimator(CardinalityEstimator):
+    """``∏ base-table estimates × ∏ join selectivities`` (PostgreSQL-style, RS).
 
-    Both classical baselines estimate ``∏ base-table estimates × ∏ join
-    selectivities``.  Under sub-plan fan-out the same ``(table, predicate
-    set)`` pair recurs in up to ``2^(n-1)`` sub-plans of one query and every
-    join edge recurs in half of them, so the batch path computes each unique
-    base-table estimate and join selectivity **once** and assembles per-query
-    products from the memo — identical floating-point multiplication order to
-    the per-query ``estimate`` path, so results are bit-identical to it.
+    Both classical baselines assume independence across tables and estimate
+    an equi-join's selectivity as ``1 / max(nd(left), nd(right))`` over the
+    catalog's distinct counts (``self.statistics``).  A subclass supplies only
+    its filtered base-table estimate, :meth:`_base_estimate`.
     """
-    base_cache: dict[tuple, float] = {}
-    join_cache: dict[str, float] = {}
-    results = np.empty(len(queries), dtype=np.float64)
-    for position, query in enumerate(queries):
+
+    statistics: DatabaseStatistics
+
+    @abc.abstractmethod
+    def _base_estimate(self, table: str, predicates: Sequence[Predicate]) -> float:
+        """Estimated filtered cardinality of one base table (>= 1)."""
+
+    def join_selectivity(self, join: JoinCondition) -> float:
+        """Equi-join selectivity ``1 / max(nd(left), nd(right))``."""
+        left = self.statistics.column(join.left_table, join.left_column)
+        right = self.statistics.column(join.right_table, join.right_column)
+        distinct = max(left.num_distinct, right.num_distinct, 1)
+        return 1.0 / distinct
+
+    def estimate(self, query: Query) -> float:
         estimate = 1.0
         for table in query.tables:
-            predicates = query.predicates_on(table)
-            # The key keeps the predicates' presented order: selectivities are
-            # multiplied in that order, so two permutations of one predicate
-            # set may differ in the last ulp — sharing one factor across them
-            # would break the bit-identity-with-estimate() guarantee.  Fan-out
-            # traffic derives every sub-plan from one parent query, so the
-            # order is consistent and dedup is unaffected.
-            key = (table, tuple(
-                (p.column, p.operator.value, p.value) for p in predicates
-            ))
-            factor = base_cache.get(key)
-            if factor is None:
-                factor = base_table_estimate(table, predicates)
-                base_cache[key] = factor
-            estimate *= factor
+            estimate *= self._base_estimate(table, query.predicates_on(table))
         for join in query.joins:
-            canonical = join.canonical
-            factor = join_cache.get(canonical)
-            if factor is None:
-                factor = join_selectivity(join)
-                join_cache[canonical] = factor
-            estimate *= factor
-        results[position] = max(estimate, 1.0)
-    return results
+            estimate *= self.join_selectivity(join)
+        return max(estimate, 1.0)
+
+    def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
+        """Batched estimation with per-batch memoization.
+
+        Under sub-plan fan-out the same ``(table, predicate set)`` pair recurs
+        in up to ``2^(n-1)`` sub-plans of one query and every join edge recurs
+        in half of them, so each unique base-table estimate (for RS, a sample
+        probe) and join selectivity is computed **once** per batch and the
+        per-query products are assembled from the memo — in :meth:`estimate`'s
+        multiplication order, so results are bit-identical to it.
+        """
+        base_estimate = self._base_estimate
+        join_selectivity = self.join_selectivity
+        base_cache: dict[tuple, float] = {}
+        join_cache: dict[str, float] = {}
+        results = np.empty(len(queries), dtype=np.float64)
+        for position, query in enumerate(queries):
+            estimate = 1.0
+            for table in query.tables:
+                predicates = query.predicates_on(table)
+                # The key keeps the predicates' presented order: selectivities
+                # are multiplied in that order, so two permutations of one
+                # predicate set may differ in the last ulp — sharing one factor
+                # across them would break the bit-identity-with-estimate()
+                # guarantee.  Fan-out traffic derives every sub-plan from one
+                # parent query, so the order is consistent and dedup is
+                # unaffected.
+                key = (table, tuple(
+                    (p.column, p.operator.value, p.value) for p in predicates
+                ))
+                factor = base_cache.get(key)
+                if factor is None:
+                    factor = base_estimate(table, predicates)
+                    base_cache[key] = factor
+                estimate *= factor
+            for join in query.joins:
+                canonical = join.canonical
+                factor = join_cache.get(canonical)
+                if factor is None:
+                    factor = join_selectivity(join)
+                    join_cache[canonical] = factor
+                estimate *= factor
+            results[position] = max(estimate, 1.0)
+        return results

@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.db.query import Predicate, Query
+from repro.db.query import Predicate
 from repro.db.statistics import DatabaseStatistics
 from repro.db.table import Database
-from repro.estimators.base import CardinalityEstimator, product_form_estimates
+from repro.estimators.base import ProductFormEstimator
 
 __all__ = ["PostgresEstimator"]
 
 
-class PostgresEstimator(CardinalityEstimator):
+class PostgresEstimator(ProductFormEstimator):
     """Histogram + independence assumption estimator (PostgreSQL stand-in).
 
     By default the statistics are computed from a bounded ANALYZE-style row
@@ -55,37 +53,7 @@ class PostgresEstimator(CardinalityEstimator):
             else DatabaseStatistics(database, sample_rows=analyze_sample_rows)
         )
 
-    # ------------------------------------------------------------------
-    def base_table_estimate(self, query: Query, table: str) -> float:
-        """Estimated filtered cardinality of one base table."""
-        return self._base_estimate(table, query.predicates_on(table))
-
     def _base_estimate(self, table: str, predicates: Sequence[Predicate]) -> float:
         table_statistics = self.statistics.table(table)
         selectivity = self.statistics.conjunction_selectivity(list(predicates))
         return max(table_statistics.row_count * selectivity, 1.0)
-
-    def join_selectivity(self, join) -> float:
-        """Equi-join selectivity ``1 / max(nd(left), nd(right))``."""
-        left = self.statistics.column(join.left_table, join.left_column)
-        right = self.statistics.column(join.right_table, join.right_column)
-        distinct = max(left.num_distinct, right.num_distinct, 1)
-        return 1.0 / distinct
-
-    def estimate(self, query: Query) -> float:
-        estimate = 1.0
-        for table in query.tables:
-            estimate *= self.base_table_estimate(query, table)
-        for join in query.joins:
-            estimate *= self.join_selectivity(join)
-        return max(estimate, 1.0)
-
-    def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
-        """Batched estimation with per-batch memoization.
-
-        Sub-plan fan-out (``estimate_subplans``) repeats the same base-table
-        predicate sets and join edges across sub-plans; each unique one is
-        evaluated against the statistics once per batch.  Results are
-        bit-identical to per-query :meth:`estimate` calls.
-        """
-        return product_form_estimates(queries, self._base_estimate, self.join_selectivity)

@@ -13,19 +13,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.db.query import Predicate, Query
+from repro.db.query import Predicate
 from repro.db.sampling import MaterializedSamples
 from repro.db.statistics import DatabaseStatistics
 from repro.db.table import Database
-from repro.estimators.base import CardinalityEstimator, product_form_estimates
+from repro.estimators.base import ProductFormEstimator
 
 __all__ = ["RandomSamplingEstimator"]
 
 
-class RandomSamplingEstimator(CardinalityEstimator):
-    """Per-table sampling with independence across joins."""
+class RandomSamplingEstimator(ProductFormEstimator):
+    """Per-table sampling with independence across joins.
+
+    Each unique ``(table, predicate set)`` of a batch probes the materialized
+    sample once (:meth:`ProductFormEstimator.estimate_many`); that probe loop
+    is the hot path under sub-plan fan-out.
+    """
 
     name = "Random Sampling"
 
@@ -42,9 +45,6 @@ class RandomSamplingEstimator(CardinalityEstimator):
         # system maintains.
         self.statistics = statistics if statistics is not None else DatabaseStatistics(database)
 
-    # ------------------------------------------------------------------
-    # Base tables
-    # ------------------------------------------------------------------
     def base_table_selectivity(self, table: str, predicates: list[Predicate]) -> float:
         """Estimated selectivity of a conjunction on one base table."""
         if not predicates:
@@ -81,36 +81,6 @@ class RandomSamplingEstimator(CardinalityEstimator):
                 selectivity *= 1.0 / distinct
         return selectivity
 
-    def base_table_estimate(self, query: Query, table: str) -> float:
-        return self._base_estimate(table, query.predicates_on(table))
-
     def _base_estimate(self, table: str, predicates: Sequence[Predicate]) -> float:
         rows = self.database.table(table).num_rows
         return max(rows * self.base_table_selectivity(table, list(predicates)), 1.0)
-
-    # ------------------------------------------------------------------
-    # Joins (independence assumption)
-    # ------------------------------------------------------------------
-    def join_selectivity(self, join) -> float:
-        left = self.statistics.column(join.left_table, join.left_column)
-        right = self.statistics.column(join.right_table, join.right_column)
-        distinct = max(left.num_distinct, right.num_distinct, 1)
-        return 1.0 / distinct
-
-    def estimate(self, query: Query) -> float:
-        estimate = 1.0
-        for table in query.tables:
-            estimate *= self.base_table_estimate(query, table)
-        for join in query.joins:
-            estimate *= self.join_selectivity(join)
-        return max(estimate, 1.0)
-
-    def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
-        """Batched estimation with per-batch memoization.
-
-        Each unique ``(table, predicate set)`` probes the materialized sample
-        once per batch and each join edge's selectivity is computed once —
-        the sample-probe loop is the hot path under sub-plan fan-out.
-        Bit-identical to per-query :meth:`estimate` calls.
-        """
-        return product_form_estimates(queries, self._base_estimate, self.join_selectivity)

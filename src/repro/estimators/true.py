@@ -4,10 +4,6 @@ one counting pass per sub-plan fan-out."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.db.executor import CardinalityExecutor
 from repro.db.query import Query
 from repro.db.table import Database
@@ -76,11 +72,6 @@ class TrueCardinalityEstimator(CardinalityEstimator):
 
     def estimate(self, query: Query) -> float:
         return float(max(self._executor.execute(query), 1))
-
-    def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
-        """Executes (or recalls) each query; memoization dedupes within the
-        batch as well as across calls."""
-        return np.array([self.estimate(query) for query in queries], dtype=np.float64)
 
     def estimate_subplans(self, query: Query) -> dict[frozenset[str], float]:
         """Every connected sub-plan's true cardinality (clamped to 1), counted

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.db.query import Query
-from repro.estimators.base import subplan_map
+from repro.estimators.base import CardinalityEstimator
 from repro.optimizer.cost import plan_true_cost
 from repro.optimizer.enumeration import enumerate_optimal_plan
 from repro.optimizer.plan import Plan
@@ -41,18 +41,12 @@ __all__ = [
 ]
 
 
-def subplan_estimates(estimator, query: Query) -> dict[frozenset[str], float]:
-    """Cardinalities of every connected sub-plan of ``query``.
-
-    Uses the estimator's own ``estimate_subplans`` batch path when it has
-    one (MSCN's fused pass, the serving cache, the memoized oracle) and
-    falls back to one vectorized ``estimate_many`` call otherwise — never a
-    per-sub-query Python loop.
-    """
-    batch = getattr(estimator, "estimate_subplans", None)
-    if batch is not None:
-        return batch(query)
-    return subplan_map(query, estimator.estimate_many(query.connected_subqueries()))
+def subplan_estimates(
+    estimator: CardinalityEstimator, query: Query
+) -> dict[frozenset[str], float]:
+    """Cardinalities of every connected sub-plan of ``query``: the
+    estimator's one batched ``estimate_subplans`` call."""
+    return estimator.estimate_subplans(query)
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ def plan_quality_for_query(
 
 
 def evaluate_plan_quality(
-    estimator,
-    oracle,
+    estimator: CardinalityEstimator,
+    oracle: CardinalityEstimator,
     queries: Sequence[Query],
     *,
     min_joins: int = 2,
@@ -156,7 +150,7 @@ def evaluate_plan_quality(
         truth = subplan_estimates(oracle, query)
         results.append(plan_quality_for_query(query, estimated, truth))
     return PlanQualityReport(
-        estimator_name=getattr(estimator, "name", type(estimator).__name__),
+        estimator_name=estimator.name,
         results=tuple(results),
     )
 

@@ -73,7 +73,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.db.query import Query
-from repro.estimators.base import CardinalityEstimator, subplan_map
+from repro.estimators.base import CardinalityEstimator
 from repro.serving.breaker import BreakerState, CircuitBreaker
 from repro.serving.errors import (
     DeadlineExceededError,
@@ -193,8 +193,15 @@ class _Request:
             self.future.set_exception(error)
 
 
-class EstimationService:
+class EstimationService(CardinalityEstimator):
     """Serve cardinality estimates to concurrent callers.
+
+    The service is itself a
+    :class:`~repro.estimators.base.CardinalityEstimator`: the inherited
+    ``estimate_subplans`` routes a query's sub-plan fan-out through
+    :meth:`estimate_many`, so every sub-plan an earlier request (of this or
+    another query) computed is answered from the result cache, and only the
+    new ones reach the model, coalesced into one micro-batch.
 
     Batches are run by the callers themselves: one leader at a time takes
     the queued misses and computes them on its own thread, so batches never
@@ -221,6 +228,8 @@ class EstimationService:
         Monotonic time source for deadlines and the circuit breaker;
         injectable so reliability tests run without real waiting.
     """
+
+    name = "Estimation service"
 
     def __init__(
         self,
@@ -303,19 +312,6 @@ class EstimationService:
                 # queued — and never published to the model's result cache.
                 results[miss_positions] = self._degrade(request.queries)
         return results
-
-    def estimate_subplans(self, query: Query) -> dict[frozenset[str], float]:
-        """Estimates for every connected sub-plan of ``query``.
-
-        The optimizer-shaped entry point: one plan-enumeration request fans
-        out into every connected subgraph of the query.  The sub-queries are
-        routed through :meth:`estimate_many`, so each sub-plan is answered
-        from the signature-keyed cache when any earlier request — including a
-        *different* query sharing the sub-plan, or a previous enumeration of
-        the same query — already computed it; only genuinely new sub-plans
-        reach the model, coalesced into one micro-batch.
-        """
-        return subplan_map(query, self.estimate_many(query.connected_subqueries()))
 
     def stats(self) -> ServiceStats:
         """An immutable snapshot of the service counters and latencies."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference_featurization import stack_sets
 
-from repro.core.batching import RaggedSet, iterate_ragged_minibatches
+from repro.core.batching import RaggedDataset, RaggedSet, iterate_ragged_minibatches
 
 
 def make_sets(num_tables, num_joins, num_predicates, table_width=3, join_width=2,
@@ -42,7 +42,24 @@ class TestStackedLayout:
     def test_rejects_sets_of_different_query_counts(self):
         dataset = stack_sets([make_sets(1, 0, 0), make_sets(1, 0, 0)])
         with pytest.raises(ValueError, match="segment counts disagree"):
-            type(dataset)(dataset.tables, dataset.joins.slice(0, 1), dataset.predicates)
+            RaggedDataset(dataset.tables, dataset.joins.slice(0, 1), dataset.predicates)
+
+    def test_rejects_label_columns_of_another_query_count(self):
+        dataset = stack_sets([make_sets(1, 0, 0), make_sets(1, 0, 0)])
+        with pytest.raises(ValueError, match="labels length"):
+            RaggedDataset(dataset.tables, dataset.joins, dataset.predicates,
+                          labels=np.zeros((5, 1)), cardinalities=np.ones((7, 1)))
+        with pytest.raises(ValueError, match="cardinalities length"):
+            RaggedDataset(dataset.tables, dataset.joins, dataset.predicates,
+                          cardinalities=np.ones((7, 1)))
+
+    def test_label_columns_are_stored_as_float64_columns(self):
+        dataset = stack_sets([make_sets(1, 0, 0), make_sets(1, 0, 0)])
+        dataset = RaggedDataset(dataset.tables, dataset.joins, dataset.predicates,
+                                labels=[0.5, 0.25], cardinalities=np.array([5, 6]))
+        assert dataset.labels.shape == dataset.cardinalities.shape == (2, 1)
+        assert dataset.cardinalities.dtype == np.float64
+        np.testing.assert_array_equal(dataset.slice(1, 2).labels, [[0.25]])
 
     def test_rejects_decreasing_offsets(self):
         with pytest.raises(ValueError, match="non-decreasing"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MSCNConfig
-from repro.core.ensemble import EnsembleEstimate, EnsembleMSCNEstimator
+from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.evaluation.metrics import q_errors
 from repro.workload.scale import ScaleWorkloadConfig, generate_scale_workload
 
@@ -21,16 +21,35 @@ def trained_ensemble(tiny_database, tiny_samples, tiny_workload):
     return ensemble
 
 
-class TestEnsembleEstimate:
+class _FixedMember:
+    """A member whose forward pass returns fixed estimates."""
+
+    def __init__(self, *estimates: float):
+        self.estimates = np.array(estimates, dtype=np.float64)
+
+    def estimate_featurized(self, dataset):
+        return self.estimates
+
+
+def _combine(*members: _FixedMember):
+    ensemble = EnsembleMSCNEstimator.__new__(EnsembleMSCNEstimator)
+    ensemble.members = list(members)
+    return ensemble.estimate_featurized_with_uncertainty(dataset=None)
+
+
+class TestSpread:
     def test_spread_of_identical_members_is_one(self):
-        estimate = EnsembleEstimate(cardinality=10.0, member_estimates=(10.0, 10.0, 10.0))
-        assert estimate.spread == pytest.approx(1.0)
-        assert estimate.is_confident()
+        cardinalities, spreads, _ = _combine(*(_FixedMember(10.0) for _ in range(3)))
+        assert spreads[0] == pytest.approx(1.0)
+        assert cardinalities[0] == pytest.approx(10.0)
 
     def test_spread_is_max_pairwise_factor(self):
-        estimate = EnsembleEstimate(cardinality=10.0, member_estimates=(5.0, 50.0, 10.0))
-        assert estimate.spread == pytest.approx(10.0)
-        assert not estimate.is_confident(max_spread=2.0)
+        cardinalities, spreads, per_member = _combine(
+            _FixedMember(5.0), _FixedMember(50.0), _FixedMember(10.0)
+        )
+        assert spreads[0] == pytest.approx(10.0)
+        assert cardinalities[0] == pytest.approx((5.0 * 50.0 * 10.0) ** (1 / 3))
+        np.testing.assert_array_equal(per_member[:, 0], [5.0, 50.0, 10.0])
 
 
 class TestEnsembleEstimator:
@@ -45,11 +64,12 @@ class TestEnsembleEstimator:
 
     def test_estimates_are_positive_and_match_member_range(self, trained_ensemble, tiny_workload):
         queries = [q.query for q in tiny_workload[:15]]
-        estimates = trained_ensemble.estimate_many_with_uncertainty(queries)
-        for estimate in estimates:
-            assert estimate.cardinality >= 1.0
-            assert min(estimate.member_estimates) <= estimate.cardinality + 1e-6
-            assert estimate.cardinality <= max(estimate.member_estimates) + 1e-6
+        cardinalities, _, per_member = trained_ensemble.estimate_featurized_with_uncertainty(
+            trained_ensemble.serving_dataset(queries)
+        )
+        assert (cardinalities >= 1.0).all()
+        assert (per_member.min(axis=0) <= cardinalities + 1e-6).all()
+        assert (cardinalities <= per_member.max(axis=0) + 1e-6).all()
 
     def test_scalar_and_batched_estimates_agree(self, trained_ensemble, tiny_workload):
         query = tiny_workload[0].query
@@ -81,17 +101,13 @@ class TestEnsembleEstimator:
             tiny_database, ScaleWorkloadConfig(queries_per_join_count=10, max_joins=4, seed=17)
         )
         out_of_distribution = [q.query for q in scale if q.num_joins >= 3]
-        spreads = [
-            e.spread
-            for e in trained_ensemble.estimate_many_with_uncertainty(
-                in_distribution + out_of_distribution
-            )
-        ]
+        _, spreads, _ = trained_ensemble.estimate_featurized_with_uncertainty(
+            trained_ensemble.serving_dataset(in_distribution + out_of_distribution)
+        )
         assert all(np.isfinite(spread) and spread >= 1.0 for spread in spreads)
         assert max(spreads) > 1.05
 
     def test_empty_query_list(self, trained_ensemble):
-        assert trained_ensemble.estimate_many_with_uncertainty([]) == []
         assert trained_ensemble.estimate_many([]).size == 0
 
     def test_fit_featurizes_the_workload_exactly_once(
@@ -140,8 +156,8 @@ class TestEnsembleEstimator:
             trained_ensemble.estimate_featurized_with_uncertainty(dataset)
         )
         assert per_member.shape == (len(trained_ensemble.members), len(queries))
-        estimates = trained_ensemble.estimate_many_with_uncertainty(queries)
-        np.testing.assert_allclose(
-            cardinalities, [e.cardinality for e in estimates], rtol=1e-12
-        )
-        np.testing.assert_allclose(spreads, [e.spread for e in estimates], rtol=1e-12)
+        np.testing.assert_array_equal(cardinalities, trained_ensemble.estimate_many(queries))
+        members = np.vstack([m.estimate_many(queries) for m in trained_ensemble.members])
+        np.testing.assert_array_equal(per_member, members)
+        clamped = np.maximum(members, 1.0)
+        np.testing.assert_array_equal(spreads, clamped.max(axis=0) / clamped.min(axis=0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.db.predicates import Operator
-from repro.db.query import Predicate, Query, JoinCondition
+from repro.db.query import Predicate
 from repro.db.sampling import MaterializedSamples
 
 
@@ -71,32 +71,6 @@ class TestBitmaps:
         samples = MaterializedSamples(two_table_database, sample_size=100, seed=3)
         predicates = [Predicate("dim", "category", Operator.EQ, 10)]
         assert samples.bitmap("fact", predicates).sum() == 10
-
-    def test_query_bitmaps_and_counts(self, two_table_database):
-        samples = MaterializedSamples(two_table_database, sample_size=100, seed=3)
-        query = Query(
-            tables=("dim", "fact"),
-            joins=(JoinCondition("fact", "dim_id", "dim", "id"),),
-            predicates=(Predicate("fact", "value", Operator.EQ, 5),),
-        )
-        bitmaps = samples.query_bitmaps(query)
-        counts = samples.query_counts(query)
-        assert set(bitmaps) == {"dim", "fact"}
-        assert counts["dim"] == 4
-        assert counts["fact"] == 4
-
-
-class TestEstimation:
-    def test_estimate_base_cardinality_scales_counts(self, tiny_database):
-        samples = MaterializedSamples(tiny_database, sample_size=50, seed=9)
-        title_rows = tiny_database.table("title").num_rows
-        estimate = samples.estimate_base_cardinality("title", [])
-        assert estimate == pytest.approx(title_rows)
-
-    def test_estimate_zero_when_no_sample_qualifies(self, tiny_database):
-        samples = MaterializedSamples(tiny_database, sample_size=50, seed=9)
-        predicates = [Predicate("title", "production_year", Operator.GT, 99999)]
-        assert samples.estimate_base_cardinality("title", predicates) == 0.0
 
 
 class TestBitmapCache:

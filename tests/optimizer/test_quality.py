@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.db.query import JoinCondition, Query
@@ -66,18 +65,7 @@ class TestPlanQualityForQuery:
 
 
 class TestSubplanEstimates:
-    def test_falls_back_to_estimate_many(self):
-        class _Bare:
-            name = "bare"
-
-            def estimate_many(self, queries):
-                return np.array([float(len(q.tables)) for q in queries])
-
-        estimates = subplan_estimates(_Bare(), CHAIN)
-        assert estimates[frozenset({"a"})] == 1.0
-        assert estimates[frozenset({"a", "b", "c"})] == 3.0
-
-    def test_prefers_estimate_subplans(self):
+    def test_asks_estimate_subplans(self):
         class _Batched:
             def estimate_subplans(self, query):
                 return {frozenset({"sentinel"}): 1.0}

@@ -112,11 +112,8 @@ def stack_sets(
         offsets = offsets_from_lengths([array.shape[0] for array in arrays])
         return RaggedSet(features, offsets, rows=np.arange(features.shape[0]))
 
-    def column(values):
-        return None if values is None else np.asarray(values, dtype=np.float64).reshape(-1, 1)
-
     return RaggedDataset(
         *(ragged([sets[position] for sets in per_query]) for position in range(3)),
-        labels=column(labels),
-        cardinalities=column(cardinalities),
+        labels=labels,
+        cardinalities=cardinalities,
     )
