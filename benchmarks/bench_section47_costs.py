@@ -82,7 +82,7 @@ def test_section47_featurization_throughput(
 ):
     """Featurization throughput: the per-query reference featurization of
     the tests (one element's vector at a time, stacked into the ragged
-    layout) vs ``featurize_ragged`` through the compiled plan."""
+    layout) vs ``featurize_ragged`` from the compiled element keys."""
     estimator = scenario.trained_mscn(mscn_config)
     featurizer = estimator.featurizer
     queries = [labelled.query for labelled in synthetic_workload]
@@ -90,7 +90,7 @@ def test_section47_featurization_throughput(
     def per_query():
         return reference_featurize(featurizer, queries)
 
-    # Warm the shared bitmap cache and the compiled plan so both paths
+    # Warm the shared bitmap cache and the compiled keys so both paths
     # measure feature construction (the steady-state serving regime), not
     # first-touch predicate evaluation.
     compiled = featurizer.featurize_ragged(
@@ -127,7 +127,7 @@ def test_section47_inference_latency(scenario, mscn_config, synthetic_workload, 
     fused = scenario.trained_mscn(mscn_config)
     queries = [labelled.query for labelled in synthetic_workload]
 
-    # Warm the bitmap cache and the compiled plan.
+    # Warm the bitmap cache and the compiled keys.
     fused.estimate_many(queries)
 
     batch_seconds = _best_of(lambda: fused.estimate_many(queries), repeats=7)

@@ -66,7 +66,7 @@ def main() -> int:
     estimator.fit(workload)
 
     # Uncached baseline: every repeat featurizes and infers from scratch.
-    estimator.estimate_many(queries)  # warm the bitmap cache and the compiled plan
+    estimator.estimate_many(queries)  # warm the bitmap cache and the compiled keys
     start = time.perf_counter()
     for _ in range(REPEATS):
         direct = estimator.estimate_many(queries)

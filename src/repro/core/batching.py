@@ -138,7 +138,7 @@ class RaggedSet:
         return self._compact(self.rows[elements], offsets)
 
     def _compact(self, rows: np.ndarray, offsets: np.ndarray) -> "RaggedSet":
-        first, local = first_seen(rows)
+        first, local = first_seen(rows.tolist())
         return RaggedSet(features=self.features[rows[first]], offsets=offsets, rows=local)
 
 

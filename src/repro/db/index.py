@@ -3,9 +3,9 @@
 Index-Based Join Sampling (Leis et al., CIDR 2017) — the paper's strongest
 baseline — probes qualifying base-table sample tuples against existing index
 structures on join keys.  :class:`HashIndex` provides the equality-lookup
-index and :class:`IndexSet` builds one for every primary- and foreign-key
-column in a database, which is the "indexes covering the entire database"
-setting the paper grants the sampling baselines.
+index and :class:`IndexSet` builds one for any primary- or foreign-key
+column of a database on first use, which is the "indexes covering the entire
+database" setting the paper grants the sampling baselines.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ class HashIndex:
         """Row indices whose column equals ``value`` (empty array if none)."""
         return self._buckets.get(int(value), np.empty(0, dtype=np.int64))
 
-    def lookup_many(self, values: np.ndarray) -> np.ndarray:
-        """Concatenated row indices matching any of ``values`` (with multiplicity)."""
-        matches = [self.lookup(value) for value in np.asarray(values).tolist()]
-        if not matches:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(matches) if matches else np.empty(0, dtype=np.int64)
-
     def num_distinct(self) -> int:
         return len(self._buckets)
 
@@ -63,13 +56,3 @@ class IndexSet:
         if key not in self._indexes:
             self._indexes[key] = HashIndex(self.database.table(table), column)
         return self._indexes[key]
-
-    def build_key_indexes(self) -> None:
-        """Eagerly build indexes on every primary- and foreign-key column."""
-        for table_schema in self.database.schema.tables:
-            for column in table_schema.columns:
-                if column.is_key:
-                    self.index(table_schema.name, column.name)
-
-    def num_indexes(self) -> int:
-        return len(self._indexes)

@@ -12,10 +12,11 @@ where MSCN and Random Sampling share the same random seed / sample set.
 Bitmap probes are memoized: the database snapshot is immutable, so the bitmap
 of a ``(table, predicate set)`` pair never changes.  Every probe goes through
 one shared :class:`~repro.utils.lru.LRU`, keyed by an order-independent
-predicate signature (the compiled featurizer plan keeps its own probe matrix
-on top and credits its reuse back to this cache's counters), so repeated
-predicate sets across a training workload and across repeated serving calls
-are evaluated against the sample tuples exactly once.
+predicate signature, so repeated predicate sets across a training workload
+and across repeated serving calls are evaluated against the sample tuples
+once while they stay cached.  It is the only bitmap memo: the featurizer
+looks each table element up here, so ``max_cached_bitmaps`` bounds the
+bitmaps held and the hit/miss counters count every probe.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.db.predicates import evaluate_conjunction
+from repro.db.predicates import Operator, evaluate_conjunction
 from repro.db.query import Predicate
-from repro.db.table import Database, Table
+from repro.db.table import Database
 from repro.utils.lru import LRU
 
 __all__ = ["TableSample", "MaterializedSamples"]
@@ -93,7 +94,6 @@ class MaterializedSamples:
         self.seed = seed
         self.max_cached_bitmaps = max_cached_bitmaps
         self._bitmap_cache = LRU(max_cached_bitmaps)
-        self._bitmap_reuse = 0
         rng = np.random.default_rng(seed)
         self._samples: dict[str, TableSample] = {}
         for name in database.table_names:
@@ -168,31 +168,36 @@ class MaterializedSamples:
             ),
         )
 
-    def _compute_bitmap(self, table: str, predicates: Sequence[Predicate]) -> np.ndarray:
+    def _compute_bitmap(self, signature: tuple) -> np.ndarray:
+        table, conditions = signature
         sample = self.sample(table)
-        base_table: Table = self.database.table(table)
         bitmap = np.zeros(self.sample_size, dtype=bool)
         if sample.num_sampled == 0:
             return bitmap
-        triples = [(p.column, p.operator, p.value) for p in predicates if p.table == table]
-        qualifying = evaluate_conjunction(base_table, triples, rows=sample.row_indices)
+        triples = [(column, Operator(symbol), value) for column, symbol, value in conditions]
+        qualifying = evaluate_conjunction(
+            self.database.table(table), triples, rows=sample.row_indices
+        )
         bitmap[: sample.num_sampled] = qualifying
         return bitmap
 
-    def _cached_bitmap(self, table: str, predicates: Sequence[Predicate]) -> np.ndarray:
-        """The memoized bitmap of one probe (read-only; callers must not mutate).
+    def probe_bitmap(self, signature: tuple) -> np.ndarray:
+        """The memoized bitmap of one :meth:`probe_signature` (read-only;
+        callers must not mutate it).
 
         The cache is LRU-bounded by ``max_cached_bitmaps`` so long-running
         serving traffic with an unbounded tail of distinct predicate sets
         cannot grow it without limit.
         """
-        key = self.probe_signature(table, predicates)
-        bitmap = self._bitmap_cache.get(key)
+        bitmap = self._bitmap_cache.get(signature)
         if bitmap is None:
-            bitmap = self._compute_bitmap(table, predicates)
+            bitmap = self._compute_bitmap(signature)
             bitmap.setflags(write=False)
-            self._bitmap_cache.put(key, bitmap)
+            self._bitmap_cache.put(signature, bitmap)
         return bitmap
+
+    def _cached_bitmap(self, table: str, predicates: Sequence[Predicate]) -> np.ndarray:
+        return self.probe_bitmap(self.probe_signature(table, predicates))
 
     def bitmap(self, table: str, predicates: Sequence[Predicate]) -> np.ndarray:
         """Bitmap of qualifying sample positions for ``table`` under ``predicates``.
@@ -207,7 +212,7 @@ class MaterializedSamples:
     @property
     def bitmap_cache_hits(self) -> int:
         """Number of probes served from the bitmap cache so far."""
-        return self._bitmap_cache.hits + self._bitmap_reuse
+        return self._bitmap_cache.hits
 
     @property
     def bitmap_cache_misses(self) -> int:
@@ -219,21 +224,9 @@ class MaterializedSamples:
         """Number of distinct probe signatures currently cached."""
         return len(self._bitmap_cache)
 
-    def record_bitmap_reuse(self, count: int = 1) -> None:
-        """Credit ``count`` probes served from an external memoized store.
-
-        A :class:`~repro.core.featurization.CompiledFeaturizerPlan` keeps
-        resolved probe bitmaps in its own probe matrix; a plan cache hit
-        reuses those bitmaps without re-probing this cache.  Crediting the
-        reuse here keeps ``bitmap_cache_hits`` meaning what it always meant:
-        probes answered without re-evaluating predicates on the samples.
-        """
-        self._bitmap_reuse += int(count)
-
     def clear_bitmap_cache(self) -> None:
         """Drop all memoized bitmaps and reset the hit/miss counters."""
         self._bitmap_cache = LRU(self.max_cached_bitmaps)
-        self._bitmap_reuse = 0
 
     def qualifying_count(self, table: str, predicates: Sequence[Predicate]) -> int:
         """Number of qualifying sample tuples (the paper's ``#samples`` feature)."""

@@ -46,7 +46,7 @@ def enumerate_optimal_plan(
         )
     if len(query.tables) == 1:
         tree = JoinTree.leaf(query.tables[0])
-        return Plan(tree=tree, cost=0.0, cardinalities=dict(cardinalities))
+        return Plan(tree=tree, cost=0.0)
 
     # Indexed by mask; single-table sub-plans cost nothing under C_out.
     best_cost = [0.0] * (1 << len(query.tables))
@@ -72,7 +72,6 @@ def enumerate_optimal_plan(
     return Plan(
         tree=_build_tree(query, chosen, full_mask),
         cost=best_cost[full_mask],
-        cardinalities=dict(cardinalities),
     )
 
 

@@ -15,7 +15,7 @@ plan by :meth:`JoinTree.canonical`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = ["JoinTree", "Plan"]
 
@@ -81,10 +81,6 @@ class JoinTree:
             if not node.is_leaf:
                 yield node
 
-    def leaf_tables(self) -> tuple[str, ...]:
-        """Base tables in left-to-right leaf order."""
-        return tuple(node.table for node in self.iter_nodes() if node.is_leaf)
-
     def canonical(self) -> tuple:
         """Order-independent identity (commutative mirrors collapse)."""
         if self.is_leaf:
@@ -102,15 +98,11 @@ class Plan:
     """A costed join tree: the output of one enumeration run.
 
     ``cost`` is the plan's total cost under the cardinality function the
-    enumerator was driven with; ``cardinalities`` is a copy of that whole
-    function — every connected sub-plan of the query, not only the ones in
-    ``tree`` — so the plan can be compared with other trees of the same
-    query without re-estimating anything.
+    enumerator was driven with.
     """
 
     tree: JoinTree
     cost: float
-    cardinalities: Mapping[frozenset[str], float]
 
     @property
     def tables(self) -> frozenset[str]:

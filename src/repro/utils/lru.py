@@ -3,9 +3,9 @@
 Every memo in the repository is this class: the estimation service's
 signature-keyed result cache, the exact executor's result cache and
 per-(table, predicate-set) scan memo, the materialized samples' bitmap cache
-and the compiled featurizer plan's query cache.  All of them key on
-immutable snapshots (a database, a sample set, a model generation), so an
-entry never goes stale; the bound only caps memory.
+(the only bitmap memo) and the featurizer's cache of compiled element keys.
+All of them key on immutable snapshots (a database, a sample set, a model
+generation), so an entry never goes stale; the bound only caps memory.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Tests of the precompiled featurizer plan.
+"""Tests of the featurizer's compiled element keys and its bitmap lookups.
 
-Contracts: unknown vocabulary raises a descriptive ``KeyError``, the query
-cache is LRU-bounded, probe bitmaps are shared across queries, the probe
-matrix is only ever flushed between batches, and plan cache hits keep
-bitmap-cache observability intact.  Bit identity against the per-query
-reference featurization is ``test_featurization_oracle.py``.
+Contracts: unknown vocabulary raises a descriptive ``KeyError``, the
+compiled-query cache is LRU-bounded, equal probes and equal predicates are
+one feature row, every table element is one lookup in the samples' bitmap
+memo (so its counters stay exact), and a bitmap the memo evicted is
+evaluated again.  Bit identity against the per-query reference
+featurization is ``test_featurization_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ from reference_featurization import assert_same_elements, reference_featurize
 
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
-from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
+from repro.core import featurization
+from repro.core.featurization import QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
+from repro.datasets import registered_datasets
 from repro.db.query import JoinCondition, Operator, Predicate, Query
+from repro.db.sampling import MaterializedSamples
+from repro.workload.generator import generate_training_workload
 
 
 @pytest.fixture(scope="module")
@@ -35,23 +40,6 @@ def make_featurizer(parts, variant=FeaturizationVariant.BITMAPS, dtype=np.float6
     return QueryFeaturizer(
         encoding, value_normalizer, samples=samples, variant=variant, dtype=dtype
     )
-
-
-class TestProbeFlush:
-    @pytest.mark.parametrize("cap", (2, 8))
-    def test_flush_never_splits_a_batch(self, parts, tiny_workload, cap):
-        """Regression: the probe matrix used to be flushed in the middle of
-        compiling a batch, so probe ids already handed to earlier queries of
-        the batch indexed overwritten bitmap rows."""
-        queries = [labelled.query for labelled in tiny_workload[:60]]
-        featurizer = make_featurizer(parts)
-        featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=cap)
-        oracle = reference_featurize(featurizer, queries)
-        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
-        assert featurizer.plan().num_probes > 4 * cap
-        # The next batch starts with the flush and is just as exact.
-        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
-        assert featurizer.plan()._flushes == 1
 
 
 class TestElementOrder:
@@ -127,81 +115,110 @@ class TestQueryCache:
         featurizer = make_featurizer(parts)
         queries = [labelled.query for labelled in tiny_workload[:20]]
         featurizer.featurize_ragged(queries)
-        plan = featurizer.plan()
-        misses = plan.cache_misses
+        compiled = featurizer._compiled
+        misses = compiled.misses
         featurizer.featurize_ragged(queries)
-        assert plan.cache_misses == misses
-        assert plan.cache_hits >= len(queries)
+        assert compiled.misses == misses
+        assert compiled.hits >= len(queries)
 
-    def test_cache_is_bounded_and_evicts_lru(self, parts, tiny_workload):
-        encoding, value_normalizer, samples = parts
-        featurizer = QueryFeaturizer(encoding, value_normalizer, samples=samples)
-        plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=8)
+    def test_cache_is_bounded_and_evicts_lru(self, parts, tiny_workload, monkeypatch):
+        monkeypatch.setattr(featurization, "MAX_CACHED_QUERIES", 8)
+        featurizer = make_featurizer(parts)
+        compiled = featurizer._compiled
         queries = [labelled.query for labelled in tiny_workload[:20]]
         for query in queries:
-            plan.compile_query(query)
-        assert plan.num_cached_queries <= 8
-        assert plan.cache_evictions >= len(queries) - 8
+            featurizer.featurize_ragged([query])
+        assert len(compiled) <= 8
+        assert compiled.evictions >= len(queries) - 8
         # The most recently compiled query is still cached.
-        hits = plan.cache_hits
-        plan.compile_query(queries[-1])
-        assert plan.cache_hits == hits + 1
+        hits = compiled.hits
+        featurizer.featurize_ragged(queries[-1:])
+        assert compiled.hits == hits + 1
 
-    def test_invalid_cache_cap_rejected(self, parts):
-        featurizer = make_featurizer(parts)
-        with pytest.raises(ValueError):
-            CompiledFeaturizerPlan(featurizer, max_cached_queries=0)
+
+TITLE_AFTER_1990 = Predicate("title", "production_year", Operator.GT, 1990)
+TITLE_JOIN = JoinCondition("movie_companies", "movie_id", "title", "id")
 
 
 class TestProbeSharing:
-    def test_identical_probes_share_one_matrix_row(self, parts):
+    def test_identical_probes_share_one_table_row(self, parts):
         featurizer = make_featurizer(parts)
-        plan = featurizer.plan()
         # Two distinct queries with the same (table, predicates) probe.
-        first = Query(
-            tables=("title",),
-            predicates=(Predicate("title", "production_year", Operator.GT, 1990),),
-        )
+        first = Query(tables=("title",), predicates=(TITLE_AFTER_1990,))
         second = Query(
             tables=("title", "movie_companies"),
-            joins=(JoinCondition("movie_companies", "movie_id", "title", "id"),),
-            predicates=(Predicate("title", "production_year", Operator.GT, 1990),),
+            joins=(TITLE_JOIN,),
+            predicates=(TITLE_AFTER_1990,),
         )
-        a = plan.compile_query(first)
-        b = plan.compile_query(second)
-        title_probe_a = int(a.probe_ids[0])
-        title_probe_b = int(b.probe_ids[list(second.tables).index("title")])
-        assert title_probe_a == title_probe_b
+        dataset = featurizer.featurize_ragged([first, second])
+        assert_same_elements(dataset, reference_featurize(featurizer, [first, second]))
+        np.testing.assert_array_equal(dataset.tables.rows, [0, 0, 1])
+        assert dataset.tables.features.shape[0] == 2
 
-    def test_plan_cache_hits_credit_the_bitmap_cache(self, parts, tiny_workload):
+    def test_repeat_batches_hit_the_bitmap_memo_once_per_table(self, parts, tiny_workload):
         encoding, value_normalizer, samples = parts
         featurizer = QueryFeaturizer(encoding, value_normalizer, samples=samples)
         queries = [labelled.query for labelled in tiny_workload[:15]]
         featurizer.featurize_ragged(queries)
         hits_before = samples.bitmap_cache_hits
+        misses_before = samples.bitmap_cache_misses
         featurizer.featurize_ragged(queries)
         num_probes = sum(len(q.tables) for q in queries)
         assert samples.bitmap_cache_hits - hits_before == num_probes
+        assert samples.bitmap_cache_misses == misses_before
+
+
+class TestBitmapMemo:
+    def test_evicted_bitmaps_are_evaluated_again(self):
+        """Regression: the featurizer kept its own copy of every probe's
+        bitmap beside the samples' memo, so ``max_cached_bitmaps`` did not
+        bound bitmap memory and a second pass never re-evaluated a probe
+        the memo had evicted."""
+        spec = next(spec for spec in registered_datasets() if spec.name == "imdb")
+        database = spec.generate(scale=0.04, seed=5)
+        workload = generate_training_workload(spec, database, num_queries=40, seed=13)
+        queries = [labelled.query for labelled in workload]
+        samples = MaterializedSamples(database, sample_size=25, seed=5, max_cached_bitmaps=2)
+        featurizer = QueryFeaturizer(
+            SchemaEncoding.from_schema(database.schema),
+            ValueNormalizer.from_database(database),
+            samples=samples,
+        )
+        oracle = reference_featurize(featurizer, queries)
+        misses = samples.bitmap_cache_misses
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
+        first_pass = samples.bitmap_cache_misses - misses
+        # Probes repeat within the pass, and two bitmaps do not hold them.
+        probes = {
+            MaterializedSamples.probe_signature(table, query.predicates)
+            for query in queries
+            for table in query.tables
+        }
+        assert first_pass > len(probes)
+        assert samples.bitmap_cache_size == 2
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
+        assert samples.bitmap_cache_misses - misses == 2 * first_pass
+        assert samples.bitmap_cache_size == 2
 
 
 class TestElementIds:
-    def test_equal_predicates_share_one_predicate_id(self, parts):
-        plan = make_featurizer(parts).plan()
-        predicate = Predicate("title", "production_year", Operator.GT, 1990)
-        a = plan.compile_query(Query(tables=("title",), predicates=(predicate,)))
-        b = plan.compile_query(
+    def test_equal_predicates_share_one_predicate_row(self, parts):
+        featurizer = make_featurizer(parts)
+        queries = [
+            Query(tables=("title",), predicates=(TITLE_AFTER_1990,)),
             Query(
                 tables=("title", "movie_companies"),
-                joins=(JoinCondition("movie_companies", "movie_id", "title", "id"),),
+                joins=(TITLE_JOIN,),
                 predicates=(
                     Predicate("movie_companies", "company_id", Operator.LT, 50),
                     Predicate("title", "production_year", Operator.GT, 1990.0),
                 ),
-            )
-        )
-        assert int(a.predicate_ids[0]) == int(b.predicate_ids[1])
-        assert int(b.predicate_ids[0]) != int(b.predicate_ids[1])
-        assert plan.num_predicates == 2
+            ),
+        ]
+        dataset = featurizer.featurize_ragged(queries)
+        assert_same_elements(dataset, reference_featurize(featurizer, queries))
+        np.testing.assert_array_equal(dataset.predicates.rows, [0, 1, 0])
+        assert dataset.predicates.features.shape[0] == 2
 
     @pytest.mark.parametrize("variant", tuple(FeaturizationVariant), ids=lambda v: v.value)
     def test_sub_plans_store_each_shared_element_once(self, parts, variant):

@@ -1,22 +1,23 @@
 """The featurization oracle: ``featurize_ragged`` against the per-query reference.
 
-``QueryFeaturizer.featurize_ragged`` (compiled plan -> ragged arrays) must
-equal ``reference_featurize(featurizer, queries)`` (built element by element
-in ``reference_featurization.py``) bit for bit, on every registered dataset,
-featurization variant and compute dtype, at every plan cache cap — small
-caps force query evictions and probe-matrix flushes, which must never
-change a single feature — and
-whether the workload is featurized as one batch or in serving-sized
-micro-batches that share one plan (flushes then fall between batches).
+``QueryFeaturizer.featurize_ragged`` (compiled element keys -> ragged
+arrays) must equal ``reference_featurize(featurizer, queries)`` (built
+element by element in ``reference_featurization.py``) bit for bit, on every
+registered dataset, featurization variant and compute dtype, with the
+samples' default bitmap memo and with a 2-entry one — which evicts all the
+time and must never change a single feature — and whether the workload is
+featurized as one batch or in serving-sized micro-batches that share one
+featurizer.
 The workloads include literals below a column's minimum and above its
 maximum (clamped to 0 and 1), a single-valued column (normalized to 0) and
 joins listed with their sides swapped (the same one-hot).
 
 The workload path stores each set's distinct elements once, so it is
 compared through ``rows``: ``features[rows]`` must equal the reference's
-one-row-per-element features.  The plan's element ids behind the rows must
-be distinct per row, numbered in first-seen order, and valid across probe
-flushes: a flush renumbers the ids but never changes a batch's rows.
+one-row-per-element features.  The rows must follow element keys the test
+computes from the queries alone: one row per distinct key, equal keys on
+equal rows, rows numbered in first-seen order, and the same rows when the
+batch is featurized again.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import numpy as np
 import pytest
 from reference_featurization import assert_same_elements, reference_featurize
 
-from repro.core.batching import RaggedDataset
+from repro.core.batching import RaggedSet
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
-from repro.core.featurization import CompiledFeaturizerPlan, QueryFeaturizer
+from repro.core.featurization import QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.datasets import registered_datasets
 from repro.db.query import JoinCondition, Query
@@ -39,7 +40,7 @@ from repro.db.table import Database, Table
 from repro.workload.generator import generate_training_workload
 
 DATASET_NAMES = tuple(spec.name for spec in registered_datasets())
-PLAN_CAPS = (CompiledFeaturizerPlan.DEFAULT_MAX_CACHED_QUERIES, 8, 2)
+BITMAP_CAPS = (MaterializedSamples.DEFAULT_MAX_CACHED_BITMAPS, 2)
 
 
 def with_single_valued_column(database: Database, table: str, column: str) -> Database:
@@ -69,7 +70,8 @@ def swapped(join: JoinCondition) -> JoinCondition:
 
 @pytest.fixture(scope="module")
 def dataset_parts():
-    """Per-dataset (database, samples, queries) at miniature scale.
+    """Per-dataset (database, samples by bitmap-memo cap, queries) at
+    miniature scale.
 
     Every query list starts with a lone table — empty join and predicate
     sets — and ends with a few queries repeated as-is, a few with every
@@ -86,7 +88,10 @@ def dataset_parts():
         queries += [labelled.query for labelled in workload]
         first = next(q.predicates[0] for q in queries if q.predicates)
         database = with_single_valued_column(database, first.table, first.column)
-        samples = MaterializedSamples(database, sample_size=25, seed=5)
+        samples = {
+            cap: MaterializedSamples(database, sample_size=25, seed=5, max_cached_bitmaps=cap)
+            for cap in BITMAP_CAPS
+        }
         with_predicates = [q for q in queries if q.predicates][:5]
         with_joins = [q for q in queries if q.joins][:5]
         queries += queries[1:6]
@@ -104,52 +109,55 @@ def dataset_parts():
     return parts
 
 
-def make_featurizer(database, samples, variant, dtype, cap):
-    featurizer = QueryFeaturizer(
+def make_featurizer(database, samples, variant, dtype):
+    return QueryFeaturizer(
         SchemaEncoding.from_schema(database.schema),
         ValueNormalizer.from_database(database),
         samples=samples,
         variant=variant,
         dtype=dtype,
     )
-    featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=cap)
-    return featurizer
 
 
-def assert_ids_behind_rows(got: RaggedDataset, gathered, context: str) -> None:
-    """The rows are the element ids deduplicated in first-seen order."""
-    for name in ("tables", "joins", "predicates"):
-        ragged_set, ids = getattr(got, name), getattr(gathered, name)
-        first, rows = ids.first, ragged_set.rows
-        np.testing.assert_array_equal(rows, ids.rows, err_msg=f"{context}:{name}")
-        distinct = ids.element_ids[first]
-        # One feature row per distinct id, and equal rows for equal ids.
-        assert ragged_set.features.shape[0] == first.shape[0], f"{context}:{name}"
-        assert np.unique(distinct).shape[0] == distinct.shape[0], f"{context}:{name}"
-        np.testing.assert_array_equal(distinct[rows], ids.element_ids, err_msg=f"{context}:{name}")
-        # First-seen order: row d is introduced by its first element, and
-        # those first elements come in increasing position.
-        np.testing.assert_array_equal(rows[first], np.arange(first.shape[0]), err_msg=context)
-        assert (np.diff(first) > 0).all(), f"{context}:{name}"
-        assert (first[rows] <= np.arange(rows.shape[0])).all(), f"{context}:{name}"
+def element_keys(queries, variant) -> dict[str, list]:
+    """Every set element's identity, from the queries alone: a table with
+    the predicates on it (its table alone without samples), a join's
+    canonical form and a predicate's column, operator and literal."""
+
+    def table_key(query, table):
+        if variant is FeaturizationVariant.NO_SAMPLES:
+            return table
+        return table, tuple(
+            sorted((p.column, p.operator.value, p.value) for p in query.predicates_on(table))
+        )
+
+    return {
+        "tables": [table_key(q, table) for q in queries for table in q.tables],
+        "joins": [join.canonical for q in queries for join in q.joins],
+        "predicates": [
+            (p.table, p.column, p.operator.value, p.value) for q in queries for p in q.predicates
+        ],
+    }
 
 
-def recording_gathers(featurizer) -> list:
-    """Record every workload the featurizer's plan gathers, in call order."""
-    plan = featurizer.plan()
-    gathered: list = []
-    gather = plan.gather
-
-    def recorded(queries):
-        gathered.append(gather(queries))
-        return gathered[-1]
-
-    plan.gather = recorded
-    return gathered
+def assert_rows_follow_keys(ragged_set: RaggedSet, keys: list, context: str) -> None:
+    """One row per distinct key, equal keys on equal rows, first-seen order."""
+    rows = ragged_set.rows.tolist()
+    assert len(rows) == len(keys), context
+    distinct = len(set(keys))
+    assert ragged_set.features.shape[0] == distinct, context
+    # Each key maps to one row and the rows are as many as the keys, so
+    # equal keys share a row and distinct keys never do.
+    assert len(set(zip(keys, rows))) == distinct, context
+    assert len(set(rows)) == distinct, context
+    # Row d is introduced by its first element, after row d - 1's.
+    numbers, first = np.unique(ragged_set.rows, return_index=True)
+    np.testing.assert_array_equal(numbers, np.arange(distinct), err_msg=context)
+    assert (np.diff(first) > 0).all(), context
 
 
 @pytest.mark.parametrize("batch_size", (None, 7, 1), ids=("whole", "batch7", "batch1"))
-@pytest.mark.parametrize("cap", PLAN_CAPS, ids=("default", "cap8", "cap2"))
+@pytest.mark.parametrize("cap", BITMAP_CAPS, ids=("default", "cap2"))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("float32", "float64"))
 @pytest.mark.parametrize("variant", tuple(FeaturizationVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("name", DATASET_NAMES)
@@ -157,12 +165,11 @@ def test_featurize_ragged_matches_per_query_oracle(
     dataset_parts, name, variant, dtype, cap, batch_size
 ):
     database, samples, queries = dataset_parts[name]
-    featurizer = make_featurizer(database, samples, variant, dtype, cap)
+    featurizer = make_featurizer(database, samples[cap], variant, dtype)
     oracle = reference_featurize(featurizer, queries)
-    gathered = recording_gathers(featurizer)
     step = batch_size or len(queries)
-    # The second pass replays the plan's caches (and, at small caps, the
-    # probe-matrix flush at the start of a batch).
+    # The second pass replays the compiled keys (and, at the small cap,
+    # evaluates the bitmaps the memo evicted again).
     first_pass_rows = []
     for attempt in range(2):
         for batch, start in enumerate(range(0, len(queries), step)):
@@ -173,7 +180,8 @@ def test_featurize_ragged_matches_per_query_oracle(
             )
             got = featurizer.featurize_ragged(queries[start:stop])
             assert_same_elements(got, oracle.slice(start, stop), context)
-            assert_ids_behind_rows(got, gathered[-1], context)
+            for set_name, keys in element_keys(queries[start:stop], variant).items():
+                assert_rows_follow_keys(getattr(got, set_name), keys, f"{context}:{set_name}")
             rows = [getattr(got, set_name).rows for set_name in ("tables", "joins", "predicates")]
             if attempt == 0:
                 first_pass_rows.append(rows)

@@ -13,15 +13,6 @@ class TestHashIndex:
         np.testing.assert_array_equal(index.lookup(3), [3, 4, 5])
         assert index.lookup(999).size == 0
 
-    def test_lookup_many_concatenates_matches(self, two_table_database):
-        index = HashIndex(two_table_database.table("fact"), "dim_id")
-        rows = index.lookup_many(np.array([1, 4]))
-        assert sorted(rows.tolist()) == [0, 6, 7, 8, 9]
-
-    def test_lookup_many_empty_input(self, two_table_database):
-        index = HashIndex(two_table_database.table("fact"), "dim_id")
-        assert index.lookup_many(np.array([], dtype=np.int64)).size == 0
-
     def test_num_distinct(self, two_table_database):
         index = HashIndex(two_table_database.table("fact"), "dim_id")
         assert index.num_distinct() == 4
@@ -30,17 +21,9 @@ class TestHashIndex:
 class TestIndexSet:
     def test_indexes_built_lazily_and_cached(self, two_table_database):
         indexes = IndexSet(two_table_database)
-        assert indexes.num_indexes() == 0
         first = indexes.index("fact", "dim_id")
         second = indexes.index("fact", "dim_id")
         assert first is second
-        assert indexes.num_indexes() == 1
-
-    def test_build_key_indexes_covers_all_keys(self, two_table_database):
-        indexes = IndexSet(two_table_database)
-        indexes.build_key_indexes()
-        # dim.id, fact.id, fact.dim_id
-        assert indexes.num_indexes() == 3
 
     def test_index_agrees_with_column_scan(self, tiny_database):
         indexes = IndexSet(tiny_database)

@@ -26,7 +26,6 @@ class TestJoinTree:
         assert tree.tables == frozenset({"a", "b", "c"})
         assert tree.num_joins == 2
         assert str(tree) == "(a ⋈ (b ⋈ c))"
-        assert tree.leaf_tables() == ("a", "b", "c")
         with pytest.raises(ValueError):
             _ = tree.table
 
@@ -85,7 +84,7 @@ class TestCoutCost:
 class TestPlan:
     def test_plan_wraps_tree(self):
         tree = _chain_tree()
-        plan = Plan(tree=tree, cost=12.0, cardinalities={})
+        plan = Plan(tree=tree, cost=12.0)
         assert plan.tables == tree.tables
         assert plan.num_joins == 2
         assert "cost 12.0" in plan.describe()
