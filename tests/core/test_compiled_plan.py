@@ -3,8 +3,8 @@
 Contracts: unknown vocabulary raises a descriptive ``KeyError``, the
 compiled-query cache is LRU-bounded, equal probes and equal predicates are
 one feature row, every table element is one lookup in the samples' bitmap
-memo (so its counters stay exact), and a bitmap the memo evicted is
-evaluated again.  Bit identity against the per-query reference
+memo (so its counters stay exact), a bitmap the memo evicted is evaluated
+again, and caches that evict in the middle of a batch change no row.  Bit identity against the per-query reference
 featurization is ``test_featurization_oracle.py``.
 """
 
@@ -40,6 +40,37 @@ def make_featurizer(parts, variant=FeaturizationVariant.BITMAPS, dtype=np.float6
     return QueryFeaturizer(
         encoding, value_normalizer, samples=samples, variant=variant, dtype=dtype
     )
+
+
+class TestProbeFlush:
+    @pytest.mark.parametrize("cap", (2, 8))
+    def test_flush_never_splits_a_batch(self, tiny_database, tiny_workload, monkeypatch, cap):
+        """Regression: the probe matrix the featurizer used to keep was
+        flushed in the middle of compiling a batch, so ids already handed to
+        earlier queries of the batch indexed overwritten bitmap rows.  Its
+        successors, the compiled-query cache and the samples' bitmap memo,
+        evict mid-batch at a small cap, and that must not change a row."""
+        monkeypatch.setattr(featurization, "MAX_CACHED_QUERIES", cap)
+        samples = MaterializedSamples(tiny_database, sample_size=50, seed=7, max_cached_bitmaps=cap)
+        featurizer = QueryFeaturizer(
+            SchemaEncoding.from_schema(tiny_database.schema),
+            ValueNormalizer.from_database(tiny_database),
+            samples=samples,
+        )
+        queries = [labelled.query for labelled in tiny_workload[:60]]
+        oracle = reference_featurize(featurizer, queries)
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
+        probes = {
+            MaterializedSamples.probe_signature(table, query.predicates)
+            for query in queries
+            for table in query.tables
+        }
+        assert len(probes) > 4 * cap
+        assert featurizer._compiled.evictions >= len(queries) - cap
+        # The next batch starts with both caches full of the last entries
+        # and is just as exact.
+        assert_same_elements(featurizer.featurize_ragged(queries), oracle)
+        assert samples.bitmap_cache_size == cap
 
 
 class TestElementOrder:
@@ -135,13 +166,18 @@ class TestQueryCache:
         featurizer.featurize_ragged(queries[-1:])
         assert compiled.hits == hits + 1
 
+    def test_invalid_cache_cap_rejected(self, parts, monkeypatch):
+        monkeypatch.setattr(featurization, "MAX_CACHED_QUERIES", 0)
+        with pytest.raises(ValueError):
+            make_featurizer(parts)
+
 
 TITLE_AFTER_1990 = Predicate("title", "production_year", Operator.GT, 1990)
 TITLE_JOIN = JoinCondition("movie_companies", "movie_id", "title", "id")
 
 
 class TestProbeSharing:
-    def test_identical_probes_share_one_table_row(self, parts):
+    def test_identical_probes_share_one_matrix_row(self, parts):
         featurizer = make_featurizer(parts)
         # Two distinct queries with the same (table, predicates) probe.
         first = Query(tables=("title",), predicates=(TITLE_AFTER_1990,))
@@ -155,7 +191,9 @@ class TestProbeSharing:
         np.testing.assert_array_equal(dataset.tables.rows, [0, 0, 1])
         assert dataset.tables.features.shape[0] == 2
 
-    def test_repeat_batches_hit_the_bitmap_memo_once_per_table(self, parts, tiny_workload):
+    def test_plan_cache_hits_credit_the_bitmap_cache(self, parts, tiny_workload):
+        """A batch replayed from the compiled-query cache still looks every
+        table element up in the samples' bitmap memo once: one hit each."""
         encoding, value_normalizer, samples = parts
         featurizer = QueryFeaturizer(encoding, value_normalizer, samples=samples)
         queries = [labelled.query for labelled in tiny_workload[:15]]
@@ -169,12 +207,13 @@ class TestProbeSharing:
 
 
 class TestBitmapMemo:
-    def test_evicted_bitmaps_are_evaluated_again(self):
+    @pytest.mark.parametrize("name", tuple(spec.name for spec in registered_datasets()))
+    def test_evicted_bitmaps_are_evaluated_again(self, name):
         """Regression: the featurizer kept its own copy of every probe's
         bitmap beside the samples' memo, so ``max_cached_bitmaps`` did not
         bound bitmap memory and a second pass never re-evaluated a probe
         the memo had evicted."""
-        spec = next(spec for spec in registered_datasets() if spec.name == "imdb")
+        spec = next(spec for spec in registered_datasets() if spec.name == name)
         database = spec.generate(scale=0.04, seed=5)
         workload = generate_training_workload(spec, database, num_queries=40, seed=13)
         queries = [labelled.query for labelled in workload]
@@ -202,7 +241,7 @@ class TestBitmapMemo:
 
 
 class TestElementIds:
-    def test_equal_predicates_share_one_predicate_row(self, parts):
+    def test_equal_predicates_share_one_predicate_id(self, parts):
         featurizer = make_featurizer(parts)
         queries = [
             Query(tables=("title",), predicates=(TITLE_AFTER_1990,)),

@@ -4,10 +4,10 @@
 arrays) must equal ``reference_featurize(featurizer, queries)`` (built
 element by element in ``reference_featurization.py``) bit for bit, on every
 registered dataset, featurization variant and compute dtype, with the
-samples' default bitmap memo and with a 2-entry one — which evicts all the
-time and must never change a single feature — and whether the workload is
-featurized as one batch or in serving-sized micro-batches that share one
-featurizer.
+default compiled-query cache and bitmap memo and with both capped at 8 or at
+2 entries — small caps evict all the time and must never change a single
+feature — and whether the workload is featurized as one batch or in
+serving-sized micro-batches that share one featurizer.
 The workloads include literals below a column's minimum and above its
 maximum (clamped to 0 and 1), a single-valued column (normalized to 0) and
 joins listed with their sides swapped (the same one-hot).
@@ -31,6 +31,7 @@ from reference_featurization import assert_same_elements, reference_featurize
 from repro.core.batching import RaggedSet
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
+from repro.core import featurization
 from repro.core.featurization import QueryFeaturizer
 from repro.core.normalization import ValueNormalizer
 from repro.datasets import registered_datasets
@@ -40,7 +41,8 @@ from repro.db.table import Database, Table
 from repro.workload.generator import generate_training_workload
 
 DATASET_NAMES = tuple(spec.name for spec in registered_datasets())
-BITMAP_CAPS = (MaterializedSamples.DEFAULT_MAX_CACHED_BITMAPS, 2)
+# Caps of the compiled-query cache and the bitmap memo; None keeps the defaults.
+CACHE_CAPS = (None, 8, 2)
 
 
 def with_single_valued_column(database: Database, table: str, column: str) -> Database:
@@ -70,8 +72,8 @@ def swapped(join: JoinCondition) -> JoinCondition:
 
 @pytest.fixture(scope="module")
 def dataset_parts():
-    """Per-dataset (database, samples by bitmap-memo cap, queries) at
-    miniature scale.
+    """Per-dataset (database, samples by cache cap, queries) at miniature
+    scale.
 
     Every query list starts with a lone table — empty join and predicate
     sets — and ends with a few queries repeated as-is, a few with every
@@ -89,8 +91,13 @@ def dataset_parts():
         first = next(q.predicates[0] for q in queries if q.predicates)
         database = with_single_valued_column(database, first.table, first.column)
         samples = {
-            cap: MaterializedSamples(database, sample_size=25, seed=5, max_cached_bitmaps=cap)
-            for cap in BITMAP_CAPS
+            cap: MaterializedSamples(
+                database,
+                sample_size=25,
+                seed=5,
+                max_cached_bitmaps=cap or MaterializedSamples.DEFAULT_MAX_CACHED_BITMAPS,
+            )
+            for cap in CACHE_CAPS
         }
         with_predicates = [q for q in queries if q.predicates][:5]
         with_joins = [q for q in queries if q.joins][:5]
@@ -157,19 +164,23 @@ def assert_rows_follow_keys(ragged_set: RaggedSet, keys: list, context: str) -> 
 
 
 @pytest.mark.parametrize("batch_size", (None, 7, 1), ids=("whole", "batch7", "batch1"))
-@pytest.mark.parametrize("cap", BITMAP_CAPS, ids=("default", "cap2"))
+@pytest.mark.parametrize("cap", CACHE_CAPS, ids=("default", "cap8", "cap2"))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("float32", "float64"))
 @pytest.mark.parametrize("variant", tuple(FeaturizationVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_featurize_ragged_matches_per_query_oracle(
-    dataset_parts, name, variant, dtype, cap, batch_size
+    dataset_parts, monkeypatch, name, variant, dtype, cap, batch_size
 ):
     database, samples, queries = dataset_parts[name]
+    if cap is not None:
+        monkeypatch.setattr(featurization, "MAX_CACHED_QUERIES", cap)
     featurizer = make_featurizer(database, samples[cap], variant, dtype)
+    if cap is not None:
+        assert featurizer._compiled.capacity == samples[cap].max_cached_bitmaps == cap
     oracle = reference_featurize(featurizer, queries)
     step = batch_size or len(queries)
-    # The second pass replays the compiled keys (and, at the small cap,
-    # evaluates the bitmaps the memo evicted again).
+    # The second pass replays the compiled keys (and, at the small caps,
+    # compiles evicted queries and evaluates evicted bitmaps again).
     first_pass_rows = []
     for attempt in range(2):
         for batch, start in enumerate(range(0, len(queries), step)):
