@@ -11,8 +11,8 @@ generates, costing the same subqueries across plan enumerations — twice:
 
 Asserts the cached service sustains at least 5x the uncached repeat-workload
 throughput, that the service's answers match the direct path, and that
-uncertainty routing actually triggers on out-of-distribution (3-4 join)
-queries.  The measured numbers are appended to
+join-count routing sends every out-of-distribution (3-4 join) query to the
+fallback.  The measured numbers are appended to
 ``benchmarks/results/smoke_service.txt``.
 
 Invoked as a plain script (``PYTHONPATH=src python benchmarks/smoke_service.py``)
@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import MSCNConfig
-from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
 from repro.datasets.imdb import SyntheticIMDbConfig, generate_imdb
 from repro.db.sampling import MaterializedSamples
@@ -91,17 +90,15 @@ def main() -> int:
         f"(required >= {MIN_SPEEDUP:.0f}x)"
     )
 
-    # Uncertainty-routed fallback: 3-4-join traffic leaves the trained range
+    # Join-count-routed fallback: 3-4-join traffic leaves the trained range
     # and must reach the traditional estimator, per the paper's Section 5.
-    ensemble = EnsembleMSCNEstimator(database, config, samples=samples, num_members=2)
-    ensemble.fit(workload)
     fallback = RandomSamplingEstimator(database, samples)
     scale = generate_scale_workload(
         database, ScaleWorkloadConfig(queries_per_join_count=5, max_joins=4, seed=17)
     )
     out_of_distribution = [q.query for q in scale if q.num_joins >= 3]
     with EstimationService(
-        ensemble, fallback=fallback, config=ServiceConfig(max_joins=2)
+        estimator, fallback=fallback, config=ServiceConfig(max_joins=2)
     ) as routed_service:
         routed_estimates = routed_service.estimate_many(out_of_distribution)
         routed_stats = routed_service.stats()

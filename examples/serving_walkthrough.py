@@ -2,13 +2,14 @@
 
 Walks the full deployment story of the paper's Section 5 discussion:
 
-1. train an MSCN ensemble and publish it to a :class:`ModelRegistry`,
+1. train an MSCN model,
 2. wrap it in an :class:`EstimationService` with a random-sampling fallback,
 3. serve repeat-heavy traffic from many threads — repeated queries hit the
    LRU result cache, concurrent misses coalesce into shared fused passes,
-4. watch out-of-distribution queries (more joins than the training range,
-   or high ensemble disagreement) get routed to the traditional estimator,
-5. hot-swap to a freshly published model version without stopping traffic.
+4. watch out-of-distribution queries (more joins than the training range)
+   get routed to the traditional estimator,
+5. publish a model trained with another seed to a :class:`ModelRegistry`
+   and hot-swap to it without stopping traffic.
 
 Run with::
 
@@ -21,8 +22,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro import MSCNConfig, generate_imdb, SyntheticIMDbConfig
-from repro.core.ensemble import EnsembleMSCNEstimator
+from repro import MSCNConfig, MSCNEstimator, generate_imdb, SyntheticIMDbConfig
 from repro.db.sampling import MaterializedSamples
 from repro.estimators.random_sampling import RandomSamplingEstimator
 from repro.serving import EstimationService, ModelRegistry, ServiceConfig
@@ -40,20 +40,18 @@ def main() -> None:
         database, WorkloadConfig(num_queries=800, max_joins=2, seed=1)
     ).generate()
 
-    print("Training a 2-member MSCN ensemble ...")
+    print("Training an MSCN model ...")
     config = MSCNConfig(hidden_units=32, epochs=10, batch_size=128, num_samples=100, seed=3)
-    ensemble = EnsembleMSCNEstimator(database, config, samples=samples, num_members=2)
-    ensemble.fit(training)
+    model = MSCNEstimator(database, config, samples=samples)
+    model.fit(training)
 
     fallback = RandomSamplingEstimator(database, samples)
-    service_config = ServiceConfig(max_joins=2, max_spread=4.0)
+    service_config = ServiceConfig(max_joins=2)
 
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(Path(tmp) / "models", database)
-        registry.publish("mscn-member", ensemble.members[0])
-        print(f"Published member model as version {registry.current_version('mscn-member')}")
 
-        with EstimationService(ensemble, fallback=fallback,
+        with EstimationService(model, fallback=fallback,
                                config=service_config) as service:
             # --- repeat-heavy traffic from concurrent threads -------------
             traffic = [labelled.query for labelled in training[:200]]
@@ -75,7 +73,7 @@ def main() -> None:
             print("\nAfter concurrent repeat traffic:")
             print(f"  {service.stats().describe()}")
 
-            # --- uncertainty-routed fallback ------------------------------
+            # --- join-count-routed fallback ------------------------------
             scale = generate_scale_workload(
                 database, ScaleWorkloadConfig(queries_per_join_count=10, max_joins=4,
                                               seed=17)
@@ -88,13 +86,17 @@ def main() -> None:
                   f"queries routed to {fallback.name}")
 
             # --- hot-swap under load --------------------------------------
+            retrained = MSCNEstimator(database, config.replace(seed=4), samples=samples)
+            retrained.fit(training)
+            registry.publish("mscn", retrained)
+            print(f"\nPublished a seed-4 model as version {registry.current_version('mscn')}")
             probe = traffic[0]
-            ensemble_estimate = service.estimate(probe)
-            service.swap_from_registry(registry, "mscn-member")
-            member_estimate = service.estimate(probe)
-            print(f"\nHot-swapped to the registry model: probe estimate "
-                  f"{ensemble_estimate:.1f} (ensemble) -> {member_estimate:.1f} "
-                  f"(member), cache was invalidated atomically")
+            before_swap = service.estimate(probe)
+            service.swap_from_registry(registry, "mscn")
+            after_swap = service.estimate(probe)
+            print(f"Hot-swapped to the registry model: probe estimate "
+                  f"{before_swap:.1f} (seed 3) -> {after_swap:.1f} "
+                  f"(seed 4), cache was invalidated atomically")
             print(f"  {service.stats().describe()}")
 
 

@@ -35,7 +35,7 @@ contribution:
     true-cardinality-optimal plan).
 ``repro.serving``
     The traffic-facing estimation service: signature-keyed result caching,
-    micro-batch coalescing of concurrent callers, uncertainty-routed fallback
+    micro-batch coalescing of concurrent callers, join-count-routed fallback
     to traditional estimators and a versioned model registry with atomic
     hot-swap.
 """

@@ -15,15 +15,10 @@ The sub-modules follow the pipeline of Section 3:
 * :mod:`repro.core.trainer` — training / validation loop with the paper's
   loss functions,
 * :mod:`repro.core.estimator` — the public :class:`MSCNEstimator` façade,
-* :mod:`repro.core.ensemble` — :class:`EnsembleMSCNEstimator`, the deep-ensemble
-  extension of Section 5 (geometric-mean estimates plus a member spread).
-
-Both estimators subclass :class:`~repro.estimators.base.CardinalityEstimator`,
-like every baseline.
+  a :class:`~repro.estimators.base.CardinalityEstimator` like every baseline.
 """
 
 from repro.core.config import FeaturizationVariant, MSCNConfig
-from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
 from repro.core.featurization import QueryFeaturizer
 from repro.core.model import MSCN
@@ -33,7 +28,6 @@ __all__ = [
     "MSCNConfig",
     "FeaturizationVariant",
     "MSCNEstimator",
-    "EnsembleMSCNEstimator",
     "QueryFeaturizer",
     "MSCN",
     "MSCNTrainer",

@@ -64,17 +64,3 @@ class SchemaEncoding:
     @property
     def num_operators(self) -> int:
         return len(self.operator_index)
-
-    def vocabulary_sizes(self) -> dict[str, int]:
-        """All vocabulary dimensions keyed by name.
-
-        These are exactly the quantities a schema determines: cross-schema
-        tests compare them against the spec's schema to prove the encoding
-        carries no hidden dataset assumptions.
-        """
-        return {
-            "tables": self.num_tables,
-            "joins": self.num_joins,
-            "columns": self.num_columns,
-            "operators": self.num_operators,
-        }

@@ -128,7 +128,7 @@ class MSCNEstimator(CardinalityEstimator):
 
         ``train_dataset``/``validation_dataset`` optionally supply the ragged
         featurizations of the (already split) query lists, letting callers
-        that train several models on one workload — ensembles, registries —
+        that train several models on one workload (one per seed, say)
         featurize it once.  A precomputed ``train_dataset`` therefore requires
         explicit ``validation_queries`` (possibly empty): the estimator must
         not re-split queries the dataset is already aligned with.
@@ -212,9 +212,8 @@ class MSCNEstimator(CardinalityEstimator):
     def serving_dataset(self, queries: Sequence[Query]) -> RaggedDataset:
         """Featurize serving traffic into the ragged layout prediction reads.
 
-        Public so ensembles (and other fan-out consumers) can featurize a
-        workload once and share the dataset across models; pair with
-        :meth:`estimate_featurized`.
+        Public so a caller (the estimation service) can time featurization
+        apart from inference; pair with :meth:`estimate_featurized`.
         """
         return self.featurizer.featurize_ragged(queries)
 
@@ -259,8 +258,7 @@ class MSCNEstimator(CardinalityEstimator):
 
     def estimate_featurized(self, dataset: RaggedDataset) -> np.ndarray:
         """Estimated cardinalities for queries already featurized by
-        :meth:`serving_dataset`; ensembles use this to featurize a workload
-        once and fan it out to every member.
+        :meth:`serving_dataset`.
         """
         return self._require_trained().predict(dataset)
 

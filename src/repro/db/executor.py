@@ -44,13 +44,13 @@ across calls (:meth:`~CardinalityExecutor.execute` callers that count one
 sub-plan at a time, and other queries that filter a table identically).
 
 Cyclic join graphs (not produced by the generators, but accepted by the API)
-fall back to iterative hash-join expansion.  A brute-force nested-loop
-reference implementation is included for correctness testing on tiny inputs.
+fall back to iterative hash-join expansion.  The tests check every count
+against a brute-force nested-loop reference
+(``tests/reference_executor.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import defaultdict
 
@@ -61,7 +61,7 @@ from repro.db.query import Query
 from repro.db.table import Database
 from repro.utils.lru import LRU
 
-__all__ = ["CardinalityExecutor", "nested_loop_cardinality"]
+__all__ = ["CardinalityExecutor"]
 
 
 # Keys are their own domain codes when all are non-negative and the largest
@@ -530,29 +530,3 @@ class CardinalityExecutor:
             for combination in current
             if left_column[combination[left_index]] == right_column[combination[right_index]]
         ]
-
-
-def nested_loop_cardinality(database: Database, query: Query) -> int:
-    """Brute-force reference executor (exponential; for tests on tiny tables)."""
-    query.validate_against(database.schema)
-    tables = [database.table(name) for name in query.tables]
-    qualifying = []
-    for table in tables:
-        predicates = query.predicates_on(table.name)
-        mask = selection_mask(table, predicates) if predicates else np.ones(table.num_rows, bool)
-        qualifying.append(np.flatnonzero(mask))
-    count = 0
-    table_positions = {table.name: position for position, table in enumerate(tables)}
-    for combination in itertools.product(*qualifying):
-        satisfied = True
-        for join in query.joins:
-            left_row = combination[table_positions[join.left_table]]
-            right_row = combination[table_positions[join.right_table]]
-            left_value = database.table(join.left_table).column(join.left_column)[left_row]
-            right_value = database.table(join.right_table).column(join.right_column)[right_row]
-            if left_value != right_value:
-                satisfied = False
-                break
-        if satisfied:
-            count += 1
-    return count

@@ -379,10 +379,3 @@ class Query:
             object.__setattr__(self, "_signature", cached)
         return cached
 
-
-def queries_are_duplicates(first: Query, second: Query) -> bool:
-    """Whether two queries are semantically identical up to set ordering."""
-    return first.signature() == second.signature()
-
-
-__all__.append("queries_are_duplicates")

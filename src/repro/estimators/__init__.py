@@ -1,6 +1,6 @@
 """Baseline cardinality estimators used as competitors in the paper.
 
-Every estimator in the repository, MSCN and its ensemble included, is a
+Every estimator in the repository, MSCN included, is a
 :class:`~repro.estimators.base.CardinalityEstimator`: ``estimate``,
 ``estimate_many`` and ``estimate_subplans`` are the one way to ask for
 estimates.

@@ -75,8 +75,8 @@ def evaluate_estimator(
 
     The whole workload is routed through :meth:`estimate_many` in one call
     (never per-query :meth:`estimate`), so estimators with vectorized
-    ``estimate_many`` overrides — MSCN's fused inference path, ensembles —
-    answer with batched forward passes end-to-end.
+    ``estimate_many`` overrides — MSCN's fused inference path — answer with
+    batched forward passes end-to-end.
     """
     if not workload:
         raise ValueError("cannot evaluate on an empty workload")

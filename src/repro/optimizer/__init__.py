@@ -11,8 +11,9 @@ by the plans they induce, not only by q-error:
 ``repro.optimizer.cost``
     The C_out cost model (every join charges its output cardinality).
 ``repro.optimizer.enumeration``
-    Exact DPsize dynamic programming over connected subgraphs (plus an
-    exhaustive enumerator for certification).
+    Exact DPsize dynamic programming over connected subgraphs (the tests
+    certify it against an exhaustive enumerator,
+    ``tests/reference_enumeration.py``).
 ``repro.optimizer.quality``
     Plan-quality metrics: cost of the plan chosen under estimated
     cardinalities, executed under true cardinalities, vs. the
@@ -20,7 +21,7 @@ by the plans they induce, not only by q-error:
 """
 
 from repro.optimizer.cost import cout_cost, plan_true_cost
-from repro.optimizer.enumeration import all_join_trees, enumerate_optimal_plan
+from repro.optimizer.enumeration import enumerate_optimal_plan
 from repro.optimizer.plan import JoinTree, Plan
 from repro.optimizer.quality import (
     PlanQualityReport,
@@ -38,7 +39,6 @@ __all__ = [
     "cout_cost",
     "plan_true_cost",
     "enumerate_optimal_plan",
-    "all_join_trees",
     "subplan_estimates",
     "PlanQualityResult",
     "PlanQualitySummary",

@@ -22,7 +22,7 @@ from typing import Mapping
 from repro.db.query import Query
 from repro.optimizer.plan import JoinTree, Plan
 
-__all__ = ["enumerate_optimal_plan", "all_join_trees"]
+__all__ = ["enumerate_optimal_plan"]
 
 
 def enumerate_optimal_plan(
@@ -86,29 +86,3 @@ def _build_tree(
     return JoinTree(
         tables, _build_tree(query, chosen, left), _build_tree(query, chosen, right)
     )
-
-
-def all_join_trees(query: Query) -> list[JoinTree]:
-    """Every cross-product-free join tree of a connected query.
-
-    Exhaustive (Catalan-sized) — used by tests and tiny-workload analyses to
-    certify the DP against brute force, and by examples to show how much of
-    the search space a bad estimate misprices.  Commutative mirrors are
-    deduplicated via :meth:`JoinTree.canonical`.
-    """
-    if not query.is_connected():
-        raise ValueError("join enumeration requires a connected join graph")
-    trees_by_mask: dict[int, list[JoinTree]] = {
-        1 << position: [JoinTree.leaf(table)] for position, table in enumerate(query.tables)
-    }
-    for mask, tables, splits in query.connected_subset_splits():
-        found: dict[tuple, JoinTree] = {}
-        for left, right in splits:
-            for left_tree in trees_by_mask[left]:
-                for right_tree in trees_by_mask[right]:
-                    tree = JoinTree(tables, left_tree, right_tree)
-                    found.setdefault(tree.canonical(), tree)
-        trees_by_mask[mask] = list(found.values())
-
-    full_mask = (1 << len(query.tables)) - 1
-    return trees_by_mask[full_mask]

@@ -10,8 +10,8 @@ package turns the MSCN estimators of ``repro.core`` into a service:
     as ``ResultCache``), coalesces concurrent callers into
     micro-batches feeding one fused pass (run by one waiting caller at a
     time, on its own thread — the service starts no thread), and routes
-    low-confidence queries (high ensemble spread, out-of-range join counts)
-    to a traditional fallback estimator.  Bounded admission, per-request
+    queries with more joins than the model was trained on to a traditional
+    fallback estimator.  Bounded admission, per-request
     deadlines and a circuit breaker over inference guarantee every request
     resolves to an estimate or a typed error — never a silent hang.
 ``repro.serving.registry``

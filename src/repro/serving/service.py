@@ -17,13 +17,11 @@ the deployment recipe of the paper's Section 5 discussion:
   pooling amortize across every in-flight request instead of running per
   caller; both steps allocate fresh arrays, so nothing stays pinned between
   micro-batches.  The service starts no thread of its own.
-* **Uncertainty-routed fallback** — when the model is an
-  :class:`~repro.core.ensemble.EnsembleMSCNEstimator`, queries whose member
-  spread exceeds ``max_spread`` are out-of-distribution by the deep-ensembles
-  signal; those (and queries whose join count exceeds the trained
-  ``max_joins`` range) are re-estimated by a configurable traditional
-  :class:`~repro.estimators.base.CardinalityEstimator` (e.g. random sampling
-  or IBJS), exactly the hybrid the paper proposes.
+* **Join-count-routed fallback** — queries with more joins than the model
+  was trained on (``max_joins``) are re-estimated by a configurable
+  traditional :class:`~repro.estimators.base.CardinalityEstimator` (e.g.
+  PostgreSQL-style statistics or random sampling), the hybrid the paper's
+  Section 5 proposes for queries outside the training distribution.
 * **Atomic hot-swap** — :meth:`swap_model` replaces the serving model under
   a lock, bumps a generation counter and clears the cache; an in-flight
   micro-batch computed against the old model can never publish stale results
@@ -90,7 +88,6 @@ _OVERLOAD_POLICIES = ("reject", "degrade")
 
 #: The float settings that must be finite (``None`` still disables a deadline).
 _FINITE_FIELDS = (
-    "max_spread",
     "request_timeout_seconds",
     "deadline_grace_seconds",
     "breaker_reset_timeout_seconds",
@@ -106,10 +103,8 @@ class ServiceConfig:
     """Tunables of one :class:`EstimationService`.
 
     ``max_batch_size`` bounds the queries one leader takes into a micro-batch.
-    ``max_spread`` is the ensemble-disagreement threshold above which a query
-    is routed to the fallback estimator; ``max_joins`` routes queries with
-    more joins than the model was trained on (``None`` disables join-count
-    routing).
+    ``max_joins`` routes queries with more joins than the model was trained
+    on to the fallback estimator (``None`` disables routing).
 
     ``request_timeout_seconds`` is the default per-request deadline (``None``
     disables deadlines); ``deadline_grace_seconds`` is the extra slack a
@@ -122,7 +117,6 @@ class ServiceConfig:
 
     cache_capacity: int = 4096
     max_batch_size: int = 1024
-    max_spread: float = 2.0
     max_joins: int | None = None
     request_timeout_seconds: float | None = 60.0
     deadline_grace_seconds: float = 5.0
@@ -142,8 +136,6 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be positive")
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.max_spread < 1.0:
-            raise ValueError("max_spread is a q-error factor and must be >= 1")
         if self.max_joins is not None and self.max_joins < 0:
             raise ValueError("max_joins must be non-negative")
         if self.request_timeout_seconds is not None and self.request_timeout_seconds <= 0:
@@ -214,13 +206,13 @@ class EstimationService(CardinalityEstimator):
     ----------
     model:
         The serving model — an :class:`~repro.core.estimator.MSCNEstimator`
-        or :class:`~repro.core.ensemble.EnsembleMSCNEstimator` (anything
-        providing ``serving_dataset`` + ``estimate_featurized``; uncertainty
-        routing additionally needs ``estimate_featurized_with_uncertainty``).
+        (anything providing ``samples``, ``serving_dataset`` and
+        ``estimate_featurized``).
     fallback:
-        Optional traditional estimator that answers low-confidence queries —
-        and, in the reliability layer, overload-degraded traffic and batches
-        the circuit breaker keeps away from a failing model.
+        Optional traditional estimator that answers queries beyond
+        ``max_joins`` — and, in the reliability layer, overload-degraded
+        traffic and batches the circuit breaker keeps away from a failing
+        model.
     config:
         A :class:`ServiceConfig`; defaults are sensible for tests and
         examples.
@@ -602,7 +594,10 @@ class EstimationService(CardinalityEstimator):
 
         Returns ``(estimates, cacheable, generation)``: model output is
         cacheable under its generation; fallback-degraded output is not
-        (transient substitutes must never poison the cache).
+        (transient substitutes must never poison the cache).  Join-count
+        routing runs after the breaker has recorded the model's success, so
+        a failing fallback fails this batch's requests but never counts as
+        an inference failure.
         """
         if self._breaker.allow():
             try:
@@ -617,12 +612,13 @@ class EstimationService(CardinalityEstimator):
                     ) from error
                 return self._degrade(queries), False, -1
             self._breaker.record_success()
+            self._route_to_fallback(queries, estimates)
             return estimates, True, generation
         # Breaker open: the model is not touched at all.
         return self._degrade(queries), False, -1
 
     def _compute(self, queries: list[Query]) -> tuple[np.ndarray, int]:
-        """One fused featurize+infer pass plus fallback routing.
+        """One fused featurize+infer pass.
 
         Returns the estimates and the model generation they were computed
         under (for the stale-publish guard).
@@ -630,7 +626,7 @@ class EstimationService(CardinalityEstimator):
         with self._model_lock:
             model = self._model
             generation = self._generation
-        samples = getattr(model, "samples", None)
+        samples = model.samples
         hits_before = samples.bitmap_cache_hits if samples is not None else 0
         start = time.perf_counter()
         dataset = model.serving_dataset(queries)
@@ -638,11 +634,7 @@ class EstimationService(CardinalityEstimator):
         hits_after = samples.bitmap_cache_hits if samples is not None else 0
 
         start = time.perf_counter()
-        spreads = None
-        if hasattr(model, "estimate_featurized_with_uncertainty"):
-            estimates, spreads, _ = model.estimate_featurized_with_uncertainty(dataset)
-        else:
-            estimates = model.estimate_featurized(dataset)
+        estimates = model.estimate_featurized(dataset)
         inference_seconds = time.perf_counter() - start
         estimates = np.array(estimates, dtype=np.float64)
         self._stats.record_batch(
@@ -651,27 +643,15 @@ class EstimationService(CardinalityEstimator):
             inference_seconds=inference_seconds,
             bitmap_cache_hits=hits_after - hits_before,
         )
-
-        if self.fallback is not None:
-            routed = self._route_to_fallback(queries, spreads)
-            if routed.any():
-                routed_queries = [q for q, r in zip(queries, routed) if r]
-                start = time.perf_counter()
-                estimates[routed] = self.fallback.estimate_many(routed_queries)
-                self._stats.record_fallback(
-                    len(routed_queries), time.perf_counter() - start
-                )
         return estimates, generation
 
-    def _route_to_fallback(
-        self, queries: list[Query], spreads: np.ndarray | None
-    ) -> np.ndarray:
-        """Which queries the model should not be trusted on (Section 5)."""
-        routed = np.zeros(len(queries), dtype=bool)
-        if self.config.max_joins is not None:
-            routed |= np.array(
-                [query.num_joins > self.config.max_joins for query in queries]
-            )
-        if spreads is not None:
-            routed |= np.asarray(spreads) > self.config.max_spread
-        return routed
+    def _route_to_fallback(self, queries: list[Query], estimates: np.ndarray) -> None:
+        """Re-estimate, in place, the queries with more joins than ``max_joins``."""
+        if self.fallback is None or self.config.max_joins is None:
+            return
+        routed = np.array([query.num_joins > self.config.max_joins for query in queries])
+        if routed.any():
+            routed_queries = [q for q, r in zip(queries, routed) if r]
+            start = time.perf_counter()
+            estimates[routed] = self.fallback.estimate_many(routed_queries)
+            self._stats.record_fallback(len(routed_queries), time.perf_counter() - start)

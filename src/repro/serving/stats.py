@@ -39,9 +39,9 @@ class ServiceStats(PredictionTiming):
     were answered by the fallback estimator because the model path was
     unavailable (overload-degrade policy, open circuit breaker, or an
     inference failure) — distinct from ``fallback_queries``, which counts
-    deliberate uncertainty routing — and ``expired_queries`` missed their
-    deadline and were answered with a typed timeout error instead of being
-    featurized as dead work.
+    deliberate join-count routing (``max_joins``) — and ``expired_queries``
+    missed their deadline and were answered with a typed timeout error
+    instead of being featurized as dead work.
     """
 
     cache_hits: int = 0

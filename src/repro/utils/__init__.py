@@ -1,6 +1,5 @@
-"""Shared utilities: deterministic RNG management, timing, benchmark
-records, the one LRU cache, and seeded fault
-injection for the reliability test harness.
+"""Shared utilities: deterministic RNG management, benchmark records, the
+one LRU cache, and seeded fault injection for the reliability test harness.
 
 Submodules are imported lazily (PEP 562): ``repro.utils.bench`` must be
 importable *without* pulling in numpy, because
@@ -12,16 +11,13 @@ variables — is loaded anywhere in the process.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers only
-    from repro.utils.bench import latency_percentiles_ms, pin_blas_threads, write_bench_json
+    from repro.utils.bench import pin_blas_threads, write_bench_json
     from repro.utils.faults import FaultPlan, FaultSpec, InjectedFault, fault_point
     from repro.utils.lru import LRU
     from repro.utils.rng import spawn_rng
-    from repro.utils.timer import Timer
 
 __all__ = [
     "spawn_rng",
-    "Timer",
-    "latency_percentiles_ms",
     "pin_blas_threads",
     "write_bench_json",
     "LRU",
@@ -33,8 +29,6 @@ __all__ = [
 
 _EXPORTS = {
     "spawn_rng": "repro.utils.rng",
-    "Timer": "repro.utils.timer",
-    "latency_percentiles_ms": "repro.utils.bench",
     "pin_blas_threads": "repro.utils.bench",
     "write_bench_json": "repro.utils.bench",
     "LRU": "repro.utils.lru",

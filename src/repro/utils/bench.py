@@ -28,9 +28,9 @@ import sys
 import warnings
 from os import PathLike
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
-__all__ = ["latency_percentiles_ms", "pin_blas_threads", "write_bench_json"]
+__all__ = ["pin_blas_threads", "write_bench_json"]
 
 #: Thread-count knobs of every BLAS/threading backend numpy may load.
 _BLAS_THREAD_VARIABLES = (
@@ -68,17 +68,6 @@ def pin_blas_threads(threads: int = 1) -> dict[str, str]:
         os.environ.setdefault(variable, str(threads))
         applied[variable] = os.environ[variable]
     return applied
-
-
-def latency_percentiles_ms(samples_seconds: Sequence[float]) -> tuple[float, float]:
-    """``(p50_ms, p95_ms)`` of a list of per-call wall-clock seconds."""
-    import numpy as np
-
-    milliseconds = np.asarray(samples_seconds, dtype=np.float64) * 1000.0
-    if milliseconds.size == 0:
-        return 0.0, 0.0
-    p50, p95 = np.percentile(milliseconds, [50.0, 95.0])
-    return float(p50), float(p95)
 
 
 def write_bench_json(

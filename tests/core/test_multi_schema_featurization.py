@@ -46,12 +46,10 @@ class TestVocabulariesMatchSchema:
         spec, database, _, _ = scenario_parts[name]
         encoding = SchemaEncoding.from_schema(database.schema)
         schema = spec.schema
-        assert encoding.vocabulary_sizes() == {
-            "tables": len(schema.tables),
-            "joins": len(schema.join_edges()),
-            "columns": len(schema.non_key_columns()),
-            "operators": len(Operator),
-        }
+        assert encoding.num_tables == len(schema.tables)
+        assert encoding.num_joins == len(schema.join_edges())
+        assert encoding.num_columns == len(schema.non_key_columns())
+        assert encoding.num_operators == len(Operator)
 
     @pytest.mark.parametrize("name", DATASET_NAMES)
     def test_feature_widths_follow_vocabularies(self, name, scenario_parts):

@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_executor import nested_loop_cardinality
 
-from repro.db.executor import (
-    CardinalityExecutor,
-    _JoinKeyDomain,
-    nested_loop_cardinality,
-)
+from repro.db.executor import CardinalityExecutor, _JoinKeyDomain
 from repro.db.predicates import Operator
 from repro.db.query import JoinCondition, Predicate, Query
 from repro.db.schema import ColumnSchema, ForeignKey, Schema, TableSchema

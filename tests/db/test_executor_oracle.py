@@ -5,7 +5,7 @@ key domains per edge: dense ``1..N`` (keys are their own domain codes),
 sparse (widely spaced ids), negative, and huge (at or above 2**40), the last
 three of which count through rank codes.  Foreign keys may dangle.  Every
 connected sub-plan of a query with random predicates must then count exactly
-what :func:`~repro.db.executor.nested_loop_cardinality` counts, with the
+what the nested loop in ``reference_executor.py`` counts, with the
 scan memo and the result cache each on and off — twice, so the second pass
 is served by whatever the memos kept — and on a
 :class:`~repro.db.sampled.SampledCardinalityExecutor` whose budget covers
@@ -36,9 +36,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_executor import nested_loop_cardinality
 
 from repro.db import executor as executor_module
-from repro.db.executor import CardinalityExecutor, nested_loop_cardinality
+from repro.db.executor import CardinalityExecutor
 from repro.db.predicates import selection_mask
 from repro.db.query import JoinCondition, Predicate, Query
 from repro.db.sampled import SampledCardinalityExecutor

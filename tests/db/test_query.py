@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.db.predicates import Operator
-from repro.db.query import JoinCondition, Predicate, Query, queries_are_duplicates
+from repro.db.query import JoinCondition, Predicate, Query
 
 
 def fact_dim_join() -> JoinCondition:
@@ -138,9 +138,9 @@ class TestQueryProperties:
                 Predicate("dim", "category", "=", 10),
             ),
         )
-        assert queries_are_duplicates(first, second)
+        assert first.signature() == second.signature()
 
     def test_signature_distinguishes_different_literals(self):
         first = Query(tables=("dim",), predicates=(Predicate("dim", "category", "=", 10),))
         second = Query(tables=("dim",), predicates=(Predicate("dim", "category", "=", 20),))
-        assert not queries_are_duplicates(first, second)
+        assert first.signature() != second.signature()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import MSCNConfig
-from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.ibjs import IndexBasedJoinSamplingEstimator
@@ -22,9 +21,6 @@ CONSTRUCTORS = {
     ),
     "TrueCardinalityEstimator": lambda db, samples, config: TrueCardinalityEstimator(db),
     "MSCNEstimator": lambda db, samples, config: MSCNEstimator(db, config, samples=samples),
-    "EnsembleMSCNEstimator": (
-        lambda db, samples, config: EnsembleMSCNEstimator(db, config, samples=samples)
-    ),
 }
 
 

@@ -7,11 +7,12 @@ import itertools
 
 import numpy as np
 import pytest
+from reference_enumeration import all_join_trees
 
 from repro.datasets import registered_datasets
 from repro.db.query import JoinCondition, Query
 from repro.optimizer.cost import cout_cost
-from repro.optimizer.enumeration import all_join_trees, enumerate_optimal_plan
+from repro.optimizer.enumeration import enumerate_optimal_plan
 from repro.optimizer.plan import JoinTree
 from repro.workload.generator import QueryGenerator
 

@@ -48,6 +48,7 @@ class GatedModel:
 
     def __init__(self, inner):
         self.inner = inner
+        self.samples = inner.samples
         self.gate = threading.Event()
         self.entered = threading.Event()
         self.batches: list[list] = []

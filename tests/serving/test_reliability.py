@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.config import MSCNConfig
 from repro.core.estimator import MSCNEstimator
+from repro.estimators.base import CardinalityEstimator
 from repro.serving import (
     BreakerState,
     DeadlineExceededError,
@@ -51,6 +52,7 @@ class FlakyModel:
 
     def __init__(self, inner, failures_remaining: int = 0):
         self.inner = inner
+        self.samples = inner.samples
         self.failures_remaining = failures_remaining
         self.inference_calls = 0
 
@@ -274,14 +276,12 @@ class TestDeadlines:
         [
             "request_timeout_seconds",
             "deadline_grace_seconds",
-            "max_spread",
             "breaker_reset_timeout_seconds",
         ],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_config_rejects_non_finite_settings(self, field, value):
-        """NaN slips past every ordered check (``max_spread=nan`` silently
-        disabled uncertainty routing) and an infinite wait overflows
+        """NaN slips past every ordered check and an infinite wait overflows
         ``Condition.wait``."""
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
@@ -405,6 +405,33 @@ class TestCircuitBreaker:
             with pytest.raises(ModelUnavailableError):
                 service.estimate(reliability_queries[1])  # open: model untouched
             assert flaky.inference_calls == calls_before
+
+    def test_a_failing_fallback_never_opens_the_breaker(
+        self, reliability_estimator, reliability_queries
+    ):
+        """Join-count routing runs after the model's success is recorded: a
+        fallback that raises fails only its own batch's requests, and the
+        model keeps answering the queries it owns."""
+
+        class BrokenFallback(CardinalityEstimator):
+            def estimate(self, query):
+                raise RuntimeError("fallback is down")
+
+        joined = [q for q in reliability_queries if q.num_joins == 1][:3]
+        base = next(q for q in reliability_queries if q.num_joins == 0)
+        assert len(joined) == 3
+        config = ServiceConfig(max_joins=0, breaker_failure_threshold=2)
+        with EstimationService(
+            reliability_estimator, fallback=BrokenFallback(), config=config, clock=FakeClock()
+        ) as service:
+            for query in joined:
+                with pytest.raises(RuntimeError, match="fallback is down"):
+                    service.estimate(query)
+            assert service.breaker.state == BreakerState.CLOSED
+            stats = service.stats()
+            assert stats.inference_failures == 0
+            assert stats.degraded_queries == 0
+            assert service.estimate(base) == reliability_estimator.estimate_many([base])[0]
 
     def test_swap_model_closes_the_breaker(
         self, reliability_estimator, reliability_queries

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import MSCNConfig
-from repro.core.ensemble import EnsembleMSCNEstimator
 from repro.core.estimator import MSCNEstimator, PredictionTiming
 from repro.db.query import Query
 from repro.estimators.random_sampling import RandomSamplingEstimator
@@ -22,16 +21,6 @@ def serving_estimator(tiny_database, tiny_samples, tiny_workload):
     estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
     estimator.fit(tiny_workload)
     return estimator
-
-
-@pytest.fixture(scope="module")
-def serving_ensemble(tiny_database, tiny_samples, tiny_workload):
-    config = MSCNConfig(hidden_units=24, epochs=6, batch_size=32, num_samples=50, seed=31)
-    ensemble = EnsembleMSCNEstimator(
-        tiny_database, config, samples=tiny_samples, num_members=2
-    )
-    ensemble.fit(tiny_workload)
-    return ensemble
 
 
 @pytest.fixture(scope="module")
@@ -337,44 +326,17 @@ class TestFallbackRouting:
             served, serving_estimator.estimate_many(serving_queries)
         )
 
-    def test_high_spread_queries_route_to_fallback(
-        self, serving_ensemble, fallback, serving_queries, out_of_distribution_queries
-    ):
-        """With an ensemble model, member disagreement above max_spread sends
-        the query to the traditional estimator (the paper's Section 5 recipe)."""
-        queries = serving_queries[:40] + out_of_distribution_queries
-        dataset = serving_ensemble.serving_dataset(queries)
-        cardinalities, spreads, _ = (
-            serving_ensemble.estimate_featurized_with_uncertainty(dataset)
-        )
-        max_spread = 1.05
-        routed = spreads > max_spread
-        assert routed.any(), "fixture must contain at least one uncertain query"
-        assert not routed.all(), "fixture must contain at least one confident query"
-
-        config = ServiceConfig(max_spread=max_spread)
-        with EstimationService(
-            serving_ensemble, fallback=fallback, config=config
-        ) as service:
-            served = service.estimate_many(queries)
-            stats = service.stats()
-
-        assert stats.fallback_queries == int(routed.sum())
-        expected = cardinalities.copy()
-        expected[routed] = fallback.estimate_many(
-            [query for query, is_routed in zip(queries, routed) if is_routed]
-        )
-        np.testing.assert_allclose(served, expected, rtol=1e-12)
-
     def test_without_fallback_the_model_answers_everything(
-        self, serving_ensemble, out_of_distribution_queries
+        self, serving_estimator, out_of_distribution_queries
     ):
-        config = ServiceConfig(max_spread=1.0, max_joins=0)
-        with EstimationService(serving_ensemble, config=config) as service:
+        config = ServiceConfig(max_joins=0)
+        with EstimationService(serving_estimator, config=config) as service:
             served = service.estimate_many(out_of_distribution_queries)
             stats = service.stats()
         assert stats.fallback_queries == 0
-        assert (served >= 1.0).all()
+        np.testing.assert_array_equal(
+            served, serving_estimator.estimate_many(out_of_distribution_queries)
+        )
 
 
 class TestServiceStats:
@@ -400,8 +362,6 @@ class TestServiceStats:
             ServiceConfig(cache_capacity=0)
         with pytest.raises(ValueError):
             ServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(max_spread=0.5)
         with pytest.raises(ValueError):
             ServiceConfig(max_joins=-1)
 

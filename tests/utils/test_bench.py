@@ -10,12 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.utils.bench import (
-    _BLAS_THREAD_VARIABLES,
-    latency_percentiles_ms,
-    pin_blas_threads,
-    write_bench_json,
-)
+from repro.utils.bench import _BLAS_THREAD_VARIABLES, pin_blas_threads, write_bench_json
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -89,20 +84,6 @@ class TestPinBlasThreads:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-
-
-class TestLatencyPercentiles:
-    def test_empty_input_is_zero(self):
-        assert latency_percentiles_ms([]) == (0.0, 0.0)
-
-    def test_known_samples(self):
-        # 1..100 ms: numpy's linear interpolation puts p50 at 50.5 and p95
-        # at 95.05.
-        samples = [milliseconds / 1000.0 for milliseconds in range(1, 101)]
-        p50, p95 = latency_percentiles_ms(samples)
-        assert p50 == pytest.approx(50.5)
-        assert p95 == pytest.approx(95.05)
-        assert isinstance(p50, float) and isinstance(p95, float)
 
 
 class TestWriteBenchJson:
