@@ -326,6 +326,27 @@ class TestFallbackRouting:
             served, serving_estimator.estimate_many(serving_queries)
         )
 
+    @pytest.mark.parametrize("max_joins", [0, 1, 2])
+    def test_exactly_the_queries_beyond_max_joins_route_to_fallback(
+        self, serving_estimator, fallback, serving_queries,
+        out_of_distribution_queries, max_joins,
+    ):
+        queries = serving_queries[:40] + out_of_distribution_queries
+        routed = np.array([query.num_joins > max_joins for query in queries])
+        assert routed.any() and not routed.all()
+        config = ServiceConfig(max_joins=max_joins)
+        with EstimationService(
+            serving_estimator, fallback=fallback, config=config
+        ) as service:
+            served = service.estimate_many(queries)
+            stats = service.stats()
+        assert stats.fallback_queries == int(routed.sum())
+        expected = serving_estimator.estimate_many(queries)
+        expected[routed] = fallback.estimate_many(
+            [query for query, is_routed in zip(queries, routed) if is_routed]
+        )
+        np.testing.assert_array_equal(served, expected)
+
     def test_without_fallback_the_model_answers_everything(
         self, serving_estimator, out_of_distribution_queries
     ):
@@ -364,6 +385,12 @@ class TestServiceStats:
             ServiceConfig(max_batch_size=0)
         with pytest.raises(ValueError):
             ServiceConfig(max_joins=-1)
+
+    def test_config_has_no_spread_threshold(self):
+        """Routing is on join count alone: the ensemble-spread threshold is
+        not a setting."""
+        with pytest.raises(TypeError, match="max_spread"):
+            ServiceConfig(max_spread=2.0)
 
 
 class TestSubplanFanout:
