@@ -12,7 +12,7 @@ generates, costing the same subqueries across plan enumerations — twice:
 Asserts the cached service sustains at least 5x the uncached repeat-workload
 throughput, that the service's answers match the direct path, and that
 join-count routing sends every out-of-distribution (3-4 join) query to the
-fallback.  The measured numbers are appended to
+fallback without running a model batch.  The measured numbers are appended to
 ``benchmarks/results/smoke_service.txt``.
 
 Invoked as a plain script (``PYTHONPATH=src python benchmarks/smoke_service.py``)
@@ -105,6 +105,9 @@ def main() -> int:
     assert np.isfinite(routed_estimates).all() and (routed_estimates >= 1.0).all()
     assert routed_stats.fallback_queries == len(out_of_distribution), (
         f"out-of-range joins must route to the fallback: {routed_stats.describe()}"
+    )
+    assert routed_stats.coalesced_batches == 0, (
+        f"routed queries must not reach the model: {routed_stats.describe()}"
     )
 
     report = (

@@ -156,7 +156,7 @@ def main() -> None:
             )
             try:
                 with corruption.activate():
-                    service.swap_from_registry(registry, "mscn")
+                    service.swap_model(registry.load("mscn"))
             except SnapshotCorruptionError as error:
                 print(f"corrupted snapshot rejected (typed, no retries): {error}")
             print(f"service still serving the previous weights: "

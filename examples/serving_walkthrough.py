@@ -92,7 +92,7 @@ def main() -> None:
             print(f"\nPublished a seed-4 model as version {registry.current_version('mscn')}")
             probe = traffic[0]
             before_swap = service.estimate(probe)
-            service.swap_from_registry(registry, "mscn")
+            service.swap_model(registry.load("mscn"))
             after_swap = service.estimate(probe)
             print(f"Hot-swapped to the registry model: probe estimate "
                   f"{before_swap:.1f} (seed 3) -> {after_swap:.1f} "

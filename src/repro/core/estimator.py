@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batching import RaggedDataset
 from repro.core.config import FeaturizationVariant, LossKind, MSCNConfig
 from repro.core.encoding import SchemaEncoding
 from repro.core.featurization import QueryFeaturizer
@@ -209,14 +208,6 @@ class MSCNEstimator(CardinalityEstimator):
         """Estimated cardinality of a single query."""
         return float(self.estimate_many([query])[0])
 
-    def serving_dataset(self, queries: Sequence[Query]) -> RaggedDataset:
-        """Featurize serving traffic into the ragged layout prediction reads.
-
-        Public so a caller (the estimation service) can time featurization
-        apart from inference; pair with :meth:`estimate_featurized`.
-        """
-        return self.featurizer.featurize_ragged(queries)
-
     def estimate_many(self, queries: Sequence[Query]) -> np.ndarray:
         """Estimated cardinalities for a sequence of queries.
 
@@ -227,7 +218,7 @@ class MSCNEstimator(CardinalityEstimator):
         trainer = self._require_trained()
         if not queries:
             return np.empty(0, dtype=np.float64)
-        return trainer.predict(self.serving_dataset(queries))
+        return trainer.predict(self.featurizer.featurize_ragged(queries))
 
     def estimate_subplans(self, query: Query) -> dict[frozenset[str], float]:
         """Estimates for every connected sub-plan of ``query``, batched.
@@ -246,28 +237,26 @@ class MSCNEstimator(CardinalityEstimator):
         guarantee an optimizer needs for its costs to be reproducible
         regardless of how estimates were batched.  (The whole-batch
         pass, which projects each element shared by the sub-plans once,
-        remains the serving default via
-        :meth:`estimate_many`/:meth:`estimate_featurized`.)  The chunks run
-        one after another on the calling thread.
+        remains the serving default via :meth:`estimate_many` and
+        :meth:`timed_estimate_many`.)  The chunks run one after another on
+        the calling thread.
         """
         trainer = self._require_trained()
         subqueries = query.connected_subqueries()
         return subplan_map(
-            query, trainer.predict(self.serving_dataset(subqueries), batch_size=1)
+            query, trainer.predict(self.featurizer.featurize_ragged(subqueries), batch_size=1)
         )
 
-    def estimate_featurized(self, dataset: RaggedDataset) -> np.ndarray:
-        """Estimated cardinalities for queries already featurized by
-        :meth:`serving_dataset`.
-        """
-        return self._require_trained().predict(dataset)
-
     def timed_estimate_many(self, queries: Sequence[Query]) -> tuple[np.ndarray, PredictionTiming]:
-        """Estimates plus a featurization/inference latency breakdown."""
+        """Estimates plus a featurization/inference latency breakdown.
+
+        The estimation service's one call into its model: it counts the
+        returned :class:`PredictionTiming` as one micro-batch.
+        """
         trainer = self._require_trained()
         hits_before = self.samples.bitmap_cache_hits if self.samples is not None else 0
         start = time.perf_counter()
-        dataset = self.serving_dataset(queries) if queries else None
+        dataset = self.featurizer.featurize_ragged(queries) if queries else None
         featurization_seconds = time.perf_counter() - start
         hits_after = self.samples.bitmap_cache_hits if self.samples is not None else 0
         start = time.perf_counter()
@@ -292,7 +281,7 @@ class MSCNEstimator(CardinalityEstimator):
         trainer = self._require_trained()
         if not queries:
             return np.empty(0, dtype=np.float64)
-        return trainer.predict_normalized(self.serving_dataset(queries))
+        return trainer.predict_normalized(self.featurizer.featurize_ragged(queries))
 
     # ------------------------------------------------------------------
     # Introspection and persistence

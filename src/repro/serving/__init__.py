@@ -8,10 +8,11 @@ package turns the MSCN estimators of ``repro.core`` into a service:
     :class:`EstimationService` — a thread-safe front-end that canonicalizes
     queries into a :class:`~repro.utils.lru.LRU` result cache (importable here
     as ``ResultCache``), coalesces concurrent callers into
-    micro-batches feeding one fused pass (run by one waiting caller at a
-    time, on its own thread — the service starts no thread), and routes
-    queries with more joins than the model was trained on to a traditional
-    fallback estimator.  Bounded admission, per-request
+    micro-batches (run by one waiting caller at a time, on its own thread —
+    the service starts no thread), routes each batch's queries with more
+    joins than the model was trained on to a traditional fallback estimator
+    before any model work, and answers the rest with one
+    ``timed_estimate_many`` call on the model.  Bounded admission, per-request
     deadlines and a circuit breaker over inference guarantee every request
     resolves to an estimate or a typed error — never a silent hang.
 ``repro.serving.registry``

@@ -11,17 +11,19 @@ the deployment recipe of the paper's Section 5 discussion:
 * **Caller-runs micro-batching** — cache misses from concurrent callers are
   queued; a waiting caller that finds no batch running becomes the leader,
   takes the queued requests (up to ``max_batch_size`` queries, FIFO) and
-  runs one ``model.serving_dataset`` featurization and one fused
-  ``estimate_featurized`` pass for all of them on its own thread, while
+  answers the model-bound ones with one ``model.timed_estimate_many`` call
+  (one featurization and one fused forward pass) on its own thread, while
   callers arriving meanwhile queue for the next leader.  Set-wise MLPs and
   pooling amortize across every in-flight request instead of running per
   caller; both steps allocate fresh arrays, so nothing stays pinned between
   micro-batches.  The service starts no thread of its own.
-* **Join-count-routed fallback** — queries with more joins than the model
-  was trained on (``max_joins``) are re-estimated by a configurable
-  traditional :class:`~repro.estimators.base.CardinalityEstimator` (e.g.
-  PostgreSQL-style statistics or random sampling), the hybrid the paper's
-  Section 5 proposes for queries outside the training distribution.
+* **Join-count-routed fallback** — a batch's queries with more joins than
+  the model was trained on (``max_joins``) are split off before any model
+  work and answered by a configurable traditional
+  :class:`~repro.estimators.base.CardinalityEstimator` (e.g.
+  PostgreSQL-style statistics or random sampling) in one call, the hybrid
+  the paper's Section 5 proposes for queries outside the training
+  distribution.  Their answers are cached like the model's.
 * **Atomic hot-swap** — :meth:`swap_model` replaces the serving model under
   a lock, bumps a generation counter and clears the cache; an in-flight
   micro-batch computed against the old model can never publish stale results
@@ -42,14 +44,17 @@ estimate, a degraded (fallback) estimate, or a typed error:
   work — and resolves them with a typed
   :class:`~repro.serving.errors.DeadlineExceededError`.
 * **Circuit breaker** — consecutive inference failures open a
-  :class:`~repro.serving.breaker.CircuitBreaker`; while open, batches
-  degrade to the fallback estimator without touching the model (typed
-  :class:`~repro.serving.errors.ModelUnavailableError` when there is no
-  fallback), and half-open probes test recovery.  Degraded estimates are
-  **never** published to the result cache, so once the breaker closes the
-  served values are bit-identical to the pre-fault path.  A batch that
-  fails in any other way fails only its own requests; the next caller
-  leads the next batch.
+  :class:`~repro.serving.breaker.CircuitBreaker`; while open, a batch's
+  model-bound queries degrade to the fallback estimator without touching
+  the model (typed :class:`~repro.serving.errors.ModelUnavailableError`
+  when there is no fallback), and half-open probes test recovery.
+  Join-count routing happens before the breaker is asked, so routed
+  queries are answered and cached the same way whatever its state.
+  Degraded estimates are **never** published to the result cache, so once
+  the breaker closes the served values are bit-identical to the pre-fault
+  path.  A batch that fails in any other way (a failing fallback
+  included) fails only its own requests; the next caller leads the next
+  batch.
 * **Fail-fast close** — :meth:`close` rejects queued-but-unstarted requests
   with a typed :class:`~repro.serving.errors.ServiceClosedError` immediately
   (no caller is left waiting out a timeout), is idempotent, and makes
@@ -206,8 +211,7 @@ class EstimationService(CardinalityEstimator):
     ----------
     model:
         The serving model — an :class:`~repro.core.estimator.MSCNEstimator`
-        (anything providing ``samples``, ``serving_dataset`` and
-        ``estimate_featurized``).
+        (anything providing ``timed_estimate_many``).
     fallback:
         Optional traditional estimator that answers queries beyond
         ``max_joins`` — and, in the reliability layer, overload-degraded
@@ -302,7 +306,7 @@ class EstimationService(CardinalityEstimator):
             else:
                 # Overload-degraded: answered inline by the fallback, not
                 # queued — and never published to the model's result cache.
-                results[miss_positions] = self._degrade(request.queries)
+                results[miss_positions] = self._ask_fallback(request.queries)
         return results
 
     def stats(self) -> ServiceStats:
@@ -366,19 +370,7 @@ class EstimationService(CardinalityEstimator):
             self._generation += 1
             self._cache.clear()
         self._breaker.record_success()
-        self._stats.record_swap()
-
-    def swap_from_registry(
-        self, registry, name: str, version: int | None = None, retry=None
-    ) -> None:
-        """Hot-swap to a :class:`~repro.serving.registry.ModelRegistry` model.
-
-        ``retry`` is an optional :class:`~repro.serving.registry.RetryPolicy`
-        for transient load failures; load errors (typed) propagate without
-        touching the currently serving model, so a failed swap never degrades
-        live traffic.
-        """
-        self.swap_model(registry.load(name, version, retry=retry))
+        self._stats.add(model_swaps=1)
 
     def close(self) -> None:
         """Resolve every queued request immediately and refuse new ones.
@@ -427,7 +419,7 @@ class EstimationService(CardinalityEstimator):
             if depth > 0 and depth + len(request.queries) > self.config.max_queue_depth:
                 if self.config.overload_policy == "degrade" and self.fallback is not None:
                     return False
-                self._stats.record_shed(len(request.queries))
+                self._stats.add(shed_queries=len(request.queries))
                 raise ServiceOverloadedError(
                     f"pending queue is full ({depth} queries queued, "
                     f"max_queue_depth={self.config.max_queue_depth})",
@@ -466,7 +458,7 @@ class EstimationService(CardinalityEstimator):
                         if request in self._pending:
                             self._pending.remove(request)
                             self._queued_queries -= len(request.queries)
-                            self._stats.record_expired(len(request.queries))
+                            self._stats.add(expired_queries=len(request.queries))
                         raise DeadlineExceededError(
                             "request deadline expired while waiting for a batch"
                         )
@@ -482,14 +474,17 @@ class EstimationService(CardinalityEstimator):
                     self._batch_running = False
                     self._pending_available.notify_all()
 
-    def _degrade(self, queries: list[Query]) -> np.ndarray:
-        """Answer queries via the fallback estimator (reliability-degraded).
+    def _ask_fallback(
+        self, queries: list[Query], counter: str = "degraded_queries"
+    ) -> np.ndarray:
+        """Answer queries via the fallback estimator, counted under ``counter``.
 
-        Degraded estimates are intentionally *not* published to the result
-        cache: they are a transient substitute, and once the model path
-        recovers the cache must only ever reflect model output — that is
-        what makes post-recovery serving bit-identical to the pre-fault
-        path.
+        ``fallback_queries`` are routed on join count and cached like model
+        output.  ``degraded_queries`` stand in for an unavailable model path
+        and are intentionally *not* published to the result cache: once the
+        model path recovers the cache must only ever reflect what a healthy
+        service computes — that is what makes post-recovery serving
+        bit-identical to the pre-fault path.
         """
         if self.fallback is None:
             raise ModelUnavailableError(
@@ -497,7 +492,7 @@ class EstimationService(CardinalityEstimator):
             )
         start = time.perf_counter()
         values = np.asarray(self.fallback.estimate_many(queries), dtype=np.float64)
-        self._stats.record_degraded(len(queries), time.perf_counter() - start)
+        self._stats.add(**{counter: len(queries)}, fallback_seconds=time.perf_counter() - start)
         return values
 
     # ------------------------------------------------------------------
@@ -519,17 +514,19 @@ class EstimationService(CardinalityEstimator):
         return requests
 
     def _process(self, requests: list[_Request]) -> None:
-        """Answer a coalesced batch: expire, dedupe, one fused pass, scatter.
+        """Answer a coalesced batch: expire, dedupe, route, one model call, scatter.
 
         Requests past their deadline are settled with the typed timeout error
         *before* featurization — their queries never become dead work (unless
-        a still-live request shares them).
+        a still-live request shares them).  The uncached queries are split
+        once on their join count: those beyond ``max_joins`` go to the
+        fallback in one call, and only the rest reach the model.
         """
         now = self._clock()
         live: list[_Request] = []
         for request in requests:
             if request.deadline is not None and now >= request.deadline:
-                self._stats.record_expired(len(request.queries))
+                self._stats.add(expired_queries=len(request.queries))
                 request.fail(
                     DeadlineExceededError(
                         "request deadline expired while queued; dropped at dequeue"
@@ -545,27 +542,38 @@ class EstimationService(CardinalityEstimator):
                 for query, signature in zip(request.queries, request.signatures):
                     unique.setdefault(signature, query)
             resolved: dict[tuple, float] = {}
-            to_compute: list[tuple[tuple, Query]] = []
+            routed: dict[tuple, Query] = {}
+            model_bound: dict[tuple, Query] = {}
+            max_joins = self.config.max_joins if self.fallback is not None else None
             for signature, query in unique.items():
                 # An earlier batch (possibly a swap-preceding one) may have
                 # answered this signature since the caller's miss; peek so
                 # these internal probes don't skew the request hit rate.
                 cached = self._cache.peek(signature)
-                if cached is None:
-                    to_compute.append((signature, query))
-                else:
+                if cached is not None:
                     resolved[signature] = cached
-            if to_compute:
-                estimates, cacheable, generation = self._compute_guarded(
-                    [q for _, q in to_compute]
-                )
-                fresh = {
-                    signature: float(value)
-                    for (signature, _), value in zip(to_compute, estimates)
-                }
-                resolved.update(fresh)
-                if cacheable:
-                    self._publish(fresh, generation)
+                elif max_joins is not None and query.num_joins > max_joins:
+                    routed[signature] = query
+                else:
+                    model_bound[signature] = query
+            if routed or model_bound:
+                with self._model_lock:
+                    model, generation = self._model, self._generation
+                cacheable: dict[tuple, float] = {}
+                if routed:
+                    values = self._ask_fallback(list(routed.values()), "fallback_queries")
+                    cacheable.update(zip(routed, values.tolist()))
+                if model_bound:
+                    estimates, from_model = self._compute_guarded(
+                        model, list(model_bound.values())
+                    )
+                    answers = dict(zip(model_bound, estimates))
+                    if from_model:
+                        cacheable.update(answers)
+                    else:
+                        resolved.update(answers)
+                resolved.update(cacheable)
+                self._publish(cacheable, generation)
             for request in live:
                 request.resolve(
                     np.array(
@@ -587,71 +595,27 @@ class EstimationService(CardinalityEstimator):
     # ------------------------------------------------------------------
     # Model execution behind the circuit breaker
     # ------------------------------------------------------------------
-    def _compute_guarded(
-        self, queries: list[Query]
-    ) -> tuple[np.ndarray, bool, int]:
+    def _compute_guarded(self, model, queries: list[Query]) -> tuple[list[float], bool]:
         """Run the model behind the breaker, degrading on failure.
 
-        Returns ``(estimates, cacheable, generation)``: model output is
-        cacheable under its generation; fallback-degraded output is not
-        (transient substitutes must never poison the cache).  Join-count
-        routing runs after the breaker has recorded the model's success, so
-        a failing fallback fails this batch's requests but never counts as
-        an inference failure.
+        Returns ``(estimates, from_model)``: model output is cacheable;
+        fallback-degraded output is not (transient substitutes must never
+        poison the cache).
         """
         if self._breaker.allow():
             try:
-                estimates, generation = self._compute(queries)
+                estimates, timing = model.timed_estimate_many(queries)
             except Exception as error:
                 self._breaker.record_failure()
-                self._stats.record_inference_failure()
+                self._stats.add(inference_failures=1)
                 if self.fallback is None:
                     raise ModelUnavailableError(
                         f"model inference failed and no fallback estimator "
                         f"is configured: {error!r}"
                     ) from error
-                return self._degrade(queries), False, -1
+                return self._ask_fallback(queries).tolist(), False
             self._breaker.record_success()
-            self._route_to_fallback(queries, estimates)
-            return estimates, True, generation
+            self._stats.record_batch(timing)
+            return np.asarray(estimates, dtype=np.float64).tolist(), True
         # Breaker open: the model is not touched at all.
-        return self._degrade(queries), False, -1
-
-    def _compute(self, queries: list[Query]) -> tuple[np.ndarray, int]:
-        """One fused featurize+infer pass.
-
-        Returns the estimates and the model generation they were computed
-        under (for the stale-publish guard).
-        """
-        with self._model_lock:
-            model = self._model
-            generation = self._generation
-        samples = model.samples
-        hits_before = samples.bitmap_cache_hits if samples is not None else 0
-        start = time.perf_counter()
-        dataset = model.serving_dataset(queries)
-        featurization_seconds = time.perf_counter() - start
-        hits_after = samples.bitmap_cache_hits if samples is not None else 0
-
-        start = time.perf_counter()
-        estimates = model.estimate_featurized(dataset)
-        inference_seconds = time.perf_counter() - start
-        estimates = np.array(estimates, dtype=np.float64)
-        self._stats.record_batch(
-            batch_size=len(queries),
-            featurization_seconds=featurization_seconds,
-            inference_seconds=inference_seconds,
-            bitmap_cache_hits=hits_after - hits_before,
-        )
-        return estimates, generation
-
-    def _route_to_fallback(self, queries: list[Query], estimates: np.ndarray) -> None:
-        """Re-estimate, in place, the queries with more joins than ``max_joins``."""
-        if self.fallback is None or self.config.max_joins is None:
-            return
-        routed = np.array([query.num_joins > self.config.max_joins for query in queries])
-        if routed.any():
-            routed_queries = [q for q, r in zip(queries, routed) if r]
-            start = time.perf_counter()
-            estimates[routed] = self.fallback.estimate_many(routed_queries)
-            self._stats.record_fallback(len(routed_queries), time.perf_counter() - start)
+        return self._ask_fallback(queries).tolist(), False

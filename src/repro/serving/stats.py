@@ -15,7 +15,7 @@ featurization nor inference keeps buffers between micro-batches.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.core.estimator import PredictionTiming
 from repro.serving.breaker import BreakerState
@@ -29,9 +29,11 @@ class ServiceStats(PredictionTiming):
 
     ``num_queries`` counts every query answered (cached or computed);
     ``featurization_seconds``/``inference_seconds`` cover only the queries
-    that reached the model, and ``fallback_seconds`` the ones routed to the
-    traditional estimator.  ``batch_size_histogram`` maps fused micro-batch
-    sizes to how often they occurred.
+    that reached the model, and ``fallback_seconds`` the ones answered by the
+    traditional estimator (routed or degraded).  ``batch_size_histogram``
+    maps the size of each model micro-batch to how often it occurred; it
+    and ``coalesced_batches`` count model-bound queries only, so a batch
+    whose queries were all routed to the fallback adds nothing to either.
 
     The reliability counters partition failure handling: ``shed_queries``
     were rejected by admission control (typed
@@ -39,7 +41,8 @@ class ServiceStats(PredictionTiming):
     were answered by the fallback estimator because the model path was
     unavailable (overload-degrade policy, open circuit breaker, or an
     inference failure) — distinct from ``fallback_queries``, which counts
-    deliberate join-count routing (``max_joins``) — and ``expired_queries``
+    deliberate join-count routing (``max_joins``), answered before any model
+    work whatever the breaker's state — and ``expired_queries``
     missed their deadline and were answered with a typed timeout error
     instead of being featurized as dead work.
     """
@@ -119,99 +122,55 @@ class ServiceStats(PredictionTiming):
         return summary
 
 
+#: What a model batch's :class:`PredictionTiming` adds to the running totals
+#: (its ``num_queries`` is the batch size, not answered queries).
+_TIMING_TOTALS = tuple(f.name for f in fields(PredictionTiming) if f.name != "num_queries")
+
+
 class StatsAccumulator:
-    """Thread-safe running counters behind :meth:`EstimationService.stats`."""
+    """Thread-safe running totals behind :meth:`EstimationService.stats`.
+
+    The totals are keyed by :class:`ServiceStats` field name, so the counters
+    are declared once, on the snapshot class; :meth:`snapshot` adds the
+    gauges the service reads from its cache and breaker.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.num_queries = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.fallback_queries = 0
-        self.coalesced_batches = 0
-        self.model_swaps = 0
-        self.featurization_seconds = 0.0
-        self.inference_seconds = 0.0
-        self.fallback_seconds = 0.0
-        self.bitmap_cache_hits = 0
-        self.batch_size_histogram: dict[int, int] = {}
-        self.shed_queries = 0
-        self.degraded_queries = 0
-        self.expired_queries = 0
-        self.inference_failures = 0
+        self._totals = asdict(
+            ServiceStats(num_queries=0, featurization_seconds=0.0, inference_seconds=0.0)
+        )
+
+    def add(self, **amounts) -> None:
+        """Add to the named totals (a misspelt name raises ``KeyError``)."""
+        with self._lock:
+            for name, amount in amounts.items():
+                self._totals[name] += amount
 
     def record_lookups(self, hits: int, misses: int) -> None:
-        with self._lock:
-            self.num_queries += hits + misses
-            self.cache_hits += hits
-            self.cache_misses += misses
+        """Count one request's cache lookups.
 
-    def record_batch(
-        self,
-        batch_size: int,
-        featurization_seconds: float,
-        inference_seconds: float,
-        bitmap_cache_hits: int,
-    ) -> None:
+        The cache-hit path's only stats call, kept apart from :meth:`add`:
+        building and looping over a keyword dict cost that path ~10%.
+        """
         with self._lock:
-            self.coalesced_batches += 1
-            self.batch_size_histogram[batch_size] = (
-                self.batch_size_histogram.get(batch_size, 0) + 1
-            )
-            self.featurization_seconds += featurization_seconds
-            self.inference_seconds += inference_seconds
-            self.bitmap_cache_hits += bitmap_cache_hits
+            totals = self._totals
+            totals["num_queries"] += hits + misses
+            totals["cache_hits"] += hits
+            totals["cache_misses"] += misses
 
-    def record_fallback(self, num_queries: int, seconds: float) -> None:
+    def record_batch(self, timing: PredictionTiming) -> None:
+        """Count one model micro-batch of ``timing.num_queries`` queries."""
         with self._lock:
-            self.fallback_queries += num_queries
-            self.fallback_seconds += seconds
+            totals = self._totals
+            totals["coalesced_batches"] += 1
+            histogram = totals["batch_size_histogram"]
+            histogram[timing.num_queries] = histogram.get(timing.num_queries, 0) + 1
+            for name in _TIMING_TOTALS:
+                totals[name] += getattr(timing, name)
 
-    def record_swap(self) -> None:
+    def snapshot(self, **gauges) -> ServiceStats:
         with self._lock:
-            self.model_swaps += 1
-
-    def record_shed(self, num_queries: int) -> None:
-        with self._lock:
-            self.shed_queries += num_queries
-
-    def record_degraded(self, num_queries: int, seconds: float) -> None:
-        with self._lock:
-            self.degraded_queries += num_queries
-            self.fallback_seconds += seconds
-
-    def record_expired(self, num_queries: int) -> None:
-        with self._lock:
-            self.expired_queries += num_queries
-
-    def record_inference_failure(self) -> None:
-        with self._lock:
-            self.inference_failures += 1
-
-    def snapshot(
-        self,
-        cache_evictions: int = 0,
-        breaker_state: str = BreakerState.CLOSED,
-        breaker_opens: int = 0,
-    ) -> ServiceStats:
-        with self._lock:
-            return ServiceStats(
-                num_queries=self.num_queries,
-                featurization_seconds=self.featurization_seconds,
-                inference_seconds=self.inference_seconds,
-                bitmap_cache_hits=self.bitmap_cache_hits,
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_evictions=cache_evictions,
-                fallback_queries=self.fallback_queries,
-                fallback_seconds=self.fallback_seconds,
-                coalesced_batches=self.coalesced_batches,
-                model_swaps=self.model_swaps,
-                batch_size_histogram=dict(self.batch_size_histogram),
-                shed_queries=self.shed_queries,
-                degraded_queries=self.degraded_queries,
-                expired_queries=self.expired_queries,
-                inference_failures=self.inference_failures,
-                breaker_state=breaker_state,
-                breaker_opens=breaker_opens,
-            )
+            totals = dict(self._totals)
+            totals["batch_size_histogram"] = dict(totals["batch_size_histogram"])
+        return ServiceStats(**{**totals, **gauges})

@@ -523,13 +523,13 @@ class TestServingConsistency:
         estimator = MSCNEstimator(tiny_database, config, samples=tiny_samples)
         estimator.fit(tiny_workload)
         queries = [labelled.query for labelled in tiny_workload[:20]]
-        dataset = estimator.serving_dataset(queries)
+        dataset = estimator.featurizer.featurize_ragged(queries)
         # The forward pass itself stays in its compute dtype ...
         assert model_forward(estimator._model, dataset).dtype == np.float32
         # ... but every caller-facing boundary is float64.
         assert estimator.estimate_many(queries).dtype == np.float64
         assert estimator.predict_normalized(queries).dtype == np.float64
-        assert estimator.estimate_featurized(dataset).dtype == np.float64
+        assert estimator._trainer.predict(dataset).dtype == np.float64
         estimates, timing = estimator.timed_estimate_many(queries)
         assert estimates.dtype == np.float64
         assert timing.num_queries == len(queries)

@@ -39,28 +39,24 @@ def wait_until():
 
 
 class GatedModel:
-    """Delegates to a real model, but blocks featurization on a gate.
+    """Delegates to a real model, but blocks each model call on a gate.
 
     Lets a test deterministically hold a batch leader inside a micro-batch
     while it arranges queue contents, then release it.  ``batches`` records
-    the queries of every featurized micro-batch, in batch order.
+    the queries of every model micro-batch, in batch order.
     """
 
     def __init__(self, inner):
         self.inner = inner
-        self.samples = inner.samples
         self.gate = threading.Event()
         self.entered = threading.Event()
         self.batches: list[list] = []
 
-    def serving_dataset(self, queries):
+    def timed_estimate_many(self, queries):
         self.batches.append(list(queries))
         self.entered.set()
         assert self.gate.wait(timeout=30.0), "test gate never opened"
-        return self.inner.serving_dataset(queries)
-
-    def estimate_featurized(self, dataset):
-        return self.inner.estimate_featurized(dataset)
+        return self.inner.timed_estimate_many(queries)
 
 
 @pytest.fixture(scope="session")

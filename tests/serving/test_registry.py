@@ -111,7 +111,7 @@ class TestServiceHotSwap:
             np.testing.assert_allclose(before, first.estimate_many(queries), rtol=1e-6)
             assert len(service.cache) > 0
 
-            service.swap_from_registry(registry, "mscn")  # CURRENT is version 2
+            service.swap_model(registry.load("mscn"))  # CURRENT is version 2
             assert len(service.cache) == 0  # stale results were invalidated
             after = service.estimate_many(queries)
             np.testing.assert_allclose(after, second.estimate_many(queries), rtol=1e-6)
@@ -128,7 +128,7 @@ class TestServiceHotSwap:
         registry.publish("mscn", first)
         with EstimationService(first) as service:
             direct = service.estimate_many(queries)
-            service.swap_from_registry(registry, "mscn")
+            service.swap_model(registry.load("mscn"))
             reloaded = service.estimate_many(queries)
         np.testing.assert_allclose(direct, reloaded, rtol=1e-6)
 

@@ -52,19 +52,15 @@ class FlakyModel:
 
     def __init__(self, inner, failures_remaining: int = 0):
         self.inner = inner
-        self.samples = inner.samples
         self.failures_remaining = failures_remaining
         self.inference_calls = 0
 
-    def serving_dataset(self, queries):
-        return self.inner.serving_dataset(queries)
-
-    def estimate_featurized(self, dataset):
+    def timed_estimate_many(self, queries):
         self.inference_calls += 1
         if self.failures_remaining > 0:
             self.failures_remaining -= 1
             raise RuntimeError("synthetic inference failure")
-        return self.inner.estimate_featurized(dataset)
+        return self.inner.timed_estimate_many(queries)
 
 
 class TestAdmissionControl:
@@ -409,9 +405,9 @@ class TestCircuitBreaker:
     def test_a_failing_fallback_never_opens_the_breaker(
         self, reliability_estimator, reliability_queries
     ):
-        """Join-count routing runs after the model's success is recorded: a
-        fallback that raises fails only its own batch's requests, and the
-        model keeps answering the queries it owns."""
+        """Join-count routing runs before the breaker is asked: a fallback
+        that raises fails only its own batch's requests, and the model keeps
+        answering the queries it owns."""
 
         class BrokenFallback(CardinalityEstimator):
             def estimate(self, query):
@@ -432,6 +428,38 @@ class TestCircuitBreaker:
             assert stats.inference_failures == 0
             assert stats.degraded_queries == 0
             assert service.estimate(base) == reliability_estimator.estimate_many([base])[0]
+
+    def test_open_breaker_degrades_only_model_bound_queries(
+        self, reliability_estimator, reliability_queries, sampling_fallback
+    ):
+        """With the breaker open, a mixed batch's routed queries still get
+        the fallback's cached answer (``fallback_queries``); only its
+        model-bound queries degrade (``degraded_queries``, never cached)."""
+        flaky = FlakyModel(reliability_estimator, failures_remaining=10)
+        config = ServiceConfig(max_joins=1, breaker_failure_threshold=1)
+        opener = next(q for q in reliability_queries if q.num_joins <= 1)
+        mixed = [q for q in reliability_queries if q.signature() != opener.signature()][:30]
+        routed = [q for q in mixed if q.num_joins > 1]
+        model_bound = [q for q in mixed if q.num_joins <= 1]
+        assert routed and model_bound
+        assert len({q.signature() for q in mixed}) == len(mixed)
+        with EstimationService(
+            flaky, fallback=sampling_fallback, config=config, clock=FakeClock()
+        ) as service:
+            service.estimate(opener)  # the one inference failure opens the breaker
+            assert service.breaker.state == BreakerState.OPEN
+            calls_before = flaky.inference_calls
+            before = service.stats()
+
+            served = service.estimate_many(mixed)
+            stats = service.stats()
+            assert flaky.inference_calls == calls_before
+            np.testing.assert_array_equal(served, sampling_fallback.estimate_many(mixed))
+            assert stats.fallback_queries - before.fallback_queries == len(routed)
+            assert stats.degraded_queries - before.degraded_queries == len(model_bound)
+            assert all(q.signature() in service.cache for q in routed)
+            assert not any(q.signature() in service.cache for q in model_bound)
+            assert stats.coalesced_batches == 0
 
     def test_swap_model_closes_the_breaker(
         self, reliability_estimator, reliability_queries
@@ -456,19 +484,19 @@ class TestFailedBatches:
         self, reliability_estimator, gated_model, reliability_queries, wait_until
     ):
         """A batch that dies outside the model path's typed failure handling
-        (here a ``BaseException`` from featurization) fails only its own
+        (here a ``BaseException`` from the model call) fails only its own
         requests; a caller queued behind it leads the next batch."""
 
         class Abort(BaseException):
             pass
 
         class AbortFirstBatch(gated_model):
-            def serving_dataset(self, queries):
+            def timed_estimate_many(self, queries):
                 first = not self.batches
-                dataset = super().serving_dataset(queries)
+                answer = super().timed_estimate_many(queries)
                 if first:
-                    raise Abort("featurization died")
-                return dataset
+                    raise Abort("the model call died")
+                return answer
 
         model = AbortFirstBatch(reliability_estimator)
         service = EstimationService(model)
@@ -715,7 +743,7 @@ class TestChaos:
                 # Mid-chaos, a hot-swap from a corrupted snapshot fails with
                 # the typed corruption error and live serving is unaffected.
                 with pytest.raises(SnapshotCorruptionError):
-                    service.swap_from_registry(registry, "mscn")
+                    service.swap_model(registry.load("mscn"))
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads), (

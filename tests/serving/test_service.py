@@ -341,11 +341,43 @@ class TestFallbackRouting:
             served = service.estimate_many(queries)
             stats = service.stats()
         assert stats.fallback_queries == int(routed.sum())
-        expected = serving_estimator.estimate_many(queries)
+        # The model sees only the model-bound queries, as one batch: a
+        # float32 forward pass over another batch may differ in the last bit.
+        expected = np.empty(len(queries))
+        expected[~routed] = serving_estimator.estimate_many(
+            [query for query, is_routed in zip(queries, routed) if not is_routed]
+        )
         expected[routed] = fallback.estimate_many(
             [query for query, is_routed in zip(queries, routed) if is_routed]
         )
         np.testing.assert_array_equal(served, expected)
+
+    def test_only_queries_within_max_joins_reach_the_model(
+        self, serving_estimator, fallback, serving_queries,
+        out_of_distribution_queries, gated_model,
+    ):
+        """Routing happens before the model: every model batch holds only
+        queries within ``max_joins``, and a request whose queries are all
+        routed runs no model batch at all."""
+        mixed = serving_queries[:40]
+        assert any(query.num_joins > 1 for query in mixed)
+        gated = gated_model(serving_estimator)
+        gated.gate.set()
+        config = ServiceConfig(max_joins=1)
+        with EstimationService(gated, fallback=fallback, config=config) as service:
+            service.estimate_many(mixed)
+            assert gated.batches
+            assert all(query.num_joins <= 1 for batch in gated.batches for query in batch)
+            batches = service.stats().coalesced_batches
+            assert batches == len(gated.batches)
+
+            service.estimate_many(out_of_distribution_queries)
+            stats = service.stats()
+        assert len(gated.batches) == batches
+        assert stats.coalesced_batches == batches
+        assert sum(stats.batch_size_histogram.values()) == batches
+        routed = {q.signature() for q in mixed + out_of_distribution_queries if q.num_joins > 1}
+        assert stats.fallback_queries == len(routed)
 
     def test_without_fallback_the_model_answers_everything(
         self, serving_estimator, out_of_distribution_queries
